@@ -36,9 +36,8 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import (
-    BOUNDARY,
-    EXTERIOR,
-    INTERIOR,
+    _CLASS_CODES,
+    _CLASS_NAMES,
     BallDescriptor,
     AnnulusDescriptor,
     BoundaryData,
@@ -65,9 +64,6 @@ from .verify import (
     boundary_gradient_min,
 )
 
-_CLASS_NAMES = {INTERIOR: "Interior", BOUNDARY: "Boundary", EXTERIOR: "Exterior"}
-_CLASS_CODES = {v: k for k, v in _CLASS_NAMES.items()}
-
 _KNOWN_KEYS = {
     "domain.type", "domain.center", "domain.radius", "domain.r_inner",
     "domain.r_outer", "domain.bounds",
@@ -80,7 +76,7 @@ _KNOWN_KEYS = {
     "solver.sigma", "solver.eps0", "solver.rho", "solver.eps_min",
     "solver.damping", "solver.outer_tol", "solver.stagnation_tol",
     "solver.stage_frac", "solver.max_outer_iterations",
-    "solver.stage_max_iterations", "solver.seed",
+    "solver.stage_max_iterations",
     "study.h_list",
     "diagnose.field", "diagnose.delta", "diagnose.band", "diagnose.eps0",
     "output.field", "output.report", "output.table", "output.rearrangement",
@@ -108,7 +104,6 @@ class RunConfig:
     boundary_knots: tuple[float, ...] = ()
     boundary_values: tuple[float, ...] = ()
     solver: dict = dc_field(default_factory=dict)
-    seed: int = 0
     study_h_list: tuple[float, ...] = ()
     diagnose_field: str = ""
     diagnose_delta: float | None = None
@@ -353,7 +348,6 @@ def parse_config(text: str) -> RunConfig:
                              "must be auto, linear, policy or pseudo_time"))
         else:
             cfg.solver["method"] = method
-    cfg.seed = take("solver.seed", int, default=0)
 
     cfg.study_h_list = take("study.h_list", _parse_float_list, default=())
     cfg.diagnose_field = take("diagnose.field", str, default="")
@@ -443,39 +437,46 @@ class LoadedField:
 
 
 def load_field(path: str | Path) -> LoadedField:
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    """Parse a field dump; a malformed one raises InvalidParameterError
+    naming the file and the line."""
+    lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("# "):
         raise InvalidParameterError(f"{path}: missing field header")
-    header: dict[str, str] = {}
-    for tok in lines[0][2:].split():
-        key, _, val = tok.partition("=")
-        header[key] = val
-    n = int(header["n"])
-    shape = tuple(int(s) for s in header["shape"].split(","))
-    h = float(header["h"])
-    origin = tuple(float(o) for o in header["origin"].split(","))
+    try:
+        header = dict(tok.split("=", 1) for tok in lines[0][2:].split())
+        n = int(header["n"])
+        shape = tuple(int(s) for s in header["shape"].split(","))
+        h = float(header["h"])
+        origin = tuple(float(o) for o in header["origin"].split(","))
+        if min(shape) < 1:
+            raise ValueError(f"shape {shape} has an empty axis")
+    except (KeyError, ValueError) as err:
+        raise InvalidParameterError(
+            f"{path}:1: malformed field header ({err!r})") from None
     count = int(np.prod(shape))
     classes = np.empty(count, dtype=np.int8)
     values = np.empty(count, dtype=np.float64)
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != count:
         raise InvalidParameterError(
             f"{path}: expected {count} node lines, found {len(body)}")
-    for row, ln in enumerate(body):
-        idx_s, cls_s, val_s = ln.split()
-        flat = int(np.ravel_multi_index(
-            tuple(int(i) for i in idx_s.split(",")), shape))
+    for row, (lineno, ln) in enumerate(body):
+        try:
+            idx_s, cls_s, val_s = ln.split()
+            flat = int(np.ravel_multi_index(
+                tuple(int(i) for i in idx_s.split(",")), shape))
+            classes[flat] = _CLASS_CODES[cls_s]
+            values[flat] = float(val_s)
+        except (KeyError, ValueError) as err:
+            raise InvalidParameterError(
+                f"{path}:{lineno}: malformed node line ({err!r})") from None
         if flat != row:
-            raise InvalidParameterError(f"{path}: node lines out of order")
-        classes[flat] = _CLASS_CODES[cls_s]
-        values[flat] = float(val_s)
+            raise InvalidParameterError(f"{path}:{lineno}: node lines out of order")
     return LoadedField(n, shape, h, origin, classes.reshape(shape),
                        values.reshape(shape))
 
 
-def format_report(report: SolveReport, seed: int = 0,
-                  timings: bool = False) -> str:
+def format_report(report: SolveReport, timings: bool = False) -> str:
     """Deterministic nested key-value text mirroring the report fields.
 
     Wall-clock data is excluded unless explicitly requested, so identical
@@ -483,7 +484,6 @@ def format_report(report: SolveReport, seed: int = 0,
     """
     lines = [
         f"status = {report.status}",
-        f"seed = {seed}",
         f"initial_policy = {report.initial_policy}",
         f"eps0 = {_fmt(report.eps0)}",
         f"eps_min = {_fmt(report.eps_min)}",
@@ -549,7 +549,7 @@ def cmd_solve(cfg: RunConfig, timings: bool = False) -> int:
     print(f"solve: status={report.status} iterations={report.total_iterations} "
           f"plain_residual={report.final_plain_residual:.6e} "
           f"wall={elapsed:.2f}s")
-    _write_outputs(cfg, u, format_report(report, cfg.seed, timings), None, grid)
+    _write_outputs(cfg, u, format_report(report, timings), None, grid)
     return 0 if report.converged else 2
 
 
@@ -582,7 +582,7 @@ def cmd_verify_ball(cfg: RunConfig, timings: bool = False) -> int:
     ]) + "\n"
     print(f"verify-ball: h={grid.h:g} status={report.status} "
           f"linf_error={err:.6e} wall={elapsed:.2f}s")
-    _write_outputs(cfg, u, format_report(report, cfg.seed, timings), table, grid)
+    _write_outputs(cfg, u, format_report(report, timings), table, grid)
     return 0 if report.converged else 2
 
 
@@ -628,6 +628,7 @@ def cmd_diagnose(cfg: RunConfig, timings: bool = False) -> int:
                             "dump node classes do not match the configured grid")])
     psi = cfg.build_boundary()
     u = ScalarField(grid, loaded.values, build_trace(grid, psi))
+    u.check_finite()
     g = cfg.build_profile(grid)
     op = cfg.build_operator()
 

@@ -1,12 +1,15 @@
 """Discrete F(D^2 u) and the inner Dirichlet solve for a frozen right side.
 
-Second derivatives use central differences with Shortley-Weller corrections
-where a stencil arm crosses a curved boundary; mixed derivatives use the
-4-point cross difference, falling back to averaged one-sided quadrants in the
-band where diagonal neighbors are missing.  F is evaluated through the
-eigenvalues of the discrete Hessian.
+The discrete Hessian is the term table ``grid.stencil``, built once per grid:
+Shortley-Weller second differences, the centred cross for mixed derivatives,
+and averaged one-sided quadrants in the band where diagonal neighbors are
+missing.  Every entry is evaluated in difference form, sum kappa (x_src -
+u_i), in every dimension, so its rounding does not grow like eps |u| / h^2.
+The same table gives the sparse matrix of tr(W D^2 u) for any weight field,
+and the Laplacian matrix, factorized once per grid.  F is evaluated through
+the eigenvalues of the discrete Hessian.
 
-Three inner solvers share one assembly of "weighted Hessian" rows:
+Three inner solvers share that assembly of "weighted Hessian" rows:
 
 * ``linear``       direct sparse LU for the Laplacian,
 * ``policy``       frozen-coefficient iteration for the extremal operators
@@ -137,128 +140,26 @@ class InnerSolveConfig:
         return "linear" if op.kind == "laplacian" else "policy"
 
 
-# ---------------------------------------------------------------------------
-# Mixed-derivative stencil modes (cached per grid)
-
-_mixed_cache: dict[int, dict] = {}
-
-
-def _mixed_plan(grid: Grid) -> dict:
-    """Per axis pair: centered-cross mask and usable one-sided quadrants."""
-    key = id(grid)
-    cached = _mixed_cache.get(key)
-    if cached is not None and cached["grid"] is grid:
-        return cached
-    if len(_mixed_cache) > 16:
-        _mixed_cache.clear()
-    plan = grid.plan
-    out: dict = {"grid": grid, "pairs": {}}
-    for a in range(grid.n):
-        for b in range(a + 1, grid.n):
-            diag_ok = {}
-            for sa in (+1, -1):
-                for sb in (+1, -1):
-                    k = (a, b, sa, sb)
-                    diag_ok[(sa, sb)] = (plan.diag[k] >= 0) | plan.diag_known[k]
-            centered = (diag_ok[(1, 1)] & diag_ok[(-1, -1)]
-                        & diag_ok[(1, -1)] & diag_ok[(-1, 1)])
-            arm_ok = {
-                (ax, s): (plan.nbr[(ax, s)] >= 0) | plan.arm_lattice[(ax, s)]
-                for ax in (a, b) for s in (+1, -1)
-            }
-            quads = {}
-            for sa in (+1, -1):
-                for sb in (+1, -1):
-                    quads[(sa, sb)] = (~centered & diag_ok[(sa, sb)]
-                                       & arm_ok[(a, sa)] & arm_ok[(b, sb)])
-            count = sum(q.astype(np.int64) for q in quads.values())
-            out["pairs"][(a, b)] = {
-                "centered": centered,
-                "quads": quads,
-                "count": count,
-            }
-    _mixed_cache[key] = out
-    return out
-
-
-def _gather_arm(u: NDArray[np.float64], grid: Grid, trace: BoundaryTrace,
-                key: tuple[int, int]) -> NDArray[np.float64]:
-    plan = grid.plan
-    nbr = plan.nbr[key]
-    vals = u[np.maximum(nbr, 0)]
-    return np.where(nbr >= 0, vals, trace.arm[key])
-
-
-def _gather_diag(u: NDArray[np.float64], grid: Grid, trace: BoundaryTrace,
-                 key: tuple[int, int, int, int]) -> NDArray[np.float64]:
-    plan = grid.plan
-    diag = plan.diag[key]
-    vals = u[np.maximum(diag, 0)]
-    return np.where(diag >= 0, vals, trace.diag[key])
-
-
-def _require_trace(u: ScalarField) -> BoundaryTrace:
-    if u.trace is None:
-        raise InvalidParameterError(
-            "field needs boundary data (a trace) to apply difference operators"
-        )
-    return u.trace
+def _hessian(grid: Grid, uin: NDArray[np.float64],
+             trace: BoundaryTrace) -> NDArray[np.float64]:
+    """Sum every stencil term kappa * (x_src - u_i) into its Hessian entry."""
+    N, n = grid.n_interior, grid.n
+    x = np.concatenate((uin, trace.values.ravel()))
+    H = np.empty((N, n, n), dtype=np.float64)
+    for (a, b), t in grid.stencil.terms.items():
+        d = t.kappa * (x[t.src] - uin[t.node])
+        H[:, a, b] = H[:, b, a] = np.bincount(t.node, weights=d, minlength=N)
+    return H
 
 
 def hessian_field(u: ScalarField, grid: Grid) -> NDArray[np.float64]:
     """Discrete Hessians at every interior node, shape (N, n, n)."""
     if not u.grid.matches(grid):
         raise InvalidParameterError("field belongs to a different grid")
-    trace = _require_trace(u)
-    plan = grid.plan
-    n, h = grid.n, grid.h
-    uin = u.interior
-    N = uin.size
-    H = np.zeros((N, n, n), dtype=np.float64)
-
-    for a in range(n):
-        tp = plan.theta[(a, +1)]
-        tm = plan.theta[(a, -1)]
-        up = _gather_arm(uin, grid, trace, (a, +1))
-        um = _gather_arm(uin, grid, trace, (a, -1))
-        if n == 1:
-            # Neighbour differences first: they are exact for nearby values,
-            # so the rounding does not grow like eps |u| / h^2, which at
-            # h = 1/4096 and |u| ~ 1 reaches the default inner tolerance.
-            # Grids with n >= 2 keep the three-term sum that their results
-            # have been computed with.
-            H[:, a, a] = (2.0 / h ** 2) * (
-                (up - uin) / (tp * (tp + tm)) + (um - uin) / (tm * (tp + tm))
-            )
-        else:
-            H[:, a, a] = (2.0 / h ** 2) * (
-                up / (tp * (tp + tm)) + um / (tm * (tp + tm)) - uin / (tp * tm)
-            )
-
-    if n > 1:
-        mixed = _mixed_plan(grid)
-        for (a, b), info in mixed["pairs"].items():
-            dpp = _gather_diag(uin, grid, trace, (a, b, +1, +1))
-            dmm = _gather_diag(uin, grid, trace, (a, b, -1, -1))
-            dpm = _gather_diag(uin, grid, trace, (a, b, +1, -1))
-            dmp = _gather_diag(uin, grid, trace, (a, b, -1, +1))
-            centered = (dpp + dmm - dpm - dmp) / (4.0 * h ** 2)
-
-            arm = {(ax, s): _gather_arm(uin, grid, trace, (ax, s))
-                   for ax in (a, b) for s in (+1, -1)}
-            diag = {(1, 1): dpp, (-1, -1): dmm, (1, -1): dpm, (-1, 1): dmp}
-            one_sided = np.zeros(N, dtype=np.float64)
-            for (sa, sb), mask in info["quads"].items():
-                contrib = sa * sb * (
-                    diag[(sa, sb)] - arm[(a, sa)] - arm[(b, sb)] + uin
-                ) / h ** 2
-                one_sided = np.where(mask, one_sided + contrib, one_sided)
-            count = info["count"]
-            one_sided = np.where(count > 0, one_sided / np.maximum(count, 1), 0.0)
-            val = np.where(info["centered"], centered, one_sided)
-            H[:, a, b] = val
-            H[:, b, a] = val
-    return H
+    if u.trace is None:
+        raise InvalidParameterError(
+            "field needs boundary data (a trace) to apply difference operators")
+    return _hessian(grid, u.interior, u.trace)
 
 
 def _eigenvalues(H: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -292,74 +193,39 @@ def apply_operator(op: EllipticOperator, u: ScalarField, grid: Grid) -> ScalarFi
 # Assembly: rows of tr(W . H(u)) as a sparse matrix plus boundary offset
 
 
+def _matrix(grid: Grid, W: NDArray[np.float64]):
+    """Sparse A with A @ u_int == tr(W H(u)) - tr(W H(0)) nodewise.
+
+    Each term contributes w * kappa to its source's column when the source is
+    interior, and -w * kappa to the diagonal; exactly zero couplings are
+    dropped, so the Laplacian carries no mixed ones.
+    """
+    N = grid.n_interior
+    rows, cols, vals, nodes, coefs = [], [], [], [], []
+    for (a, b), t in grid.stencil.terms.items():
+        # H is symmetric: W_ab H_ab is counted twice off the diagonal.
+        coef = (1.0 if a == b else 2.0) * W[t.node, a, b] * t.kappa
+        keep = (t.src < N) & (coef != 0.0)
+        rows.append(t.node[keep])
+        cols.append(t.src[keep])
+        vals.append(coef[keep])
+        nodes.append(t.node)
+        coefs.append(coef)
+    diag = -np.bincount(np.concatenate(nodes), np.concatenate(coefs), minlength=N)
+    ids = np.arange(N)
+    return coo_matrix(
+        (np.concatenate(vals + [diag]),
+         (np.concatenate(rows + [ids]), np.concatenate(cols + [ids]))),
+        shape=(N, N),
+    ).tocsc()
+
+
 def _assemble(grid: Grid, W: NDArray[np.float64],
               trace: BoundaryTrace) -> tuple:
-    """Sparse A and offset c with A @ u_int + c == tr(W H(u)) nodewise.
-
-    Mirrors ``hessian_field`` entry by entry: known boundary values multiply
-    their stencil coefficients into the offset instead of the matrix.
-    """
-    plan = grid.plan
-    n, h = grid.n, grid.h
-    N = grid.n_interior
-    rows_idx = np.arange(N, dtype=np.int64)
-
-    r_list: list[NDArray] = []
-    c_list: list[NDArray] = []
-    v_list: list[NDArray] = []
-    offset = np.zeros(N, dtype=np.float64)
-    diag_acc = np.zeros(N, dtype=np.float64)
-
-    def add(rows, cols, vals):
-        r_list.append(rows)
-        c_list.append(cols)
-        v_list.append(vals)
-
-    def couple(weight: NDArray[np.float64], nbr: NDArray[np.int64],
-               known_vals: NDArray[np.float64]) -> None:
-        """weight * value(point): matrix entry if interior else offset."""
-        interior = nbr >= 0
-        if np.any(interior):
-            add(rows_idx[interior], nbr[interior], weight[interior])
-        bnd = ~interior & (weight != 0.0)
-        if np.any(bnd):
-            offset[bnd] += weight[bnd] * known_vals[bnd]
-
-    for a in range(n):
-        w = W[:, a, a]
-        tp = plan.theta[(a, +1)]
-        tm = plan.theta[(a, -1)]
-        cp = w * (2.0 / h ** 2) / (tp * (tp + tm))
-        cm = w * (2.0 / h ** 2) / (tm * (tp + tm))
-        couple(cp, plan.nbr[(a, +1)], trace.arm[(a, +1)])
-        couple(cm, plan.nbr[(a, -1)], trace.arm[(a, -1)])
-        diag_acc -= w * (2.0 / h ** 2) / (tp * tm)
-
-    if n > 1:
-        mixed = _mixed_plan(grid)
-        for (a, b), info in mixed["pairs"].items():
-            w2 = 2.0 * W[:, a, b]  # H symmetric: W_ab H_ab counted twice
-            centered = info["centered"]
-            for sa in (+1, -1):
-                for sb in (+1, -1):
-                    k = (a, b, sa, sb)
-                    coef = np.where(centered, w2 * sa * sb / (4.0 * h ** 2), 0.0)
-                    couple(coef, plan.diag[k], trace.diag[k])
-            count = np.maximum(info["count"], 1)
-            for (sa, sb), mask in info["quads"].items():
-                k = (a, b, sa, sb)
-                q = np.where(mask, w2 * sa * sb / (h ** 2 * count), 0.0)
-                couple(q, plan.diag[k], trace.diag[k])
-                couple(-q, plan.nbr[(a, sa)], trace.arm[(a, sa)])
-                couple(-q, plan.nbr[(b, sb)], trace.arm[(b, sb)])
-                diag_acc += q
-
-    add(rows_idx, rows_idx, diag_acc)
-    rows = np.concatenate(r_list)
-    cols = np.concatenate(c_list)
-    vals = np.concatenate(v_list)
-    A = coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsc()
-    return A, offset
+    """Sparse A and offset c with A @ u_int + c == tr(W H(u)) nodewise; c is
+    tr(W H(0)), the boundary terms w * kappa * psi of every row."""
+    H0 = _hessian(grid, np.zeros(grid.n_interior), trace)
+    return _matrix(grid, W), np.einsum("nij,nij->n", W, H0)
 
 
 # ---------------------------------------------------------------------------
@@ -396,24 +262,22 @@ def _residual(op: EllipticOperator, u: ScalarField, grid: Grid,
     return float(np.max(np.abs(r))), r
 
 
-# The Laplacian matrix depends only on the grid; cache its factorization so
-# repeated frozen-RHS solves inside the outer loop cost a triangular solve.
-_lap_lu_cache: dict[int, tuple] = {}
+def _laplacian(grid: Grid) -> tuple:
+    """The Laplacian matrix and its LU, built once and kept with the stencil,
+    so repeated frozen-RHS solves cost triangular solves only."""
+    table = grid.stencil
+    if table.laplacian is None:
+        A = _matrix(grid, np.broadcast_to(np.eye(grid.n),
+                                          (grid.n_interior, grid.n, grid.n)))
+        table.laplacian = (A, splu(A))
+    return table.laplacian
 
 
-def _solve_linear(op, grid, f, trace, tol):
-    N = grid.n_interior
-    W = np.broadcast_to(np.eye(grid.n), (N, grid.n, grid.n))
-    A, c = _assemble(grid, W, trace)
-    cached = _lap_lu_cache.get(id(grid))
-    if cached is not None and cached[0] is grid:
-        lu = cached[1]
-    else:
-        if len(_lap_lu_cache) > 16:
-            _lap_lu_cache.clear()
-        lu = splu(A)
-        _lap_lu_cache[id(grid)] = (grid, lu)
-    rhs = f - c
+def _solve_linear(grid, f, trace):
+    A, lu = _laplacian(grid)
+    # The boundary terms are the Laplacian of zero interior values.
+    H0 = _hessian(grid, np.zeros(grid.n_interior), trace)
+    rhs = f - np.einsum("nii->n", H0)
     u = lu.solve(rhs)
     # Two passes of iterative refinement push the algebraic residual well
     # below the certificate tolerance.
@@ -423,18 +287,8 @@ def _solve_linear(op, grid, f, trace, tol):
     return u
 
 
-def _pseudo_time_steps(grid: Grid, op: EllipticOperator, sigma: float) -> NDArray:
-    plan = grid.plan
-    D = np.zeros(grid.n_interior, dtype=np.float64)
-    for a in range(grid.n):
-        tp = plan.theta[(a, +1)]
-        tm = plan.theta[(a, -1)]
-        D += 2.0 / (grid.h ** 2 * tp * tm)
-    return sigma / (op.Lam * D)
-
-
 def _solve_pseudo_time(op, grid, f, trace, psi, tol, cfg, u0):
-    tau = _pseudo_time_steps(grid, op, cfg.sigma)
+    tau = cfg.sigma / (op.Lam * grid.stencil.stiffness)
     u = u0.copy()
     history: list[float] = []
     field = _result_field(grid, u, psi, trace)
@@ -520,7 +374,7 @@ def solve_dirichlet(op: EllipticOperator, grid: Grid, f, psi: BoundaryData,
     if method == "linear":
         if op.kind != "laplacian":
             raise InvalidParameterError("linear method requires the Laplacian")
-        u = _solve_linear(op, grid, fvec, trace, tol)
+        u = _solve_linear(grid, fvec, trace)
         history = []
     elif method == "policy":
         u, history = _solve_policy(op, grid, fvec, trace, psi, tol, cfg, u0)

@@ -4,15 +4,17 @@ The domain is represented node-centered: every lattice node is classified
 Interior, Boundary or Exterior.  Boxes carry genuine Boundary lattice nodes on
 their faces; balls and annuli have no on-lattice boundary, so each stencil arm
 that leaves the domain records the fractional distance theta in (0, 1] to the
-true boundary (Shortley-Weller offsets).  Grids are immutable after
-construction and all queries are pure, so they are safe to share.
+true boundary (Shortley-Weller offsets).  Each grid also holds, built on
+first use, its stencil plan and the term table of its discrete Hessian
+(``grid.stencil``).  Grids are immutable after construction and all queries
+are pure, so they are safe to share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -116,6 +118,7 @@ class Grid:
             [self.axis_coords[k][idx[k]] for k in range(self.n)], axis=1
         )
         self._plan: _StencilPlan | None = None
+        self._stencil: StencilTable | None = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -171,6 +174,12 @@ class Grid:
             self._plan = _build_plan(self)
         return self._plan
 
+    @property
+    def stencil(self) -> "StencilTable":
+        if self._stencil is None:
+            self._stencil = StencilTable(self)
+        return self._stencil
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Grid(n={self.n}, h={self.h}, shape={self.shape}, "
@@ -220,6 +229,10 @@ class _StencilPlan:
             for sa in (+1, -1)
             for sb in (+1, -1)
         ]
+
+    def sample_keys(self, n: int) -> list[tuple[int, ...]]:
+        """Arm then diagonal keys: the row order of ``BoundaryTrace.values``."""
+        return self.arm_keys(n) + self.pair_keys(n)
 
 
 def _crossing_fraction(descriptor: Descriptor, coords: NDArray[np.float64],
@@ -343,20 +356,84 @@ def _build_plan(grid: Grid) -> _StencilPlan:
                     plan.diag[(a, b, sa, sb)] = diag
                     plan.diag_known[(a, b, sa, sb)] = sel
                     plan.diag_point[(a, b, sa, sb)] = point
-
-    # Every interior node must see, along each direction, either an interior
-    # neighbor or a recorded boundary offset.
-    for a in range(n):
-        for s in (+1, -1):
-            nbr = plan.nbr[(a, s)]
-            ok = (nbr >= 0) | (plan.theta[(a, s)] > 0)
-            if is_box:
-                ok = (nbr >= 0) | plan.arm_lattice[(a, s)]
-            if not bool(np.all(ok)):
-                raise InvalidGridError(
-                    f"interior node without neighbor or offset along axis {a}"
-                )
     return plan
+
+
+class StencilTerms(NamedTuple):
+    """Difference terms ``kappa * (x[src] - u[node])`` of one Hessian entry.
+
+    ``x`` is the interior values followed by the flattened trace samples
+    (``BoundaryTrace.values``), so ``src < n_interior`` marks an interior
+    source and every other source is a Dirichlet sample.
+    """
+
+    node: NDArray[np.int32]
+    src: NDArray[np.int32]
+    kappa: NDArray[np.float64]
+
+
+class StencilTable:
+    """The finite-difference Hessian of a grid, defined once.
+
+    ``terms[(a, b)]`` (a <= b) holds the terms whose sum at node i is H_ab(u):
+    for a == b the Shortley-Weller second difference (kappa
+    2 / (h^2 theta_s (theta_+ + theta_-)) on the arm of sign s); for a < b the
+    centred cross (kappa +-1/(4 h^2)) where all four diagonal points are
+    interior or Boundary lattice nodes, else the average of the one-sided
+    quadrants whose three points are, else nothing.  ``stiffness`` is
+    D = sum_a 2 / (h^2 theta_+ theta_-), the weight of a Laplacian row on its
+    own node; ``laplacian`` caches the Laplacian matrix and its LU for the
+    linear solver.
+    """
+
+    def __init__(self, grid: Grid):
+        plan = grid.plan
+        n, h, N = grid.n, grid.h, grid.n_interior
+        nodes = np.arange(N, dtype=np.int32)
+        slots = {key: k for k, key in enumerate(plan.sample_keys(n))}
+
+        def source(key, ends):
+            return np.where(ends >= 0, ends, N * (1 + slots[key]) + nodes)
+
+        arm = {key: source(key, plan.nbr[key]) for key in plan.arm_keys(n)}
+        diag = {key: source(key, plan.diag[key]) for key in plan.pair_keys(n)}
+
+        def collect(parts) -> StencilTerms:
+            """Concatenate (node mask, source, kappa) blocks."""
+            return StencilTerms(
+                np.concatenate([nodes[m] for m, _, _ in parts]),
+                np.concatenate([s[m] for m, s, _ in parts]).astype(np.int32),
+                np.concatenate([np.broadcast_to(k, m.shape)[m] for m, _, k in parts]))
+
+        every = np.ones(N, dtype=bool)
+        self.terms: dict[tuple[int, int], StencilTerms] = {}
+        self.stiffness = np.zeros(N, dtype=np.float64)
+        for a in range(n):
+            tp, tm = plan.theta[(a, +1)], plan.theta[(a, -1)]
+            self.stiffness += 2.0 / (h ** 2 * tp * tm)
+            self.terms[(a, a)] = collect([
+                (every, arm[(a, +1)], 2.0 / (h ** 2 * tp * (tp + tm))),
+                (every, arm[(a, -1)], 2.0 / (h ** 2 * tm * (tp + tm))),
+            ])
+        for a in range(n):
+            for b in range(a + 1, n):
+                signs = [(sa, sb) for sa in (+1, -1) for sb in (+1, -1)]
+                known = {(sa, sb): (plan.diag[(a, b, sa, sb)] >= 0)
+                         | plan.diag_known[(a, b, sa, sb)] for sa, sb in signs}
+                centred = np.logical_and.reduce(list(known.values()))
+                quads = {(sa, sb): ~centred & known[(sa, sb)]
+                         & ((plan.nbr[(a, sa)] >= 0) | plan.arm_lattice[(a, sa)])
+                         & ((plan.nbr[(b, sb)] >= 0) | plan.arm_lattice[(b, sb)])
+                         for sa, sb in signs}
+                count = np.maximum(sum(q.astype(np.int64) for q in quads.values()), 1)
+                parts = [(centred, diag[(a, b, sa, sb)], sa * sb / (4.0 * h ** 2))
+                         for sa, sb in signs]
+                for (sa, sb), q in quads.items():
+                    k = sa * sb / (h ** 2 * count)
+                    parts += [(q, diag[(a, b, sa, sb)], k), (q, arm[(a, sa)], -k),
+                              (q, arm[(b, sb)], -k)]
+                self.terms[(a, b)] = collect(parts)
+        self.laplacian: tuple | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +531,24 @@ def build_annulus(center: Sequence[float], r_inner: float, r_outer: float,
 
 
 def domain_measure(grid: Grid) -> float:
-    """Discrete |Omega| = h**n times the Interior node count.
+    """Discrete |Omega|: the largest superlevel measure the grid can produce.
 
-    This value, not the continuum volume, is used everywhere a domain measure
-    is needed (in particular as the upper end of the profile function's
-    domain) so that superlevel measures can never leave the profile's range.
+    For n >= 2 that is h**n times the Interior node count.  In 1-D the
+    superlevel sets are measured on the interpolant, which covers the whole
+    length: hi - lo on a box, 2r on a ball, 2(r_out - r_in) on an annulus.
+    This value, not the continuum volume, is the upper end of the profile
+    function's domain, so superlevel measures never leave the profile's
+    range.
     """
-    return grid.cell * grid.n_interior
+    d = grid.descriptor
+    if grid.n > 1:
+        return grid.cell * grid.n_interior
+    if isinstance(d, BoxDescriptor):
+        (lo, hi), = d.bounds
+        return hi - lo
+    if isinstance(d, BallDescriptor):
+        return 2.0 * d.radius
+    return 2.0 * (d.r_outer - d.r_inner)
 
 
 # ---------------------------------------------------------------------------
@@ -538,36 +626,32 @@ class BoundaryData:
 class BoundaryTrace:
     """Dirichlet values sampled at every point a grid's stencils need.
 
-    ``arm[(axis, sign)]`` holds psi at non-interior arm ends (NaN where the
-    arm stays interior); ``diag[...]`` holds psi at Boundary lattice nodes
-    used by mixed stencils.
+    ``values`` has one row per key of ``plan.sample_keys``: psi at the
+    non-interior arm ends, then at the Boundary lattice nodes used by mixed
+    stencils, NaN elsewhere.  ``arm[(axis, sign)]`` and ``diag[...]`` are
+    views of those rows.
     """
 
     def __init__(self, grid: Grid, psi: BoundaryData):
         self.grid = grid
         plan = grid.plan
+        keys = plan.sample_keys(grid.n)
+        self.values = np.full((len(keys), grid.n_interior), np.nan, dtype=np.float64)
         self.arm: dict[tuple[int, int], NDArray[np.float64]] = {}
         self.diag: dict[tuple[int, int, int, int], NDArray[np.float64]] = {}
-        for key in plan.arm_keys(grid.n):
-            vals = np.full(grid.n_interior, np.nan, dtype=np.float64)
-            sel = plan.nbr[key] < 0
+        for row, key in zip(self.values, keys):
+            if len(key) == 2:
+                self.arm[key] = row
+                sel, points = plan.nbr[key] < 0, plan.arm_point[key]
+            else:
+                self.diag[key] = row
+                sel, points = plan.diag_known[key], plan.diag_point[key]
             if np.any(sel):
-                vals[sel] = psi.evaluate(plan.arm_point[key][sel])
-            self.arm[key] = vals
-        for key in plan.pair_keys(grid.n):
-            vals = np.full(grid.n_interior, np.nan, dtype=np.float64)
-            sel = plan.diag_known[key]
-            if np.any(sel):
-                vals[sel] = psi.evaluate(plan.diag_point[key][sel])
-            self.diag[key] = vals
+                row[sel] = psi.evaluate(points[sel])
 
     def all_values(self) -> NDArray[np.float64]:
         """Every boundary sample the trace holds, for sup/inf queries."""
-        chunks = [v[np.isfinite(v)] for v in self.arm.values()]
-        chunks += [v[np.isfinite(v)] for v in self.diag.values()]
-        if not chunks:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate(chunks)
+        return self.values[np.isfinite(self.values)]
 
 
 def build_trace(grid: Grid, psi: BoundaryData) -> BoundaryTrace:

@@ -242,11 +242,7 @@ def _snap_width(cfg: OuterConfig, grid: Grid, op: EllipticOperator,
     """Largest tie-consolidation width whose effect on F(D^2 u) stays under
     a quarter of the inner tolerance, given the stiffest stencil row."""
     tol = cfg.inner.resolved_tol(op)
-    plan = grid.plan
-    D = np.zeros(grid.n_interior, dtype=np.float64)
-    for a in range(grid.n):
-        D += 2.0 / (grid.h ** 2 * plan.theta[(a, +1)] * plan.theta[(a, -1)])
-    d_max = float(np.max(D))
+    d_max = float(np.max(grid.stencil.stiffness))
     floor = 4.0 * np.finfo(np.float64).eps * max(scale, 1e-300)
     return max(floor, min(cfg.tie_snap_rel * scale, tol / (4.0 * op.Lam * d_max)))
 

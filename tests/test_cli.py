@@ -11,9 +11,11 @@ from levelpde.cli import (
     main,
     parse_config,
 )
+from levelpde.elliptic import EllipticOperator
 from levelpde.errors import ConfigError
 from levelpde.geometry import build_ball, build_box
 from levelpde.measure import ScalarField
+from levelpde.verify import exact_ball_solution
 
 MINIMAL_BALL = """\
 # minimal 2-ball benchmark
@@ -228,6 +230,28 @@ output.table = {tmp_path}/study.txt
         cfg = MINIMAL_BALL + f"diagnose.field = {tmp_path}/u.txt\n"  # h mismatch
         rc = main(["diagnose", write_config(tmp_path, cfg)])
         assert rc == 1
+
+    @pytest.mark.parametrize("header, damage", [
+        (True, lambda ln: ln.replace(" h=", " step=")),
+        (False, lambda ln: ln + " 0.0"),
+        (False, lambda ln: ln.replace("Interior", "Inside")),
+        (False, lambda ln: ln.rsplit(" ", 1)[0] + " nan"),
+    ], ids=["header-without-h", "four-fields", "unknown-class", "nan-interior"])
+    def test_diagnose_malformed_dump_exit_1(self, header, damage, tmp_path, capsys):
+        # One line of a dump that diagnose passes is damaged: the header, or
+        # the centre node's line.
+        grid = build_ball((0.0, 0.0), 1.0, 0.125)
+        exact = exact_ball_solution((0.0, 0.0), 1.0, 2,
+                                    EllipticOperator.laplacian())
+        lines = format_field(exact.sample(grid)).splitlines()
+        k = 0 if header else 1 + int(np.ravel_multi_index((8, 8), grid.shape))
+        lines[k] = damage(lines[k])
+        (tmp_path / "u.txt").write_text("\n".join(lines) + "\n")
+        cfg = MINIMAL_BALL + f"diagnose.field = {tmp_path}/u.txt\n"
+        rc = main(["diagnose", write_config(tmp_path, cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestReportFormat:

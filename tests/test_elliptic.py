@@ -9,6 +9,7 @@ from levelpde.elliptic import (
     EllipticOperator,
     InnerSolveConfig,
     _assemble,
+    _laplacian,
     apply_operator,
     discrete_hessian,
     hessian_field,
@@ -69,10 +70,9 @@ class TestDiscreteHessian:
         grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
         u = ScalarField.sample(grid, lambda p: p[:, 0] * p[:, 1])
         H = hessian_field(u, grid)
-        # Nodes with at least one usable mixed stencil:
-        from levelpde.elliptic import _mixed_plan
-        info = _mixed_plan(grid)["pairs"][(0, 1)]
-        usable = info["centered"] | (info["count"] > 0)
+        # Nodes with at least one usable mixed stencil carry (0, 1) terms:
+        usable = np.zeros(grid.n_interior, dtype=bool)
+        usable[grid.stencil.terms[(0, 1)].node] = True
         assert np.allclose(H[usable, 0, 1], 1.0, atol=1e-10)
 
     def test_quartic_hessian_second_order(self):
@@ -180,12 +180,14 @@ class TestAssembler:
     @pytest.mark.parametrize("make_grid", [
         lambda: build_box([(0, 1), (0, 1)], 0.2),
         lambda: build_ball((0.0, 0.0), 1.0, 1 / 8),
+        lambda: build_box([(-1, 1)], 1 / 16),
+        lambda: build_ball((0.0, 0.0, 0.0), 1.0, 1 / 5),
     ])
     def test_matches_evaluator_for_random_weights(self, make_grid):
         grid = make_grid()
         rng = np.random.default_rng(5)
         u = ScalarField.sample(
-            grid, lambda p: np.sin(2 * p[:, 0]) + p[:, 1] ** 3 - p[:, 0] * p[:, 1]
+            grid, lambda p: np.sin(2 * p[:, 0]) + p[:, -1] ** 3 - p[:, 0] * p[:, -1]
         )
         B = rng.normal(size=(grid.n_interior, grid.n, grid.n))
         W = 0.5 * (B + np.transpose(B, (0, 2, 1)))
@@ -195,8 +197,30 @@ class TestAssembler:
         rhs = np.einsum("nij,nij->n", W, H)
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
+    def test_laplacian_has_only_axis_couplings(self):
+        grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 5)
+        A = _laplacian(grid)[0].tocoo()  # stored entries, zeros included
+        rows, cols = A.row, A.col
+        off = rows != cols
+        steps = grid.interior_coords[rows[off]] - grid.interior_coords[cols[off]]
+        assert np.all(np.count_nonzero(np.abs(steps) > 1e-12, axis=1) == 1)
+        assert np.all(A.diagonal() < 0)
+
 
 class TestSolveDirichlet:
+    def test_laplacian_factorized_once_per_grid(self, monkeypatch):
+        from levelpde import elliptic
+
+        calls = []
+        real = elliptic.splu
+        monkeypatch.setattr(elliptic, "splu",
+                            lambda A: calls.append(A.shape) or real(A))
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
+        for f, psi in ((-1.0, BoundaryData.zero()),
+                       (2.0, BoundaryData.from_callable(lambda p: p[:, 0]))):
+            solve_dirichlet(LAP, grid, f, psi)
+        assert calls == [(grid.n_interior, grid.n_interior)]
+
     def test_harmonic_linear_boundary(self):
         grid = build_box([(0, 1), (0, 1)], 0.125)
         psi = BoundaryData.from_callable(lambda p: p[:, 0])

@@ -21,6 +21,7 @@ from levelpde.geometry import (
     build_ball,
     build_box,
     build_trace,
+    domain_measure,
 )
 from levelpde.measure import (
     LevelStats,
@@ -339,6 +340,17 @@ class TestRhs:
         g = ProfileFunction.linear(1.0, 0.0, domain_max=L)
         mu = rhs_plain(v, grid, g).interior
         assert mu == pytest.approx(L - x, abs=1e-14)
+
+    def test_1d_profile_domain_reaches_the_interval_length(self):
+        # u = (x - 1/2)^2 on (0, 1), h = 1/8: for y in the cell of x = 1/2 the
+        # interpolant's superlevel set is (0, 1) less the window of half-width
+        # |y - 1/2| about 1/2, so the cell average is 1 - 1/16 = 0.9375,
+        # beyond h N = 0.875.
+        grid = build_box([(0.0, 1.0)], 1 / 8)
+        v = ScalarField.sample(grid, lambda p: (p[:, 0] - 0.5) ** 2)
+        g = ProfileFunction.linear(-1.0, 0.0, domain_measure(grid))
+        mid = grid.ordinal((4,))
+        assert rhs_plain(v, grid, g).interior[mid] == pytest.approx(-0.9375, abs=1e-15)
 
     def test_1d_matches_exact_oracle(self):
         # Boxes, balls whose crossings are nearer than h/2, and annuli with a
