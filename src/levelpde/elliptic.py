@@ -6,14 +6,20 @@ and averaged one-sided quadrants in the band where diagonal neighbors are
 missing.  Every entry is evaluated in difference form, sum kappa (x_src -
 u_i), in every dimension, so its rounding does not grow like eps |u| / h^2.
 The same table gives the sparse matrix of tr(W D^2 u) for any weight field,
-and the Laplacian matrix, factorized once per grid.  F is evaluated through
-the eigenvalues of the discrete Hessian.
+and the Laplacian matrix, factorized once per grid; that LU is the only
+factorization a solve normally builds.  The Laplacian is evaluated as the
+trace of the discrete Hessian, the Pucci operators through its eigenvalues
+(closed form in 1-D and 2-D).
 
 Three inner solvers share that assembly of "weighted Hessian" rows:
 
-* ``linear``       direct sparse LU for the Laplacian,
-* ``policy``       frozen-coefficient iteration for the extremal operators
-                   (relinearize at the current eigenframe, solve, repeat),
+* ``linear``       the Laplacian LU, refined only while the algebraic
+                   residual is not well below the tolerance,
+* ``policy``       Howard's algorithm for the extremal operators: freeze the
+                   weights at the current Hessian (w I where its eigenvalues
+                   share a sign, eigenvectors only at the mixed-sign nodes),
+                   solve the linear problem by GMRES preconditioned with the
+                   Laplacian LU (a direct LU if it misses its budget), repeat,
 * ``pseudo_time``  explicit relaxation u <- u + tau (F(D^2 u) - f) with a
                    stability-bounded, per-node tau.
 
@@ -30,7 +36,7 @@ from typing import Iterable
 import numpy as np
 from numpy.typing import NDArray
 from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import InvalidParameterError, NonConvergenceError
 from .geometry import BOUNDARY, BoundaryData, BoundaryTrace, Grid, build_trace
@@ -47,6 +53,11 @@ __all__ = [
 ]
 
 _DEFAULT_TOL = {"laplacian": 1e-8, "pucci_minus": 1e-6, "pucci_plus": 1e-6}
+# Linear solves stop once their algebraic residual is this fraction of the
+# inner tolerance, so the certificate is not spent on linear algebra.
+_ALGEBRAIC_FRACTION = 0.01
+# GMRES steps per policy solve before it factorizes its matrix instead.
+_KRYLOV_BUDGET = 50
 
 
 @dataclass(frozen=True)
@@ -81,38 +92,56 @@ class EllipticOperator:
     def pucci_plus(cls, lam: float, Lam: float) -> "EllipticOperator":
         return cls("pucci_plus", float(lam), float(Lam))
 
+    @property
+    def _slopes(self) -> tuple[float, float]:
+        """(weight of positive eigenvalues, weight of the others)."""
+        if self.kind == "pucci_plus":
+            return self.Lam, self.lam
+        return self.lam, self.Lam
+
+    def evaluate(self, H: NDArray[np.float64]) -> NDArray[np.float64]:
+        """F per node from the (N, n, n) Hessians: the trace for the
+        Laplacian, the eigenvalues for the Pucci operators."""
+        if self.kind == "laplacian":
+            return np.einsum("nii->n", H)
+        return self.evaluate_eigenvalues(_eigenvalues(H))
+
     def evaluate_eigenvalues(self, eigs: NDArray[np.float64]) -> NDArray[np.float64]:
         """F per node from the (N, n) array of Hessian eigenvalues."""
-        if self.kind == "laplacian":
-            return np.sum(eigs, axis=1)
-        pos = np.sum(np.maximum(eigs, 0.0), axis=1)
-        neg = np.sum(np.minimum(eigs, 0.0), axis=1)
-        if self.kind == "pucci_minus":
-            return self.lam * pos + self.Lam * neg
-        return self.Lam * pos + self.lam * neg
+        hi, lo = self._slopes
+        return (hi * np.sum(np.maximum(eigs, 0.0), axis=1)
+                + lo * np.sum(np.minimum(eigs, 0.0), axis=1))
 
-    def frozen_weights(self, eigvals: NDArray[np.float64],
-                       eigvecs: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Per-node weight matrices W with tr(W H) = F(H) at the current H."""
-        if self.kind == "laplacian":
-            n = eigvals.shape[1]
-            return np.broadcast_to(np.eye(n), (eigvals.shape[0], n, n)).copy()
-        if self.kind == "pucci_minus":
-            w = np.where(eigvals > 0.0, self.lam, self.Lam)
-        else:
-            w = np.where(eigvals > 0.0, self.Lam, self.lam)
-        return np.einsum("nik,nk,njk->nij", eigvecs, w, eigvecs)
+    def frozen_weights(self, H: NDArray[np.float64],
+                       eigs: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Per-node weight matrices W with tr(W H) = F(H) at the current H.
+
+        ``eigs`` are the eigenvalues of H.  Where they all lie on one side
+        (> 0, or <= 0) W is w I; eigenvectors are computed only at the nodes
+        with eigenvalues on both sides.
+        """
+        hi, lo = self._slopes
+        w = np.where(eigs > 0.0, hi, lo)
+        W = w[:, 0, None, None] * np.eye(eigs.shape[1])
+        mixed = np.flatnonzero(np.any(w != w[:, :1], axis=1))
+        if mixed.size:
+            vals, vecs = np.linalg.eigh(H[mixed])
+            wm = np.where(vals > 0.0, hi, lo)
+            W[mixed] = np.einsum("nik,nk,njk->nij", vecs, wm, vecs)
+        return W
 
 
 @dataclass
 class InnerSolveConfig:
     """How to solve F(D^2 u) = f with fixed f.
 
-    ``method`` 'auto' picks 'linear' for the Laplacian and 'policy' for the
-    Pucci operators; 'pseudo_time' is always available.  ``tol`` is the
-    max-norm residual target (defaults 1e-8 Laplacian, 1e-6 Pucci).  ``sigma``
-    scales the stability-bounded pseudo-time step sigma*h^2/(2 n Lam) (its
-    per-node Shortley-Weller generalization near curved boundaries).
+    ``method`` 'auto' picks 'linear' for the Laplacian (the grid's LU) and
+    'policy' for the Pucci operators (Howard's algorithm, each step a GMRES
+    solve preconditioned by that LU, eigenvectors only at mixed-sign nodes);
+    'pseudo_time' is always available.  ``tol`` is the max-norm residual
+    target (defaults 1e-8 Laplacian, 1e-6 Pucci).  ``sigma`` scales the
+    stability-bounded pseudo-time step sigma*h^2/(2 n Lam) (its per-node
+    Shortley-Weller generalization near curved boundaries).
     """
 
     method: str = "auto"
@@ -183,10 +212,9 @@ def discrete_hessian(u: ScalarField, grid: Grid, node: Iterable[int]) -> NDArray
 
 
 def apply_operator(op: EllipticOperator, u: ScalarField, grid: Grid) -> ScalarField:
-    """F(D^2 u) per interior node, via eigenvalues of the discrete Hessian."""
-    H = hessian_field(u, grid)
-    vals = op.evaluate_eigenvalues(_eigenvalues(H))
-    return ScalarField.from_interior(grid, vals)
+    """F(D^2 u) per interior node: the trace of the discrete Hessian for the
+    Laplacian, its eigenvalues for the Pucci operators."""
+    return ScalarField.from_interior(grid, op.evaluate(hessian_field(u, grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +301,44 @@ def _laplacian(grid: Grid) -> tuple:
     return table.laplacian
 
 
-def _solve_linear(grid, f, trace):
+def _solve_linear(grid, f, trace, tol):
     A, lu = _laplacian(grid)
     # The boundary terms are the Laplacian of zero interior values.
     H0 = _hessian(grid, np.zeros(grid.n_interior), trace)
     rhs = f - np.einsum("nii->n", H0)
     u = lu.solve(rhs)
-    # Two passes of iterative refinement push the algebraic residual well
-    # below the certificate tolerance.
+    # Up to two passes of iterative refinement, each only while the
+    # algebraic residual is not yet well below the certificate tolerance.
     for _ in range(2):
         r = rhs - A @ u
+        if np.max(np.abs(r)) <= _ALGEBRAIC_FRACTION * tol:
+            break
         u = u + lu.solve(r)
     return u
+
+
+def _solve_frozen(grid, W, A, b, u0, tol):
+    """Solve A u = b for the frozen weights W by GMRES from u0.
+
+    The preconditioner is M^-1 r = L^-1 (r / s), with L the grid's Laplacian
+    LU and s = tr(W) / n per row.  Where W = w I on every row, A = diag(w) L,
+    so A M^-1 = I and GMRES ends after one step.  A solve whose algebraic
+    residual is still above the target after _KRYLOV_BUDGET steps factorizes
+    A instead.
+    """
+    _, lu = _laplacian(grid)
+    s = np.einsum("nii->n", W) / grid.n
+    target = _ALGEBRAIC_FRACTION * tol
+    # Preconditioned on the right, GMRES minimizes the true residual of the
+    # correction; its 2-norm bounds the max norm the target is set in.
+    AM = LinearOperator(A.shape, matvec=lambda y: A @ lu.solve(y / s),
+                        dtype=np.float64)
+    y, _ = gmres(AM, b - A @ u0, rtol=0.0, atol=target,
+                 restart=_KRYLOV_BUDGET, maxiter=1)
+    u = u0 + lu.solve(y / s)
+    if np.max(np.abs(b - A @ u)) <= target:
+        return u
+    return splu(A).solve(b)
 
 
 def _solve_pseudo_time(op, grid, f, trace, psi, tol, cfg, u0):
@@ -310,7 +364,7 @@ def _solve_pseudo_time(op, grid, f, trace, psi, tol, cfg, u0):
 
 
 def _solve_policy(op, grid, f, trace, psi, tol, cfg, u0):
-    """Frozen-coefficient iteration: relinearize F in the current eigenframe,
+    """Howard's algorithm: freeze the weights of F at the current Hessian,
     solve the linear problem, repeat; falls back to pseudo-time on stall."""
     u = u0.copy()
     history: list[float] = []
@@ -319,8 +373,8 @@ def _solve_policy(op, grid, f, trace, psi, tol, cfg, u0):
     for _ in range(cfg.policy_max_iter):
         field = _result_field(grid, u, psi, trace)
         H = hessian_field(field, grid)
-        eigvals, eigvecs = np.linalg.eigh(H)
-        res = float(np.max(np.abs(op.evaluate_eigenvalues(eigvals) - f)))
+        eigs = _eigenvalues(H)
+        res = float(np.max(np.abs(op.evaluate_eigenvalues(eigs) - f)))
         history.append(res)
         if not math.isfinite(res):
             break
@@ -333,10 +387,10 @@ def _solve_policy(op, grid, f, trace, psi, tol, cfg, u0):
             stall += 1
             if stall >= 4:
                 break
-        W = op.frozen_weights(eigvals, eigvecs)
+        W = op.frozen_weights(H, eigs)
         A, c = _assemble(grid, W, trace)
         try:
-            u_new = splu(A).solve(f - c)
+            u_new = _solve_frozen(grid, W, A, f - c, u, tol)
         except RuntimeError:
             break
         if not np.all(np.isfinite(u_new)):
@@ -374,7 +428,7 @@ def solve_dirichlet(op: EllipticOperator, grid: Grid, f, psi: BoundaryData,
     if method == "linear":
         if op.kind != "laplacian":
             raise InvalidParameterError("linear method requires the Laplacian")
-        u = _solve_linear(grid, fvec, trace)
+        u = _solve_linear(grid, fvec, trace, tol)
         history = []
     elif method == "policy":
         u, history = _solve_policy(op, grid, fvec, trace, psi, tol, cfg, u0)

@@ -9,6 +9,7 @@ from levelpde.elliptic import (
     EllipticOperator,
     InnerSolveConfig,
     _assemble,
+    _eigenvalues,
     _laplacian,
     apply_operator,
     discrete_hessian,
@@ -152,6 +153,15 @@ class TestApplyOperator:
         assert np.all(lo <= mid + 1e-12)
         assert np.all(mid <= hi + 1e-12)
 
+    def test_laplacian_is_the_trace_of_the_hessian(self):
+        grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 5)
+        u = ScalarField.sample(
+            grid, lambda p: np.sin(2 * p[:, 0]) * np.exp(p[:, 1]) + p[:, 0] * p[:, 2] ** 2)
+        H = hessian_field(u, grid)
+        lap = apply_operator(LAP, u, grid).interior
+        eig_sum = np.sum(_eigenvalues(H), axis=1)
+        assert np.max(np.abs(lap - eig_sum)) <= 1e-12 * np.max(np.abs(H))
+
     def test_invalid_operator_params(self):
         with pytest.raises(InvalidParameterError):
             EllipticOperator.pucci_minus(2.0, 1.0)
@@ -174,6 +184,56 @@ class TestApplyOperator:
                 bumped[i] += c
                 out = apply_operator(op, u.with_interior(bumped), grid).interior
                 assert out[i] <= base[i] + 1e-12
+
+
+class TestFrozenWeights:
+    @staticmethod
+    def eigh_weights(op, H):
+        """Weights from a full eigendecomposition at every node."""
+        vals, vecs = np.linalg.eigh(H)
+        pos, neg = (op.lam, op.Lam) if op.kind == "pucci_minus" else (op.Lam, op.lam)
+        w = np.where(vals > 0.0, pos, neg)
+        return np.einsum("nik,nk,njk->nij", vecs, w, vecs)
+
+    @staticmethod
+    def hessians(rng, n):
+        """Definite, zero-eigenvalue and mixed symmetric matrices."""
+        out = []
+        for kind in ("pos", "neg", "zero", "mixed") * 6:
+            if kind == "zero":
+                d = rng.permutation([0.0] + list(rng.choice([-1, 1], n - 1)
+                                                 * rng.uniform(0.5, 2, n - 1)))
+                out.append(np.diag(d))
+                continue
+            d = rng.uniform(0.5, 2.0, n)
+            if kind == "neg":
+                d = -d
+            elif kind == "mixed":
+                d[rng.permutation(n)[: rng.integers(1, n)]] *= -1
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            out.append(Q @ np.diag(d) @ Q.T)
+        out.append(np.zeros((n, n)))
+        return np.array(out)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("op", [EllipticOperator.pucci_minus(0.3, 2.0),
+                                    EllipticOperator.pucci_plus(0.3, 2.0)])
+    def test_match_full_eigh_weights(self, n, op, monkeypatch):
+        H = self.hessians(np.random.default_rng(n), n)
+        eigs = _eigenvalues(H)
+        mixed = np.count_nonzero((eigs.min(axis=1) <= 0) & (eigs.max(axis=1) > 0))
+        decomposed = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda M: decomposed.append(len(M)) or real(M))
+        W = op.frozen_weights(H, eigs)
+        monkeypatch.undo()
+        assert decomposed == [mixed] and 0 < mixed < len(H)
+        ref = self.eigh_weights(op, H)
+        assert np.max(np.abs(W - ref)) <= 1e-12 * np.max(np.abs(ref))
+        F = op.evaluate_eigenvalues(eigs)
+        trWH = np.einsum("nij,nij->n", W, H)
+        assert np.max(np.abs(trWH - F)) <= 1e-12 * np.max(np.abs(F))
 
 
 class TestAssembler:
@@ -220,6 +280,26 @@ class TestSolveDirichlet:
                        (2.0, BoundaryData.from_callable(lambda p: p[:, 0]))):
             solve_dirichlet(LAP, grid, f, psi)
         assert calls == [(grid.n_interior, grid.n_interior)]
+
+    def test_laplacian_solve_needs_one_lu_solve(self, monkeypatch):
+        from levelpde import elliptic
+
+        solves = []
+
+        class CountingLU:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                solves.append(len(b))
+                return self.lu.solve(b)
+
+        real = elliptic.splu
+        monkeypatch.setattr(elliptic, "splu", lambda A: CountingLU(real(A)))
+        grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 5)
+        u = solve_dirichlet(LAP, grid, -1.0, BoundaryData.zero())
+        assert solves == [grid.n_interior]
+        assert u.inner_residual <= InnerSolveConfig().resolved_tol(LAP)
 
     def test_harmonic_linear_boundary(self):
         grid = build_box([(0, 1), (0, 1)], 0.125)
@@ -296,6 +376,53 @@ class TestSolveDirichlet:
         u = solve_dirichlet(LAP, grid, -2.0, BoundaryData.zero())
         exact = 1.0 - grid.interior_coords[:, 0] ** 2
         assert np.allclose(u.interior, exact, atol=1e-10)
+
+
+class TestPolicySolve:
+    OP = EllipticOperator.pucci_minus(1.0, 2.0)
+
+    @staticmethod
+    def count_factorizations(monkeypatch):
+        from levelpde import elliptic
+
+        calls = []
+        real = elliptic.splu
+        monkeypatch.setattr(elliptic, "splu",
+                            lambda A: calls.append(A.shape) or real(A))
+        return calls
+
+    def test_definite_hessians_reuse_the_laplacian_lu(self, monkeypatch):
+        # psi = 0 and f < 0 keep every Hessian negative definite, so every
+        # frozen W is Lam I and the preconditioned GMRES needs no new LU.
+        calls = self.count_factorizations(monkeypatch)
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
+        tol = InnerSolveConfig().resolved_tol(self.OP)
+        for f in (-1.0, -2.0):
+            u = solve_dirichlet(self.OP, grid, f, BoundaryData.zero())
+            assert u.inner_residual <= tol
+        assert calls == [(grid.n_interior, grid.n_interior)]
+
+    def test_krylov_miss_factorizes_the_policy_matrix(self, monkeypatch):
+        from levelpde import elliptic
+
+        grid = build_box([(-1, 1), (-1, 1)], 1 / 8)
+        psi = BoundaryData.from_callable(lambda p: np.exp(p[:, 0]) * np.sin(2 * p[:, 1]))
+        ref = solve_dirichlet(self.OP, grid, 1.0, psi)
+        calls = self.count_factorizations(monkeypatch)
+        misses = []
+        monkeypatch.setattr(elliptic, "gmres",
+                            lambda A, b, **kw: misses.append(1) or (0.0 * b, 1))
+        u = solve_dirichlet(self.OP, grid, 1.0, psi)
+        assert len(misses) >= 2 and len(calls) == len(misses)
+        assert u.inner_residual <= InnerSolveConfig().resolved_tol(self.OP)
+        assert np.allclose(u.interior, ref.interior, atol=1e-7)
+
+    def test_small_ellipticity_ratio_certifies(self):
+        grid = build_box([(-1, 1), (-1, 1)], 1 / 32)
+        op = EllipticOperator.pucci_minus(0.05, 1.0)
+        psi = BoundaryData.from_callable(lambda p: np.exp(p[:, 0]) * np.sin(2 * p[:, 1]))
+        u = solve_dirichlet(op, grid, 1.0, psi)
+        assert u.inner_residual <= InnerSolveConfig().resolved_tol(op)
 
 
 class TestMaximumPrinciple:
