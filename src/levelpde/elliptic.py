@@ -159,6 +159,8 @@ class InnerSolveConfig:
             raise InvalidParameterError("sigma must lie in (0, 1]")
         if self.max_iter < 1:
             raise InvalidParameterError("max_iter must be at least 1")
+        if self.policy_max_iter < 1:
+            raise InvalidParameterError("policy_max_iter must be at least 1")
 
     def resolved_tol(self, op: EllipticOperator) -> float:
         return self.tol if self.tol is not None else _DEFAULT_TOL[op.kind]
@@ -397,7 +399,10 @@ def _solve_policy(op, grid, f, trace, psi, tol, cfg, u0):
             break
         u = u_new
     # Finish from the best iterate with the always-convergent relaxation.
-    u, tail = _solve_pseudo_time(op, grid, f, trace, psi, tol, cfg, best_u)
+    try:
+        u, tail = _solve_pseudo_time(op, grid, f, trace, psi, tol, cfg, best_u)
+    except NonConvergenceError as err:
+        raise NonConvergenceError(str(err), history + err.history) from err
     return u, history + tail
 
 

@@ -4,8 +4,9 @@ One step of the map: freeze the iterate v inside the smoothed right-hand side
 g(window average of superlevel measures), solve the resulting Dirichlet
 problem, and blend the solution with v.  Stages of decreasing smoothing width
 epsilon are run until the width is negligible and the fixed-point gap stalls
-below the outer tolerance.  On 1-D grids the right-hand side does not depend
-on epsilon, and only the final stage is run.
+below the outer tolerance; the first middle stage that stalls ends the ladder
+and hands over to the final stage.  On 1-D grids the right-hand side does not
+depend on epsilon, and only the final stage is run.
 
 Two implementation details matter for reproducibility.  First, stopping is
 measured on the full fixed-point gap ||T(v) - v||_inf; the damped update is
@@ -59,8 +60,9 @@ class OuterConfig:
 
     Defaults: eps0 = osc(initial guess)/4, eps_min = 1e-6 * osc, geometric
     ratio rho = 0.5, damping 0.5.  Non-final stages stop once the fixed-point
-    gap falls under max(stagnation_tol, stage_frac * eps); the final stage
-    must reach outer_tol.
+    gap falls under max(stagnation_tol, stage_frac * eps), and the first one
+    that stalls ends the ladder.  The final stage must reach outer_tol; only
+    it halves the damping on stagnation, down to damping_floor.
     """
 
     eps0: float | None = None
@@ -332,9 +334,12 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
         report.eps0 = report.eps_min = schedule[0]
     k = 0
     failed = False
+    ladder_ended = False
 
     for stage_idx, eps in enumerate(schedule):
         last = stage_idx == len(schedule) - 1
+        if ladder_ended and not last:
+            continue
         stage_tol = outer_tol if last else max(cfg.stagnation_tol,
                                                    cfg.stage_frac * eps)
         t_stage = time.perf_counter()
@@ -342,13 +347,11 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
         stage_iters = 0
         best_gap = math.inf
         no_progress = 0
-        # Damping resets per stage and halves on stagnation: the smoothed
-        # map's Lipschitz constant blows up like 1/eps at near-tied value
-        # clusters, and mid-schedule stages need not be contractive at all.
-        # A stalled middle stage is skipped (the collapse stage does the
-        # finishing); only the final stage must meet its tolerance.
+        # The smoothed map's Lipschitz constant blows up like 1/eps at
+        # near-tied value clusters, so mid-schedule stages need not be
+        # contractive at all.  A stalled middle stage ends the ladder (smaller
+        # eps stalled too in every run measured); the collapse stage finishes.
         theta = cfg.damping
-        halvings = 0
         skipped = False
         while not stage_done and not failed and not skipped:
             if k >= cfg.max_outer_iterations:
@@ -396,19 +399,13 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
                 no_progress += 1
                 if no_progress >= 4:
                     no_progress = 0
-                    # Middle stages give up quickly: the collapse stage does
-                    # the finishing, so a deep damping search is only worth
-                    # running on the final stage.
-                    if not last and halvings >= 2:
+                    if not last:
                         skipped = True
                     elif theta / 2 >= cfg.damping_floor:
                         theta /= 2
-                        halvings += 1
                         report.notes.append(
                             f"gap stagnated at eps={eps:.3e}; damping -> {theta:g}"
                         )
-                    elif not last:
-                        skipped = True
                     else:
                         report.notes.append(
                             "final stage stalled at the damping floor"
@@ -429,6 +426,7 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
             report.notes.append(
                 f"stage eps={eps:.3e} skipped after stagnation (gap {best_gap:.3e})"
             )
+            ladder_ended = True
         report.stage_seconds.append((eps, time.perf_counter() - t_stage))
         if failed:
             break

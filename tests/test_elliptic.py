@@ -424,6 +424,22 @@ class TestPolicySolve:
         u = solve_dirichlet(op, grid, 1.0, psi)
         assert u.inner_residual <= InnerSolveConfig().resolved_tol(op)
 
+    def test_fallback_failure_keeps_the_policy_history(self):
+        # Two Howard residuals, then three pseudo-time sweeps, all above an
+        # unreachable tolerance: the error carries all five, policy first.
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
+        cfg = InnerSolveConfig(method="policy", policy_max_iter=2, max_iter=3,
+                               tol=1e-300)
+        with pytest.raises(NonConvergenceError) as err:
+            solve_dirichlet(self.OP, grid, -1.0, BoundaryData.zero(), cfg)
+        assert len(err.value.history) == 5
+        assert err.value.history[0] == 1.0  # F(D^2 0) - f = 0 - (-1)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_policy_max_iter_must_be_positive(self, steps):
+        with pytest.raises(InvalidParameterError, match="policy_max_iter"):
+            InnerSolveConfig(policy_max_iter=steps)
+
 
 class TestMaximumPrinciple:
     def test_harmonic_bounds(self):

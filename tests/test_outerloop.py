@@ -185,6 +185,22 @@ class TestSolveNonlocal:
         exact = (4 * math.pi / 3 / 30.0) * (1.0 - s ** 5)
         assert float(np.max(np.abs(u.interior - exact))) < 5e-3
 
+    def test_stalled_middle_stage_ends_the_ladder(self):
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
+        u, rep = solve_nonlocal(LAP, grid, linear_profile(grid), BoundaryData.zero())
+        assert rep.converged
+        skips = [note for note in rep.notes if "skipped after stagnation" in note]
+        assert len(skips) == 1
+        skipped_eps = skips[0].split("eps=")[1].split()[0]
+        stage_eps = [f"{r.epsilon:.3e}" for r in rep.records]
+        end = max(i for i, e in enumerate(stage_eps) if e == skipped_eps)
+        after = rep.records[end + 1:]
+        assert after and all(r.epsilon == rep.tie_snap for r in after)
+        # Only the final (collapse) stage searches for a smaller damping.
+        middle = set(stage_eps[:end + 1])
+        assert not any(note.split("eps=")[1].split(";")[0] in middle
+                       for note in rep.notes if "damping ->" in note)
+
     def test_max_iterations_status(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
         g = linear_profile(grid)
