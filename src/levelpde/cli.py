@@ -148,25 +148,13 @@ class RunConfig:
                                   center)
 
     def build_outer(self) -> OuterConfig:
-        s = self.solver
-        inner = InnerSolveConfig(
-            method=s.get("method", "auto"),
-            tol=s.get("inner_tol"),
-            max_iter=int(s.get("inner_max_iter", 400_000)),
-            sigma=s.get("sigma", 0.5),
-        )
-        return OuterConfig(
-            eps0=s.get("eps0"),
-            rho=s.get("rho", 0.5),
-            eps_min=s.get("eps_min"),
-            damping=s.get("damping", 0.5),
-            outer_tol=s.get("outer_tol"),
-            stagnation_tol=s.get("stagnation_tol", 1e-9),
-            stage_frac=s.get("stage_frac", 0.05),
-            max_outer_iterations=int(s.get("max_outer_iterations", 4000)),
-            stage_max_iterations=int(s.get("stage_max_iterations", 400)),
-            inner=inner,
-        )
+        """The solver.* keys given, on top of the dataclass defaults; every
+        key other than the inner solver's is an OuterConfig field."""
+        s = dict(self.solver)
+        names = {"method": "method", "inner_tol": "tol",
+                 "inner_max_iter": "max_iter", "sigma": "sigma"}
+        inner = InnerSolveConfig(**{names[k]: s.pop(k) for k in list(s) if k in names})
+        return OuterConfig(**s, inner=inner)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -226,8 +214,8 @@ def parse_config(text: str) -> RunConfig:
         cfg.domain_type = "ball"
 
     cfg.h = take("grid.h", float, required=True)
-    if cfg.h is not None and cfg.h <= 0:
-        problems.append((line_of("grid.h"), "grid.h", "must be positive"))
+    if cfg.h is not None and not 0 < cfg.h < math.inf:
+        problems.append((line_of("grid.h"), "grid.h", "must be positive and finite"))
 
     if cfg.domain_type == "box":
         cfg.bounds = take("domain.bounds", _parse_bounds, required=True,
@@ -236,9 +224,9 @@ def parse_config(text: str) -> RunConfig:
             problems.append((line_of("domain.bounds"), "domain.bounds",
                              "need 1 to 3 axes"))
         for lo, hi in cfg.bounds:
-            if not hi > lo:
+            if not -math.inf < lo < hi < math.inf:
                 problems.append((line_of("domain.bounds"), "domain.bounds",
-                                 f"empty interval {lo}:{hi}"))
+                                 f"empty or unbounded interval {lo}:{hi}"))
     else:
         cfg.center = take("domain.center", _parse_float_list,
                           default=(0.0, 0.0))
@@ -247,16 +235,16 @@ def parse_config(text: str) -> RunConfig:
                              "need 1 to 3 coordinates"))
         if cfg.domain_type == "ball":
             cfg.radius = take("domain.radius", float, required=True)
-            if cfg.radius is not None and cfg.radius <= 0:
+            if cfg.radius is not None and not 0 < cfg.radius < math.inf:
                 problems.append((line_of("domain.radius"), "domain.radius",
-                                 "must be positive"))
+                                 "must be positive and finite"))
         else:
             cfg.r_inner = take("domain.r_inner", float, required=True)
             cfg.r_outer = take("domain.r_outer", float, required=True)
             if cfg.r_inner is not None and cfg.r_outer is not None \
-                    and not (0 < cfg.r_inner < cfg.r_outer):
+                    and not 0 < cfg.r_inner < cfg.r_outer < math.inf:
                 problems.append((line_of("domain.r_outer"), "domain.r_outer",
-                                 "need 0 < r_inner < r_outer"))
+                                 "need 0 < r_inner < r_outer < inf"))
 
     cfg.operator_kind = take("operator.kind", str, required=True,
                              default="laplacian")
@@ -372,7 +360,7 @@ def parse_config(text: str) -> RunConfig:
             cfg.build_boundary()
             cfg.build_outer()
         except LevelPDEError as err:
-            problems.append((None, "config", str(err)))
+            problems.append((None, "cross-check", str(err)))
 
     if problems:
         raise ConfigError(problems)
@@ -439,7 +427,10 @@ class LoadedField:
 def load_field(path: str | Path) -> LoadedField:
     """Parse a field dump; a malformed one raises InvalidParameterError
     naming the file and the line."""
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as err:
+        raise InvalidParameterError(f"{path}: not a text field dump ({err})") from None
     if not lines or not lines[0].startswith("# "):
         raise InvalidParameterError(f"{path}: missing field header")
     try:
@@ -453,13 +444,13 @@ def load_field(path: str | Path) -> LoadedField:
     except (KeyError, ValueError) as err:
         raise InvalidParameterError(
             f"{path}:1: malformed field header ({err!r})") from None
-    count = int(np.prod(shape))
-    classes = np.empty(count, dtype=np.int8)
-    values = np.empty(count, dtype=np.float64)
+    count = math.prod(shape)
     body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != count:
         raise InvalidParameterError(
             f"{path}: expected {count} node lines, found {len(body)}")
+    classes = np.empty(count, dtype=np.int8)
+    values = np.empty(count, dtype=np.float64)
     for row, (lineno, ln) in enumerate(body):
         try:
             idx_s, cls_s, val_s = ln.split()
@@ -729,7 +720,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         text = Path(args.config).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 4
 

@@ -8,18 +8,25 @@ u_i), in every dimension, so its rounding does not grow like eps |u| / h^2.
 The same table gives the sparse matrix of tr(W D^2 u) for any weight field,
 and the Laplacian matrix, factorized once per grid; that LU is the only
 factorization a solve normally builds.  The Laplacian is evaluated as the
-trace of the discrete Hessian, the Pucci operators through its eigenvalues
-(closed form in 1-D and 2-D).
+trace of the discrete Hessian (its diagonal terms only), the Pucci operators
+through its eigenvalues (closed form in 1-D and 2-D).
 
-Three inner solvers share that assembly of "weighted Hessian" rows:
+A ``DirichletProblem`` holds what one (grid, psi, operator) fixes: the
+boundary trace and the boundary offset H(0).  A nonlocal solve builds it
+once and hands each inner solve the Hessian of its start, which it already
+evaluated for the plain residual.  Three inner solvers share the
+weighted-Hessian rows:
 
 * ``linear``       the Laplacian LU, refined only while the algebraic
                    residual is not well below the tolerance,
 * ``policy``       Howard's algorithm for the extremal operators: freeze the
                    weights at the current Hessian (w I where its eigenvalues
-                   share a sign, eigenvectors only at the mixed-sign nodes),
-                   solve the linear problem by GMRES preconditioned with the
-                   Laplacian LU (a direct LU if it misses its budget), repeat,
+                   share a sign, eigenvectors only at the mixed-sign nodes)
+                   and solve the linear problem, repeat.  Where W = w I on
+                   every row the step is the Laplacian LU solve of
+                   L u = f / w - tr H(0); otherwise it is GMRES
+                   preconditioned with that LU (a direct LU if it misses its
+                   budget),
 * ``pseudo_time``  explicit relaxation u <- u + tau (F(D^2 u) - f) with a
                    stability-bounded, per-node tau.
 
@@ -43,6 +50,7 @@ from .geometry import BOUNDARY, BoundaryData, BoundaryTrace, Grid, build_trace
 from .measure import ScalarField
 
 __all__ = [
+    "DirichletProblem",
     "EllipticOperator",
     "InnerSolveConfig",
     "MaxPrincipleReport",
@@ -101,9 +109,10 @@ class EllipticOperator:
 
     def evaluate(self, H: NDArray[np.float64]) -> NDArray[np.float64]:
         """F per node from the (N, n, n) Hessians: the trace for the
-        Laplacian, the eigenvalues for the Pucci operators."""
+        Laplacian (which may be given as the (N,) traces), the eigenvalues
+        for the Pucci operators."""
         if self.kind == "laplacian":
-            return np.einsum("nii->n", H)
+            return H if H.ndim == 1 else np.einsum("nii->n", H)
         return self.evaluate_eigenvalues(_eigenvalues(H))
 
     def evaluate_eigenvalues(self, eigs: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -171,26 +180,40 @@ class InnerSolveConfig:
         return "linear" if op.kind == "laplacian" else "policy"
 
 
-def _hessian(grid: Grid, uin: NDArray[np.float64],
-             trace: BoundaryTrace) -> NDArray[np.float64]:
-    """Sum every stencil term kappa * (x_src - u_i) into its Hessian entry."""
-    N, n = grid.n_interior, grid.n
+def _hessian(grid: Grid, uin: NDArray[np.float64], trace: BoundaryTrace,
+             trace_only: bool = False) -> NDArray[np.float64]:
+    """Sum every stencil term kappa * (x_src - u_i) into its Hessian entry.
+
+    With ``trace_only`` only the (a, a) entries are summed, into tr H of
+    shape (N,): the same bits as the trace of the full H, without the mixed
+    terms (2/3 of them in 3-D).
+    """
+    N, n, terms = grid.n_interior, grid.n, grid.stencil.terms
     x = np.concatenate((uin, trace.values.ravel()))
+
+    def entry(key):
+        t = terms[key]
+        return np.bincount(t.node, weights=t.kappa * (x[t.src] - uin[t.node]),
+                           minlength=N)
+
+    if trace_only:
+        return sum(entry((a, a)) for a in range(n))
     H = np.empty((N, n, n), dtype=np.float64)
-    for (a, b), t in grid.stencil.terms.items():
-        d = t.kappa * (x[t.src] - uin[t.node])
-        H[:, a, b] = H[:, b, a] = np.bincount(t.node, weights=d, minlength=N)
+    for a, b in terms:
+        H[:, a, b] = H[:, b, a] = entry((a, b))
     return H
 
 
-def hessian_field(u: ScalarField, grid: Grid) -> NDArray[np.float64]:
-    """Discrete Hessians at every interior node, shape (N, n, n)."""
+def hessian_field(u: ScalarField, grid: Grid,
+                  trace_only: bool = False) -> NDArray[np.float64]:
+    """Discrete Hessians at every interior node, shape (N, n, n), or with
+    ``trace_only`` their traces, shape (N,)."""
     if not u.grid.matches(grid):
         raise InvalidParameterError("field belongs to a different grid")
     if u.trace is None:
         raise InvalidParameterError(
             "field needs boundary data (a trace) to apply difference operators")
-    return _hessian(grid, u.interior, u.trace)
+    return _hessian(grid, u.interior, u.trace, trace_only)
 
 
 def _eigenvalues(H: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -216,11 +239,12 @@ def discrete_hessian(u: ScalarField, grid: Grid, node: Iterable[int]) -> NDArray
 def apply_operator(op: EllipticOperator, u: ScalarField, grid: Grid) -> ScalarField:
     """F(D^2 u) per interior node: the trace of the discrete Hessian for the
     Laplacian, its eigenvalues for the Pucci operators."""
-    return ScalarField.from_interior(grid, op.evaluate(hessian_field(u, grid)))
+    H = hessian_field(u, grid, trace_only=op.kind == "laplacian")
+    return ScalarField.from_interior(grid, op.evaluate(H))
 
 
 # ---------------------------------------------------------------------------
-# Assembly: rows of tr(W . H(u)) as a sparse matrix plus boundary offset
+# Assembly: rows of tr(W . H(u)) as a sparse matrix
 
 
 def _matrix(grid: Grid, W: NDArray[np.float64]):
@@ -250,14 +274,6 @@ def _matrix(grid: Grid, W: NDArray[np.float64]):
     ).tocsc()
 
 
-def _assemble(grid: Grid, W: NDArray[np.float64],
-              trace: BoundaryTrace) -> tuple:
-    """Sparse A and offset c with A @ u_int + c == tr(W H(u)) nodewise; c is
-    tr(W H(0)), the boundary terms w * kappa * psi of every row."""
-    H0 = _hessian(grid, np.zeros(grid.n_interior), trace)
-    return _matrix(grid, W), np.einsum("nij,nij->n", W, H0)
-
-
 # ---------------------------------------------------------------------------
 # Inner solvers
 
@@ -274,22 +290,70 @@ def _as_interior(f, grid: Grid) -> NDArray[np.float64]:
     return vec.astype(np.float64, copy=True)
 
 
-def _result_field(grid: Grid, u_int: NDArray[np.float64], psi: BoundaryData,
-                  trace: BoundaryTrace) -> ScalarField:
-    vals = np.full(grid.shape, np.nan, dtype=np.float64)
-    vals.ravel()[grid.interior_flat] = u_int
-    bmask = grid.node_class == BOUNDARY
-    if np.any(bmask):
-        idx = np.nonzero(bmask)
-        pts = np.stack([grid.axis_coords[k][idx[k]] for k in range(grid.n)], axis=1)
-        vals[bmask] = psi.evaluate(pts)
-    return ScalarField(grid, vals, trace)
+class DirichletProblem:
+    """F(D^2 u) = f in Omega, u = psi: what one (grid, psi, operator) fixes.
 
+    Built once per nonlocal solve and shared by all of its inner solves: the
+    boundary trace, the boundary offset H(0) (the Hessian of zero interior
+    values, so H(u) = H(0) + the linear part), and the field template that
+    holds psi on the Boundary lattice nodes.  ``hessian`` evaluates D(u):
+    the full Hessian, or only its trace for a Laplacian solved without
+    Howard's algorithm; ``op.evaluate`` takes either.  The Hessian that
+    certifies one solve's output is the one Howard's algorithm ended on.
+    """
 
-def _residual(op: EllipticOperator, u: ScalarField, grid: Grid,
-              f: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
-    r = apply_operator(op, u, grid).interior - f
-    return float(np.max(np.abs(r))), r
+    def __init__(self, op: EllipticOperator, grid: Grid, psi: BoundaryData,
+                 cfg: InnerSolveConfig | None = None):
+        self.op, self.grid = op, grid
+        self.cfg = cfg or InnerSolveConfig()
+        self.tol = self.cfg.resolved_tol(op)
+        self.method = self.cfg.resolved_method(op)
+        if self.method == "linear" and op.kind != "laplacian":
+            raise InvalidParameterError("linear method requires the Laplacian")
+        self._trace_only = op.kind == "laplacian" and self.method != "policy"
+        self.trace = build_trace(grid, psi)
+        self.H0 = self.hessian(np.zeros(grid.n_interior))
+        self.lap0 = self.H0 if self.H0.ndim == 1 else np.einsum("nii->n", self.H0)
+        vals = np.full(grid.shape, np.nan, dtype=np.float64)
+        bmask = grid.node_class == BOUNDARY
+        if np.any(bmask):
+            idx = np.nonzero(bmask)
+            pts = np.stack([grid.axis_coords[k][idx[k]] for k in range(grid.n)], axis=1)
+            vals[bmask] = psi.evaluate(pts)
+        self._template = ScalarField(grid, vals, self.trace)
+
+    def hessian(self, u_int: NDArray[np.float64]) -> NDArray[np.float64]:
+        return _hessian(self.grid, u_int, self.trace, self._trace_only)
+
+    def solve(self, f, initial: ScalarField | None = None,
+              hessian: NDArray[np.float64] | None = None) -> tuple[ScalarField, float]:
+        """(u, residual) for F(D^2 u) = f, started from ``initial``, whose
+        Hessian D(initial) the caller may pass as ``hessian``.
+
+        The residual ||F(D^2 u) - f||_inf is measured on the returned field
+        and is at most the tolerance; otherwise NonConvergenceError carries
+        the residual history.
+        """
+        fvec = _as_interior(f, self.grid)
+        if initial is None:
+            u0, hessian = np.zeros(self.grid.n_interior), self.H0
+        elif not initial.grid.matches(self.grid):
+            raise InvalidParameterError("initial guess belongs to a different grid")
+        else:
+            u0 = initial.interior
+        if self.method == "linear":
+            u = _solve_linear(self, fvec, self.tol)
+            history = [float(np.max(np.abs(self.op.evaluate(self.hessian(u)) - fvec)))]
+        elif self.method == "policy":
+            u, history = _solve_policy(self, fvec, u0, hessian)
+        else:
+            u, history = _solve_pseudo_time(self, fvec, u0)
+        res = history[-1]
+        if not res <= self.tol:
+            raise NonConvergenceError(
+                f"inner solve finished with residual {res:.3e} above tol "
+                f"{self.tol:.3e}", history)
+        return self._template.with_interior(u), res
 
 
 def _laplacian(grid: Grid) -> tuple:
@@ -303,11 +367,10 @@ def _laplacian(grid: Grid) -> tuple:
     return table.laplacian
 
 
-def _solve_linear(grid, f, trace, tol):
-    A, lu = _laplacian(grid)
-    # The boundary terms are the Laplacian of zero interior values.
-    H0 = _hessian(grid, np.zeros(grid.n_interior), trace)
-    rhs = f - np.einsum("nii->n", H0)
+def _solve_linear(prob: DirichletProblem, f, tol):
+    """Solve L u + tr H(0) = f with the grid's Laplacian LU."""
+    A, lu = _laplacian(prob.grid)
+    rhs = f - prob.lap0
     u = lu.solve(rhs)
     # Up to two passes of iterative refinement, each only while the
     # algebraic residual is not yet well below the certificate tolerance.
@@ -319,18 +382,23 @@ def _solve_linear(grid, f, trace, tol):
     return u
 
 
-def _solve_frozen(grid, W, A, b, u0, tol):
-    """Solve A u = b for the frozen weights W by GMRES from u0.
+def _solve_frozen(prob: DirichletProblem, W, f, u0):
+    """Solve tr(W H(u)) = f for frozen weights W by GMRES from u0.
 
-    The preconditioner is M^-1 r = L^-1 (r / s), with L the grid's Laplacian
-    LU and s = tr(W) / n per row.  Where W = w I on every row, A = diag(w) L,
-    so A M^-1 = I and GMRES ends after one step.  A solve whose algebraic
-    residual is still above the target after _KRYLOV_BUDGET steps factorizes
-    A instead.
+    The policy step comes here only when some row of W is not w I (its
+    Hessian had eigenvalues of both signs); where W = w I on every row the
+    step is a Laplacian solve instead.  The preconditioner is
+    M^-1 r = L^-1 (r / s), with L the grid's Laplacian LU and s = tr(W) / n
+    per row, so A M^-1 is the identity on the rows where W = w I.  A solve
+    whose algebraic residual is still above the target after _KRYLOV_BUDGET
+    steps factorizes A instead.
     """
+    grid = prob.grid
+    A = _matrix(grid, W)
+    b = f - np.einsum("nij,nij->n", W, prob.H0)
     _, lu = _laplacian(grid)
     s = np.einsum("nii->n", W) / grid.n
-    target = _ALGEBRAIC_FRACTION * tol
+    target = _ALGEBRAIC_FRACTION * prob.tol
     # Preconditioned on the right, GMRES minimizes the true residual of the
     # correction; its 2-norm bounds the max norm the target is set in.
     AM = LinearOperator(A.shape, matvec=lambda y: A @ lu.solve(y / s),
@@ -343,38 +411,37 @@ def _solve_frozen(grid, W, A, b, u0, tol):
     return splu(A).solve(b)
 
 
-def _solve_pseudo_time(op, grid, f, trace, psi, tol, cfg, u0):
-    tau = cfg.sigma / (op.Lam * grid.stencil.stiffness)
-    u = u0.copy()
+def _solve_pseudo_time(prob: DirichletProblem, f, u):
+    cfg = prob.cfg
+    tau = cfg.sigma / (prob.op.Lam * prob.grid.stencil.stiffness)
     history: list[float] = []
-    field = _result_field(grid, u, psi, trace)
     for _ in range(cfg.max_iter):
-        res, r = _residual(op, field, grid, f)
-        history.append(res)
-        if not math.isfinite(res):
+        r = prob.op.evaluate(prob.hessian(u)) - f
+        history.append(float(np.max(np.abs(r))))
+        if not math.isfinite(history[-1]):
             raise NonConvergenceError(
                 "pseudo-time relaxation diverged to non-finite values", history
             )
-        if res <= tol:
+        if history[-1] <= prob.tol:
             return u, history
         u = u + tau * r
-        field = field.with_interior(u)
     raise NonConvergenceError(
-        f"pseudo-time relaxation: residual {history[-1]:.3e} above tol {tol:.3e} "
-        f"after {cfg.max_iter} sweeps", history
+        f"pseudo-time relaxation: residual {history[-1]:.3e} above tol "
+        f"{prob.tol:.3e} after {cfg.max_iter} sweeps", history
     )
 
 
-def _solve_policy(op, grid, f, trace, psi, tol, cfg, u0):
-    """Howard's algorithm: freeze the weights of F at the current Hessian,
-    solve the linear problem, repeat; falls back to pseudo-time on stall."""
-    u = u0.copy()
+def _solve_policy(prob: DirichletProblem, f, u, H):
+    """Howard's algorithm from u, whose Hessian is H (None: not yet known):
+    freeze the weights of F at the current Hessian, solve the linear
+    problem, repeat; falls back to pseudo-time on stall."""
+    op, tol = prob.op, prob.tol
     history: list[float] = []
     best_u, best_res = u, math.inf
     stall = 0
-    for _ in range(cfg.policy_max_iter):
-        field = _result_field(grid, u, psi, trace)
-        H = hessian_field(field, grid)
+    for _ in range(prob.cfg.policy_max_iter):
+        if H is None:
+            H = prob.hessian(u)
         eigs = _eigenvalues(H)
         res = float(np.max(np.abs(op.evaluate_eigenvalues(eigs) - f)))
         history.append(res)
@@ -390,17 +457,21 @@ def _solve_policy(op, grid, f, trace, psi, tol, cfg, u0):
             if stall >= 4:
                 break
         W = op.frozen_weights(H, eigs)
-        A, c = _assemble(grid, W, trace)
+        w = W[:, 0, 0]
         try:
-            u_new = _solve_frozen(grid, W, A, f - c, u, tol)
+            if np.array_equal(W, w[:, None, None] * np.eye(prob.grid.n)):
+                # tr(W H(u)) = w (L u + tr H(0)): one Laplacian solve.
+                u_new = _solve_linear(prob, f / w, tol / np.max(w))
+            else:
+                u_new = _solve_frozen(prob, W, f, u)
         except RuntimeError:
             break
         if not np.all(np.isfinite(u_new)):
             break
-        u = u_new
+        u, H = u_new, None
     # Finish from the best iterate with the always-convergent relaxation.
     try:
-        u, tail = _solve_pseudo_time(op, grid, f, trace, psi, tol, cfg, best_u)
+        u, tail = _solve_pseudo_time(prob, f, best_u)
     except NonConvergenceError as err:
         raise NonConvergenceError(str(err), history + err.history) from err
     return u, history + tail
@@ -414,39 +485,10 @@ def solve_dirichlet(op: EllipticOperator, grid: Grid, f, psi: BoundaryData,
     Returns a field whose measured residual ||F(D^2 u) - f||_inf over interior
     nodes is at most the configured tolerance, or raises NonConvergenceError
     carrying the residual history.  Never returns a silent bad answer: the
-    residual is re-measured on the returned field with the same evaluator the
+    residual is measured on the returned field with the same evaluator the
     rest of the package uses.
     """
-    cfg = cfg or InnerSolveConfig()
-    fvec = _as_interior(f, grid)
-    trace = build_trace(grid, psi)
-    tol = cfg.resolved_tol(op)
-    method = cfg.resolved_method(op)
-
-    if initial is not None:
-        if not initial.grid.matches(grid):
-            raise InvalidParameterError("initial guess belongs to a different grid")
-        u0 = initial.interior.copy()
-    else:
-        u0 = np.zeros(grid.n_interior, dtype=np.float64)
-
-    if method == "linear":
-        if op.kind != "laplacian":
-            raise InvalidParameterError("linear method requires the Laplacian")
-        u = _solve_linear(grid, fvec, trace, tol)
-        history = []
-    elif method == "policy":
-        u, history = _solve_policy(op, grid, fvec, trace, psi, tol, cfg, u0)
-    else:
-        u, history = _solve_pseudo_time(op, grid, fvec, trace, psi, tol, cfg, u0)
-
-    out = _result_field(grid, u, psi, trace)
-    res, _ = _residual(op, out, grid, fvec)
-    if not res <= tol:
-        raise NonConvergenceError(
-            f"inner solve finished with residual {res:.3e} above tol {tol:.3e}",
-            history + [res],
-        )
+    out, res = DirichletProblem(op, grid, psi, cfg).solve(f, initial)
     out.inner_residual = res
     return out
 

@@ -149,9 +149,6 @@ class Grid:
         flat = int(np.ravel_multi_index(tuple(int(i) for i in index), self.shape))
         return int(self._ordinal_flat[flat])
 
-    def class_name(self, index: Sequence[int]) -> str:
-        return _CLASS_NAMES[int(self.node_class[tuple(int(i) for i in index)])]
-
     def distance_to_boundary(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
         """Euclidean distance from each point to the continuum boundary."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -257,105 +254,54 @@ def _crossing_fraction(descriptor: Descriptor, coords: NDArray[np.float64],
         # beyond.
         s_nbr = np.linalg.norm(nbr_coords - center, axis=1)
         outer = s_nbr >= descriptor.r_outer
-        t = np.empty(coords.shape[0], dtype=np.float64)
         r_out = descriptor.r_outer
         t_out = np.sqrt(np.maximum(r_out * r_out - rho2, 0.0)) - sign * d[:, axis]
         r_in = descriptor.r_inner
         t_in = -sign * d[:, axis] - np.sqrt(np.maximum(r_in * r_in - rho2, 0.0))
         t = np.where(outer, t_out, t_in)
-    theta = t / h
-    return np.clip(theta, 1e-12, 1.0)
+    return np.clip(t / h, 1e-12, 1.0)
 
 
 def _build_plan(grid: Grid) -> _StencilPlan:
     plan = _StencilPlan()
-    shape = grid.shape
-    n = grid.n
-    node_class = grid.node_class
-    ordinal = grid._ordinal_flat
-    idx = grid.interior_index
-    coords = grid.interior_coords
-    is_box = isinstance(grid.descriptor, BoxDescriptor)
+    n, N, h = grid.n, grid.n_interior, grid.h
+    cls_flat = grid.node_class.ravel()
 
-    def shifted(arrays: tuple[NDArray[np.int64], ...], shifts: Sequence[int]):
-        """Shifted multi-index, validity mask, flat index (0 where invalid)."""
-        out = []
-        valid = np.ones(grid.n_interior, dtype=bool)
-        for k in range(n):
-            a = arrays[k] + shifts[k]
-            valid &= (a >= 0) & (a < shape[k])
-            out.append(a)
-        safe = [np.where(valid, a, 0) for a in out]
-        flat = np.ravel_multi_index(tuple(safe), shape)
-        return out, valid, flat
+    def shifted(shifts: Sequence[int]):
+        """Interior ordinal of each node's shifted lattice node (-1 if none),
+        whether that node is a Boundary lattice node, and its coordinates
+        where it is (NaN rows elsewhere)."""
+        idx = [grid.interior_index[k] + shifts[k] for k in range(n)]
+        valid = np.logical_and.reduce([(i >= 0) & (i < grid.shape[k])
+                                       for k, i in enumerate(idx)])
+        flat = np.ravel_multi_index(tuple(np.where(valid, i, 0) for i in idx),
+                                    grid.shape)
+        ordinal = np.where(valid, grid._ordinal_flat[flat], -1).astype(np.int64)
+        known = valid & (cls_flat[flat] == BOUNDARY)
+        point = np.full((N, n), np.nan, dtype=np.float64)
+        point[known] = np.stack([grid.axis_coords[k][idx[k][known]]
+                                 for k in range(n)], axis=1)
+        return ordinal, known, point
 
-    cls_flat = node_class.ravel()
-
-    for a in range(n):
-        for s in (+1, -1):
-            shifts = [0] * n
-            shifts[a] = s
-            shifted_idx, valid, flat = shifted(idx, shifts)
-            nbr = np.where(valid, ordinal[flat], -1).astype(np.int64)
-            is_bnd_node = valid & (cls_flat[flat] == BOUNDARY)
-
-            theta = np.ones(grid.n_interior, dtype=np.float64)
-            point = np.full((grid.n_interior, n), np.nan, dtype=np.float64)
-
-            if is_box:
-                # Arm ends are always lattice nodes; record boundary ones.
-                sel = nbr < 0
-                if np.any(sel & ~is_bnd_node):
-                    raise InvalidGridError("box interior node with exterior arm")
-                if np.any(sel):
-                    pt = np.stack(
-                        [grid.axis_coords[k][shifted_idx[k][sel]] for k in range(n)],
-                        axis=1,
-                    )
-                    point[sel] = pt
-            else:
-                sel = nbr < 0
-                if np.any(sel):
-                    nbr_pt = coords[sel].copy()
-                    nbr_pt[:, a] += s * grid.h
-                    th = _crossing_fraction(
-                        grid.descriptor, coords[sel], a, s, grid.h, nbr_pt
-                    )
-                    theta[sel] = th
-                    pt = coords[sel].copy()
-                    pt[:, a] += s * th * grid.h
-                    point[sel] = pt
-                is_bnd_node = np.zeros(grid.n_interior, dtype=bool)
-
-            plan.nbr[(a, s)] = nbr
-            plan.theta[(a, s)] = theta
-            plan.arm_lattice[(a, s)] = is_bnd_node
-            plan.arm_point[(a, s)] = point
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            for sa in (+1, -1):
-                for sb in (+1, -1):
-                    shifts = [0] * n
-                    shifts[a] = sa
-                    shifts[b] = sb
-                    shifted_idx, valid, flat = shifted(idx, shifts)
-                    diag = np.where(valid, ordinal[flat], -1).astype(np.int64)
-                    known = valid & (cls_flat[flat] == BOUNDARY)
-                    point = np.full((grid.n_interior, n), np.nan, dtype=np.float64)
-                    sel = known & (diag < 0)
-                    if np.any(sel):
-                        pt = np.stack(
-                            [
-                                grid.axis_coords[k][shifted_idx[k][sel]]
-                                for k in range(n)
-                            ],
-                            axis=1,
-                        )
-                        point[sel] = pt
-                    plan.diag[(a, b, sa, sb)] = diag
-                    plan.diag_known[(a, b, sa, sb)] = sel
-                    plan.diag_point[(a, b, sa, sb)] = point
+    for a, s in plan.arm_keys(n):
+        nbr, known, point = shifted([s if k == a else 0 for k in range(n)])
+        theta = np.ones(N, dtype=np.float64)
+        # Arms that leave the lattice's domain nodes cross a curved boundary
+        # (box arms always end on lattice nodes).
+        cut = (nbr < 0) & ~known
+        if np.any(cut):
+            coords = grid.interior_coords[cut]
+            nbr_pt = coords.copy()
+            nbr_pt[:, a] += s * h
+            theta[cut] = _crossing_fraction(grid.descriptor, coords, a, s, h, nbr_pt)
+            point[cut] = coords
+            point[cut, a] += s * theta[cut] * h
+        plan.nbr[(a, s)], plan.theta[(a, s)] = nbr, theta
+        plan.arm_lattice[(a, s)], plan.arm_point[(a, s)] = known, point
+    for key in plan.pair_keys(n):
+        a, b, sa, sb = key
+        shifts = [sa if k == a else sb if k == b else 0 for k in range(n)]
+        plan.diag[key], plan.diag_known[key], plan.diag_point[key] = shifted(shifts)
     return plan
 
 
@@ -451,11 +397,11 @@ def build_box(bounds: Iterable[tuple[float, float]], h: float) -> Grid:
         raise InvalidGridError("box needs at least one axis")
     if len(bounds) > 3:
         raise InvalidGridError("dimension capped at 3")
-    if h <= 0:
-        raise InvalidGridError("spacing h must be positive")
+    if not 0 < h < math.inf:
+        raise InvalidGridError("spacing h must be positive and finite")
     for lo, hi in bounds:
-        if not hi > lo:
-            raise InvalidGridError(f"degenerate interval [{lo}, {hi}]")
+        if not -math.inf < lo < hi < math.inf:
+            raise InvalidGridError(f"degenerate or unbounded interval [{lo}, {hi}]")
         if h > (hi - lo) * (1 + _DIVIDE_RTOL):
             raise InvalidGridError("h larger than the shortest side")
     counts = []
@@ -468,7 +414,10 @@ def build_box(bounds: Iterable[tuple[float, float]], h: float) -> Grid:
 
     descriptor = BoxDescriptor(bounds)
     shape = tuple(counts)
-    node_class = np.full(shape, BOUNDARY, dtype=np.int8)
+    try:
+        node_class = np.full(shape, BOUNDARY, dtype=np.int8)
+    except (ValueError, MemoryError):
+        raise InvalidGridError(f"h = {h} gives a lattice too large to allocate") from None
     interior = tuple(slice(1, s - 1) for s in shape)
     if any(s.stop <= s.start for s in interior):
         raise InvalidGridError("box too thin for interior nodes at this h")
@@ -487,9 +436,12 @@ def _radial_grid(descriptor: BallDescriptor | AnnulusDescriptor, h: float,
     shape = tuple([2 * m + 1] * n)
     # Index the lattice symmetrically about the center so mirrored nodes get
     # bit-identical coordinates.
-    axes = [center[k] + h * (np.arange(2 * m + 1, dtype=np.float64) - m)
-            for k in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    try:
+        axes = [center[k] + h * (np.arange(2 * m + 1, dtype=np.float64) - m)
+                for k in range(n)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+    except (ValueError, MemoryError):
+        raise InvalidGridError(f"h = {h} gives a lattice too large to allocate") from None
     d2 = sum((g - c) ** 2 for g, c in zip(mesh, center))
     s = np.sqrt(d2)
     if isinstance(descriptor, BallDescriptor):
@@ -508,10 +460,10 @@ def build_ball(center: Sequence[float], radius: float, h: float) -> Grid:
     distance; requires radius > 2h so that the stencil can resolve the domain.
     """
     center = tuple(float(c) for c in center)
-    if h <= 0:
-        raise InvalidGridError("spacing h must be positive")
-    if not radius > 2 * h:
-        raise InvalidGridError(f"radius {radius} must exceed 2h = {2 * h}")
+    if not 0 < h < math.inf:
+        raise InvalidGridError("spacing h must be positive and finite")
+    if not 2 * h < radius < math.inf:
+        raise InvalidGridError(f"radius {radius} must be finite and exceed 2h = {2 * h}")
     return _radial_grid(BallDescriptor(center, float(radius)), h, float(radius))
 
 
@@ -519,10 +471,10 @@ def build_annulus(center: Sequence[float], r_inner: float, r_outer: float,
                   h: float) -> Grid:
     """Concentric annulus grid; the gap must exceed 2h."""
     center = tuple(float(c) for c in center)
-    if h <= 0:
-        raise InvalidGridError("spacing h must be positive")
-    if not r_outer > r_inner > 0:
-        raise InvalidGridError("need 0 < r_inner < r_outer")
+    if not 0 < h < math.inf:
+        raise InvalidGridError("spacing h must be positive and finite")
+    if not 0 < r_inner < r_outer < math.inf:
+        raise InvalidGridError("need 0 < r_inner < r_outer < inf")
     if not (r_outer - r_inner) > 2 * h:
         raise InvalidGridError("annular gap must exceed 2h")
     return _radial_grid(

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameterError
-from .geometry import BOUNDARY, EXTERIOR, BoundaryData, BoundaryTrace, Grid, build_trace
+from .geometry import EXTERIOR, BoundaryData, BoundaryTrace, Grid, build_trace
 
 __all__ = [
     "ScalarField",
@@ -61,13 +61,6 @@ class ScalarField:
         self.trace = trace
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, grid: Grid, trace: BoundaryTrace | None = None) -> "ScalarField":
-        vals = np.full(grid.shape, np.nan, dtype=np.float64)
-        vals[grid.interior_mask] = 0.0
-        vals[grid.node_class == BOUNDARY] = 0.0
-        return cls(grid, vals, trace)
 
     @classmethod
     def from_interior(cls, grid: Grid, interior: NDArray[np.float64],
@@ -111,12 +104,6 @@ class ScalarField:
         vals = self.values.copy()
         vals.ravel()[self.grid.interior_flat] = np.asarray(interior, dtype=np.float64)
         return ScalarField(self.grid, vals, self.trace)
-
-    def with_trace(self, trace: BoundaryTrace | None) -> "ScalarField":
-        return ScalarField(self.grid, self.values, trace)
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy(), self.trace)
 
     def osc(self) -> float:
         """Oscillation max - min over interior nodes and boundary samples."""
@@ -319,31 +306,34 @@ class LevelStats:
 # Operations
 
 
-def superlevel_measures(v: ScalarField, grid: Grid) -> ScalarField:
+def superlevel_measures(v: ScalarField, grid: Grid,
+                        stats: LevelStats | None = None) -> ScalarField:
     """Per node, the cell measure times the count of values >= its own.
 
     Ties are included (the superlevel set is closed), so equal values receive
     equal measures and every measure lies in [h^n, |Omega|_h].  Runs in
-    O(N log N) by sorting once.
+    O(N log N) by sorting once; ``stats``, when the caller has
+    ``LevelStats.from_field(v, grid)``, saves the sort.
     """
     vec = _interior_vector(v, grid)
-    stats = LevelStats(vec, grid.cell)
-    mu = stats.measure_ge(vec)
-    return ScalarField.from_interior(grid, mu)
+    stats = stats or LevelStats(vec, grid.cell)
+    return ScalarField.from_interior(grid, stats.measure_ge(vec))
 
 
-def smoothed_superlevel_average(v: ScalarField, grid: Grid, eps: float) -> ScalarField:
+def smoothed_superlevel_average(v: ScalarField, grid: Grid, eps: float,
+                                stats: LevelStats | None = None) -> ScalarField:
     """Per node, the exact average of G over the value window [v(x)-eps, v(x)].
 
     G is piecewise constant between sorted values, so the integral is a
     closed-form summation.  The result is bounded below by the plain
     superlevel measure, equals it once eps is smaller than the gap to the
     nearest strictly smaller value, and never exceeds the discrete |Omega|.
+    ``stats`` as in ``superlevel_measures``.
     """
     if eps <= 0:
         raise InvalidParameterError("smoothing width eps must be positive")
     vec = _interior_vector(v, grid)
-    stats = LevelStats(vec, grid.cell)
+    stats = stats or LevelStats(vec, grid.cell)
     return ScalarField.from_interior(grid, stats.window_average(vec, eps))
 
 
@@ -488,7 +478,8 @@ def _window_means(knots, gap, m_up, m_dn, area_s, area_c, k, d):
     return out
 
 
-def rhs_plain(v: ScalarField, grid: Grid, g: ProfileFunction) -> ScalarField:
+def rhs_plain(v: ScalarField, grid: Grid, g: ProfileFunction,
+              stats: LevelStats | None = None) -> ScalarField:
     """Frozen right-hand side g(superlevel measure), clamped into g's domain.
 
     On grids with n >= 2 the measure is the closed cell count of
@@ -496,27 +487,29 @@ def rhs_plain(v: ScalarField, grid: Grid, g: ProfileFunction) -> ScalarField:
     measure of the superlevel sets of the piecewise-linear interpolant
     through the interior values and the field's boundary trace, which
     ``rhs_plain`` then requires (InvalidParameterError otherwise).  That
-    measure has no tie bias and is continuous in the field.
+    measure has no tie bias and is continuous in the field.  ``stats`` as in
+    ``superlevel_measures``; 1-D grids do not use it.
     """
     if grid.n == 1:
         mu = _interval_cell_measures(v, grid)
     else:
-        mu = superlevel_measures(v, grid).interior
+        mu = superlevel_measures(v, grid, stats).interior
     return ScalarField.from_interior(grid, g(mu))
 
 
-def rhs_smoothed(v: ScalarField, grid: Grid, g: ProfileFunction,
-                 eps: float) -> ScalarField:
+def rhs_smoothed(v: ScalarField, grid: Grid, g: ProfileFunction, eps: float,
+                 stats: LevelStats | None = None) -> ScalarField:
     """Smoothed right-hand side g(window average of the superlevel measure).
 
     On 1-D grids the measure of ``rhs_plain`` is already continuous in the
-    field, so this returns ``rhs_plain`` for every eps > 0.
+    field, so this returns ``rhs_plain`` for every eps > 0.  ``stats`` as in
+    ``superlevel_measures``.
     """
     if eps <= 0:
         raise InvalidParameterError("smoothing width eps must be positive")
     if grid.n == 1:
         return rhs_plain(v, grid, g)
-    s = smoothed_superlevel_average(v, grid, eps)
+    s = smoothed_superlevel_average(v, grid, eps, stats)
     return ScalarField.from_interior(grid, g(s.interior))
 
 

@@ -34,6 +34,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .elliptic import (
+    DirichletProblem,
     EllipticOperator,
     InnerSolveConfig,
     apply_operator,
@@ -41,7 +42,7 @@ from .elliptic import (
 )
 from .errors import InvalidParameterError, NonConvergenceError
 from .geometry import BoundaryData, BoxDescriptor, Grid
-from .measure import ProfileFunction, ScalarField, rhs_plain, rhs_smoothed
+from .measure import LevelStats, ProfileFunction, ScalarField, rhs_plain, rhs_smoothed
 
 __all__ = [
     "OuterConfig",
@@ -189,11 +190,14 @@ def plain_residual_parts(u: ScalarField, op: EllipticOperator, grid: Grid,
     stencil falls back to first order; boxes have no such strip.
     """
     r = np.abs(apply_operator(op, u, grid).interior - rhs_plain(u, grid, g).interior)
+    return _split_defect(r, grid)
+
+
+def _split_defect(r: NDArray[np.float64], grid: Grid) -> tuple[float, float, float]:
     total = float(np.max(r))
     if isinstance(grid.descriptor, BoxDescriptor):
         return total, total, 0.0
-    dist = grid.distance_to_boundary(grid.interior_coords)
-    band = dist <= 2 * grid.h
+    band = grid.distance_to_boundary(grid.interior_coords) <= 2 * grid.h
     band_res = float(np.max(r[band])) if np.any(band) else 0.0
     core_res = float(np.max(r[~band])) if np.any(~band) else 0.0
     return total, core_res, band_res
@@ -205,18 +209,31 @@ def plain_residual(u: ScalarField, op: EllipticOperator, grid: Grid,
     return plain_residual_parts(u, op, grid, g)[0]
 
 
-def _one_step(v: ScalarField, eps: float, theta: float, op: EllipticOperator,
-              grid: Grid, g: ProfileFunction, psi: BoundaryData,
-              inner: InnerSolveConfig) -> tuple[ScalarField, ScalarField]:
-    """(T(v), damped blend).  Propagates inner non-convergence."""
+def _plain_defect(problem: DirichletProblem, v: ScalarField,
+                  g: ProfileFunction) -> tuple:
+    """|F(D^2 v) - g(superlevel measure of v)| per node, with the Hessian
+    D(v) and the level statistics of v (None in 1-D) that the step from v
+    reuses."""
+    grid, D = problem.grid, problem.hessian(v.interior)
+    stats = LevelStats.from_field(v, grid) if grid.n > 1 else None
+    f = rhs_plain(v, grid, g, stats).interior
+    return np.abs(problem.op.evaluate(D) - f), D, stats
+
+
+def _one_step(problem: DirichletProblem, v: ScalarField, eps: float,
+              theta: float, g: ProfileFunction,
+              D: NDArray[np.float64] | None = None,
+              stats: LevelStats | None = None) -> tuple:
+    """(T(v), its inner residual, damped blend); D and stats of v, when
+    known, save a Hessian and a sort.  Propagates inner non-convergence."""
     if eps <= 0:
         raise InvalidParameterError("eps must be positive")
     if not (0 < theta <= 1):
         raise InvalidParameterError("damping must lie in (0, 1]")
-    f = rhs_smoothed(v, grid, g, eps)
-    u = solve_dirichlet(op, grid, f, psi, inner, initial=v)
+    f = rhs_smoothed(v, problem.grid, g, eps, stats)
+    u, res = problem.solve(f, v, D)
     w = u.with_interior((1.0 - theta) * v.interior + theta * u.interior)
-    return u, w
+    return u, res, w
 
 
 def fixed_point_step(v: ScalarField, eps: float, theta: float,
@@ -228,8 +245,7 @@ def fixed_point_step(v: ScalarField, eps: float, theta: float,
     With theta = 1 this is exactly T(v): solve F(D^2 u) = g(smoothed
     superlevel average of v) with data psi.
     """
-    _, w = _one_step(v, eps, theta, op, grid, g, psi, inner or InnerSolveConfig())
-    return w
+    return _one_step(DirichletProblem(op, grid, psi, inner), v, eps, theta, g)[2]
 
 
 def _epsilon_schedule(eps0: float, rho: float, eps_min: float) -> list[float]:
@@ -265,13 +281,17 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     inner = cfg.inner
     report = SolveReport(rho=cfg.rho, damping=cfg.damping)
 
-    v = solve_dirichlet(op, grid, 0.0, psi, inner)
+    # Each iterate's Hessian D and level statistics are computed once, for
+    # its plain residual, and reused by the step that starts from it.
+    problem = DirichletProblem(op, grid, psi, inner)
+    v = problem.solve(0.0)[0]
+    r, D, stats = _plain_defect(problem, v, g)
     osc_ref = v.osc()
     if osc_ref == 0.0 and cfg.eps0 is None:
         # psi-induced oscillation is zero (e.g. psi = 0 makes v0 constant);
         # probe one full step to scale the smoothing from g's response.
         try:
-            u1, _ = _one_step(v, 1.0, 1.0, op, grid, g, psi, inner)
+            u1 = _one_step(problem, v, 1.0, 1.0, g, D, stats)[0]
         except NonConvergenceError as err:
             report.status = "InnerFailure"
             report.notes.append(f"inner solve failed: {err}")
@@ -368,7 +388,7 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
                     skipped = True
                 break
             try:
-                u, w = _one_step(v, eps, theta, op, grid, g, psi, inner)
+                u, inner_res, w = _one_step(problem, v, eps, theta, g, D, stats)
             except NonConvergenceError as err:
                 report.status = "InnerFailure"
                 report.notes.append(f"inner solve failed: {err}")
@@ -380,13 +400,14 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
             # the final field is an inner-solve output with its certificate.
             nxt = u if stage_done else w
             nxt = nxt.with_interior(_snap_ties(nxt.interior, snap))
+            r, D, stats = _plain_defect(problem, nxt, g)
             report.records.append(IterationRecord(
                 k=k,
                 epsilon=eps,
                 increment=float(np.max(np.abs(nxt.interior - v.interior))),
                 step_gap=step_gap,
-                inner_residual=float(getattr(u, "inner_residual", math.nan)),
-                plain_residual=plain_residual(nxt, op, grid, g),
+                inner_residual=inner_res,
+                plain_residual=float(np.max(r)),
                 lip_increment=_lip_seminorm(grid, nxt.interior - v.interior),
             ))
             v = nxt
@@ -437,7 +458,7 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     if report.records:
         report.final_increment = report.records[-1].step_gap
         report.final_inner_residual = report.records[-1].inner_residual
-    tot, core, band = plain_residual_parts(v, op, grid, g)
+    tot, core, band = _split_defect(r, grid)
     report.final_plain_residual = tot
     report.final_plain_residual_core = core
     report.final_plain_residual_band = band

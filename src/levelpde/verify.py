@@ -10,6 +10,7 @@ scan, and the refinement study.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
@@ -214,14 +215,9 @@ def _sample_directions(n: int) -> NDArray[np.float64]:
     if n == 2:
         ang = 2.0 * math.pi * np.arange(8) / 8.0
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    dirs = []
-    for i in (-1, 0, 1):
-        for j in (-1, 0, 1):
-            for k in (-1, 0, 1):
-                if (i, j, k) != (0, 0, 0):
-                    v = np.array([i, j, k], dtype=np.float64)
-                    dirs.append(v / np.linalg.norm(v))
-    return np.stack(dirs, axis=0)
+    dirs = np.array([v for v in itertools.product((-1, 0, 1), repeat=3) if any(v)],
+                    dtype=np.float64)
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
 @dataclass

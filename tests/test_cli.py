@@ -220,6 +220,24 @@ output.table = {tmp_path}/study.txt
         rc = main(["solve", write_config(tmp_path, "domain.type = cone\n")])
         assert rc == 1
 
+    @pytest.mark.parametrize("domain, h", [
+        ("box\ndomain.bounds = -1:1,-1:1", "nan"),
+        ("box\ndomain.bounds = -1:1,-1:1", "1e-300"),
+        ("box\ndomain.bounds = -inf:1", "0.125"),
+        ("ball\ndomain.radius = inf", "0.125"),
+        ("ball\ndomain.radius = 1e300", "1"),
+        ("annulus\ndomain.r_inner = 0.5\ndomain.r_outer = nan", "0.125"),
+    ], ids=["nan-h", "tiny-h", "unbounded-box", "inf-radius", "huge-radius",
+            "nan-annulus"])
+    def test_non_finite_or_absurd_extent_exit_1(self, domain, h, tmp_path, capsys):
+        text = MINIMAL_BALL.replace("domain.type = ball\ndomain.radius = 1",
+                                    f"domain.type = {domain}")
+        text = text.replace("grid.h = 0.125", f"grid.h = {h}")
+        rc = main(["solve", write_config(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "config: config:" not in err
+
     def test_missing_config_exit_4(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.cfg")]) == 4
 

@@ -7,10 +7,11 @@ import pytest
 
 from levelpde.elliptic import (
     EllipticOperator,
+    DirichletProblem,
     InnerSolveConfig,
-    _assemble,
     _eigenvalues,
     _laplacian,
+    _matrix,
     apply_operator,
     discrete_hessian,
     hessian_field,
@@ -93,6 +94,19 @@ class TestDiscreteHessian:
         # O(h^2): quartering h's error by ~4
         assert errs[1 / 32] <= errs[1 / 16] / 3.0
         assert errs[1 / 32] < 5e-2
+
+    @pytest.mark.parametrize("make_grid", [
+        lambda: build_ball((0.0, 0.0), 1.0, 1 / 16),
+        lambda: build_ball((0.0, 0.0, 0.0), 1.0, 1 / 5),
+    ])
+    def test_trace_only_is_bitwise_the_trace(self, make_grid):
+        # The Laplacian sums the (a, a) terms alone; that must not change a
+        # bit of the trace of the full Hessian.
+        grid = make_grid()
+        u = ScalarField.sample(
+            grid, lambda p: np.sin(2 * p[:, 0]) * np.exp(p[:, 1]) + p[:, 0] * p[:, -1] ** 2)
+        full = np.einsum("nii->n", hessian_field(u, grid))
+        assert hessian_field(u, grid, trace_only=True).tobytes() == full.tobytes()
 
     def test_non_interior_node_rejected(self):
         grid = build_box([(0, 1), (0, 1)], 0.25)
@@ -246,13 +260,14 @@ class TestAssembler:
     def test_matches_evaluator_for_random_weights(self, make_grid):
         grid = make_grid()
         rng = np.random.default_rng(5)
-        u = ScalarField.sample(
-            grid, lambda p: np.sin(2 * p[:, 0]) + p[:, -1] ** 3 - p[:, 0] * p[:, -1]
-        )
+        psi = BoundaryData.from_callable(
+            lambda p: np.sin(2 * p[:, 0]) + p[:, -1] ** 3 - p[:, 0] * p[:, -1])
+        u = ScalarField.sample(grid, psi.evaluate)
         B = rng.normal(size=(grid.n_interior, grid.n, grid.n))
         W = 0.5 * (B + np.transpose(B, (0, 2, 1)))
-        A, c = _assemble(grid, W, u.trace)
-        lhs = A @ u.interior + c
+        # The offset is tr(W H(0)), the boundary terms of every row.
+        H0 = DirichletProblem(EllipticOperator.pucci_minus(1, 2), grid, psi).H0
+        lhs = _matrix(grid, W) @ u.interior + np.einsum("nij,nij->n", W, H0)
         H = hessian_field(u, grid)
         rhs = np.einsum("nij,nij->n", W, H)
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
@@ -416,6 +431,25 @@ class TestPolicySolve:
         assert len(misses) >= 2 and len(calls) == len(misses)
         assert u.inner_residual <= InnerSolveConfig().resolved_tol(self.OP)
         assert np.allclose(u.interior, ref.interior, atol=1e-7)
+
+    def test_mixed_signs_keep_the_preconditioned_gmres(self, monkeypatch):
+        # e^x sin 2y gives Hessians with eigenvalues of both signs, so no
+        # policy step is a plain Laplacian solve: each assembles its matrix
+        # and runs GMRES, 8 of them, as many as the policy iteration took
+        # before definite steps were routed to the Laplacian LU.
+        from levelpde import elliptic
+
+        grid = build_box([(-1, 1), (-1, 1)], 1 / 32)
+        _laplacian(grid)
+        psi = BoundaryData.from_callable(lambda p: np.exp(p[:, 0]) * np.sin(2 * p[:, 1]))
+        op = EllipticOperator.pucci_minus(0.1, 1.0)
+        steps = []
+        real = elliptic.gmres
+        monkeypatch.setattr(elliptic, "gmres",
+                            lambda *a, **k: steps.append(1) or real(*a, **k))
+        u = solve_dirichlet(op, grid, 1.0, psi)
+        assert len(steps) == 8
+        assert u.inner_residual <= InnerSolveConfig().resolved_tol(op)
 
     def test_small_ellipticity_ratio_certifies(self):
         grid = build_box([(-1, 1), (-1, 1)], 1 / 32)

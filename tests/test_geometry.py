@@ -51,6 +51,14 @@ class TestBox:
         with pytest.raises(InvalidGridError):
             build_box([(0, 1)], 0.3)
 
+    @pytest.mark.parametrize("bounds, h", [
+        ([(0, 1)], math.nan), ([(0, 1)], math.inf), ([(-math.inf, 1)], 0.25),
+        ([(0, math.nan)], 0.25), ([(-1, 1), (-1, 1)], 1e-300),
+    ], ids=["nan-h", "inf-h", "unbounded", "nan-bound", "unallocatable"])
+    def test_non_finite_or_absurd_extent_rejected(self, bounds, h):
+        with pytest.raises(InvalidGridError):
+            build_box(bounds, h)
+
     def test_measure_quarter(self):
         grid = build_box([(0, 1), (0, 1)], 0.25)
         assert domain_measure(grid) == 9 * 0.0625
@@ -65,6 +73,13 @@ class TestBall:
     def test_radius_at_most_2h_rejected(self):
         with pytest.raises(InvalidGridError):
             build_ball((0.0, 0.0), 1.0, 0.5)
+
+    @pytest.mark.parametrize("radius, h", [
+        (1.0, math.nan), (math.inf, 0.25), (math.nan, 0.25), (1e300, 1.0),
+    ], ids=["nan-h", "inf-radius", "nan-radius", "unallocatable"])
+    def test_non_finite_or_absurd_extent_rejected(self, radius, h):
+        with pytest.raises(InvalidGridError):
+            build_ball((0.0, 0.0), radius, h)
 
     def test_classification_matches_rule(self):
         # Oracle: enumerate the lattice and apply |x - c| < r directly.
@@ -134,6 +149,13 @@ class TestAnnulus:
     def test_gap_too_small(self):
         with pytest.raises(InvalidGridError):
             build_annulus((0.0, 0.0), 0.9, 1.0, 1 / 16)
+
+    @pytest.mark.parametrize("r_inner, r_outer, h", [
+        (0.4, math.inf, 0.25), (0.4, math.nan, 0.25), (0.4, 1.0, math.nan),
+    ])
+    def test_non_finite_extent_rejected(self, r_inner, r_outer, h):
+        with pytest.raises(InvalidGridError):
+            build_annulus((0.0, 0.0), r_inner, r_outer, h)
 
 
 class TestBoundaryData:

@@ -1,5 +1,6 @@
 """Fixed-point stepping, the epsilon continuation, and run reporting."""
 
+import collections
 import math
 
 import numpy as np
@@ -288,3 +289,51 @@ class TestPlainResidual:
             vals[h] = plain_residual(u, LAP, grid, g)
         assert vals[1 / 32] < vals[1 / 16]
         assert vals[1 / 32] < 0.5
+
+
+@pytest.fixture(scope="module")
+def counted_disk_pucci():
+    """A disk Pucci-minus(1, 2) solve at h = 1/16 on a fresh grid, with its
+    calls of the Hessian, the matrix assembly, GMRES and the trace counted."""
+    from levelpde import elliptic, geometry
+
+    calls = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for mod, name in ((elliptic, "_hessian"), (elliptic, "_matrix"),
+                          (elliptic, "gmres"), (geometry, "BoundaryTrace")):
+            real = getattr(mod, name)
+            mp.setattr(mod, name, lambda *a, _real=real, _name=name, **k:
+                       calls.update([_name]) or _real(*a, **k))
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
+        g = linear_profile(grid)
+        op = EllipticOperator.pucci_minus(1.0, 2.0)
+        u, rep = solve_nonlocal(op, grid, g, BoundaryData.zero())
+    return calls, rep, (u, op, grid, g)
+
+
+class TestWorkPerOuterStep:
+    def test_two_hessians_per_outer_step(self, counted_disk_pucci):
+        # One for the inner certificate, one for the plain residual of the
+        # next iterate, which Howard's algorithm then starts from.  The
+        # homogeneous start, the probing step and the torsion solve count as
+        # steps too.
+        calls, rep, _ = counted_disk_pucci
+        assert rep.converged
+        assert calls["_hessian"] <= 2 * (rep.total_iterations + 3)
+
+    def test_one_trace_per_boundary_data(self, counted_disk_pucci):
+        # psi for the nonlocal problem, zero data for the torsion bound.
+        calls, _, _ = counted_disk_pucci
+        assert calls["BoundaryTrace"] == 2
+
+    def test_definite_policy_steps_are_laplacian_solves(self, counted_disk_pucci):
+        # Every Hessian of this concave solution is negative definite, so
+        # the only matrix assembled is the Laplacian, and GMRES never runs.
+        calls, _, _ = counted_disk_pucci
+        assert calls["_matrix"] == 1 and calls["gmres"] == 0
+
+    def test_carried_defect_matches_the_public_residual(self, counted_disk_pucci):
+        _, rep, (u, op, grid, g) = counted_disk_pucci
+        assert plain_residual_parts(u, op, grid, g) == (
+            rep.final_plain_residual, rep.final_plain_residual_core,
+            rep.final_plain_residual_band)
