@@ -407,7 +407,7 @@ def build_box(bounds: Iterable[tuple[float, float]], h: float) -> Grid:
     counts = []
     for lo, hi in bounds:
         side = hi - lo
-        m = round(side / h)
+        m = round(min(side / h, 2.0 ** 62))  # finite even when side / h is not
         if m < 1 or abs(side - m * h) > _DIVIDE_RTOL * max(1.0, side):
             raise InvalidGridError(f"h={h} does not divide side [{lo}, {hi}]")
         counts.append(m + 1)
@@ -432,16 +432,16 @@ def _radial_grid(descriptor: BallDescriptor | AnnulusDescriptor, h: float,
     n = descriptor.n
     if n < 1 or n > 3:
         raise InvalidGridError("dimension capped at 3")
-    m = int(math.ceil(r_max / h))
-    shape = tuple([2 * m + 1] * n)
     # Index the lattice symmetrically about the center so mirrored nodes get
     # bit-identical coordinates.
     try:
+        m = int(math.ceil(r_max / h))
         axes = [center[k] + h * (np.arange(2 * m + 1, dtype=np.float64) - m)
                 for k in range(n)]
         mesh = np.meshgrid(*axes, indexing="ij")
-    except (ValueError, MemoryError):
+    except (ValueError, MemoryError, OverflowError):
         raise InvalidGridError(f"h = {h} gives a lattice too large to allocate") from None
+    shape = tuple([2 * m + 1] * n)
     d2 = sum((g - c) ** 2 for g, c in zip(mesh, center))
     s = np.sqrt(d2)
     if isinstance(descriptor, BallDescriptor):
@@ -569,9 +569,10 @@ class BoundaryData:
 
     def evaluate(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = self._fn(pts)
-        if not np.all(np.isfinite(out)):
-            raise InvalidParameterError("boundary data evaluated to non-finite values")
+        out = np.asarray(self._fn(pts), dtype=np.float64)
+        if out.shape != (pts.shape[0],) or not np.all(np.isfinite(out)):
+            raise InvalidParameterError("boundary data must evaluate to one finite "
+                                        f"value per point (shape {out.shape})")
         return out
 
 

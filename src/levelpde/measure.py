@@ -81,18 +81,13 @@ class ScalarField:
         values at boundary intersection points, which is what sampled exact
         solutions want.
         """
-        data = boundary if boundary is not None else BoundaryData.from_callable(fn)
+        sampled = BoundaryData.from_callable(fn)
         vals = np.full(grid.shape, np.nan, dtype=np.float64)
         mask = grid.node_class != EXTERIOR
         idx = np.nonzero(mask)
-        pts = np.stack(
-            [grid.axis_coords[k][idx[k]] for k in range(grid.n)], axis=1
-        )
-        out = np.asarray(fn(pts), dtype=np.float64)
-        if out.shape != (pts.shape[0],):
-            out = np.array([fn(p) for p in pts], dtype=np.float64)
-        vals[mask] = out
-        return cls(grid, vals, build_trace(grid, data))
+        pts = np.stack([grid.axis_coords[k][idx[k]] for k in range(grid.n)], axis=1)
+        vals[mask] = sampled.evaluate(pts)
+        return cls(grid, vals, build_trace(grid, boundary or sampled))
 
     # -- views ----------------------------------------------------------------
 
@@ -230,22 +225,28 @@ class LevelStats:
     integrals of the step function G over intervals.
 
     G is right-continuous, nonincreasing, G(-inf) = |Omega|_h, G(+inf) = 0.
+    ``order``, a permutation that sorts ``values``, saves the sort; the
+    ``own_`` methods read the searching ones' bits at the values off it.
     """
 
-    def __init__(self, values: NDArray[np.float64], cell: float):
+    def __init__(self, values: NDArray[np.float64], cell: float, order=None):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
             raise InvalidParameterError("LevelStats needs a nonempty 1-d value array")
         if cell <= 0:
             raise InvalidParameterError("cell measure must be positive")
         self.cell = float(cell)
-        self._asc = np.sort(values)
-        # prefix[k] = sum of the k smallest values
-        self._prefix = np.concatenate(([0.0], np.cumsum(self._asc)))
+        self._order = np.argsort(values) if order is None else order
+        self._asc = values[self._order]
+        self.interval: NDArray[np.float64] | None = None
 
     @classmethod
-    def from_field(cls, v: ScalarField, grid: Grid) -> "LevelStats":
-        return cls(_interior_vector(v, grid), grid.cell)
+    def from_field(cls, v: ScalarField, grid: Grid, order=None) -> "LevelStats":
+        """In 1-D with a trace, ``interval`` holds v's ``rhs_plain`` measure."""
+        stats = cls(_interior_vector(v, grid), grid.cell, order)
+        if grid.n == 1 and v.trace is not None:
+            stats.interval = _interval_cell_measures(v, grid)
+        return stats
 
     @property
     def size(self) -> int:
@@ -268,6 +269,20 @@ class LevelStats:
         """G(t) in logarithmic time per query."""
         return self.cell * self.count_ge(t)
 
+    def _unsorted(self, x):
+        out = np.empty_like(x)
+        out[self._order] = x
+        return out
+
+    def _first(self):
+        """searchsorted(_asc, _asc, "left"): where each tie run starts."""
+        run = np.concatenate(([True], self._asc[1:] != self._asc[:-1]))
+        return np.maximum.accumulate(np.where(run, np.arange(self.size), 0))
+
+    def own_measures(self) -> NDArray[np.float64]:
+        """measure_ge at every value, in linear time."""
+        return self._unsorted(self.cell * (self.size - self._first()))
+
     def integral(self, a: float, b: float) -> float:
         """Exact integral of G over [a, b] (fsum over the step pieces)."""
         if not b >= a:
@@ -286,20 +301,23 @@ class LevelStats:
         it carries summation rounding of order machine epsilon times the
         magnitude of the values; for well-separated values it is exact.
         """
+        b = np.asarray(b, dtype=np.float64)
+        return self._window(b - eps, np.searchsorted(self._asc, b, side="left"), eps)
+
+    def own_window_averages(self, eps: float) -> NDArray[np.float64]:
+        """window_average at every value; the window ends come sorted."""
+        return self._unsorted(self._window(self._asc - eps, self._first(), eps))
+
+    def _window(self, a, hi, eps):
         if eps <= 0:
             raise InvalidParameterError("smoothing width eps must be positive")
-        b = np.asarray(b, dtype=np.float64)
-        a = b - eps
-        hi = np.searchsorted(self._asc, b, side="left")
-        lo = np.searchsorted(self._asc, a, side="right")
         # When eps is below the ulp of b the window degenerates to [b, b];
         # clamp so the strictly-inside range [lo, hi) stays well formed.
-        lo = np.minimum(lo, hi)
+        lo = np.minimum(np.searchsorted(self._asc, a, side="right"), hi)
         base = self.cell * (self.size - hi)
-        inner = (self._prefix[hi] - self._prefix[lo]) - (hi - lo) * a
-        inner = np.maximum(inner, 0.0)
-        out = base + (self.cell / eps) * inner
-        return np.minimum(out, self.total)
+        prefix = np.concatenate(([0.0], np.cumsum(self._asc)))  # sums of the k smallest
+        inner = np.maximum((prefix[hi] - prefix[lo]) - (hi - lo) * a, 0.0)
+        return np.minimum(base + (self.cell / eps) * inner, self.total)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +335,7 @@ def superlevel_measures(v: ScalarField, grid: Grid,
     """
     vec = _interior_vector(v, grid)
     stats = stats or LevelStats(vec, grid.cell)
-    return ScalarField.from_interior(grid, stats.measure_ge(vec))
+    return ScalarField.from_interior(grid, stats.own_measures())
 
 
 def smoothed_superlevel_average(v: ScalarField, grid: Grid, eps: float,
@@ -334,7 +352,7 @@ def smoothed_superlevel_average(v: ScalarField, grid: Grid, eps: float,
         raise InvalidParameterError("smoothing width eps must be positive")
     vec = _interior_vector(v, grid)
     stats = stats or LevelStats(vec, grid.cell)
-    return ScalarField.from_interior(grid, stats.window_average(vec, eps))
+    return ScalarField.from_interior(grid, stats.own_window_averages(eps))
 
 
 def _prefix_sums(x: NDArray[np.float64]) -> tuple[NDArray[np.float64],
@@ -488,12 +506,15 @@ def rhs_plain(v: ScalarField, grid: Grid, g: ProfileFunction,
     through the interior values and the field's boundary trace, which
     ``rhs_plain`` then requires (InvalidParameterError otherwise).  That
     measure has no tie bias and is continuous in the field.  ``stats`` as in
-    ``superlevel_measures``; 1-D grids do not use it.
+    ``superlevel_measures``; on 1-D grids its ``interval`` measure, when set,
+    is used instead of measuring v again.
     """
-    if grid.n == 1:
-        mu = _interval_cell_measures(v, grid)
-    else:
+    if grid.n > 1:
         mu = superlevel_measures(v, grid, stats).interior
+    elif stats and stats.interval is not None:
+        mu = stats.interval
+    else:
+        mu = _interval_cell_measures(v, grid)
     return ScalarField.from_interior(grid, g(mu))
 
 
@@ -508,7 +529,7 @@ def rhs_smoothed(v: ScalarField, grid: Grid, g: ProfileFunction, eps: float,
     if eps <= 0:
         raise InvalidParameterError("smoothing width eps must be positive")
     if grid.n == 1:
-        return rhs_plain(v, grid, g)
+        return rhs_plain(v, grid, g, stats)
     s = smoothed_superlevel_average(v, grid, eps, stats)
     return ScalarField.from_interior(grid, g(s.interior))
 

@@ -151,15 +151,18 @@ class SolveReport:
         return self.status == "Converged"
 
 
-def _snap_ties(values: NDArray[np.float64], snap: float) -> NDArray[np.float64]:
+def _snap_ties(values: NDArray[np.float64], snap: float,
+               order: NDArray[np.intp] | None = None) -> NDArray[np.float64]:
     """Consolidate clusters of values within ``snap`` to their minimum.
 
-    Deterministic and order-independent: clusters are maximal runs of the
-    sorted values with consecutive gaps <= snap.
+    Deterministic and order-independent (up to the sign a cluster of zeros of
+    both signs takes): clusters are maximal runs of the sorted values with
+    consecutive gaps <= snap.  ``order``, a permutation that sorts values,
+    saves the sort; it sorts the output too.
     """
     if snap <= 0 or values.size < 2:
         return values
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values) if order is None else order
     sv = values[order]
     starts = np.concatenate(([True], np.diff(sv) > snap))
     reps = sv[starts]
@@ -209,13 +212,13 @@ def plain_residual(u: ScalarField, op: EllipticOperator, grid: Grid,
     return plain_residual_parts(u, op, grid, g)[0]
 
 
-def _plain_defect(problem: DirichletProblem, v: ScalarField,
-                  g: ProfileFunction) -> tuple:
+def _plain_defect(problem: DirichletProblem, v: ScalarField, g: ProfileFunction,
+                  order: NDArray[np.intp] | None = None) -> tuple:
     """|F(D^2 v) - g(superlevel measure of v)| per node, with the Hessian
-    D(v) and the level statistics of v (None in 1-D) that the step from v
-    reuses."""
+    D(v) and the level statistics of v (sorted by ``order``) that the step
+    from v reuses."""
     grid, D = problem.grid, problem.hessian(v.interior)
-    stats = LevelStats.from_field(v, grid) if grid.n > 1 else None
+    stats = LevelStats.from_field(v, grid, order)
     f = rhs_plain(v, grid, g, stats).interior
     return np.abs(problem.op.evaluate(D) - f), D, stats
 
@@ -225,7 +228,7 @@ def _one_step(problem: DirichletProblem, v: ScalarField, eps: float,
               D: NDArray[np.float64] | None = None,
               stats: LevelStats | None = None) -> tuple:
     """(T(v), its inner residual, damped blend); D and stats of v, when
-    known, save a Hessian and a sort.  Propagates inner non-convergence."""
+    known, save a Hessian and a measure.  Propagates inner non-convergence."""
     if eps <= 0:
         raise InvalidParameterError("eps must be positive")
     if not (0 < theta <= 1):
@@ -281,15 +284,16 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     inner = cfg.inner
     report = SolveReport(rho=cfg.rho, damping=cfg.damping)
 
-    # Each iterate's Hessian D and level statistics are computed once, for
-    # its plain residual, and reused by the step that starts from it.
+    # Each iterate is sorted once, for the tie snap; that order, its Hessian D
+    # and its measure serve its plain residual and the step from it.
     problem = DirichletProblem(op, grid, psi, inner)
     v = problem.solve(0.0)[0]
     r, D, stats = _plain_defect(problem, v, g)
     osc_ref = v.osc()
-    if osc_ref == 0.0 and cfg.eps0 is None:
-        # psi-induced oscillation is zero (e.g. psi = 0 makes v0 constant);
-        # probe one full step to scale the smoothing from g's response.
+    if cfg.eps0 is None and osc_ref <= 64 * np.finfo(np.float64).eps * float(
+            np.max(np.abs(v.interior))):
+        # psi-induced oscillation is rounding (a constant psi makes v0
+        # constant); probe one full step to scale the smoothing from g.
         try:
             u1 = _one_step(problem, v, 1.0, 1.0, g, D, stats)[0]
         except NonConvergenceError as err:
@@ -399,8 +403,9 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
             # Accept the undamped solve output when the stage finishes, so
             # the final field is an inner-solve output with its certificate.
             nxt = u if stage_done else w
-            nxt = nxt.with_interior(_snap_ties(nxt.interior, snap))
-            r, D, stats = _plain_defect(problem, nxt, g)
+            order = np.argsort(nxt.interior)
+            nxt = nxt.with_interior(_snap_ties(nxt.interior, snap, order))
+            r, D, stats = _plain_defect(problem, nxt, g, order)
             report.records.append(IterationRecord(
                 k=k,
                 epsilon=eps,

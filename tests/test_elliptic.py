@@ -250,6 +250,25 @@ class TestFrozenWeights:
         assert np.max(np.abs(trWH - F)) <= 1e-12 * np.max(np.abs(F))
 
 
+class TestEvaluateEigenvalues:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("op", [EllipticOperator.pucci_minus(0.3, 2.0),
+                                    EllipticOperator.pucci_plus(0.1, 1.0)])
+    def test_bitwise_the_sum_over_axis_1(self, n, op):
+        # Magnitudes 1e-20 .. 1e20 make the order of the adds show, and
+        # exact zeros of both signs their sign handling.
+        rng = np.random.default_rng(n)
+        eigs = rng.normal(size=(4000, n)) * 10.0 ** rng.integers(-20, 21, (4000, n))
+        eigs[rng.random((4000, n)) < 0.2] = 0.0
+        eigs[rng.random((4000, n)) < 0.2] = -0.0
+        eigs = np.sort(eigs, axis=1)
+        hi, lo = (op.lam, op.Lam) if op.kind == "pucci_minus" else (op.Lam, op.lam)
+        old = (hi * np.sum(np.maximum(eigs, 0.0), axis=1)
+               + lo * np.sum(np.minimum(eigs, 0.0), axis=1))
+        new = op.evaluate_eigenvalues(eigs)
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
 class TestAssembler:
     @pytest.mark.parametrize("make_grid", [
         lambda: build_box([(0, 1), (0, 1)], 0.2),
@@ -449,6 +468,18 @@ class TestPolicySolve:
                             lambda *a, **k: steps.append(1) or real(*a, **k))
         u = solve_dirichlet(op, grid, 1.0, psi)
         assert len(steps) == 8
+        assert u.inner_residual <= InnerSolveConfig().resolved_tol(op)
+
+    def test_equal_ellipticity_constants_need_no_gmres(self, monkeypatch):
+        # With lam = Lam every frozen W is lam I, whatever the signs of the
+        # eigenvalues, so every policy step is a Laplacian solve.
+        from levelpde import elliptic
+
+        grid = build_box([(-1, 1), (-1, 1)], 1 / 16)
+        psi = BoundaryData.from_callable(lambda p: np.exp(p[:, 0]) * np.sin(2 * p[:, 1]))
+        op = EllipticOperator.pucci_minus(0.5, 0.5)
+        monkeypatch.setattr(elliptic, "gmres", None)
+        u = solve_dirichlet(op, grid, 1.0, psi)
         assert u.inner_residual <= InnerSolveConfig().resolved_tol(op)
 
     def test_small_ellipticity_ratio_certifies(self):

@@ -1,22 +1,27 @@
-"""Property tests of the two text inputs: a config text either parses or
-raises ConfigError, and a field dump either loads or raises
-InvalidParameterError; no other exception may escape.
+"""Property tests of the input paths: a config text either parses or
+raises ConfigError, a field dump either loads or raises
+InvalidParameterError, and the Python API's grid builders and boundary data
+either give a value or raise a LevelPDEError; no other exception may escape.
 
-Numbers are drawn small (|x| <= 2, h >= 1/16) or absurd (non-finite,
-negative, 1e300, 1e-300), so every lattice the parser builds is either small or one
+Numbers are drawn small (|x| <= 2, h >= 1/16 for configs; extents <= 4,
+h >= 1/64, h >= 1/4 in 3-D, for builders) or absurd (non-finite, negative,
+1e300, 1e-300, tiny gaps), so every lattice built is either small or one
 that numpy refuses outright, never one it would allocate.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from levelpde.cli import _KNOWN_KEYS, RunConfig, format_field, load_field, parse_config
-from levelpde.errors import ConfigError, InvalidParameterError
-from levelpde.geometry import build_ball
+from levelpde.errors import ConfigError, InvalidParameterError, LevelPDEError
+from levelpde.geometry import (BoundaryData, Grid, build_annulus, build_ball,
+                               build_box, build_trace)
 from levelpde.measure import ScalarField
 
 ABSURD = ["nan", "inf", "-inf", "-1", "0", "1e300", "-1e300", "1e-300", "auto", "", "x"]
@@ -110,3 +115,77 @@ def test_load_field_raises_only_parameter_errors(text):
         except InvalidParameterError:
             return
     assert loaded.values.size == int(np.prod(loaded.shape))
+
+
+ODD = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-300, 5e-324, 1e300]
+EXTENT = st.one_of(st.floats(-4, 4), st.sampled_from(ODD))
+TINY = st.sampled_from([0.0, 5e-324, 1e-300, 1e-15, 1e-9, -1e-15])
+
+
+def spacing(n):
+    return st.one_of(st.floats(1 / 64 if n < 3 else 1 / 4, 4), st.sampled_from(ODD))
+
+
+@st.composite
+def builder_calls(draw):
+    """(builder, args): a box, ball or annulus with drawn extents, perhaps
+    absurd, perhaps with a gap a few ulps or less wide."""
+    n = draw(st.integers(1, 3))
+    h = draw(spacing(n))
+    kind = draw(st.sampled_from(["box", "ball", "annulus"]))
+    center = tuple(draw(st.lists(EXTENT, min_size=n, max_size=n)))
+    if kind == "box":
+        lows = draw(st.lists(EXTENT, min_size=n, max_size=n))
+        ends = [lo + draw(st.one_of(EXTENT, TINY)) for lo in lows]
+        return build_box, (list(zip(lows, ends)), h)
+    if kind == "ball":
+        return build_ball, (center, draw(EXTENT), h)
+    r_inner = draw(EXTENT)
+    return build_annulus, (center, r_inner, r_inner + draw(st.one_of(EXTENT, TINY)), h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(builder_calls())
+def test_builders_give_a_grid_or_a_package_error(call):
+    build, args = call
+    try:
+        grid = build(*args)
+    except LevelPDEError:
+        return
+    assert isinstance(grid, Grid) and grid.n_interior > 0
+
+
+OUTPUTS = {
+    "columns": lambda p: np.zeros((len(p), 2)),
+    "one short": lambda p: np.zeros(len(p) - 1),
+    "one long": lambda p: np.zeros(len(p) + 1),
+    "empty": lambda p: [],
+    "scalar": lambda p: 1.5,
+    "nan": lambda p: np.full(len(p), np.nan),
+    "inf": lambda p: np.full(len(p), -np.inf),
+    "some nan": lambda p: np.where(np.arange(len(p)) % 3 == 0, np.nan, 0.0),
+    "integers": lambda p: np.arange(len(p)),
+    "fine": lambda p: np.sin(np.sum(np.atleast_2d(p), axis=1)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(OUTPUTS)), st.integers(1, 3), st.integers(1, 5))
+def test_boundary_data_gives_one_finite_value_per_point_or_raises(name, n, m):
+    psi = BoundaryData.from_callable(OUTPUTS[name])
+    pts = np.linspace(-1.0, 1.0, m * n).reshape(m, n)
+    try:
+        out = psi.evaluate(pts)
+    except InvalidParameterError:
+        return
+    assert out.shape == (m,) and np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_boundary_data_on_a_grid_gives_a_trace_or_raises(name):
+    grid = build_ball((0.0, 0.0), 1.0, 0.25)
+    try:
+        trace = build_trace(grid, BoundaryData.from_callable(OUTPUTS[name]))
+    except InvalidParameterError:
+        return
+    assert np.all(np.isfinite(trace.all_values()))

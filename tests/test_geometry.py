@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from levelpde.errors import InvalidGridError
+from levelpde.errors import InvalidGridError, InvalidParameterError
 from levelpde.geometry import (
     BOUNDARY,
     EXTERIOR,
@@ -59,6 +59,11 @@ class TestBox:
         with pytest.raises(InvalidGridError):
             build_box(bounds, h)
 
+    def test_spacing_below_the_side_over_float_max_rejected(self):
+        # side / h overflows to inf; the lattice count must not.
+        with pytest.raises(InvalidGridError):
+            build_box([(0.0, 4.0)], 5e-324)
+
     def test_measure_quarter(self):
         grid = build_box([(0, 1), (0, 1)], 0.25)
         assert domain_measure(grid) == 9 * 0.0625
@@ -80,6 +85,15 @@ class TestBall:
     def test_non_finite_or_absurd_extent_rejected(self, radius, h):
         with pytest.raises(InvalidGridError):
             build_ball((0.0, 0.0), radius, h)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_lattice_count_overflow_rejected(self, n):
+        # radius / h overflows to inf, or to an integer no array can hold.
+        for radius, h in ((1e300, 1e-300), (4.0, 1e-300)):
+            with pytest.raises(InvalidGridError):
+                build_ball((0.0,) * n, radius, h)
+            with pytest.raises(InvalidGridError):
+                build_annulus((0.0,) * n, radius / 4, radius, h)
 
     def test_classification_matches_rule(self):
         # Oracle: enumerate the lattice and apply |x - c| < r directly.
@@ -172,6 +186,15 @@ class TestBoundaryData:
     def test_table(self):
         psi = BoundaryData.table([0.0, 1.0], [0.0, 2.0], center=(0.0,))
         assert psi.evaluate(np.array([[0.5]]))[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("fn", [
+        lambda p: np.zeros((len(p), 2)), lambda p: np.zeros(len(p) + 1),
+        lambda p: np.full(len(p), np.nan),
+    ], ids=["columns", "one-long", "nan"])
+    def test_wrong_shape_or_non_finite_values_rejected(self, fn):
+        pts = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        with pytest.raises(InvalidParameterError, match="one finite value per point"):
+            BoundaryData.from_callable(fn).evaluate(pts)
 
     def test_trace_evaluates_on_crossings(self):
         grid = build_ball((0.0, 0.0), 1.0, 0.25)

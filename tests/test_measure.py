@@ -125,6 +125,16 @@ finite_values = st.floats(min_value=-100.0, max_value=100.0,
 value_arrays = hnp.arrays(np.float64, st.integers(min_value=1, max_value=60),
                           elements=finite_values)
 
+# Few distinct values: long tie runs.
+tied_values = hnp.arrays(np.float64, st.integers(min_value=1, max_value=60),
+                         elements=st.integers(-3, 3).map(lambda k: 1e8 + k))
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 # Values on a 0.25 lattice: distinct entries differ by at least 0.25, so the
 # exactness claims about the smoothing window have real margins to meet.
 lattice_values = hnp.arrays(
@@ -269,6 +279,34 @@ class TestLevelStats:
     def test_sorted_desc_exposed(self):
         stats = LevelStats(np.array([1.0, 3.0, 2.0]), 1.0)
         assert stats.sorted_desc.tolist() == [3.0, 2.0, 1.0]
+
+    @given(st.one_of(value_arrays, tied_values,
+                     hnp.arrays(np.float64, st.integers(1, 20),
+                                elements=st.just(3.0))),
+           st.sampled_from([1e-300, 1e-17, 0.1, 0.25, 0.3, 7.0]),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_own_values_match_the_searches_bitwise(self, values, eps, stable):
+        # Tie runs, all-equal arrays and widths below the ulp of the values;
+        # the order may sort ties any way.
+        order = np.argsort(values, kind="stable") if stable else None
+        stats = LevelStats(values, 0.5, order)
+        assert bitwise_equal(stats.own_measures(), stats.measure_ge(values))
+        assert bitwise_equal(stats.own_window_averages(eps),
+                             stats.window_average(values, eps))
+
+    def test_own_window_average_rejects_nonpositive_eps(self):
+        with pytest.raises(InvalidParameterError):
+            LevelStats(np.array([1.0, 2.0]), 1.0).own_window_averages(0.0)
+
+    def test_1d_stats_carry_the_interval_measure(self):
+        grid = build_box([(-1.0, 1.0)], 1 / 16)
+        f = ScalarField.sample(grid, lambda p: 1.0 - np.abs(p[:, 0]) ** 3)
+        stats = LevelStats.from_field(f, grid)
+        g = ProfileFunction.linear(-1.0, 0.0, domain_measure(grid))
+        fresh = rhs_plain(f, grid, g).interior
+        assert bitwise_equal(rhs_plain(f, grid, g, stats).interior, fresh)
+        assert bitwise_equal(rhs_smoothed(f, grid, g, 0.1, stats).interior, fresh)
 
 
 class TestRhs:

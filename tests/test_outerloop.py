@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from levelpde.elliptic import EllipticOperator, InnerSolveConfig
 from levelpde.errors import InvalidParameterError
@@ -41,6 +44,19 @@ class TestSnapTies:
     def test_zero_snap_is_identity(self):
         v = np.random.default_rng(0).normal(size=10)
         assert _snap_ties(v, 0.0) is v
+
+    @given(hnp.arrays(np.float64, st.integers(2, 40),
+                      elements=st.integers(-6, 6).map(lambda k: 1.0 + k * 4e-13)),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_invariant_under_permutation(self, values, rnd):
+        # Near-tie chains 4e-13 apart against a snap of 1e-12.
+        perm = np.array(rnd.sample(range(values.size), values.size))
+        out = _snap_ties(values, 1e-12)
+        assert np.array_equal(_snap_ties(values[perm], 1e-12), out[perm])
+        order = np.argsort(values)
+        assert np.array_equal(_snap_ties(values, 1e-12, order), out)
+        assert np.all(np.diff(out[order]) >= 0)
 
 
 class TestFixedPointStep:
@@ -202,6 +218,20 @@ class TestSolveNonlocal:
         assert not any(note.split("eps=")[1].split(";")[0] in middle
                        for note in rep.notes if "damping ->" in note)
 
+    @pytest.mark.parametrize("c", [1.0, -5.0])
+    def test_constant_boundary_data_probes_like_zero_data(self, c):
+        # A constant psi makes v0 constant up to rounding; the schedule must
+        # come from the probing step, as for psi = 0, and the solution is
+        # that of psi = 0 shifted by c.
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
+        g = linear_profile(grid)
+        u0, rep0 = solve_nonlocal(LAP, grid, g, BoundaryData.zero())
+        psi = BoundaryData.from_callable(lambda p: np.full(len(p), c))
+        u, rep = solve_nonlocal(LAP, grid, g, psi)
+        assert rep.converged and rep.total_iterations == rep0.total_iterations
+        assert rep.eps0 == pytest.approx(rep0.eps0, rel=1e-12)
+        assert np.max(np.abs(u.interior - c - u0.interior)) <= 1e-13 * max(1.0, abs(c))
+
     def test_max_iterations_status(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
         g = linear_profile(grid)
@@ -294,7 +324,8 @@ class TestPlainResidual:
 @pytest.fixture(scope="module")
 def counted_disk_pucci():
     """A disk Pucci-minus(1, 2) solve at h = 1/16 on a fresh grid, with its
-    calls of the Hessian, the matrix assembly, GMRES and the trace counted."""
+    calls of the Hessian, the matrix assembly, GMRES, the trace and the sorts
+    of an iterate counted."""
     from levelpde import elliptic, geometry
 
     calls = collections.Counter()
@@ -305,6 +336,11 @@ def counted_disk_pucci():
             mp.setattr(mod, name, lambda *a, _real=real, _name=name, **k:
                        calls.update([_name]) or _real(*a, **k))
         grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
+        # Sorts (argsort or sort) of a whole iterate.
+        for name in ("argsort", "sort"):
+            real = getattr(np, name)
+            mp.setattr(np, name, lambda a, *r, _real=real, **k: calls.update(
+                ["sort"] * (np.size(a) == grid.n_interior)) or _real(a, *r, **k))
         g = linear_profile(grid)
         op = EllipticOperator.pucci_minus(1.0, 2.0)
         u, rep = solve_nonlocal(op, grid, g, BoundaryData.zero())
@@ -331,6 +367,24 @@ class TestWorkPerOuterStep:
         # the only matrix assembled is the Laplacian, and GMRES never runs.
         calls, _, _ = counted_disk_pucci
         assert calls["_matrix"] == 1 and calls["gmres"] == 0
+
+    def test_one_sort_per_iterate(self, counted_disk_pucci):
+        # The tie snap's argsort serves the level statistics too; the
+        # homogeneous start is sorted once as well.
+        calls, rep, _ = counted_disk_pucci
+        assert calls["sort"] <= rep.total_iterations + 1
+
+    def test_1d_iterates_are_measured_once(self, monkeypatch):
+        from levelpde import measure
+
+        calls = []
+        real = measure._interval_cell_measures
+        monkeypatch.setattr(measure, "_interval_cell_measures",
+                            lambda *a: calls.append(1) or real(*a))
+        grid = build_box([(-1.0, 1.0)], 1 / 1024)
+        _, rep = solve_nonlocal(LAP, grid, linear_profile(grid), BoundaryData.zero())
+        assert rep.converged and rep.total_iterations == 16
+        assert len(calls) == 17
 
     def test_carried_defect_matches_the_public_residual(self, counted_disk_pucci):
         _, rep, (u, op, grid, g) = counted_disk_pucci
