@@ -1,9 +1,10 @@
 """Solver and verification suite for Dirichlet problems of the form
 F(D^2 u) = g(measure of the superlevel set of u), on boxes, balls and annuli.
 
-The pipeline: freeze the unknown in the right-hand side, smooth the frozen
-measure over a value window of width epsilon, solve the resulting elliptic
-problem, damp and iterate, and drive epsilon to zero.
+The pipeline: freeze the unknown in the right-hand side, solve the resulting
+elliptic problem, damp and iterate until the fixed-point gap is below the
+outer tolerance.  The measure smoothed over a value window of width epsilon
+stays available as ``rhs_smoothed``.
 """
 
 from .errors import (

@@ -73,10 +73,8 @@ _KNOWN_KEYS = {
     "boundary.kind", "boundary.coeffs", "boundary.center", "boundary.knots",
     "boundary.values",
     "solver.method", "solver.inner_tol", "solver.inner_max_iter",
-    "solver.sigma", "solver.eps0", "solver.rho", "solver.eps_min",
-    "solver.damping", "solver.outer_tol", "solver.stagnation_tol",
-    "solver.stage_frac", "solver.max_outer_iterations",
-    "solver.stage_max_iterations",
+    "solver.sigma", "solver.damping", "solver.outer_tol",
+    "solver.max_outer_iterations",
     "study.h_list",
     "diagnose.field", "diagnose.delta", "diagnose.band", "diagnose.eps0",
     "output.field", "output.report", "output.table", "output.rearrangement",
@@ -313,22 +311,15 @@ def parse_config(text: str) -> RunConfig:
     if "boundary.center" in raw:
         cfg.boundary_center = take("boundary.center", _parse_float_list)
 
-    float_keys = ("inner_tol", "sigma", "eps0", "rho", "eps_min", "damping",
-                  "outer_tol", "stagnation_tol", "stage_frac")
-    int_keys = ("inner_max_iter", "max_outer_iterations",
-                "stage_max_iterations")
-    for name in float_keys:
-        key = f"solver.{name}"
-        if key in raw:
-            val = take(key, lambda s: None if s == "auto" else float(s))
-            if val is not None:
-                cfg.solver[name] = val
-    for name in int_keys:
-        key = f"solver.{name}"
-        if key in raw:
-            val = take(key, int)
-            if val is not None:
-                cfg.solver[name] = val
+    def number(text: str) -> float | None:
+        return None if text == "auto" else float(text)
+
+    for name, conv in (("inner_tol", number), ("sigma", number),
+                       ("damping", number), ("outer_tol", number),
+                       ("inner_max_iter", int), ("max_outer_iterations", int)):
+        val = take(f"solver.{name}", conv)
+        if val is not None:
+            cfg.solver[name] = val
     if "solver.method" in raw:
         method = take("solver.method", str)
         if method not in ("auto", "linear", "policy", "pseudo_time"):
@@ -355,6 +346,10 @@ def parse_config(text: str) -> RunConfig:
     if not problems:
         try:
             grid = cfg.build_grid()
+            if (cfg.boundary_center is not None
+                    and len(cfg.boundary_center) != grid.n):
+                problems.append((line_of("boundary.center"), "boundary.center",
+                                 f"needs {grid.n} coordinates, one per axis"))
             cfg.build_operator()
             cfg.build_profile(grid)
             cfg.build_boundary()
@@ -476,9 +471,6 @@ def format_report(report: SolveReport, timings: bool = False) -> str:
     lines = [
         f"status = {report.status}",
         f"initial_policy = {report.initial_policy}",
-        f"eps0 = {_fmt(report.eps0)}",
-        f"eps_min = {_fmt(report.eps_min)}",
-        f"rho = {_fmt(report.rho)}",
         f"damping = {_fmt(report.damping)}",
         f"outer_tol = {_fmt(report.outer_tol)}",
         f"tie_snap = {_fmt(report.tie_snap)}",

@@ -28,7 +28,8 @@ EXTERIOR = 2
 _CLASS_NAMES = {INTERIOR: "Interior", BOUNDARY: "Boundary", EXTERIOR: "Exterior"}
 _CLASS_CODES = {v: k for k, v in _CLASS_NAMES.items()}
 
-# Relative slack when checking that h divides a box side.
+# Relative slack when checking that h divides a box side and that the lattice
+# coordinates step by h.
 _DIVIDE_RTOL = 1e-9
 
 
@@ -100,6 +101,12 @@ class Grid:
             self.origin[k] + self.h * np.arange(self.shape[k], dtype=np.float64)
             for k in range(self.n)
         ]
+        # Far from the origin of the coordinates, origin + h*k rounds onto a
+        # coarser lattice, or onto the origin itself.
+        for ax in self.axis_coords:
+            if not np.all(np.abs(np.diff(ax) - self.h) <= _DIVIDE_RTOL * self.h):
+                raise InvalidGridError(
+                    f"coordinates near {ax[0]} cannot resolve the spacing h = {self.h}")
 
         self.interior_mask = node_class == INTERIOR
         self.interior_flat = np.flatnonzero(self.interior_mask.ravel())
@@ -432,6 +439,8 @@ def _radial_grid(descriptor: BallDescriptor | AnnulusDescriptor, h: float,
     n = descriptor.n
     if n < 1 or n > 3:
         raise InvalidGridError("dimension capped at 3")
+    if not np.all(np.isfinite(center)):
+        raise InvalidGridError(f"center {descriptor.center} must be finite")
     # Index the lattice symmetrically about the center so mirrored nodes get
     # bit-identical coordinates.
     try:
@@ -507,6 +516,16 @@ def domain_measure(grid: Grid) -> float:
 # Dirichlet boundary data
 
 
+def _distance(pts: NDArray[np.float64],
+              center: NDArray[np.float64]) -> NDArray[np.float64]:
+    """|x - center| per point; the point and center dimensions must agree."""
+    if pts.shape[1] != center.size:
+        raise InvalidParameterError(
+            f"boundary data centred in {center.size} dimensions evaluated at "
+            f"points in {pts.shape[1]}")
+    return np.linalg.norm(pts - center, axis=1)
+
+
 class BoundaryData:
     """Dirichlet data evaluated on demand at boundary intersection points.
 
@@ -532,7 +551,7 @@ class BoundaryData:
             raise InvalidParameterError("radial_poly needs at least one coefficient")
 
         def fn(pts: NDArray[np.float64]) -> NDArray[np.float64]:
-            s = np.linalg.norm(pts - ctr, axis=1)
+            s = _distance(pts, ctr)
             out = np.zeros_like(s)
             for k in range(c.size - 1, -1, -1):
                 out = out * s + c[k]
@@ -552,8 +571,7 @@ class BoundaryData:
         ctr = np.asarray(list(center), dtype=np.float64)
 
         def fn(pts: NDArray[np.float64]) -> NDArray[np.float64]:
-            s = np.linalg.norm(pts - ctr, axis=1)
-            return np.interp(s, kn, va)
+            return np.interp(_distance(pts, ctr), kn, va)
 
         return cls("table", fn)
 

@@ -1,5 +1,8 @@
 """Superlevel-set measures, their epsilon-averaged smoothing, and profiles.
 
+The solver iterates the plain right-hand side ``rhs_plain``; the smoothing
+is the regularization of the existence proof, kept as ``rhs_smoothed``.
+
 Everything here is exact: no quadrature, no tolerance knobs.  On grids with
 n >= 2 the superlevel measure of a node is the cell measure times the number
 of interior values at least as large, and the smoothed variant integrates the
@@ -338,20 +341,15 @@ def superlevel_measures(v: ScalarField, grid: Grid,
     return ScalarField.from_interior(grid, stats.own_measures())
 
 
-def smoothed_superlevel_average(v: ScalarField, grid: Grid, eps: float,
-                                stats: LevelStats | None = None) -> ScalarField:
+def smoothed_superlevel_average(v: ScalarField, grid: Grid, eps: float) -> ScalarField:
     """Per node, the exact average of G over the value window [v(x)-eps, v(x)].
 
     G is piecewise constant between sorted values, so the integral is a
     closed-form summation.  The result is bounded below by the plain
     superlevel measure, equals it once eps is smaller than the gap to the
     nearest strictly smaller value, and never exceeds the discrete |Omega|.
-    ``stats`` as in ``superlevel_measures``.
     """
-    if eps <= 0:
-        raise InvalidParameterError("smoothing width eps must be positive")
-    vec = _interior_vector(v, grid)
-    stats = stats or LevelStats(vec, grid.cell)
+    stats = LevelStats(_interior_vector(v, grid), grid.cell)
     return ScalarField.from_interior(grid, stats.own_window_averages(eps))
 
 
@@ -518,19 +516,18 @@ def rhs_plain(v: ScalarField, grid: Grid, g: ProfileFunction,
     return ScalarField.from_interior(grid, g(mu))
 
 
-def rhs_smoothed(v: ScalarField, grid: Grid, g: ProfileFunction, eps: float,
-                 stats: LevelStats | None = None) -> ScalarField:
+def rhs_smoothed(v: ScalarField, grid: Grid, g: ProfileFunction,
+                 eps: float) -> ScalarField:
     """Smoothed right-hand side g(window average of the superlevel measure).
 
     On 1-D grids the measure of ``rhs_plain`` is already continuous in the
-    field, so this returns ``rhs_plain`` for every eps > 0.  ``stats`` as in
-    ``superlevel_measures``.
+    field, so this returns ``rhs_plain`` for every eps > 0.
     """
     if eps <= 0:
         raise InvalidParameterError("smoothing width eps must be positive")
     if grid.n == 1:
-        return rhs_plain(v, grid, g, stats)
-    s = smoothed_superlevel_average(v, grid, eps, stats)
+        return rhs_plain(v, grid, g)
+    s = smoothed_superlevel_average(v, grid, eps)
     return ScalarField.from_interior(grid, g(s.interior))
 
 

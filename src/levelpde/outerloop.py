@@ -1,23 +1,23 @@
-"""The fixed-point construction: freeze, solve, damp, drive epsilon to zero.
+"""The fixed-point construction: freeze, solve, damp, repeat.
 
-One step of the map: freeze the iterate v inside the smoothed right-hand side
-g(window average of superlevel measures), solve the resulting Dirichlet
-problem, and blend the solution with v.  Stages of decreasing smoothing width
-epsilon are run until the width is negligible and the fixed-point gap stalls
-below the outer tolerance; the first middle stage that stalls ends the ladder
-and hands over to the final stage.  On 1-D grids the right-hand side does not
-depend on epsilon, and only the final stage is run.
+One step of the map freezes the iterate v inside the right-hand side
+g(superlevel measure of v), solves the resulting Dirichlet problem, and
+blends the solution with v; the blend weight halves when the fixed-point gap
+stagnates.  The paper smooths the measure over a value window only to prove
+existence; the plain map depends on v only through its value ordering and
+converges geometrically once that ordering settles.
 
 Two implementation details matter for reproducibility.  First, stopping is
 measured on the full fixed-point gap ||T(v) - v||_inf; the damped update is
 exactly damping times that gap, and the accepted final iterate is the inner
 solve output itself, so the returned field carries the inner solver's own
 residual certificate.  Second, iterate values closer together than a tiny
-snap width are consolidated to their cluster minimum after each step: solver
-roundoff otherwise splits the exact value ties that symmetric domains
-produce, which would leave spurious one-cell gaps between the smoothed and
-plain right-hand sides at those nodes.  The snap width is capped so the
-perturbation it makes to F(D^2 u) stays far below the inner tolerance.
+snap width are consolidated to their cluster minimum, the starting iterate
+included: solver roundoff otherwise splits the exact value ties that
+symmetric domains and constant data produce, and the counting measure would
+order that noise.  The snap width is a tiny fraction of the a-priori
+oscillation bound, capped so the perturbation it makes to F(D^2 u) stays far
+below the inner tolerance.
 
 One solve is a single logical thread of control (its inner solves vectorize
 per node); independent solves share no mutable state and may run
@@ -55,59 +55,36 @@ __all__ = [
 ]
 
 
+# Iterate values closer than this fraction of the a-priori oscillation bound
+# are one tie (subject to the cap in _snap_width).
+_TIE_SNAP_REL = 1e-12
+# Stagnation halves the damping down to this floor; a stall there ends the solve.
+_DAMPING_FLOOR = 1e-3
+
+
 @dataclass
 class OuterConfig:
-    """Controls the damped fixed-point iteration and the epsilon schedule.
+    """Controls the damped fixed-point iteration: each step blends the solve
+    output into the iterate with weight damping, which halves (down to 1e-3)
+    after four steps without the fixed-point gap falling by 0.1 %.
+    Converged needs the gap under outer_tol within max_outer_iterations."""
 
-    Defaults: eps0 = osc(initial guess)/4, eps_min = 1e-6 * osc, geometric
-    ratio rho = 0.5, damping 0.5.  Non-final stages stop once the fixed-point
-    gap falls under max(stagnation_tol, stage_frac * eps), and the first one
-    that stalls ends the ladder.  The final stage must reach outer_tol; only
-    it halves the damping on stagnation, down to damping_floor.
-    """
-
-    eps0: float | None = None
-    rho: float = 0.5
-    eps_min: float | None = None
     damping: float = 0.5
     # None: max(1e-8, 0.05 * cell * max|g'|).  The superlevel measure is
     # quantized in whole cells, so the solve map jumps by about the response
     # to a one-cell flip of the forcing; no iterate can certify a gap below
     # that scale and the default does not ask for one.
     outer_tol: float | None = None
-    stagnation_tol: float = 1e-9
-    stage_frac: float = 0.05
     max_outer_iterations: int = 4000
-    stage_max_iterations: int = 400
-    damping_floor: float = 1e-3
-    tie_snap_rel: float = 1e-12
     inner: InnerSolveConfig = dc_field(default_factory=InnerSolveConfig)
 
     def __post_init__(self):
-        if not (0 < self.rho < 1):
-            raise InvalidParameterError("rho must lie in (0, 1)")
         if not (0 < self.damping <= 1):
             raise InvalidParameterError("damping must lie in (0, 1]")
         if self.outer_tol is not None and not self.outer_tol > 0:
             raise InvalidParameterError("outer_tol must be positive")
-        for name in ("stagnation_tol", "stage_frac"):
-            if not getattr(self, name) > 0:
-                raise InvalidParameterError(f"{name} must be positive")
-        if self.eps0 is not None and not self.eps0 > 0:
-            raise InvalidParameterError("eps0 must be positive")
-        if self.eps_min is not None and not self.eps_min > 0:
-            raise InvalidParameterError("eps_min must be positive")
-        if (self.eps0 is not None and self.eps_min is not None
-                and self.eps_min > self.eps0):
-            raise InvalidParameterError("need eps_min <= eps0")
         if self.max_outer_iterations < 1:
             raise InvalidParameterError("max_outer_iterations must be at least 1")
-        if self.stage_max_iterations < 1:
-            raise InvalidParameterError("stage_max_iterations must be at least 1")
-        if not (0 < self.damping_floor <= self.damping):
-            raise InvalidParameterError("need 0 < damping_floor <= damping")
-        if self.tie_snap_rel < 0:
-            raise InvalidParameterError("tie_snap_rel must be nonnegative")
 
 
 @dataclass
@@ -127,9 +104,6 @@ class SolveReport:
 
     status: str = "MaxIterations"
     records: list[IterationRecord] = dc_field(default_factory=list)
-    eps0: float = 0.0
-    eps_min: float = 0.0
-    rho: float = 0.5
     damping: float = 0.5
     outer_tol: float = 0.0
     initial_policy: str = "HomogeneousSolve"
@@ -143,7 +117,8 @@ class SolveReport:
     final_plain_residual_core: float = math.inf
     final_plain_residual_band: float = 0.0
     notes: list[str] = dc_field(default_factory=list)
-    # Wall-clock per epsilon stage; volatile, excluded from serialized reports.
+    # (tie snap, wall-clock seconds) of the one stage; volatile, excluded
+    # from serialized reports.
     stage_seconds: list[tuple[float, float]] = dc_field(default_factory=list)
 
     @property
@@ -213,30 +188,13 @@ def plain_residual(u: ScalarField, op: EllipticOperator, grid: Grid,
 
 
 def _plain_defect(problem: DirichletProblem, v: ScalarField, g: ProfileFunction,
-                  order: NDArray[np.intp] | None = None) -> tuple:
+                  order: NDArray[np.intp]) -> tuple:
     """|F(D^2 v) - g(superlevel measure of v)| per node, with the Hessian
-    D(v) and the level statistics of v (sorted by ``order``) that the step
-    from v reuses."""
-    grid, D = problem.grid, problem.hessian(v.interior)
-    stats = LevelStats.from_field(v, grid, order)
-    f = rhs_plain(v, grid, g, stats).interior
-    return np.abs(problem.op.evaluate(D) - f), D, stats
-
-
-def _one_step(problem: DirichletProblem, v: ScalarField, eps: float,
-              theta: float, g: ProfileFunction,
-              D: NDArray[np.float64] | None = None,
-              stats: LevelStats | None = None) -> tuple:
-    """(T(v), its inner residual, damped blend); D and stats of v, when
-    known, save a Hessian and a measure.  Propagates inner non-convergence."""
-    if eps <= 0:
-        raise InvalidParameterError("eps must be positive")
-    if not (0 < theta <= 1):
-        raise InvalidParameterError("damping must lie in (0, 1]")
-    f = rhs_smoothed(v, problem.grid, g, eps, stats)
-    u, res = problem.solve(f, v, D)
-    w = u.with_interior((1.0 - theta) * v.interior + theta * u.interior)
-    return u, res, w
+    D(v) and the plain forcing g(superlevel measure of v) (sorted by
+    ``order``) that the step from v reuses."""
+    D = problem.hessian(v.interior)
+    f = rhs_plain(v, problem.grid, g, LevelStats.from_field(v, problem.grid, order))
+    return np.abs(problem.op.evaluate(D) - f.interior), D, f
 
 
 def fixed_point_step(v: ScalarField, eps: float, theta: float,
@@ -246,26 +204,23 @@ def fixed_point_step(v: ScalarField, eps: float, theta: float,
     """One damped application of the frozen-and-smoothed solve map.
 
     With theta = 1 this is exactly T(v): solve F(D^2 u) = g(smoothed
-    superlevel average of v) with data psi.
+    superlevel average of v) with data psi.  Propagates inner
+    non-convergence.
     """
-    return _one_step(DirichletProblem(op, grid, psi, inner), v, eps, theta, g)[2]
+    if not (0 < theta <= 1):
+        raise InvalidParameterError("damping must lie in (0, 1]")
+    f = rhs_smoothed(v, grid, g, eps)
+    u = DirichletProblem(op, grid, psi, inner).solve(f, v)[0]
+    return u.with_interior((1.0 - theta) * v.interior + theta * u.interior)
 
 
-def _epsilon_schedule(eps0: float, rho: float, eps_min: float) -> list[float]:
-    out = [eps0]
-    while out[-1] > eps_min:
-        out.append(out[-1] * rho)
-    return out
-
-
-def _snap_width(cfg: OuterConfig, grid: Grid, op: EllipticOperator,
+def _snap_width(grid: Grid, op: EllipticOperator, tol: float,
                 scale: float) -> float:
     """Largest tie-consolidation width whose effect on F(D^2 u) stays under
     a quarter of the inner tolerance, given the stiffest stencil row."""
-    tol = cfg.inner.resolved_tol(op)
     d_max = float(np.max(grid.stencil.stiffness))
-    floor = 4.0 * np.finfo(np.float64).eps * max(scale, 1e-300)
-    return max(floor, min(cfg.tie_snap_rel * scale, tol / (4.0 * op.Lam * d_max)))
+    floor = 4.0 * np.finfo(np.float64).eps * scale
+    return max(floor, min(_TIE_SNAP_REL * scale, tol / (4.0 * op.Lam * d_max)))
 
 
 def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
@@ -274,45 +229,15 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     """Full pipeline for F(D^2 u) = g(|superlevel set of u|), u = psi.
 
     Starts from the homogeneous solve F(D^2 v) = 0 with data psi, then runs
-    damped fixed-point steps under a shrinking smoothing width.  The returned
-    report certifies what was actually measured on the returned field; status
-    is Converged only when the final fixed-point gap and inner residual are
+    damped fixed-point steps of the plain map.  The returned report
+    certifies what was actually measured on the returned field; status is
+    Converged only when the final fixed-point gap and inner residual are
     below their tolerances.  Uniqueness is not claimed; the initial-guess
     policy is recorded so distinct fixed points are attributable.
     """
     cfg = cfg or OuterConfig()
-    inner = cfg.inner
-    report = SolveReport(rho=cfg.rho, damping=cfg.damping)
-
-    # Each iterate is sorted once, for the tie snap; that order, its Hessian D
-    # and its measure serve its plain residual and the step from it.
-    problem = DirichletProblem(op, grid, psi, inner)
-    v = problem.solve(0.0)[0]
-    r, D, stats = _plain_defect(problem, v, g)
-    osc_ref = v.osc()
-    if cfg.eps0 is None and osc_ref <= 64 * np.finfo(np.float64).eps * float(
-            np.max(np.abs(v.interior))):
-        # psi-induced oscillation is rounding (a constant psi makes v0
-        # constant); probe one full step to scale the smoothing from g.
-        try:
-            u1 = _one_step(problem, v, 1.0, 1.0, g, D, stats)[0]
-        except NonConvergenceError as err:
-            report.status = "InnerFailure"
-            report.notes.append(f"inner solve failed: {err}")
-            return v, report
-        osc_ref = max(u1.osc(),
-                      float(np.max(np.abs(u1.interior - v.interior))))
-        report.notes.append("eps0 scaled from a probing step (osc(v0) = 0)")
-
-    eps0 = cfg.eps0 if cfg.eps0 is not None else osc_ref / 4.0
-    eps_min = cfg.eps_min if cfg.eps_min is not None else 1e-6 * osc_ref
-    if eps0 <= 0:
-        eps0 = 1.0
-        report.notes.append("degenerate data (zero oscillation); nominal schedule")
-    if eps_min <= 0:
-        eps_min = eps0 * cfg.rho
-    eps_min = min(eps_min, eps0)
-    report.eps0, report.eps_min = eps0, eps_min
+    tol_inner = cfg.inner.resolved_tol(op)
+    report = SolveReport(damping=cfg.damping)
 
     # Default gap tolerance: the smallest forcing jump is one cell of measure
     # through g, and lattice symmetry flips whole value orbits at once (orbit
@@ -324,155 +249,98 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
         outer_tol = max(1e-8, 0.00625 * orbit * grid.cell * g.max_slope())
     report.outer_tol = outer_tol
 
-    snap = _snap_width(cfg, grid, op, max(osc_ref, 1e-12))
-    report.tie_snap = snap
+    problem = DirichletProblem(op, grid, psi, cfg.inner)
+    v = problem.solve(0.0)[0]
 
     # Empirical boundedness guard in the spirit of the a-priori sup bound:
     # iterates must stay below max|psi| + C_domain * max|g| / lam, with
-    # C_domain the sup of the domain's torsion function.
+    # C_domain the sup of the domain's torsion function.  osc(v0) plus the
+    # same forcing term bounds the oscillation of every iterate, and scales
+    # the tie snap.
     torsion = solve_dirichlet(EllipticOperator.laplacian(), grid, -1.0,
                               BoundaryData.zero(), InnerSolveConfig())
-    psi_bound = 0.0
-    if v.trace is not None:
-        b = v.trace.all_values()
-        if b.size:
-            psi_bound = float(np.max(np.abs(b)))
-    c_abp = float(np.max(torsion.interior))
-    report.bound_limit = psi_bound + c_abp * g.abs_bound() / op.lam + 1e-9
+    psi_bound = float(np.max(np.abs(problem.trace.all_values()), initial=0.0))
+    forcing_bound = float(np.max(torsion.interior)) * g.abs_bound() / op.lam
+    report.bound_limit = psi_bound + forcing_bound + 1e-9
+    snap = _snap_width(grid, op, tol_inner, v.osc() + forcing_bound)
+    report.tie_snap = snap
 
-    schedule = _epsilon_schedule(eps0, cfg.rho, eps_min)
-    # Final collapse stage: at a width equal to the tie-snap the smoothed
-    # right-hand side agrees bitwise with the plain one on snapped iterates
-    # (every positive value gap exceeds the snap), so the last stage iterates
-    # the plain map, whose dependence on the iterate is order-only and which
-    # therefore converges geometrically once the value ordering stabilizes.
-    if snap > 0 and snap < schedule[-1]:
-        schedule.append(snap)
-    if grid.n == 1:
-        # In 1-D rhs_smoothed is rhs_plain for every eps, so every stage
-        # iterates the same map.  Each extra stage would only end on one more
-        # undamped step, and that map multiplies any asymmetry about the
-        # maximum by about -11; from rounding level this scrambles the top
-        # of the solution within a dozen stages.  Run the final stage alone.
-        schedule = schedule[-1:]
-        report.eps0 = report.eps_min = schedule[0]
-    k = 0
-    failed = False
-    ladder_ended = False
-
-    for stage_idx, eps in enumerate(schedule):
-        last = stage_idx == len(schedule) - 1
-        if ladder_ended and not last:
-            continue
-        stage_tol = outer_tol if last else max(cfg.stagnation_tol,
-                                                   cfg.stage_frac * eps)
-        t_stage = time.perf_counter()
-        stage_done = False
-        stage_iters = 0
-        best_gap = math.inf
-        no_progress = 0
-        # The smoothed map's Lipschitz constant blows up like 1/eps at
-        # near-tied value clusters, so mid-schedule stages need not be
-        # contractive at all.  A stalled middle stage ends the ladder (smaller
-        # eps stalled too in every run measured); the collapse stage finishes.
-        theta = cfg.damping
-        skipped = False
-        while not stage_done and not failed and not skipped:
-            if k >= cfg.max_outer_iterations:
-                report.notes.append("outer iteration budget exhausted")
-                report.status = "MaxIterations"
-                failed = True
-                break
-            if stage_iters >= cfg.stage_max_iterations:
-                if last:
-                    report.notes.append("final stage exhausted its iteration budget")
-                    report.status = "MaxIterations"
-                    failed = True
-                else:
-                    skipped = True
-                break
-            try:
-                u, inner_res, w = _one_step(problem, v, eps, theta, g, D, stats)
-            except NonConvergenceError as err:
-                report.status = "InnerFailure"
-                report.notes.append(f"inner solve failed: {err}")
-                failed = True
-                break
-            step_gap = float(np.max(np.abs(u.interior - v.interior)))
-            stage_done = step_gap <= stage_tol
-            # Accept the undamped solve output when the stage finishes, so
-            # the final field is an inner-solve output with its certificate.
-            nxt = u if stage_done else w
-            order = np.argsort(nxt.interior)
-            nxt = nxt.with_interior(_snap_ties(nxt.interior, snap, order))
-            r, D, stats = _plain_defect(problem, nxt, g, order)
-            report.records.append(IterationRecord(
-                k=k,
-                epsilon=eps,
-                increment=float(np.max(np.abs(nxt.interior - v.interior))),
-                step_gap=step_gap,
-                inner_residual=inner_res,
-                plain_residual=float(np.max(r)),
-                lip_increment=_lip_seminorm(grid, nxt.interior - v.interior),
-            ))
-            v = nxt
-            k += 1
-            stage_iters += 1
-            if step_gap < 0.999 * best_gap:
-                best_gap = step_gap
-                no_progress = 0
-            elif not stage_done:
-                no_progress += 1
-                if no_progress >= 4:
-                    no_progress = 0
-                    if not last:
-                        skipped = True
-                    elif theta / 2 >= cfg.damping_floor:
-                        theta /= 2
-                        report.notes.append(
-                            f"gap stagnated at eps={eps:.3e}; damping -> {theta:g}"
-                        )
-                    else:
-                        report.notes.append(
-                            "final stage stalled at the damping floor"
-                        )
-                        report.status = "MaxIterations"
-                        failed = True
-                        break
-            sup = float(np.max(np.abs(v.interior)))
-            report.bound_max_observed = max(report.bound_max_observed, sup)
-            if sup > report.bound_limit:
-                report.status = "InnerFailure"
-                report.notes.append(
-                    f"boundedness violated: sup |v| = {sup:.6e} exceeds "
-                    f"{report.bound_limit:.6e}"
-                )
-                failed = True
-        if skipped:
-            report.notes.append(
-                f"stage eps={eps:.3e} skipped after stagnation (gap {best_gap:.3e})"
-            )
-            ladder_ended = True
-        report.stage_seconds.append((eps, time.perf_counter() - t_stage))
-        if failed:
+    # Each iterate is sorted once, for the tie snap; that order serves its
+    # measure, and its Hessian D and plain forcing f serve both its residual
+    # and the step from it.  On snapped iterates every positive value gap
+    # exceeds the snap, so f is bitwise the smoothed right-hand side at
+    # width snap.
+    order = np.argsort(v.interior)
+    v = v.with_interior(_snap_ties(v.interior, snap, order))
+    r, D, f = _plain_defect(problem, v, g, order)
+    theta = cfg.damping
+    best_gap = math.inf
+    no_progress = 0
+    t_start = time.perf_counter()
+    for k in range(cfg.max_outer_iterations):
+        try:
+            u, inner_res = problem.solve(f, v, D)
+        except NonConvergenceError as err:
+            report.status = "InnerFailure"
+            report.notes.append(f"inner solve failed: {err}")
             break
-        if last and stage_done:
+        step_gap = float(np.max(np.abs(u.interior - v.interior)))
+        done = step_gap <= outer_tol
+        # Accept the undamped solve output at the end, so the final field is
+        # an inner-solve output with its certificate.
+        nxt = u if done else u.with_interior(
+            (1.0 - theta) * v.interior + theta * u.interior)
+        order = np.argsort(nxt.interior)
+        nxt = nxt.with_interior(_snap_ties(nxt.interior, snap, order))
+        r, D, f = _plain_defect(problem, nxt, g, order)
+        report.records.append(IterationRecord(
+            k=k,
+            epsilon=snap,
+            increment=float(np.max(np.abs(nxt.interior - v.interior))),
+            step_gap=step_gap,
+            inner_residual=inner_res,
+            plain_residual=float(np.max(r)),
+            lip_increment=_lip_seminorm(grid, nxt.interior - v.interior),
+        ))
+        v = nxt
+        if step_gap < 0.999 * best_gap:
+            best_gap, no_progress = step_gap, 0
+        elif not done:
+            no_progress += 1
+            if no_progress >= 4:
+                if theta / 2 < _DAMPING_FLOOR:
+                    report.notes.append("gap stalled at the damping floor")
+                    break
+                no_progress, theta = 0, theta / 2
+                report.notes.append(
+                    f"gap stagnated at {best_gap:.3e}; damping -> {theta:g}")
+        sup = float(np.max(np.abs(v.interior)))
+        report.bound_max_observed = max(report.bound_max_observed, sup)
+        if sup > report.bound_limit:
+            report.status = "InnerFailure"
+            report.notes.append(
+                f"boundedness violated: sup |v| = {sup:.6e} exceeds "
+                f"{report.bound_limit:.6e}"
+            )
+            break
+        if done:
             report.status = "Converged"
+            break
+    else:
+        report.notes.append("outer iteration budget exhausted")
+    report.stage_seconds.append((snap, time.perf_counter() - t_start))
 
-    report.total_iterations = k
+    report.total_iterations = len(report.records)
     if report.records:
         report.final_increment = report.records[-1].step_gap
         report.final_inner_residual = report.records[-1].inner_residual
-    tot, core, band = _split_defect(r, grid)
-    report.final_plain_residual = tot
-    report.final_plain_residual_core = core
-    report.final_plain_residual_band = band
+    (report.final_plain_residual, report.final_plain_residual_core,
+     report.final_plain_residual_band) = _split_defect(r, grid)
 
     # Status must certify the tolerances it claims.
-    if report.status == "Converged":
-        tol_inner = inner.resolved_tol(op)
-        if not (report.final_increment <= outer_tol
-                and report.final_inner_residual <= tol_inner):
-            report.status = "MaxIterations"
-            report.notes.append("final tolerances not certified")
+    if report.status == "Converged" and not (
+            report.final_increment <= outer_tol
+            and report.final_inner_residual <= tol_inner):
+        report.status = "MaxIterations"
+        report.notes.append("final tolerances not certified")
     return v, report

@@ -89,16 +89,16 @@ boundary.kind = zero
     def test_solver_overrides(self):
         text = MINIMAL_BALL + """
 solver.damping = 0.25
-solver.rho = 0.4
-solver.eps_min = 1e-9
+solver.outer_tol = 1e-5
+solver.inner_tol = 1e-9
 solver.method = policy
 solver.max_outer_iterations = 77
 """
         cfg = parse_config(text)
         outer = cfg.build_outer()
         assert outer.damping == 0.25
-        assert outer.rho == 0.4
-        assert outer.eps_min == 1e-9
+        assert outer.outer_tol == 1e-5
+        assert outer.inner.tol == 1e-9
         assert outer.max_outer_iterations == 77
         assert outer.inner.method == "policy"
 
@@ -237,6 +237,31 @@ output.table = {tmp_path}/study.txt
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and "config: config:" not in err
+
+    @pytest.mark.parametrize("key", [
+        "eps0", "rho", "eps_min", "stagnation_tol", "stage_frac",
+        "stage_max_iterations"])
+    def test_removed_solver_key_exit_1(self, key, tmp_path, capsys):
+        text = MINIMAL_BALL + f"solver.{key} = 0.5\n"
+        rc = main(["solve", write_config(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "unknown key" in err
+
+    @pytest.mark.parametrize("kind", [
+        "radial_poly\nboundary.coeffs = 1,0,1",
+        "table\nboundary.knots = 0,2\nboundary.values = 1,3"],
+        ids=["radial_poly", "table"])
+    def test_boundary_center_of_another_dimension_exit_1(self, kind, tmp_path,
+                                                          capsys):
+        text = MINIMAL_BALL.replace("boundary.kind = zero",
+                                    f"boundary.kind = {kind}\n"
+                                    "boundary.center = 0,0,0")
+        rc = main(["solve", write_config(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "boundary.center" in err
+        assert "Traceback" not in err
 
     def test_missing_config_exit_4(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.cfg")]) == 4

@@ -153,6 +153,8 @@ def test_builders_give_a_grid_or_a_package_error(call):
     except LevelPDEError:
         return
     assert isinstance(grid, Grid) and grid.n_interior > 0
+    for ax in grid.axis_coords:
+        assert np.allclose(np.diff(ax), grid.h, rtol=1e-9, atol=0)
 
 
 OUTPUTS = {

@@ -1,6 +1,7 @@
 """Grid construction, classification, offsets and the discrete domain measure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,7 +55,10 @@ class TestBox:
     @pytest.mark.parametrize("bounds, h", [
         ([(0, 1)], math.nan), ([(0, 1)], math.inf), ([(-math.inf, 1)], 0.25),
         ([(0, math.nan)], 0.25), ([(-1, 1), (-1, 1)], 1e-300),
-    ], ids=["nan-h", "inf-h", "unbounded", "nan-bound", "unallocatable"])
+        # 1e17 + k rounds to a multiple of 16: the lattice is not h apart.
+        ([(1e17, 1e17 + 64)], 1.0),
+    ], ids=["nan-h", "inf-h", "unbounded", "nan-bound", "unallocatable",
+            "collapsed-lattice"])
     def test_non_finite_or_absurd_extent_rejected(self, bounds, h):
         with pytest.raises(InvalidGridError):
             build_box(bounds, h)
@@ -94,6 +98,18 @@ class TestBall:
                 build_ball((0.0,) * n, radius, h)
             with pytest.raises(InvalidGridError):
                 build_annulus((0.0,) * n, radius / 4, radius, h)
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_non_finite_center_rejected_without_warnings(self, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGridError, match="finite"):
+                build_ball((c, 0.0), 1.0, 0.25)
+
+    def test_center_that_collapses_the_lattice_rejected(self):
+        # 1e17 + h*k rounds back to 1e17: every node would share one x.
+        with pytest.raises(InvalidGridError, match="cannot resolve"):
+            build_ball((1e17, 0.0), 1.0, 0.25)
 
     def test_classification_matches_rule(self):
         # Oracle: enumerate the lattice and apply |x - c| < r directly.
@@ -186,6 +202,15 @@ class TestBoundaryData:
     def test_table(self):
         psi = BoundaryData.table([0.0, 1.0], [0.0, 2.0], center=(0.0,))
         assert psi.evaluate(np.array([[0.5]]))[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: BoundaryData.radial_poly([1.0, 0.0, 1.0], center=(0.0, 0.0, 0.0)),
+        lambda: BoundaryData.table([0.0, 2.0], [1.0, 3.0], center=(0.0, 0.0, 0.0)),
+    ], ids=["radial_poly", "table"])
+    def test_center_of_another_dimension_rejected(self, make):
+        grid = build_ball((0.0, 0.0), 1.0, 0.25)
+        with pytest.raises(InvalidParameterError, match="dimensions"):
+            build_trace(grid, make())
 
     @pytest.mark.parametrize("fn", [
         lambda p: np.zeros((len(p), 2)), lambda p: np.zeros(len(p) + 1),

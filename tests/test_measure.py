@@ -306,7 +306,7 @@ class TestLevelStats:
         g = ProfileFunction.linear(-1.0, 0.0, domain_measure(grid))
         fresh = rhs_plain(f, grid, g).interior
         assert bitwise_equal(rhs_plain(f, grid, g, stats).interior, fresh)
-        assert bitwise_equal(rhs_smoothed(f, grid, g, 0.1, stats).interior, fresh)
+        assert bitwise_equal(rhs_smoothed(f, grid, g, 0.1).interior, fresh)
 
 
 class TestRhs:
