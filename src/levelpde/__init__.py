@@ -42,7 +42,6 @@ from .measure import (
 )
 from .elliptic import (
     EllipticOperator,
-    InnerSolveConfig,
     MaxPrincipleReport,
     apply_operator,
     discrete_hessian,

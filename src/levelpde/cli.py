@@ -17,6 +17,7 @@ byte-identical files.  Wall-clock timings go to stdout only.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -28,11 +29,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .elliptic import EllipticOperator, InnerSolveConfig
+from .elliptic import EllipticOperator
 from .errors import (
     ConfigError,
     InvalidParameterError,
     LevelPDEError,
+    NonConvergenceError,
     PreconditionError,
 )
 from .geometry import (
@@ -72,8 +74,7 @@ _KNOWN_KEYS = {
     "profile.kind", "profile.a", "profile.b", "profile.knots", "profile.values",
     "boundary.kind", "boundary.coeffs", "boundary.center", "boundary.knots",
     "boundary.values",
-    "solver.method", "solver.inner_tol", "solver.inner_max_iter",
-    "solver.sigma", "solver.damping", "solver.outer_tol",
+    "solver.inner_tol", "solver.damping", "solver.outer_tol",
     "solver.max_outer_iterations",
     "study.h_list",
     "diagnose.field", "diagnose.delta", "diagnose.band", "diagnose.eps0",
@@ -146,13 +147,9 @@ class RunConfig:
                                   center)
 
     def build_outer(self) -> OuterConfig:
-        """The solver.* keys given, on top of the dataclass defaults; every
-        key other than the inner solver's is an OuterConfig field."""
-        s = dict(self.solver)
-        names = {"method": "method", "inner_tol": "tol",
-                 "inner_max_iter": "max_iter", "sigma": "sigma"}
-        inner = InnerSolveConfig(**{names[k]: s.pop(k) for k in list(s) if k in names})
-        return OuterConfig(**s, inner=inner)
+        """The solver.* keys given (each an OuterConfig field), on top of
+        the dataclass defaults."""
+        return OuterConfig(**self.solver)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -314,19 +311,11 @@ def parse_config(text: str) -> RunConfig:
     def number(text: str) -> float | None:
         return None if text == "auto" else float(text)
 
-    for name, conv in (("inner_tol", number), ("sigma", number),
-                       ("damping", number), ("outer_tol", number),
-                       ("inner_max_iter", int), ("max_outer_iterations", int)):
+    for name, conv in (("inner_tol", number), ("damping", number),
+                       ("outer_tol", number), ("max_outer_iterations", int)):
         val = take(f"solver.{name}", conv)
         if val is not None:
             cfg.solver[name] = val
-    if "solver.method" in raw:
-        method = take("solver.method", str)
-        if method not in ("auto", "linear", "policy", "pseudo_time"):
-            problems.append((line_of("solver.method"), "solver.method",
-                             "must be auto, linear, policy or pseudo_time"))
-        else:
-            cfg.solver["method"] = method
 
     cfg.study_h_list = take("study.h_list", _parse_float_list, default=())
     cfg.diagnose_field = take("diagnose.field", str, default="")
@@ -397,15 +386,11 @@ def format_field(field: ScalarField) -> str:
             ",".join(repr(o) for o in grid.origin),
         )
     ]
-    classes = grid.node_class.ravel()
-    values = field.values.ravel()
-    index_cols = np.unravel_index(np.arange(values.size), grid.shape)
-    for flat in range(values.size):
-        lines.append("{} {} {}".format(
-            ",".join(str(int(col[flat])) for col in index_cols),
-            _CLASS_NAMES[int(classes[flat])],
-            repr(float(values[flat])),
-        ))
+    # Multi-indices in C order, the order of ravel().
+    labels = itertools.product(*([str(i) for i in range(s)] for s in grid.shape))
+    lines += [f"{','.join(index)} {_CLASS_NAMES[cls]} {value!r}"
+              for index, cls, value in zip(labels, grid.node_class.ravel().tolist(),
+                                           field.values.ravel().tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -444,22 +429,25 @@ def load_field(path: str | Path) -> LoadedField:
     if len(body) != count:
         raise InvalidParameterError(
             f"{path}: expected {count} node lines, found {len(body)}")
-    classes = np.empty(count, dtype=np.int8)
-    values = np.empty(count, dtype=np.float64)
-    for row, (lineno, ln) in enumerate(body):
+    # Line k must carry the k-th node in C order; an index off the lattice
+    # is malformed, one on it but elsewhere is out of order.
+    classes, values = [], []
+    for (lineno, ln), node in zip(body, itertools.product(*map(range, shape))):
         try:
             idx_s, cls_s, val_s = ln.split()
-            flat = int(np.ravel_multi_index(
-                tuple(int(i) for i in idx_s.split(",")), shape))
-            classes[flat] = _CLASS_CODES[cls_s]
-            values[flat] = float(val_s)
+            index = tuple(int(i) for i in idx_s.split(","))
+            if index != node:
+                np.ravel_multi_index(index, shape)
+            classes.append(_CLASS_CODES[cls_s])
+            values.append(float(val_s))
         except (KeyError, ValueError) as err:
             raise InvalidParameterError(
                 f"{path}:{lineno}: malformed node line ({err!r})") from None
-        if flat != row:
+        if index != node:
             raise InvalidParameterError(f"{path}:{lineno}: node lines out of order")
-    return LoadedField(n, shape, h, origin, classes.reshape(shape),
-                       values.reshape(shape))
+    return LoadedField(n, shape, h, origin,
+                       np.array(classes, dtype=np.int8).reshape(shape),
+                       np.array(values, dtype=np.float64).reshape(shape))
 
 
 def format_report(report: SolveReport, timings: bool = False) -> str:
@@ -731,6 +719,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InvalidParameterError, PreconditionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except NonConvergenceError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except OSError as err:
         print(f"error: I/O failure: {err}", file=sys.stderr)
         return 4

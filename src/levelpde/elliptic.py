@@ -14,24 +14,22 @@ through its eigenvalues (closed form in 1-D and 2-D).
 A ``DirichletProblem`` holds what one (grid, psi, operator) fixes: the
 boundary trace and the boundary offset H(0).  A nonlocal solve builds it
 once and hands each inner solve the Hessian of its start, which it already
-evaluated for the plain residual.  Three inner solvers share the
-weighted-Hessian rows:
+evaluated for the plain residual.  Each operator has one inner solver, and
+neither falls back to another:
 
-* ``linear``       the Laplacian LU, refined only while the algebraic
-                   residual is not well below the tolerance,
-* ``policy``       Howard's algorithm for the extremal operators: freeze the
-                   weights at the current Hessian (w I where its eigenvalues
-                   share a sign, eigenvectors only at the mixed-sign nodes)
-                   and solve the linear problem, repeat.  Where W = w I on
-                   every row the step is the Laplacian LU solve of
-                   L u = f / w - tr H(0); otherwise it is GMRES
-                   preconditioned with that LU (a direct LU if it misses its
-                   budget),
-* ``pseudo_time``  explicit relaxation u <- u + tau (F(D^2 u) - f) with a
-                   stability-bounded, per-node tau.
+* the Laplacian    the grid's LU, refined only while the algebraic residual
+                   is not well below the tolerance,
+* Pucci operators  Howard's algorithm: freeze the weights at the current
+                   Hessian (w I where its eigenvalues share a sign,
+                   eigenvectors only at the mixed-sign nodes) and solve the
+                   linear problem, repeat.  Where W = w I on every row the
+                   step is the Laplacian LU solve of L u = f / w - tr H(0);
+                   otherwise it is GMRES preconditioned with that LU (a
+                   direct LU if it misses its budget).  A stall (four steps
+                   without a smaller residual) or _POLICY_MAX_ITER steps end
+                   the solve with NonConvergenceError.
 
-All per-node work is vectorized and deterministic; sweeps are Jacobi-style,
-so parallel and serial evaluations agree bitwise.
+All per-node work is vectorized and deterministic.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from .measure import ScalarField
 __all__ = [
     "DirichletProblem",
     "EllipticOperator",
-    "InnerSolveConfig",
     "MaxPrincipleReport",
     "discrete_hessian",
     "apply_operator",
@@ -66,6 +63,8 @@ _DEFAULT_TOL = {"laplacian": 1e-8, "pucci_minus": 1e-6, "pucci_plus": 1e-6}
 _ALGEBRAIC_FRACTION = 0.01
 # GMRES steps per policy solve before it factorizes its matrix instead.
 _KRYLOV_BUDGET = 50
+# Howard steps per inner solve.
+_POLICY_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -139,46 +138,6 @@ class EllipticOperator:
             wm = np.where(vals > 0.0, hi, lo)
             W[mixed] = np.einsum("nik,nk,njk->nij", vecs, wm, vecs)
         return W
-
-
-@dataclass
-class InnerSolveConfig:
-    """How to solve F(D^2 u) = f with fixed f.
-
-    ``method`` 'auto' picks 'linear' for the Laplacian (the grid's LU) and
-    'policy' for the Pucci operators (Howard's algorithm, each step a GMRES
-    solve preconditioned by that LU, eigenvectors only at mixed-sign nodes);
-    'pseudo_time' is always available.  ``tol`` is the max-norm residual
-    target (defaults 1e-8 Laplacian, 1e-6 Pucci).  ``sigma`` scales the
-    stability-bounded pseudo-time step sigma*h^2/(2 n Lam) (its per-node
-    Shortley-Weller generalization near curved boundaries).
-    """
-
-    method: str = "auto"
-    tol: float | None = None
-    max_iter: int = 400_000
-    sigma: float = 0.5
-    policy_max_iter: int = 60
-
-    def __post_init__(self):
-        if self.method not in ("auto", "linear", "policy", "pseudo_time"):
-            raise InvalidParameterError(f"unknown inner method {self.method!r}")
-        if self.tol is not None and not self.tol > 0:
-            raise InvalidParameterError("inner tolerance must be positive")
-        if not (0 < self.sigma <= 1):
-            raise InvalidParameterError("sigma must lie in (0, 1]")
-        if self.max_iter < 1:
-            raise InvalidParameterError("max_iter must be at least 1")
-        if self.policy_max_iter < 1:
-            raise InvalidParameterError("policy_max_iter must be at least 1")
-
-    def resolved_tol(self, op: EllipticOperator) -> float:
-        return self.tol if self.tol is not None else _DEFAULT_TOL[op.kind]
-
-    def resolved_method(self, op: EllipticOperator) -> str:
-        if self.method != "auto":
-            return self.method
-        return "linear" if op.kind == "laplacian" else "policy"
 
 
 def _hessian(grid: Grid, uin: NDArray[np.float64], trace: BoundaryTrace,
@@ -299,20 +258,19 @@ class DirichletProblem:
     boundary trace, the boundary offset H(0) (the Hessian of zero interior
     values, so H(u) = H(0) + the linear part), and the field template that
     holds psi on the Boundary lattice nodes.  ``hessian`` evaluates D(u):
-    the full Hessian, or only its trace for a Laplacian solved without
-    Howard's algorithm; ``op.evaluate`` takes either.  The Hessian that
-    certifies one solve's output is the one Howard's algorithm ended on.
+    only its trace for the Laplacian, the full Hessian for the Pucci
+    operators; ``op.evaluate`` takes either.  The Hessian that certifies one
+    solve's output is the one Howard's algorithm ended on.  ``tol`` is the
+    max-norm residual target (None: 1e-8 Laplacian, 1e-6 Pucci).
     """
 
     def __init__(self, op: EllipticOperator, grid: Grid, psi: BoundaryData,
-                 cfg: InnerSolveConfig | None = None):
+                 *, tol: float | None = None):
+        if tol is not None and not 0 < tol < math.inf:
+            raise InvalidParameterError("inner tolerance must be positive and finite")
         self.op, self.grid = op, grid
-        self.cfg = cfg or InnerSolveConfig()
-        self.tol = self.cfg.resolved_tol(op)
-        self.method = self.cfg.resolved_method(op)
-        if self.method == "linear" and op.kind != "laplacian":
-            raise InvalidParameterError("linear method requires the Laplacian")
-        self._trace_only = op.kind == "laplacian" and self.method != "policy"
+        self.tol = _DEFAULT_TOL[op.kind] if tol is None else tol
+        self._trace_only = op.kind == "laplacian"
         self.trace = build_trace(grid, psi)
         self.H0 = self.hessian(np.zeros(grid.n_interior))
         self.lap0 = self.H0 if self.H0.ndim == 1 else np.einsum("nii->n", self.H0)
@@ -343,13 +301,11 @@ class DirichletProblem:
             raise InvalidParameterError("initial guess belongs to a different grid")
         else:
             u0 = initial.interior
-        if self.method == "linear":
+        if self.op.kind == "laplacian":
             u = _solve_linear(self, fvec, self.tol)
             history = [float(np.max(np.abs(self.op.evaluate(self.hessian(u)) - fvec)))]
-        elif self.method == "policy":
-            u, history = _solve_policy(self, fvec, u0, hessian)
         else:
-            u, history = _solve_pseudo_time(self, fvec, u0)
+            u, history = _solve_policy(self, fvec, u0, hessian)
         res = history[-1]
         if not res <= self.tol:
             raise NonConvergenceError(
@@ -413,35 +369,19 @@ def _solve_frozen(prob: DirichletProblem, W, f, u0):
     return splu(A).solve(b)
 
 
-def _solve_pseudo_time(prob: DirichletProblem, f, u):
-    cfg = prob.cfg
-    tau = cfg.sigma / (prob.op.Lam * prob.grid.stencil.stiffness)
-    history: list[float] = []
-    for _ in range(cfg.max_iter):
-        r = prob.op.evaluate(prob.hessian(u)) - f
-        history.append(float(np.max(np.abs(r))))
-        if not math.isfinite(history[-1]):
-            raise NonConvergenceError(
-                "pseudo-time relaxation diverged to non-finite values", history
-            )
-        if history[-1] <= prob.tol:
-            return u, history
-        u = u + tau * r
-    raise NonConvergenceError(
-        f"pseudo-time relaxation: residual {history[-1]:.3e} above tol "
-        f"{prob.tol:.3e} after {cfg.max_iter} sweeps", history
-    )
-
-
 def _solve_policy(prob: DirichletProblem, f, u, H):
     """Howard's algorithm from u, whose Hessian is H (None: not yet known):
     freeze the weights of F at the current Hessian, solve the linear
-    problem, repeat; falls back to pseudo-time on stall."""
+    problem, repeat.  Returns the last iterate and the residual history; it
+    stops at the tolerance, after four steps in a row without a smaller
+    residual, on a failed or non-finite step, or after _POLICY_MAX_ITER
+    steps, and the caller raises unless the last residual met the tolerance.
+    """
     op, tol = prob.op, prob.tol
     history: list[float] = []
-    best_u, best_res = u, math.inf
+    best_res = math.inf
     stall = 0
-    for _ in range(prob.cfg.policy_max_iter):
+    for _ in range(_POLICY_MAX_ITER):
         if H is None:
             H = prob.hessian(u)
         eigs = _eigenvalues(H)
@@ -452,8 +392,7 @@ def _solve_policy(prob: DirichletProblem, f, u, H):
         if res <= tol:
             return u, history
         if res < best_res:
-            best_u, best_res = u, res
-            stall = 0
+            best_res, stall = res, 0
         else:
             stall += 1
             if stall >= 4:
@@ -472,26 +411,21 @@ def _solve_policy(prob: DirichletProblem, f, u, H):
         if not np.all(np.isfinite(u_new)):
             break
         u, H = u_new, None
-    # Finish from the best iterate with the always-convergent relaxation.
-    try:
-        u, tail = _solve_pseudo_time(prob, f, best_u)
-    except NonConvergenceError as err:
-        raise NonConvergenceError(str(err), history + err.history) from err
-    return u, history + tail
+    return u, history
 
 
 def solve_dirichlet(op: EllipticOperator, grid: Grid, f, psi: BoundaryData,
-                    cfg: InnerSolveConfig | None = None,
-                    initial: ScalarField | None = None) -> ScalarField:
+                    initial: ScalarField | None = None, *,
+                    tol: float | None = None) -> ScalarField:
     """Solve F(D^2 u) = f in Omega, u = psi on the boundary intersections.
 
     Returns a field whose measured residual ||F(D^2 u) - f||_inf over interior
-    nodes is at most the configured tolerance, or raises NonConvergenceError
+    nodes is at most ``tol`` (see DirichletProblem), or raises NonConvergenceError
     carrying the residual history.  Never returns a silent bad answer: the
     residual is measured on the returned field with the same evaluator the
     rest of the package uses.
     """
-    out, res = DirichletProblem(op, grid, psi, cfg).solve(f, initial)
+    out, res = DirichletProblem(op, grid, psi, tol=tol).solve(f, initial)
     out.inner_residual = res
     return out
 

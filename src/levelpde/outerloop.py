@@ -27,6 +27,7 @@ concurrently, e.g. across the grids of a refinement study.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -36,7 +37,6 @@ from numpy.typing import NDArray
 from .elliptic import (
     DirichletProblem,
     EllipticOperator,
-    InnerSolveConfig,
     apply_operator,
     solve_dirichlet,
 )
@@ -67,7 +67,9 @@ class OuterConfig:
     """Controls the damped fixed-point iteration: each step blends the solve
     output into the iterate with weight damping, which halves (down to 1e-3)
     after four steps without the fixed-point gap falling by 0.1 %.
-    Converged needs the gap under outer_tol within max_outer_iterations."""
+    Converged needs the gap under outer_tol within max_outer_iterations.
+    inner_tol is the residual target of every inner solve (None: 1e-8 for
+    the Laplacian, 1e-6 for the Pucci operators)."""
 
     damping: float = 0.5
     # None: max(1e-8, 0.05 * cell * max|g'|).  The superlevel measure is
@@ -76,15 +78,19 @@ class OuterConfig:
     # that scale and the default does not ask for one.
     outer_tol: float | None = None
     max_outer_iterations: int = 4000
-    inner: InnerSolveConfig = dc_field(default_factory=InnerSolveConfig)
+    inner_tol: float | None = None
 
     def __post_init__(self):
         if not (0 < self.damping <= 1):
             raise InvalidParameterError("damping must lie in (0, 1]")
-        if self.outer_tol is not None and not self.outer_tol > 0:
-            raise InvalidParameterError("outer_tol must be positive")
-        if self.max_outer_iterations < 1:
-            raise InvalidParameterError("max_outer_iterations must be at least 1")
+        for name in ("outer_tol", "inner_tol"):
+            tol = getattr(self, name)
+            if tol is not None and not 0 < tol < math.inf:
+                raise InvalidParameterError(f"{name} must be positive and finite")
+        if not (isinstance(self.max_outer_iterations, numbers.Integral)
+                and self.max_outer_iterations >= 1):
+            raise InvalidParameterError(
+                "max_outer_iterations must be an integer of at least 1")
 
 
 @dataclass
@@ -199,18 +205,18 @@ def _plain_defect(problem: DirichletProblem, v: ScalarField, g: ProfileFunction,
 
 def fixed_point_step(v: ScalarField, eps: float, theta: float,
                      op: EllipticOperator, grid: Grid, g: ProfileFunction,
-                     psi: BoundaryData,
-                     inner: InnerSolveConfig | None = None) -> ScalarField:
+                     psi: BoundaryData, *,
+                     tol: float | None = None) -> ScalarField:
     """One damped application of the frozen-and-smoothed solve map.
 
     With theta = 1 this is exactly T(v): solve F(D^2 u) = g(smoothed
-    superlevel average of v) with data psi.  Propagates inner
-    non-convergence.
+    superlevel average of v) with data psi to the inner tolerance ``tol``.
+    Propagates inner non-convergence.
     """
     if not (0 < theta <= 1):
         raise InvalidParameterError("damping must lie in (0, 1]")
     f = rhs_smoothed(v, grid, g, eps)
-    u = DirichletProblem(op, grid, psi, inner).solve(f, v)[0]
+    u = DirichletProblem(op, grid, psi, tol=tol).solve(f, v)[0]
     return u.with_interior((1.0 - theta) * v.interior + theta * u.interior)
 
 
@@ -232,11 +238,15 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     damped fixed-point steps of the plain map.  The returned report
     certifies what was actually measured on the returned field; status is
     Converged only when the final fixed-point gap and inner residual are
-    below their tolerances.  Uniqueness is not claimed; the initial-guess
-    policy is recorded so distinct fixed points are attributable.
+    below their tolerances, and an inner solve that fails inside the loop
+    ends it with status InnerFailure.  Uniqueness is not claimed; the
+    initial-guess policy is recorded so distinct fixed points are
+    attributable.
+
+    Raises NonConvergenceError when the homogeneous start itself misses the
+    inner tolerance: there is no iterate to report on.
     """
     cfg = cfg or OuterConfig()
-    tol_inner = cfg.inner.resolved_tol(op)
     report = SolveReport(damping=cfg.damping)
 
     # Default gap tolerance: the smallest forcing jump is one cell of measure
@@ -249,7 +259,7 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
         outer_tol = max(1e-8, 0.00625 * orbit * grid.cell * g.max_slope())
     report.outer_tol = outer_tol
 
-    problem = DirichletProblem(op, grid, psi, cfg.inner)
+    problem = DirichletProblem(op, grid, psi, tol=cfg.inner_tol)
     v = problem.solve(0.0)[0]
 
     # Empirical boundedness guard in the spirit of the a-priori sup bound:
@@ -258,11 +268,11 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     # same forcing term bounds the oscillation of every iterate, and scales
     # the tie snap.
     torsion = solve_dirichlet(EllipticOperator.laplacian(), grid, -1.0,
-                              BoundaryData.zero(), InnerSolveConfig())
+                              BoundaryData.zero())
     psi_bound = float(np.max(np.abs(problem.trace.all_values()), initial=0.0))
     forcing_bound = float(np.max(torsion.interior)) * g.abs_bound() / op.lam
     report.bound_limit = psi_bound + forcing_bound + 1e-9
-    snap = _snap_width(grid, op, tol_inner, v.osc() + forcing_bound)
+    snap = _snap_width(grid, op, problem.tol, v.osc() + forcing_bound)
     report.tie_snap = snap
 
     # Each iterate is sorted once, for the tie snap; that order serves its
@@ -340,7 +350,7 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     # Status must certify the tolerances it claims.
     if report.status == "Converged" and not (
             report.final_increment <= outer_tol
-            and report.final_inner_residual <= tol_inner):
+            and report.final_inner_residual <= problem.tol):
         report.status = "MaxIterations"
         report.notes.append("final tolerances not certified")
     return v, report

@@ -23,8 +23,8 @@ import pytest
 
 from levelpde.cli import format_report, main
 from levelpde.elliptic import (
+    _DEFAULT_TOL,
     EllipticOperator,
-    InnerSolveConfig,
     maximum_principle_check,
     solve_dirichlet,
 )
@@ -247,7 +247,7 @@ class TestCriterion6MaximumPrinciple:
             psi = BoundaryData.from_callable(
                 lambda p, c0=c0, c1=c1, c2=c2:
                 c0 + c1 * p[:, 0] + c2 * p[:, 0] * p[:, 1])
-            u = solve_dirichlet(op, grid, f, psi, InnerSolveConfig(tol=1e-8))
+            u = solve_dirichlet(op, grid, f, psi, tol=1e-8)
             rep = maximum_principle_check(op, u, f, psi, grid, tol=1e-6)
             assert rep.upper_applicable or rep.lower_applicable
             assert rep.passed, f"trial {trial}: {rep}"
@@ -298,8 +298,8 @@ class TestCriterion8BarrierGradientBound:
 class TestCriterion9ResidualCertificate:
     def test_certificate_and_exit_codes(self, laplace_runs, pucci_runs,
                                         oned_run, tmp_path):
-        lap_tol = InnerSolveConfig().resolved_tol(LAP)
-        pucci_tol = InnerSolveConfig().resolved_tol(PUCCI)
+        lap_tol = _DEFAULT_TOL[LAP.kind]
+        pucci_tol = _DEFAULT_TOL[PUCCI.kind]
         # The envelope carries a 1e-9 relative allowance: distinct runs share
         # the same cell-quantized residual content but differ by their inner
         # solves' 1e-13-scale noise, which the 2*tol floor cannot absorb once

@@ -15,6 +15,7 @@ from levelpde.elliptic import EllipticOperator
 from levelpde.errors import ConfigError
 from levelpde.geometry import build_ball, build_box
 from levelpde.measure import ScalarField
+from levelpde.outerloop import OuterConfig
 from levelpde.verify import exact_ball_solution
 
 MINIMAL_BALL = """\
@@ -91,16 +92,11 @@ boundary.kind = zero
 solver.damping = 0.25
 solver.outer_tol = 1e-5
 solver.inner_tol = 1e-9
-solver.method = policy
 solver.max_outer_iterations = 77
 """
-        cfg = parse_config(text)
-        outer = cfg.build_outer()
-        assert outer.damping == 0.25
-        assert outer.outer_tol == 1e-5
-        assert outer.inner.tol == 1e-9
-        assert outer.max_outer_iterations == 77
-        assert outer.inner.method == "policy"
+        outer = parse_config(text).build_outer()
+        assert outer == OuterConfig(damping=0.25, outer_tol=1e-5,
+                                    max_outer_iterations=77, inner_tol=1e-9)
 
     def test_multiple_problems_collected(self):
         text = "domain.type = cone\ngrid.h = -1\nbad line\n"
@@ -240,7 +236,7 @@ output.table = {tmp_path}/study.txt
 
     @pytest.mark.parametrize("key", [
         "eps0", "rho", "eps_min", "stagnation_tol", "stage_frac",
-        "stage_max_iterations"])
+        "stage_max_iterations", "method", "sigma", "inner_max_iter"])
     def test_removed_solver_key_exit_1(self, key, tmp_path, capsys):
         text = MINIMAL_BALL + f"solver.{key} = 0.5\n"
         rc = main(["solve", write_config(tmp_path, text)])
@@ -262,6 +258,47 @@ output.table = {tmp_path}/study.txt
         assert rc == 1
         assert err.startswith("error:") and "boundary.center" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["inner_tol", "outer_tol"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_tolerance_exit_1(self, key, value, tmp_path, capsys):
+        # An infinite tolerance would certify any field: P-(1, 2) with
+        # inner_tol = inf took Howard's zero start as its solution.
+        text = MINIMAL_BALL.replace(
+            "operator.kind = laplacian",
+            "operator.kind = pucci_minus\noperator.lambda = 1\noperator.Lambda = 2")
+        text += f"solver.{key} = {value}\n"
+        rc = main(["verify-ball", write_config(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "positive and finite" in err
+
+    def test_failed_homogeneous_start_exit_2(self, tmp_path, capsys):
+        # Nonzero data and an unreachable inner tolerance: the homogeneous
+        # start fails before the first step, with an error line, not a
+        # traceback.
+        text = MINIMAL_BALL.replace(
+            "domain.type = ball\ndomain.radius = 1",
+            "domain.type = box\ndomain.bounds = -1:1,-1:1").replace(
+            "boundary.kind = zero",
+            "boundary.kind = radial_poly\nboundary.coeffs = 0,1")
+        text += f"solver.inner_tol = 1e-300\noutput.report = {tmp_path}/r.txt\n"
+        rc = main(["solve", write_config(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "residual" in err
+        assert not (tmp_path / "r.txt").exists()
+
+    def test_study_inner_failure_exit_2(self, tmp_path, capsys):
+        text = MINIMAL_BALL + f"""
+study.h_list = 0.25,0.125
+solver.inner_tol = 1e-300
+output.table = {tmp_path}/study.txt
+"""
+        rc = main(["study", write_config(tmp_path, text)])
+        assert rc == 2 and capsys.readouterr().err == ""
+        table = (tmp_path / "study.txt").read_text()
+        assert table.count("status = InnerFailure") == 2
 
     def test_missing_config_exit_4(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.cfg")]) == 4

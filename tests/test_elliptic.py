@@ -1,6 +1,7 @@
 """Discrete Hessians, operator evaluation and the frozen-RHS Dirichlet solve."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from levelpde.elliptic import (
     EllipticOperator,
     DirichletProblem,
-    InnerSolveConfig,
+    _DEFAULT_TOL,
     _eigenvalues,
     _laplacian,
     _matrix,
@@ -333,7 +334,7 @@ class TestSolveDirichlet:
         grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 5)
         u = solve_dirichlet(LAP, grid, -1.0, BoundaryData.zero())
         assert solves == [grid.n_interior]
-        assert u.inner_residual <= InnerSolveConfig().resolved_tol(LAP)
+        assert u.inner_residual <= _DEFAULT_TOL[LAP.kind]
 
     def test_harmonic_linear_boundary(self):
         grid = build_box([(0, 1), (0, 1)], 0.125)
@@ -385,24 +386,22 @@ class TestSolveDirichlet:
         exact = 0.5 * (grid.interior_coords[:, 0] ** 2 - grid.interior_coords[:, 1] ** 2)
         assert np.allclose(u.interior, exact, atol=1e-6)
 
-    def test_pseudo_time_agrees_with_policy(self):
-        grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
+    def test_policy_matches_the_closed_form(self):
+        # f = -pi |x|^2 / 2 < 0 with psi = 0 keeps the Hessian negative
+        # definite, so P-(1, 2) is 2 Laplacian: u = (pi / 64)(1 - |x|^4),
+        # and Howard's output is the discrete Laplacian solve of f / 2.
         op = EllipticOperator.pucci_minus(1.0, 2.0)
-        s2 = np.sum(grid.interior_coords ** 2, axis=1)
-        f = ScalarField.from_interior(grid, -math.pi * s2 / 2)
-        a = solve_dirichlet(op, grid, f, BoundaryData.zero(),
-                            InnerSolveConfig(method="policy", tol=1e-9))
-        b = solve_dirichlet(op, grid, f, BoundaryData.zero(),
-                            InnerSolveConfig(method="pseudo_time", tol=1e-9))
-        assert np.allclose(a.interior, b.interior, atol=5e-8)
-
-    def test_max_iter_error_carries_history(self):
-        grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
-        op = EllipticOperator.pucci_minus(1.0, 2.0)
-        cfg = InnerSolveConfig(method="pseudo_time", max_iter=3)
-        with pytest.raises(NonConvergenceError) as err:
-            solve_dirichlet(op, grid, -1.0, BoundaryData.zero(), cfg)
-        assert len(err.value.history) == 3
+        errs = []
+        for h in (1 / 8, 1 / 16):
+            grid = build_ball((0.0, 0.0), 1.0, h)
+            s2 = np.sum(grid.interior_coords ** 2, axis=1)
+            f = ScalarField.from_interior(grid, -math.pi * s2 / 2)
+            u = solve_dirichlet(op, grid, f, BoundaryData.zero(), tol=1e-9)
+            lap = solve_dirichlet(LAP, grid, f.with_interior(f.interior / 2),
+                                  BoundaryData.zero())
+            assert np.allclose(u.interior, lap.interior, atol=5e-10)
+            errs.append(np.max(np.abs(u.interior - math.pi / 64 * (1 - s2 ** 2))))
+        assert errs[1] <= errs[0] / 2.5 and errs[1] < 1e-3
 
     def test_1d_solve(self):
         grid = build_box([(-1, 1)], 1 / 64)
@@ -430,7 +429,7 @@ class TestPolicySolve:
         # frozen W is Lam I and the preconditioned GMRES needs no new LU.
         calls = self.count_factorizations(monkeypatch)
         grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
-        tol = InnerSolveConfig().resolved_tol(self.OP)
+        tol = _DEFAULT_TOL[self.OP.kind]
         for f in (-1.0, -2.0):
             u = solve_dirichlet(self.OP, grid, f, BoundaryData.zero())
             assert u.inner_residual <= tol
@@ -448,7 +447,7 @@ class TestPolicySolve:
                             lambda A, b, **kw: misses.append(1) or (0.0 * b, 1))
         u = solve_dirichlet(self.OP, grid, 1.0, psi)
         assert len(misses) >= 2 and len(calls) == len(misses)
-        assert u.inner_residual <= InnerSolveConfig().resolved_tol(self.OP)
+        assert u.inner_residual <= _DEFAULT_TOL[self.OP.kind]
         assert np.allclose(u.interior, ref.interior, atol=1e-7)
 
     def test_mixed_signs_keep_the_preconditioned_gmres(self, monkeypatch):
@@ -468,7 +467,7 @@ class TestPolicySolve:
                             lambda *a, **k: steps.append(1) or real(*a, **k))
         u = solve_dirichlet(op, grid, 1.0, psi)
         assert len(steps) == 8
-        assert u.inner_residual <= InnerSolveConfig().resolved_tol(op)
+        assert u.inner_residual <= _DEFAULT_TOL[op.kind]
 
     def test_equal_ellipticity_constants_need_no_gmres(self, monkeypatch):
         # With lam = Lam every frozen W is lam I, whatever the signs of the
@@ -480,30 +479,46 @@ class TestPolicySolve:
         op = EllipticOperator.pucci_minus(0.5, 0.5)
         monkeypatch.setattr(elliptic, "gmres", None)
         u = solve_dirichlet(op, grid, 1.0, psi)
-        assert u.inner_residual <= InnerSolveConfig().resolved_tol(op)
+        assert u.inner_residual <= _DEFAULT_TOL[op.kind]
 
     def test_small_ellipticity_ratio_certifies(self):
         grid = build_box([(-1, 1), (-1, 1)], 1 / 32)
         op = EllipticOperator.pucci_minus(0.05, 1.0)
         psi = BoundaryData.from_callable(lambda p: np.exp(p[:, 0]) * np.sin(2 * p[:, 1]))
         u = solve_dirichlet(op, grid, 1.0, psi)
-        assert u.inner_residual <= InnerSolveConfig().resolved_tol(op)
+        assert u.inner_residual <= _DEFAULT_TOL[op.kind]
 
-    def test_fallback_failure_keeps_the_policy_history(self):
-        # Two Howard residuals, then three pseudo-time sweeps, all above an
-        # unreachable tolerance: the error carries all five, policy first.
+    def test_stall_raises_with_the_howard_history(self):
+        # An unreachable tolerance: Howard reaches rounding in one step,
+        # then four steps without a smaller residual end the solve.
         grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
-        cfg = InnerSolveConfig(method="policy", policy_max_iter=2, max_iter=3,
-                               tol=1e-300)
         with pytest.raises(NonConvergenceError) as err:
-            solve_dirichlet(self.OP, grid, -1.0, BoundaryData.zero(), cfg)
-        assert len(err.value.history) == 5
-        assert err.value.history[0] == 1.0  # F(D^2 0) - f = 0 - (-1)
+            solve_dirichlet(self.OP, grid, -1.0, BoundaryData.zero(), tol=1e-300)
+        history = err.value.history
+        assert history[0] == 1.0  # F(D^2 0) - f = 0 - (-1)
+        assert len(history) == 6 and max(history[1:]) < 1e-12
 
-    @pytest.mark.parametrize("steps", [0, -1])
-    def test_policy_max_iter_must_be_positive(self, steps):
-        with pytest.raises(InvalidParameterError, match="policy_max_iter"):
-            InnerSolveConfig(policy_max_iter=steps)
+    def test_diverging_howard_raises_in_seconds(self):
+        # The centred cross is not monotone for lam/Lam = 0.01 on this box:
+        # Howard's residuals grow after its second step, and the solve ends
+        # after the stall instead of relaxing for minutes.
+        grid = build_box([(-1, 1), (-1, 1)], 1 / 32)
+        psi = BoundaryData.from_callable(lambda p: np.exp(p[:, 0]) * np.sin(2 * p[:, 1]))
+        op = EllipticOperator.pucci_minus(0.01, 1.0)
+        t0 = time.perf_counter()
+        with pytest.raises(NonConvergenceError) as err:
+            solve_dirichlet(op, grid, 1.0, psi)
+        assert time.perf_counter() - t0 < 10.0
+        history = err.value.history
+        assert history[0] == pytest.approx(5.05e3, rel=1e-3)
+        assert history[1] == pytest.approx(43.9, rel=1e-3)
+        assert len(history) <= 6
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 4)
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            solve_dirichlet(self.OP, grid, -1.0, BoundaryData.zero(), tol=tol)
 
 
 class TestMaximumPrinciple:

@@ -1,7 +1,9 @@
 """Property tests of the input paths: a config text either parses or
 raises ConfigError, a field dump either loads or raises
-InvalidParameterError, and the Python API's grid builders and boundary data
-either give a value or raise a LevelPDEError; no other exception may escape.
+InvalidParameterError, the Python API's grid builders and boundary data
+either give a value or raise a LevelPDEError, and solver settings either
+raise InvalidParameterError or give a solve report; no other exception may
+escape.
 
 Numbers are drawn small (|x| <= 2, h >= 1/16 for configs; extents <= 4,
 h >= 1/64, h >= 1/4 in 3-D, for builders) or absurd (non-finite, negative,
@@ -19,10 +21,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from levelpde.cli import _KNOWN_KEYS, RunConfig, format_field, load_field, parse_config
+from levelpde.elliptic import EllipticOperator
 from levelpde.errors import ConfigError, InvalidParameterError, LevelPDEError
 from levelpde.geometry import (BoundaryData, Grid, build_annulus, build_ball,
-                               build_box, build_trace)
-from levelpde.measure import ScalarField
+                               build_box, build_trace, domain_measure)
+from levelpde.measure import ProfileFunction, ScalarField
+from levelpde.outerloop import OuterConfig, solve_nonlocal
 
 ABSURD = ["nan", "inf", "-inf", "-1", "0", "1e300", "-1e300", "1e-300", "auto", "", "x"]
 WORDS = ["box", "ball", "annulus", "laplacian", "pucci_minus", "pucci_plus",
@@ -191,3 +195,25 @@ def test_boundary_data_on_a_grid_gives_a_trace_or_raises(name):
     except InvalidParameterError:
         return
     assert np.all(np.isfinite(trace.all_values()))
+
+
+SETTING = st.one_of(st.sampled_from(ODD), st.floats(1e-12, 2),
+                    st.sampled_from([0, 1, 3, -3, 10 ** 30, 2 ** 63]))
+DISK = build_ball((0.0, 0.0), 1.0, 1 / 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+           "damping": SETTING, "max_outer_iterations": SETTING,
+           "outer_tol": st.one_of(st.none(), SETTING),
+           "inner_tol": st.one_of(st.none(), SETTING)}),
+       st.sampled_from([EllipticOperator.laplacian(),
+                        EllipticOperator.pucci_minus(1.0, 2.0)]))
+def test_solver_settings_give_a_report_or_raise(fields, op):
+    try:
+        cfg = OuterConfig(**fields)
+    except InvalidParameterError:
+        return
+    g = ProfileFunction.linear(-1.0, 0.0, domain_measure(DISK))
+    u, rep = solve_nonlocal(op, DISK, g, BoundaryData.zero(), cfg)
+    assert rep.status in ("Converged", "MaxIterations", "InnerFailure")

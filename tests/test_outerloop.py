@@ -2,6 +2,7 @@
 
 import collections
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from levelpde.elliptic import EllipticOperator, InnerSolveConfig
-from levelpde.errors import InvalidParameterError
+from levelpde.elliptic import _DEFAULT_TOL, EllipticOperator
+from levelpde.errors import InvalidParameterError, NonConvergenceError
 from levelpde.geometry import BoundaryData, build_ball, build_box, domain_measure
 from levelpde.measure import ProfileFunction, ScalarField
 from levelpde.outerloop import (
@@ -121,6 +122,9 @@ class TestFixedPointStep:
             fixed_point_step(v, 0.0, 1.0, LAP, grid, g, BoundaryData.zero())
         with pytest.raises(InvalidParameterError):
             fixed_point_step(v, 0.1, 0.0, LAP, grid, g, BoundaryData.zero())
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            fixed_point_step(v, 0.1, 1.0, LAP, grid, g, BoundaryData.zero(),
+                             tol=math.inf)
 
     def test_1d_converges_toward_cubic_profile(self):
         # The 1-D measure of the interpolant gives 2|x| at every node but the
@@ -131,7 +135,7 @@ class TestFixedPointStep:
         g = linear_profile(grid)
         u, rep = solve_nonlocal(LAP, grid, g, BoundaryData.zero())
         assert rep.converged
-        tol = InnerSolveConfig().resolved_tol(LAP)
+        tol = _DEFAULT_TOL[LAP.kind]
         assert rep.final_plain_residual <= tol
         x = grid.interior_coords[:, 0]
         exact = (1.0 - np.abs(x) ** 3) / 3.0
@@ -237,19 +241,49 @@ class TestSolveNonlocal:
         assert rep.total_iterations == 2
 
     def test_inner_failure_status(self):
+        # The zero start meets any tolerance; the first step cannot meet 1e-300.
         grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
         g = linear_profile(grid)
-        cfg = OuterConfig(inner=InnerSolveConfig(method="pseudo_time", max_iter=5))
+        cfg = OuterConfig(inner_tol=1e-300)
         u, rep = solve_nonlocal(EllipticOperator.pucci_minus(1.0, 2.0), grid, g,
                                 BoundaryData.zero(), cfg)
+        assert rep.status == "InnerFailure" and rep.total_iterations == 0
+        assert any("inner solve failed" in n for n in rep.notes)
+
+    def test_diverging_howard_ends_in_inner_failure_in_seconds(self):
+        # P+(0.05, 1) with mixed-sign data: the first step's Howard
+        # iteration stalls, and the solve reports it instead of relaxing
+        # for minutes.
+        grid = build_box([(-1, 1), (-1, 1)], 1 / 32)
+        psi = BoundaryData.from_callable(
+            lambda p: 0.1 * np.exp(p[:, 0]) * np.sin(2 * p[:, 1]))
+        t0 = time.perf_counter()
+        u, rep = solve_nonlocal(EllipticOperator.pucci_plus(0.05, 1.0), grid,
+                                linear_profile(grid), psi)
+        assert time.perf_counter() - t0 < 10.0
         assert rep.status == "InnerFailure"
         assert any("inner solve failed" in n for n in rep.notes)
+
+    def test_homogeneous_start_failure_raises(self):
+        # Nonzero data: the start itself misses an unreachable tolerance, and
+        # there is no iterate to report on.
+        grid = build_box([(-1, 1), (-1, 1)], 1 / 8)
+        psi = BoundaryData.radial_poly((0.0, 1.0), (0.0, 0.0))
+        with pytest.raises(NonConvergenceError):
+            solve_nonlocal(LAP, grid, linear_profile(grid), psi,
+                           OuterConfig(inner_tol=1e-300))
+
+    @pytest.mark.parametrize("field", ["inner_tol", "outer_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-3])
+    def test_tolerances_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            OuterConfig(**{field: value})
 
     def test_report_completeness(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
         g = linear_profile(grid)
         u, rep = solve_nonlocal(LAP, grid, g, BoundaryData.zero())
-        tol_inner = InnerSolveConfig().resolved_tol(LAP)
+        tol_inner = _DEFAULT_TOL[LAP.kind]
         assert rep.converged == (
             rep.final_increment <= rep.outer_tol
             and rep.final_inner_residual <= tol_inner
