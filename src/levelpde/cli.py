@@ -493,16 +493,15 @@ def format_report(report: SolveReport, timings: bool = False) -> str:
 
 
 def _write_outputs(cfg: RunConfig, field: ScalarField | None,
-                   report_text: str | None, table_text: str | None,
-                   grid: Grid | None) -> None:
+                   report_text: str | None, table_text: str | None) -> None:
     if cfg.out_field and field is not None:
         atomic_write(cfg.out_field, format_field(field))
     if cfg.out_report and report_text is not None:
         atomic_write(cfg.out_report, report_text)
     if cfg.out_table and table_text is not None:
         atomic_write(cfg.out_table, table_text)
-    if cfg.out_rearrangement and field is not None and grid is not None:
-        star = increasing_rearrangement(field, grid)
+    if cfg.out_rearrangement and field is not None:
+        star = increasing_rearrangement(field)
         lines = [f"cell = {_fmt(star.cell)}"]
         for i, v in enumerate(star.values.tolist()):
             lines.append(f"value.{i} = {_fmt(v)}")
@@ -520,18 +519,23 @@ def cmd_solve(cfg: RunConfig, timings: bool = False) -> int:
     print(f"solve: status={report.status} iterations={report.total_iterations} "
           f"plain_residual={report.final_plain_residual:.6e} "
           f"wall={elapsed:.2f}s")
-    _write_outputs(cfg, u, format_report(report, timings), None, grid)
+    _write_outputs(cfg, u, format_report(report, timings), None)
     return 0 if report.converged else 2
 
 
-def cmd_verify_ball(cfg: RunConfig, timings: bool = False) -> int:
+def _require_closed_form(cfg: RunConfig, command: str) -> None:
+    """The closed ball form solves only g(t) = -t with zero data on a ball."""
     if cfg.domain_type != "ball":
-        raise ConfigError([(None, "domain.type", "verify-ball needs a ball domain")])
+        raise ConfigError([(None, "domain.type", f"{command} needs a ball domain")])
     if not (cfg.profile.kind == "linear" and cfg.profile.a == -1.0
             and cfg.profile.b == 0.0 and cfg.boundary_kind == "zero"):
         raise ConfigError([(None, "profile",
-                            "verify-ball requires profile g(t) = -t and zero "
+                            f"{command} requires profile g(t) = -t and zero "
                             "boundary data (the closed form's setting)")])
+
+
+def cmd_verify_ball(cfg: RunConfig, timings: bool = False) -> int:
+    _require_closed_form(cfg, "verify-ball")
     grid = cfg.build_grid()
     op = cfg.build_operator()
     g = cfg.build_profile(grid)
@@ -553,17 +557,16 @@ def cmd_verify_ball(cfg: RunConfig, timings: bool = False) -> int:
     ]) + "\n"
     print(f"verify-ball: h={grid.h:g} status={report.status} "
           f"linf_error={err:.6e} wall={elapsed:.2f}s")
-    _write_outputs(cfg, u, format_report(report, timings), table, grid)
+    _write_outputs(cfg, u, format_report(report, timings), table)
     return 0 if report.converged else 2
 
 
 def cmd_study(cfg: RunConfig, timings: bool = False) -> int:
-    if cfg.domain_type != "ball":
-        raise ConfigError([(None, "domain.type", "study needs a ball domain")])
+    _require_closed_form(cfg, "study")
     if not cfg.study_h_list:
         raise ConfigError([(None, "study.h_list", "missing required key")])
     problem = StudyProblem(center=cfg.center, radius=cfg.radius,
-                           op=cfg.build_operator(), profile=cfg.profile)
+                           op=cfg.build_operator())
     t0 = time.perf_counter()
     rows = convergence_order_study(problem, cfg.study_h_list, cfg.build_outer())
     elapsed = time.perf_counter() - t0
@@ -581,7 +584,7 @@ def cmd_study(cfg: RunConfig, timings: bool = False) -> int:
         print(f"study: h={row.h:g} error={row.error:.6e} order={order} "
               f"status={row.status}")
     print(f"study: wall={elapsed:.2f}s")
-    _write_outputs(cfg, None, None, table, None)
+    _write_outputs(cfg, None, None, table)
     return 0 if all(r.status == "Converged" for r in rows) else 2
 
 
@@ -607,7 +610,7 @@ def cmd_diagnose(cfg: RunConfig, timings: bool = False) -> int:
     failures: list[str] = []
 
     delta = cfg.diagnose_delta if cfg.diagnose_delta is not None else grid.h ** 2
-    flat = flat_region_detector(u, grid, delta)
+    flat = flat_region_detector(u, delta)
     lines.append(f"flat.delta = {_fmt(flat.delta)}")
     lines.append(f"flat.max_mass = {_fmt(flat.max_mass)}")
     lines.append(f"flat.max_level = {_fmt(flat.max_level)}")
@@ -628,7 +631,7 @@ def cmd_diagnose(cfg: RunConfig, timings: bool = False) -> int:
     band = cfg.diagnose_band if cfg.diagnose_band is not None \
         else max(2 * grid.h, 0.1)
     try:
-        grad_min = boundary_gradient_min(u, grid, band)
+        grad_min = boundary_gradient_min(u, band)
         lines.append(f"gradient.band = {_fmt(band)}")
         lines.append(f"gradient.min = {_fmt(grad_min)}")
     except InvalidParameterError as err:
@@ -641,7 +644,7 @@ def cmd_diagnose(cfg: RunConfig, timings: bool = False) -> int:
                 eps0 = grid.descriptor.radius / 2
             else:
                 eps0 = (grid.descriptor.r_outer - grid.descriptor.r_inner) / 4
-        barrier = barrier_comparison_check(u, grid, eps0, op)
+        barrier = barrier_comparison_check(u, eps0, op)
         lines.append(f"barrier.eps0 = {_fmt(barrier.eps0)}")
         lines.append(f"barrier.c0 = {_fmt(barrier.c0)}")
         lines.append(f"barrier.tol = {_fmt(barrier.tol)}")
@@ -676,7 +679,7 @@ def _flat_threshold(cfg: RunConfig, grid: Grid, op: EllipticOperator,
     if isinstance(grid.descriptor, BallDescriptor):
         exact = exact_ball_solution(grid.descriptor.center,
                                     grid.descriptor.radius, grid.n, op)
-        ref = flat_region_detector(exact.sample(grid), grid, delta)
+        ref = flat_region_detector(exact.sample(grid), delta)
         return 1.5 * ref.max_mass + grid.cell
     return 0.05 * domain_measure(grid)
 

@@ -11,11 +11,12 @@ factorization a solve normally builds.  The Laplacian is evaluated as the
 trace of the discrete Hessian (its diagonal terms only), the Pucci operators
 through its eigenvalues (closed form in 1-D and 2-D).
 
-A ``DirichletProblem`` holds what one (grid, psi, operator) fixes: the
-boundary trace and the boundary offset H(0).  A nonlocal solve builds it
-once and hands each inner solve the Hessian of its start, which it already
-evaluated for the plain residual.  Each operator has one inner solver, and
-neither falls back to another:
+Operator values come back as interior vectors; a forcing is a scalar or an
+interior vector.  A ``DirichletProblem`` holds what one (grid, psi,
+operator) fixes: the boundary trace and the boundary offset H(0).  A
+nonlocal solve builds it once and hands each inner solve the Hessian of its
+start, which it already evaluated for the plain residual.  Each operator has
+one inner solver, and neither falls back to another:
 
 * the Laplacian    the grid's LU, refined only while the algebraic residual
                    is not well below the tolerance,
@@ -164,16 +165,13 @@ def _hessian(grid: Grid, uin: NDArray[np.float64], trace: BoundaryTrace,
     return H
 
 
-def hessian_field(u: ScalarField, grid: Grid,
-                  trace_only: bool = False) -> NDArray[np.float64]:
+def hessian_field(u: ScalarField, trace_only: bool = False) -> NDArray[np.float64]:
     """Discrete Hessians at every interior node, shape (N, n, n), or with
     ``trace_only`` their traces, shape (N,)."""
-    if not u.grid.matches(grid):
-        raise InvalidParameterError("field belongs to a different grid")
     if u.trace is None:
         raise InvalidParameterError(
             "field needs boundary data (a trace) to apply difference operators")
-    return _hessian(grid, u.interior, u.trace, trace_only)
+    return _hessian(u.grid, u.interior, u.trace, trace_only)
 
 
 def _eigenvalues(H: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -188,20 +186,19 @@ def _eigenvalues(H: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.linalg.eigvalsh(H)
 
 
-def discrete_hessian(u: ScalarField, grid: Grid, node: Iterable[int]) -> NDArray[np.float64]:
+def discrete_hessian(u: ScalarField, node: Iterable[int]) -> NDArray[np.float64]:
     """Hessian matrix at one interior node (multi-index)."""
     node = tuple(int(i) for i in node)
-    ordinal = grid.ordinal(node)
+    ordinal = u.grid.ordinal(node)
     if ordinal < 0:
         raise InvalidParameterError(f"node {node} is not Interior")
-    return hessian_field(u, grid)[ordinal]
+    return hessian_field(u)[ordinal]
 
 
-def apply_operator(op: EllipticOperator, u: ScalarField, grid: Grid) -> ScalarField:
-    """F(D^2 u) per interior node: the trace of the discrete Hessian for the
-    Laplacian, its eigenvalues for the Pucci operators."""
-    H = hessian_field(u, grid, trace_only=op.kind == "laplacian")
-    return ScalarField.from_interior(grid, op.evaluate(H))
+def apply_operator(op: EllipticOperator, u: ScalarField) -> NDArray[np.float64]:
+    """F(D^2 u) per interior node, shape (N,): the trace of the discrete
+    Hessian for the Laplacian, its eigenvalues for the Pucci operators."""
+    return op.evaluate(hessian_field(u, trace_only=op.kind == "laplacian"))
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +237,16 @@ def _matrix(grid: Grid, W: NDArray[np.float64]):
 
 
 def _as_interior(f, grid: Grid) -> NDArray[np.float64]:
-    if isinstance(f, ScalarField):
-        if not f.grid.matches(grid):
-            raise InvalidParameterError("forcing belongs to a different grid")
-        vec = f.interior
-    else:
-        vec = np.full(grid.n_interior, float(f), dtype=np.float64)
+    """A copy of the forcing, one value per interior node; a scalar is
+    broadcast to all of them."""
+    try:
+        vec = np.array(np.broadcast_to(f, (grid.n_interior,)), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"forcing must be a scalar or {grid.n_interior} interior values") from None
     if not np.all(np.isfinite(vec)):
         raise InvalidParameterError("forcing must be finite on interior nodes")
-    return vec.astype(np.float64, copy=True)
+    return vec
 
 
 class DirichletProblem:
@@ -288,7 +286,8 @@ class DirichletProblem:
     def solve(self, f, initial: ScalarField | None = None,
               hessian: NDArray[np.float64] | None = None) -> tuple[ScalarField, float]:
         """(u, residual) for F(D^2 u) = f, started from ``initial``, whose
-        Hessian D(initial) the caller may pass as ``hessian``.
+        Hessian D(initial) the caller may pass as ``hessian``.  ``f`` is a
+        scalar or one value per interior node.
 
         The residual ||F(D^2 u) - f||_inf is measured on the returned field
         and is at most the tolerance; otherwise NonConvergenceError carries
@@ -466,10 +465,10 @@ class MaxPrincipleReport:
 
 
 def maximum_principle_check(op: EllipticOperator, u: ScalarField, f,
-                            psi: BoundaryData, grid: Grid,
+                            psi: BoundaryData,
                             tol: float = 1e-6) -> MaxPrincipleReport:
-    fvec = _as_interior(f, grid)
-    trace = u.trace if u.trace is not None else build_trace(grid, psi)
+    fvec = _as_interior(f, u.grid)
+    trace = u.trace if u.trace is not None else build_trace(u.grid, psi)
     bvals = trace.all_values()
     sup_psi = float(np.max(bvals))
     inf_psi = float(np.min(bvals))

@@ -599,8 +599,7 @@ class BoundaryTrace:
 
     ``values`` has one row per key of ``plan.sample_keys``: psi at the
     non-interior arm ends, then at the Boundary lattice nodes used by mixed
-    stencils, NaN elsewhere.  ``arm[(axis, sign)]`` and ``diag[...]`` are
-    views of those rows.
+    stencils, NaN elsewhere.  ``arm[(axis, sign)]`` is a view of an arm row.
     """
 
     def __init__(self, grid: Grid, psi: BoundaryData):
@@ -609,13 +608,11 @@ class BoundaryTrace:
         keys = plan.sample_keys(grid.n)
         self.values = np.full((len(keys), grid.n_interior), np.nan, dtype=np.float64)
         self.arm: dict[tuple[int, int], NDArray[np.float64]] = {}
-        self.diag: dict[tuple[int, int, int, int], NDArray[np.float64]] = {}
         for row, key in zip(self.values, keys):
             if len(key) == 2:
                 self.arm[key] = row
                 sel, points = plan.nbr[key] < 0, plan.arm_point[key]
             else:
-                self.diag[key] = row
                 sel, points = plan.diag_known[key], plan.diag_point[key]
             if np.any(sel):
                 row[sel] = psi.evaluate(points[sel])

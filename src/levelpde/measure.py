@@ -2,6 +2,9 @@
 
 The solver iterates the plain right-hand side ``rhs_plain``; the smoothing
 is the regularization of the existence proof, kept as ``rhs_smoothed``.
+A ``ScalarField`` carries an iterate or a sampled field with its grid and
+trace; the measures and right-hand sides of a field are node data and come
+back as (n_interior,) vectors.
 
 Everything here is exact: no quadrature, no tolerance knobs.  On grids with
 n >= 2 the superlevel measure of a node is the cell measure times the number
@@ -43,13 +46,13 @@ __all__ = [
 
 
 class ScalarField:
-    """One value per grid node; the carrier for iterates, forcings, residuals.
+    """One value per grid node; the carrier for iterates and sampled fields.
 
     ``values`` spans the full lattice with NaN at Exterior nodes; Interior
     values are always finite, Boundary lattice values are stored when a solve
     or sampler provides them.  ``trace`` optionally carries Dirichlet values
     at the off-lattice boundary crossings so difference operators can be
-    applied near curved boundaries.
+    applied near curved boundaries; it must belong to the field's grid.
     """
 
     def __init__(self, grid: Grid, values: NDArray[np.float64],
@@ -59,6 +62,8 @@ class ScalarField:
             raise InvalidParameterError(
                 f"field shape {values.shape} does not match grid {grid.shape}"
             )
+        if trace is not None and not trace.grid.matches(grid):
+            raise InvalidParameterError("trace belongs to a different grid")
         self.grid = grid
         self.values = values
         self.trace = trace
@@ -119,9 +124,7 @@ class ScalarField:
             raise InvalidParameterError("field has non-finite interior values")
 
 
-def _interior_vector(v: ScalarField, grid: Grid) -> NDArray[np.float64]:
-    if not v.grid.matches(grid):
-        raise InvalidParameterError("field belongs to a different grid")
+def _interior_vector(v: ScalarField) -> NDArray[np.float64]:
     vec = v.interior
     if not np.all(np.isfinite(vec)):
         raise InvalidParameterError("field has non-finite interior values")
@@ -241,15 +244,6 @@ class LevelStats:
         self.cell = float(cell)
         self._order = np.argsort(values) if order is None else order
         self._asc = values[self._order]
-        self.interval: NDArray[np.float64] | None = None
-
-    @classmethod
-    def from_field(cls, v: ScalarField, grid: Grid, order=None) -> "LevelStats":
-        """In 1-D with a trace, ``interval`` holds v's ``rhs_plain`` measure."""
-        stats = cls(_interior_vector(v, grid), grid.cell, order)
-        if grid.n == 1 and v.trace is not None:
-            stats.interval = _interval_cell_measures(v, grid)
-        return stats
 
     @property
     def size(self) -> int:
@@ -327,21 +321,19 @@ class LevelStats:
 # Operations
 
 
-def superlevel_measures(v: ScalarField, grid: Grid,
-                        stats: LevelStats | None = None) -> ScalarField:
-    """Per node, the cell measure times the count of values >= its own.
+def superlevel_measures(v: ScalarField,
+                        order: NDArray[np.intp] | None = None) -> NDArray[np.float64]:
+    """Per interior node, the cell measure times the count of values >= its own.
 
     Ties are included (the superlevel set is closed), so equal values receive
     equal measures and every measure lies in [h^n, |Omega|_h].  Runs in
-    O(N log N) by sorting once; ``stats``, when the caller has
-    ``LevelStats.from_field(v, grid)``, saves the sort.
+    O(N log N) by sorting once; ``order``, a permutation that sorts the
+    interior values, saves the sort.
     """
-    vec = _interior_vector(v, grid)
-    stats = stats or LevelStats(vec, grid.cell)
-    return ScalarField.from_interior(grid, stats.own_measures())
+    return LevelStats(_interior_vector(v), v.grid.cell, order).own_measures()
 
 
-def smoothed_superlevel_average(v: ScalarField, grid: Grid, eps: float) -> ScalarField:
+def smoothed_superlevel_average(v: ScalarField, eps: float) -> NDArray[np.float64]:
     """Per node, the exact average of G over the value window [v(x)-eps, v(x)].
 
     G is piecewise constant between sorted values, so the integral is a
@@ -349,8 +341,7 @@ def smoothed_superlevel_average(v: ScalarField, grid: Grid, eps: float) -> Scala
     superlevel measure, equals it once eps is smaller than the gap to the
     nearest strictly smaller value, and never exceeds the discrete |Omega|.
     """
-    stats = LevelStats(_interior_vector(v, grid), grid.cell)
-    return ScalarField.from_interior(grid, stats.own_window_averages(eps))
+    return LevelStats(_interior_vector(v), v.grid.cell).own_window_averages(eps)
 
 
 def _prefix_sums(x: NDArray[np.float64]) -> tuple[NDArray[np.float64],
@@ -372,7 +363,7 @@ def _prefix_sums(x: NDArray[np.float64]) -> tuple[NDArray[np.float64],
     return s, np.cumsum(err)
 
 
-def _interval_cell_measures(v: ScalarField, grid: Grid) -> NDArray[np.float64]:
+def _interval_cell_measures(v: ScalarField) -> NDArray[np.float64]:
     """1-D: per node, the average over its cell of |{u~ >= u~(y)}|.
 
     u~ is the piecewise-linear interpolant through the interior values and
@@ -386,13 +377,13 @@ def _interval_cell_measures(v: ScalarField, grid: Grid) -> NDArray[np.float64]:
     by a window's ends are integrated locally; only the whole pieces inside
     a window go through prefix sums.
     """
-    if v.trace is None or not v.trace.grid.matches(grid):
+    if v.trace is None:
         raise InvalidParameterError(
             "a 1-D superlevel measure needs the field's boundary trace"
         )
-    vec = _interior_vector(v, grid)
+    vec = _interior_vector(v)
     n = vec.size
-    plan, h = grid.plan, grid.h
+    plan, h = v.grid.plan, v.grid.h
     right, left = plan.nbr[(0, +1)], plan.nbr[(0, -1)]
     end_r, end_l = np.flatnonzero(right < 0), np.flatnonzero(left < 0)
     psi = np.concatenate((v.trace.arm[(0, +1)][end_r], v.trace.arm[(0, -1)][end_l]))
@@ -494,8 +485,8 @@ def _window_means(knots, gap, m_up, m_dn, area_s, area_c, k, d):
     return out
 
 
-def rhs_plain(v: ScalarField, grid: Grid, g: ProfileFunction,
-              stats: LevelStats | None = None) -> ScalarField:
+def rhs_plain(v: ScalarField, g: ProfileFunction,
+              order: NDArray[np.intp] | None = None) -> NDArray[np.float64]:
     """Frozen right-hand side g(superlevel measure), clamped into g's domain.
 
     On grids with n >= 2 the measure is the closed cell count of
@@ -503,21 +494,16 @@ def rhs_plain(v: ScalarField, grid: Grid, g: ProfileFunction,
     measure of the superlevel sets of the piecewise-linear interpolant
     through the interior values and the field's boundary trace, which
     ``rhs_plain`` then requires (InvalidParameterError otherwise).  That
-    measure has no tie bias and is continuous in the field.  ``stats`` as in
-    ``superlevel_measures``; on 1-D grids its ``interval`` measure, when set,
-    is used instead of measuring v again.
+    measure has no tie bias and is continuous in the field.  ``order`` as in
+    ``superlevel_measures``; the 1-D measure does not use it.
     """
-    if grid.n > 1:
-        mu = superlevel_measures(v, grid, stats).interior
-    elif stats and stats.interval is not None:
-        mu = stats.interval
-    else:
-        mu = _interval_cell_measures(v, grid)
-    return ScalarField.from_interior(grid, g(mu))
+    if v.grid.n > 1:
+        return g(superlevel_measures(v, order))
+    return g(_interval_cell_measures(v))
 
 
-def rhs_smoothed(v: ScalarField, grid: Grid, g: ProfileFunction,
-                 eps: float) -> ScalarField:
+def rhs_smoothed(v: ScalarField, g: ProfileFunction,
+                 eps: float) -> NDArray[np.float64]:
     """Smoothed right-hand side g(window average of the superlevel measure).
 
     On 1-D grids the measure of ``rhs_plain`` is already continuous in the
@@ -525,10 +511,9 @@ def rhs_smoothed(v: ScalarField, grid: Grid, g: ProfileFunction,
     """
     if eps <= 0:
         raise InvalidParameterError("smoothing width eps must be positive")
-    if grid.n == 1:
-        return rhs_plain(v, grid, g)
-    s = smoothed_superlevel_average(v, grid, eps)
-    return ScalarField.from_interior(grid, g(s.interior))
+    if v.grid.n == 1:
+        return rhs_plain(v, g)
+    return g(smoothed_superlevel_average(v, eps))
 
 
 @dataclass
@@ -552,11 +537,10 @@ class StepFunction:
         return self.values[k]
 
 
-def increasing_rearrangement(v: ScalarField, grid: Grid) -> StepFunction:
+def increasing_rearrangement(v: ScalarField) -> StepFunction:
     """The nondecreasing step rearrangement of the field on [0, |Omega|_h].
 
     Takes the sorted-ascending interior values on consecutive cells of width
     h^n.  Diagnostic output only.
     """
-    vec = _interior_vector(v, grid)
-    return StepFunction(grid.cell, np.sort(vec))
+    return StepFunction(v.grid.cell, np.sort(_interior_vector(v)))

@@ -42,7 +42,7 @@ from .elliptic import (
 )
 from .errors import InvalidParameterError, NonConvergenceError
 from .geometry import BoundaryData, BoxDescriptor, Grid
-from .measure import LevelStats, ProfileFunction, ScalarField, rhs_plain, rhs_smoothed
+from .measure import ProfileFunction, ScalarField, rhs_plain, rhs_smoothed
 
 __all__ = [
     "OuterConfig",
@@ -72,10 +72,10 @@ class OuterConfig:
     the Laplacian, 1e-6 for the Pucci operators)."""
 
     damping: float = 0.5
-    # None: max(1e-8, 0.05 * cell * max|g'|).  The superlevel measure is
-    # quantized in whole cells, so the solve map jumps by about the response
-    # to a one-cell flip of the forcing; no iterate can certify a gap below
-    # that scale and the default does not ask for one.
+    # None: max(1e-8, 0.00625 * 2^n n! * cell * max|g'| / lam).  The
+    # superlevel measure is quantized in whole cells, so the solve map jumps
+    # by the response (up to 1/lam times the flip) to one lattice orbit of
+    # cells flipping in the forcing; no iterate certifies a smaller gap.
     outer_tol: float | None = None
     max_outer_iterations: int = 4000
     inner_tol: float | None = None
@@ -166,15 +166,14 @@ def _lip_seminorm(grid: Grid, delta: NDArray[np.float64]) -> float:
     return best
 
 
-def plain_residual_parts(u: ScalarField, op: EllipticOperator, grid: Grid,
+def plain_residual_parts(u: ScalarField, op: EllipticOperator,
                          g: ProfileFunction) -> tuple[float, float, float]:
     """(total, core, band) max-norm defect of the unsmoothed equation.
 
     The band is the strip within 2h of a curved boundary, where the mixed
     stencil falls back to first order; boxes have no such strip.
     """
-    r = np.abs(apply_operator(op, u, grid).interior - rhs_plain(u, grid, g).interior)
-    return _split_defect(r, grid)
+    return _split_defect(np.abs(apply_operator(op, u) - rhs_plain(u, g)), u.grid)
 
 
 def _split_defect(r: NDArray[np.float64], grid: Grid) -> tuple[float, float, float]:
@@ -187,10 +186,10 @@ def _split_defect(r: NDArray[np.float64], grid: Grid) -> tuple[float, float, flo
     return total, core_res, band_res
 
 
-def plain_residual(u: ScalarField, op: EllipticOperator, grid: Grid,
+def plain_residual(u: ScalarField, op: EllipticOperator,
                    g: ProfileFunction) -> float:
     """Max-norm defect ||F(D^2 u) - g(superlevel measure of u)||_inf."""
-    return plain_residual_parts(u, op, grid, g)[0]
+    return plain_residual_parts(u, op, g)[0]
 
 
 def _plain_defect(problem: DirichletProblem, v: ScalarField, g: ProfileFunction,
@@ -199,12 +198,12 @@ def _plain_defect(problem: DirichletProblem, v: ScalarField, g: ProfileFunction,
     D(v) and the plain forcing g(superlevel measure of v) (sorted by
     ``order``) that the step from v reuses."""
     D = problem.hessian(v.interior)
-    f = rhs_plain(v, problem.grid, g, LevelStats.from_field(v, problem.grid, order))
-    return np.abs(problem.op.evaluate(D) - f.interior), D, f
+    f = rhs_plain(v, g, order)
+    return np.abs(problem.op.evaluate(D) - f), D, f
 
 
 def fixed_point_step(v: ScalarField, eps: float, theta: float,
-                     op: EllipticOperator, grid: Grid, g: ProfileFunction,
+                     op: EllipticOperator, g: ProfileFunction,
                      psi: BoundaryData, *,
                      tol: float | None = None) -> ScalarField:
     """One damped application of the frozen-and-smoothed solve map.
@@ -215,8 +214,8 @@ def fixed_point_step(v: ScalarField, eps: float, theta: float,
     """
     if not (0 < theta <= 1):
         raise InvalidParameterError("damping must lie in (0, 1]")
-    f = rhs_smoothed(v, grid, g, eps)
-    u = DirichletProblem(op, grid, psi, tol=tol).solve(f, v)[0]
+    f = rhs_smoothed(v, g, eps)
+    u = DirichletProblem(op, v.grid, psi, tol=tol).solve(f, v)[0]
     return u.with_interior((1.0 - theta) * v.interior + theta * u.interior)
 
 
@@ -251,12 +250,13 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
 
     # Default gap tolerance: the smallest forcing jump is one cell of measure
     # through g, and lattice symmetry flips whole value orbits at once (orbit
-    # size 2^n n!), so the certifiable gap scales with both.
+    # size 2^n n!), so the certifiable gap scales with both, and with the
+    # solve map's gain 1/lam.
     if cfg.outer_tol is not None:
         outer_tol = cfg.outer_tol
     else:
         orbit = 2 ** grid.n * math.factorial(grid.n)
-        outer_tol = max(1e-8, 0.00625 * orbit * grid.cell * g.max_slope())
+        outer_tol = max(1e-8, 0.00625 * orbit * grid.cell * g.max_slope() / op.lam)
     report.outer_tol = outer_tol
 
     problem = DirichletProblem(op, grid, psi, tol=cfg.inner_tol)
@@ -280,8 +280,10 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     # and the step from it.  On snapped iterates every positive value gap
     # exceeds the snap, so f is bitwise the smoothed right-hand side at
     # width snap.
-    order = np.argsort(v.interior)
-    v = v.with_interior(_snap_ties(v.interior, snap, order))
+    x = v.interior
+    order = np.argsort(x)
+    x = _snap_ties(x, snap, order)
+    v = v.with_interior(x)
     r, D, f = _plain_defect(problem, v, g, order)
     theta = cfg.damping
     best_gap = math.inf
@@ -294,25 +296,27 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
             report.status = "InnerFailure"
             report.notes.append(f"inner solve failed: {err}")
             break
-        step_gap = float(np.max(np.abs(u.interior - v.interior)))
+        y = u.interior
+        step_gap = float(np.max(np.abs(y - x)))
         done = step_gap <= outer_tol
         # Accept the undamped solve output at the end, so the final field is
         # an inner-solve output with its certificate.
-        nxt = u if done else u.with_interior(
-            (1.0 - theta) * v.interior + theta * u.interior)
-        order = np.argsort(nxt.interior)
-        nxt = nxt.with_interior(_snap_ties(nxt.interior, snap, order))
-        r, D, f = _plain_defect(problem, nxt, g, order)
+        if not done:
+            y = (1.0 - theta) * x + theta * y
+        order = np.argsort(y)
+        y = _snap_ties(y, snap, order)
+        v = u.with_interior(y)
+        r, D, f = _plain_defect(problem, v, g, order)
         report.records.append(IterationRecord(
             k=k,
             epsilon=snap,
-            increment=float(np.max(np.abs(nxt.interior - v.interior))),
+            increment=float(np.max(np.abs(y - x))),
             step_gap=step_gap,
             inner_residual=inner_res,
             plain_residual=float(np.max(r)),
-            lip_increment=_lip_seminorm(grid, nxt.interior - v.interior),
+            lip_increment=_lip_seminorm(grid, y - x),
         ))
-        v = nxt
+        x = y
         if step_gap < 0.999 * best_gap:
             best_gap, no_progress = step_gap, 0
         elif not done:
@@ -324,7 +328,7 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
                 no_progress, theta = 0, theta / 2
                 report.notes.append(
                     f"gap stagnated at {best_gap:.3e}; damping -> {theta:g}")
-        sup = float(np.max(np.abs(v.interior)))
+        sup = float(np.max(np.abs(x)))
         report.bound_max_observed = max(report.bound_max_observed, sup)
         if sup > report.bound_limit:
             report.status = "InnerFailure"

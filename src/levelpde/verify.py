@@ -27,7 +27,7 @@ from .geometry import (
     build_ball,
     domain_measure,
 )
-from .measure import ProfileSpec, ScalarField, superlevel_measures
+from .measure import ProfileFunction, ScalarField, superlevel_measures
 from .outerloop import OuterConfig, solve_nonlocal
 
 __all__ = [
@@ -126,10 +126,11 @@ def barrier_gradient_constant(eps0: float, n: int, Lam: float) -> float:
 # Gradient diagnostics
 
 
-def _gradient_magnitude(u: ScalarField, grid: Grid) -> NDArray[np.float64]:
+def _gradient_magnitude(u: ScalarField) -> NDArray[np.float64]:
     """Central-difference gradient magnitude, offset-aware near boundaries."""
     if u.trace is None:
         raise InvalidParameterError("field needs boundary data (a trace)")
+    grid = u.grid
     plan = grid.plan
     uin = u.interior
     total = np.zeros(grid.n_interior, dtype=np.float64)
@@ -143,12 +144,13 @@ def _gradient_magnitude(u: ScalarField, grid: Grid) -> NDArray[np.float64]:
     return np.sqrt(total)
 
 
-def boundary_gradient_min(u: ScalarField, grid: Grid, band: float) -> float:
+def boundary_gradient_min(u: ScalarField, band: float) -> float:
     """Minimum gradient magnitude over interior nodes within ``band`` of the
     boundary; the quantity the barrier bound c0 controls."""
+    grid = u.grid
     if not band >= 2 * grid.h:
         raise InvalidParameterError("band must be at least 2h")
-    mag = _gradient_magnitude(u, grid)
+    mag = _gradient_magnitude(u)
     dist = grid.distance_to_boundary(grid.interior_coords)
     sel = dist <= band
     if not np.any(sel):
@@ -175,8 +177,7 @@ class FlatRegionReport:
         return [(float(self.levels[i]), float(self.masses[i])) for i in order]
 
 
-def flat_region_detector(u: ScalarField, grid: Grid,
-                         delta: float) -> FlatRegionReport:
+def flat_region_detector(u: ScalarField, delta: float) -> FlatRegionReport:
     """Scan node values as candidate levels and report near-flat mass.
 
     A genuine plateau of M nodes at level a reports at least M h^n at a.  For
@@ -186,14 +187,11 @@ def flat_region_detector(u: ScalarField, grid: Grid,
     """
     if not delta > 0:
         raise InvalidParameterError("delta must be positive")
-    vec = u.interior
-    if not u.grid.matches(grid):
-        raise InvalidParameterError("field belongs to a different grid")
-    asc = np.sort(vec)
+    asc = np.sort(u.interior)
     levels = np.unique(asc)
     lo = np.searchsorted(asc, levels - delta, side="left")
     hi = np.searchsorted(asc, levels + delta, side="right")
-    masses = grid.cell * (hi - lo)
+    masses = u.grid.cell * (hi - lo)
     imax = int(np.argmax(masses))
     return FlatRegionReport(
         delta=float(delta),
@@ -248,7 +246,7 @@ class BarrierReport:
         return all(p.measure_ok for p in self.points)
 
 
-def barrier_comparison_check(u: ScalarField, grid: Grid, eps0: float,
+def barrier_comparison_check(u: ScalarField, eps0: float,
                              op: EllipticOperator | None = None,
                              tol: float | None = None) -> BarrierReport:
     """Compare the solution against the tangent-ball barrier at boundary
@@ -259,6 +257,7 @@ def barrier_comparison_check(u: ScalarField, grid: Grid, eps0: float,
     and its volume is at most half the discrete domain measure.  The caller
     asserts that u solves the zero-data problem with g(t) = -t.
     """
+    grid = u.grid
     d = grid.descriptor
     if not isinstance(d, (BallDescriptor, AnnulusDescriptor)):
         raise PreconditionError(
@@ -294,8 +293,8 @@ def barrier_comparison_check(u: ScalarField, grid: Grid, eps0: float,
     # 1/Lam; for the Laplacian Lam = 1 it is the solution itself.
     barrier_op = EllipticOperator.pucci_minus(op.lam, op.Lam)
     c0 = barrier_gradient_constant(eps0, n, op.Lam)
-    mu = superlevel_measures(u, grid).interior
-    coords = grid.interior_coords
+    mu = superlevel_measures(u)
+    uin, coords = u.interior, grid.interior_coords
 
     points: list[BarrierPoint] = []
     for radius, inward in spheres:
@@ -309,7 +308,7 @@ def barrier_comparison_check(u: ScalarField, grid: Grid, eps0: float,
                 points.append(BarrierPoint(tuple(y), tuple(cb), 0, math.inf,
                                            True, True))
                 continue
-            slack = u.interior[in_ball] - barrier.value(coords[in_ball])
+            slack = uin[in_ball] - barrier.value(coords[in_ball])
             min_slack = float(np.min(slack))
             measure_ok = bool(np.all(mu[in_ball] >= half - grid.cell))
             points.append(BarrierPoint(
@@ -327,7 +326,7 @@ def barrier_comparison_check(u: ScalarField, grid: Grid, eps0: float,
         c0=c0,
         tol=float(tol),
         band=float(band),
-        min_grad_band=boundary_gradient_min(u, grid, band),
+        min_grad_band=boundary_gradient_min(u, band),
         points=points,
     )
 
@@ -343,7 +342,6 @@ class StudyProblem:
     center: tuple[float, ...]
     radius: float
     op: EllipticOperator
-    profile: ProfileSpec = ProfileSpec(kind="linear", a=-1.0, b=0.0)
 
     @property
     def n(self) -> int:
@@ -375,7 +373,7 @@ def convergence_order_study(problem: StudyProblem, h_list: Sequence[float],
     prev: tuple[float, float] | None = None
     for h in h_list:
         grid = build_ball(problem.center, problem.radius, h)
-        g = problem.profile.bind(domain_measure(grid))
+        g = ProfileFunction.linear(-1.0, 0.0, domain_measure(grid))
         u, rep = solve_nonlocal(problem.op, grid, g, BoundaryData.zero(), cfg)
         err = float(np.max(np.abs(u.interior - exact.value(grid.interior_coords))))
         order = None

@@ -180,7 +180,7 @@ class TestCriterion4MeasureOracle:
                 vals = rng.uniform(-5.0, 5.0, size=N)
             grid = build_box([(0.0, 0.5 * (N + 1))], 0.5)
             f = ScalarField.from_interior(grid, vals)
-            mu = superlevel_measures(f, grid).interior
+            mu = superlevel_measures(f)
             brute = np.array([grid.cell * np.sum(vals >= v) for v in vals])
             assert np.array_equal(mu, brute)
             checked += 1
@@ -201,13 +201,13 @@ class TestCriterion5SmoothingMonotonicity:
                 vals = rng.uniform(-1.0, 1.0, size=N)
             grid = build_box([(0.0, 0.5 * (N + 1))], 0.5)
             f = ScalarField.from_interior(grid, vals)
-            mu = superlevel_measures(f, grid).interior
+            mu = superlevel_measures(f)
             total = grid.cell * N
             osc = float(vals.max() - vals.min())
             eps0 = osc / 4 if osc > 0 else 1.0
             prev = None
             for k in range(6, -1, -1):  # eps0/64 up to eps0
-                s = smoothed_superlevel_average(f, grid, eps0 * 0.5 ** k).interior
+                s = smoothed_superlevel_average(f, eps0 * 0.5 ** k)
                 assert np.all(s >= mu)
                 assert np.all(s <= total)
                 if prev is not None:
@@ -215,7 +215,7 @@ class TestCriterion5SmoothingMonotonicity:
                 prev = s
             gaps = np.diff(np.unique(vals))
             if gaps.size:
-                s = smoothed_superlevel_average(f, grid, float(gaps.min()) / 2).interior
+                s = smoothed_superlevel_average(f, float(gaps.min()) / 2)
                 assert np.array_equal(s, mu)
         verdict(5, True, "chains exact on 100 fields incl. collapse below min gap")
 
@@ -242,13 +242,13 @@ class TestCriterion6MaximumPrinciple:
             w1, w2 = rng.uniform(1.0, 4.0, size=2)
             fvals = sign * (a + b * np.sin(w1 * grid.interior_coords[:, 0]) ** 2
                             + c * np.cos(w2 * grid.interior_coords[:, 1]) ** 2)
-            f = ScalarField.from_interior(grid, fvals)
+            f = fvals
             c0, c1, c2 = rng.uniform(-1.0, 1.0, size=3)
             psi = BoundaryData.from_callable(
                 lambda p, c0=c0, c1=c1, c2=c2:
                 c0 + c1 * p[:, 0] + c2 * p[:, 0] * p[:, 1])
             u = solve_dirichlet(op, grid, f, psi, tol=1e-8)
-            rep = maximum_principle_check(op, u, f, psi, grid, tol=1e-6)
+            rep = maximum_principle_check(op, u, f, psi, tol=1e-6)
             assert rep.upper_applicable or rep.lower_applicable
             assert rep.passed, f"trial {trial}: {rep}"
             if rep.upper_applicable:
@@ -263,9 +263,9 @@ class TestCriterion7FlatRegionExclusion:
     def test_converged_ball_has_no_flat_mass(self, laplace_runs):
         grid, u, _, _, _ = laplace_runs[1 / 64]
         delta = grid.h ** 2
-        got = flat_region_detector(u, grid, delta)
+        got = flat_region_detector(u, delta)
         exact = exact_ball_solution((0.0, 0.0), 1.0, 2, LAP)
-        ref = flat_region_detector(exact.sample(grid), grid, delta)
+        ref = flat_region_detector(exact.sample(grid), delta)
         # tau(h, delta) calibrated on the sampled closed form at the same
         # (h, delta), with a 1.5x allowance for the solve's own wobble.
         tau = 1.5 * ref.max_mass + grid.cell
@@ -276,14 +276,14 @@ class TestCriterion7FlatRegionExclusion:
         assert got.max_mass <= tau
         # sanity: a genuine plateau would overshoot tau by an order
         flat = ScalarField.from_interior(grid, np.full(grid.n_interior, 1.0))
-        assert flat_region_detector(flat, grid, delta).max_mass > 10 * tau
+        assert flat_region_detector(flat, delta).max_mass > 10 * tau
 
 
 class TestCriterion8BarrierGradientBound:
     def test_boundary_band_gradient_and_barrier(self, laplace_runs):
         grid, u, _, _, _ = laplace_runs[1 / 64]
         eps0 = 0.5  # r / 2
-        rep = barrier_comparison_check(u, grid, eps0, LAP)
+        rep = barrier_comparison_check(u, eps0, LAP)
         c0 = barrier_gradient_constant(eps0, 2, 1.0)
         ok = rep.passed and rep.min_grad_band >= 0.9 * c0
         verdict(8, ok, f"min |grad u| in band = {rep.min_grad_band:.4f} >= "

@@ -1,0 +1,57 @@
+"""The traced benchmark's probes still find every name they patch.
+
+``bench/spans.py`` replaces module attributes of the package by name, so a
+renamed or removed function breaks the traced benchmark run without failing
+any other fast test.  ``install`` patches the package for the life of the
+process, so the probe run happens in a child interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PROBE_RUN = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import spans
+from levelpde import (BoundaryData, EllipticOperator, ProfileFunction,
+                      build_ball, domain_measure, outerloop)
+
+recorder = spans.Recorder()
+spans.install(recorder)
+grid = build_ball((0.0, 0.0), 1.0, 1 / 4)
+g = ProfileFunction.linear(-1.0, 0.0, domain_measure(grid))
+u, report = recorder.call("outerloop.solve_nonlocal", outerloop.solve_nonlocal,
+                          EllipticOperator.pucci_minus(1.0, 2.0), grid, g,
+                          BoundaryData.zero())
+recorder.reports.append(report)
+metrics = {k: v for k, (v, _) in spans.layer_metrics(recorder).items()}
+print(json.dumps({"status": report.status, "nested": recorder.nested(),
+                  "metrics": metrics}))
+"""
+
+
+def test_layer_metrics_cover_the_benchmark_after_install():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE_RUN, str(ROOT / "bench"), str(ROOT / "src")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.strip().splitlines()[-1])
+    assert out["status"] == "Converged" and out["nested"]
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    run_level = {"trace_overhead_s", "failed_fraction"}
+    wanted = {m["name"] for m in declared} - run_level
+    metrics = out["metrics"]
+    assert wanted <= set(metrics)
+    # The solve ran through the probes: one plain right-hand side per
+    # iterate, the start included, and the grid's one factorization.
+    assert metrics["outerloop.iterations"] >= 1
+    assert metrics["measure.rhs_plain.calls"] == metrics["outerloop.iterations"] + 1
+    assert metrics["elliptic.factorizations"] == 1

@@ -212,6 +212,26 @@ output.table = {tmp_path}/study.txt
         text = (tmp_path / "study.txt").read_text()
         assert "row.0.error" in text and "row.1.order" in text
 
+    @pytest.mark.parametrize("change", [
+        {"profile.a = -1": "profile.a = -3"},
+        {"boundary.kind = zero": "boundary.kind = radial_poly\nboundary.coeffs = 5"},
+        {"profile.a = -1": "profile.a = -3",
+         "boundary.kind = zero": "boundary.kind = radial_poly\nboundary.coeffs = 5"},
+    ], ids=["profile", "boundary", "both"])
+    def test_study_outside_the_closed_form_setting_exit_1(self, change, tmp_path,
+                                                         capsys):
+        # The study measures its error against the g(t) = -t, zero-data
+        # closed form, so it refuses other settings as verify-ball does.
+        text = MINIMAL_BALL.replace("domain.radius = 1",
+                                    "domain.center = 0\ndomain.radius = 1")
+        for old, new in change.items():
+            text = text.replace(old, new)
+        text += "study.h_list = 0.0625,0.03125\n"
+        path = write_config(tmp_path, text)
+        for command in ("study", "verify-ball"):
+            assert main([command, path]) == 1
+            assert "closed form's setting" in capsys.readouterr().err
+
     def test_invalid_config_exit_1(self, tmp_path):
         rc = main(["solve", write_config(tmp_path, "domain.type = cone\n")])
         assert rc == 1

@@ -47,13 +47,13 @@ class TestDiscreteHessian:
     def test_pure_second_exact(self):
         grid = build_box([(0, 1), (0, 1)], 0.25)
         u = ScalarField.sample(grid, lambda p: 0.5 * p[:, 0] ** 2)
-        H = discrete_hessian(u, grid, (2, 2))
+        H = discrete_hessian(u, (2, 2))
         assert np.allclose(H, [[1.0, 0.0], [0.0, 0.0]], atol=1e-13)
 
     def test_mixed_exact_full_stencil(self):
         grid = build_box([(0, 1), (0, 1)], 0.25)
         u = ScalarField.sample(grid, lambda p: p[:, 0] * p[:, 1])
-        H = discrete_hessian(u, grid, (2, 2))
+        H = discrete_hessian(u, (2, 2))
         assert H[0, 1] == pytest.approx(1.0, abs=1e-13)
 
     def test_quadratic_exact_random_matrices(self):
@@ -63,7 +63,7 @@ class TestDiscreteHessian:
             A = rng.normal(size=(n, n))
             M = 0.5 * (A + A.T)
             u = quad_field(grid, M)
-            H = hessian_field(u, grid)
+            H = hessian_field(u)
             for i in full_stencil_ordinals(grid):
                 assert np.allclose(H[i], M, atol=1e-11)
 
@@ -72,7 +72,7 @@ class TestDiscreteHessian:
         # fallback is still exact on bilinear functions.
         grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
         u = ScalarField.sample(grid, lambda p: p[:, 0] * p[:, 1])
-        H = hessian_field(u, grid)
+        H = hessian_field(u)
         # Nodes with at least one usable mixed stencil carry (0, 1) terms:
         usable = np.zeros(grid.n_interior, dtype=bool)
         usable[grid.stencil.terms[(0, 1)].node] = True
@@ -88,7 +88,7 @@ class TestDiscreteHessian:
             node = (int(round(0.5 / h)), int(round(0.5 / h)))
             x = grid.node_coords(node)
             assert np.allclose(x, [0.5, 0.0])
-            H = discrete_hessian(u, grid, node)
+            H = discrete_hessian(u, node)
             s2 = float(x @ x)
             exact = 4.0 * s2 * np.eye(2) + 8.0 * np.outer(x, x)
             errs[h] = np.max(np.abs(H - exact))
@@ -106,20 +106,20 @@ class TestDiscreteHessian:
         grid = make_grid()
         u = ScalarField.sample(
             grid, lambda p: np.sin(2 * p[:, 0]) * np.exp(p[:, 1]) + p[:, 0] * p[:, -1] ** 2)
-        full = np.einsum("nii->n", hessian_field(u, grid))
-        assert hessian_field(u, grid, trace_only=True).tobytes() == full.tobytes()
+        full = np.einsum("nii->n", hessian_field(u))
+        assert hessian_field(u, trace_only=True).tobytes() == full.tobytes()
 
     def test_non_interior_node_rejected(self):
         grid = build_box([(0, 1), (0, 1)], 0.25)
         u = ScalarField.sample(grid, lambda p: p[:, 0])
         with pytest.raises(InvalidParameterError):
-            discrete_hessian(u, grid, (0, 0))
+            discrete_hessian(u, (0, 0))
 
     def test_trace_required(self):
         grid = build_box([(0, 1), (0, 1)], 0.25)
         u = ScalarField.from_interior(grid, np.zeros(grid.n_interior))
         with pytest.raises(InvalidParameterError):
-            hessian_field(u, grid)
+            hessian_field(u)
 
 
 class TestApplyOperator:
@@ -127,8 +127,8 @@ class TestApplyOperator:
         # u = (x^2 - y^2)/2 has Hessian diag(1, -1)
         grid = build_box([(0, 1), (0, 1)], 0.25)
         u = quad_field(grid, np.diag([1.0, -1.0]))
-        mm = apply_operator(EllipticOperator.pucci_minus(1, 2), u, grid).interior
-        mp = apply_operator(EllipticOperator.pucci_plus(1, 2), u, grid).interior
+        mm = apply_operator(EllipticOperator.pucci_minus(1, 2), u)
+        mp = apply_operator(EllipticOperator.pucci_plus(1, 2), u)
         assert np.allclose(mm, -1.0, atol=1e-11)
         assert np.allclose(mp, +1.0, atol=1e-11)
 
@@ -136,19 +136,19 @@ class TestApplyOperator:
         grid = build_box([(0, 1), (0, 1)], 0.25)
         u = quad_field(grid, np.eye(2))
         lam, Lam = 0.5, 3.0
-        assert np.allclose(apply_operator(LAP, u, grid).interior, 2.0, atol=1e-11)
+        assert np.allclose(apply_operator(LAP, u), 2.0, atol=1e-11)
         assert np.allclose(
-            apply_operator(EllipticOperator.pucci_minus(lam, Lam), u, grid).interior,
+            apply_operator(EllipticOperator.pucci_minus(lam, Lam), u),
             2 * lam, atol=1e-11)
         assert np.allclose(
-            apply_operator(EllipticOperator.pucci_plus(lam, Lam), u, grid).interior,
+            apply_operator(EllipticOperator.pucci_plus(lam, Lam), u),
             2 * Lam, atol=1e-11)
 
     def test_negative_definite_gives_Lam_trace(self):
         # All eigenvalues negative: pucci_minus degenerates to Lam * trace.
         grid = build_box([(0, 1), (0, 1)], 0.25)
         u = quad_field(grid, -np.eye(2))
-        out = apply_operator(EllipticOperator.pucci_minus(1, 2), u, grid).interior
+        out = apply_operator(EllipticOperator.pucci_minus(1, 2), u)
         assert np.allclose(out, 2 * (-2.0), atol=1e-11)
 
     def test_operator_ordering(self):
@@ -162,9 +162,9 @@ class TestApplyOperator:
             grid, lambda p: np.sin(3 * p[:, 0]) * np.cos(2 * p[:, 1]) + p[:, 0] ** 2
         )
         lam, Lam = 0.7, 2.5
-        lo = apply_operator(EllipticOperator.pucci_minus(lam, Lam), f, grid).interior
-        mid = apply_operator(LAP, f, grid).interior
-        hi = apply_operator(EllipticOperator.pucci_plus(lam, Lam), f, grid).interior
+        lo = apply_operator(EllipticOperator.pucci_minus(lam, Lam), f)
+        mid = apply_operator(LAP, f)
+        hi = apply_operator(EllipticOperator.pucci_plus(lam, Lam), f)
         assert np.all(lo <= mid + 1e-12)
         assert np.all(mid <= hi + 1e-12)
 
@@ -172,8 +172,8 @@ class TestApplyOperator:
         grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 5)
         u = ScalarField.sample(
             grid, lambda p: np.sin(2 * p[:, 0]) * np.exp(p[:, 1]) + p[:, 0] * p[:, 2] ** 2)
-        H = hessian_field(u, grid)
-        lap = apply_operator(LAP, u, grid).interior
+        H = hessian_field(u)
+        lap = apply_operator(LAP, u)
         eig_sum = np.sum(_eigenvalues(H), axis=1)
         assert np.max(np.abs(lap - eig_sum)) <= 1e-12 * np.max(np.abs(H))
 
@@ -192,12 +192,12 @@ class TestApplyOperator:
         op = EllipticOperator.pucci_minus(0.8, 2.5)
         u = ScalarField.sample(
             grid, lambda p: np.sin(2 * p[:, 0]) * np.cos(3 * p[:, 1]))
-        base = apply_operator(op, u, grid).interior
+        base = apply_operator(op, u)
         for i in rng.choice(full_stencil_ordinals(grid), size=8, replace=False):
             for c in rng.uniform(0.0, 0.5, size=3):
                 bumped = u.interior.copy()
                 bumped[i] += c
-                out = apply_operator(op, u.with_interior(bumped), grid).interior
+                out = apply_operator(op, u.with_interior(bumped))
                 assert out[i] <= base[i] + 1e-12
 
 
@@ -288,7 +288,7 @@ class TestAssembler:
         # The offset is tr(W H(0)), the boundary terms of every row.
         H0 = DirichletProblem(EllipticOperator.pucci_minus(1, 2), grid, psi).H0
         lhs = _matrix(grid, W) @ u.interior + np.einsum("nij,nij->n", W, H0)
-        H = hessian_field(u, grid)
+        H = hessian_field(u)
         rhs = np.einsum("nij,nij->n", W, H)
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
@@ -349,6 +349,16 @@ class TestSolveDirichlet:
         exact = np.sum(grid.interior_coords ** 2, axis=1)
         assert np.allclose(u.interior, exact, atol=1e-10)
 
+    @pytest.mark.parametrize("forcing", [
+        lambda grid: np.zeros(grid.n_interior + 1),
+        lambda grid: np.full(grid.n_interior, np.nan),
+        lambda grid: ScalarField.from_interior(grid, np.zeros(grid.n_interior)),
+    ], ids=["long", "nan", "field"])
+    def test_forcing_is_a_scalar_or_an_interior_vector(self, forcing):
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 4)
+        with pytest.raises(InvalidParameterError):
+            solve_dirichlet(LAP, grid, forcing(grid), BoundaryData.zero())
+
     def test_ball_closed_form_second_order(self):
         # Laplacian, f = -omega_2 |x|^2, psi = 0 has the radial quartic
         # solution with center value pi/16.
@@ -356,7 +366,7 @@ class TestSolveDirichlet:
         for h in (1 / 16, 1 / 32):
             grid = build_ball((0.0, 0.0), 1.0, h)
             s2 = np.sum(grid.interior_coords ** 2, axis=1)
-            f = ScalarField.from_interior(grid, -math.pi * s2)
+            f = -math.pi * s2
             u = solve_dirichlet(LAP, grid, f, BoundaryData.zero())
             exact = (math.pi / 16.0) * (1.0 - s2 ** 2)
             errs[h] = float(np.max(np.abs(u.interior - exact)))
@@ -395,9 +405,9 @@ class TestSolveDirichlet:
         for h in (1 / 8, 1 / 16):
             grid = build_ball((0.0, 0.0), 1.0, h)
             s2 = np.sum(grid.interior_coords ** 2, axis=1)
-            f = ScalarField.from_interior(grid, -math.pi * s2 / 2)
+            f = -math.pi * s2 / 2
             u = solve_dirichlet(op, grid, f, BoundaryData.zero(), tol=1e-9)
-            lap = solve_dirichlet(LAP, grid, f.with_interior(f.interior / 2),
+            lap = solve_dirichlet(LAP, grid, f / 2,
                                   BoundaryData.zero())
             assert np.allclose(u.interior, lap.interior, atol=5e-10)
             errs.append(np.max(np.abs(u.interior - math.pi / 64 * (1 - s2 ** 2))))
@@ -526,7 +536,7 @@ class TestMaximumPrinciple:
         grid = build_box([(0, 1), (0, 1)], 0.125)
         psi = BoundaryData.from_callable(lambda p: p[:, 0])
         u = solve_dirichlet(LAP, grid, 0.0, psi)
-        rep = maximum_principle_check(LAP, u, 0.0, psi, grid)
+        rep = maximum_principle_check(LAP, u, 0.0, psi)
         assert rep.upper_applicable and rep.lower_applicable
         assert rep.passed
         assert rep.sup_u <= 1.0 + 1e-9 and rep.inf_u >= -1e-9
@@ -535,7 +545,7 @@ class TestMaximumPrinciple:
         # f = -1, psi = 0: u = (1 - |x|^2)/(2n), max 1/(2n).
         grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
         u = solve_dirichlet(LAP, grid, -1.0, BoundaryData.zero())
-        rep = maximum_principle_check(LAP, u, -1.0, BoundaryData.zero(), grid)
+        rep = maximum_principle_check(LAP, u, -1.0, BoundaryData.zero())
         assert rep.lower_applicable and rep.lower_ok
         assert not rep.upper_applicable
         exact = (1.0 - np.sum(grid.interior_coords ** 2, axis=1)) / 4.0
@@ -545,8 +555,8 @@ class TestMaximumPrinciple:
     def test_sign_of_ball_solution(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
         s2 = np.sum(grid.interior_coords ** 2, axis=1)
-        f = ScalarField.from_interior(grid, -math.pi * s2)
+        f = -math.pi * s2
         u = solve_dirichlet(LAP, grid, f, BoundaryData.zero())
-        rep = maximum_principle_check(LAP, u, f, BoundaryData.zero(), grid)
+        rep = maximum_principle_check(LAP, u, f, BoundaryData.zero())
         assert rep.lower_applicable and rep.lower_ok
         assert np.all(u.interior >= -1e-9)

@@ -68,8 +68,8 @@ class TestFixedPointStep:
         v1 = ScalarField.from_interior(grid, np.zeros(grid.n_interior))
         v2 = ScalarField.from_interior(
             grid, np.sin(7.0 * grid.interior_coords[:, 0]))
-        u1 = fixed_point_step(v1, 0.3, 1.0, LAP, grid, g, psi)
-        u2 = fixed_point_step(v2, 0.3, 1.0, LAP, grid, g, psi)
+        u1 = fixed_point_step(v1, 0.3, 1.0, LAP, g, psi)
+        u2 = fixed_point_step(v2, 0.3, 1.0, LAP, g, psi)
         assert np.array_equal(u1.interior, u2.interior)
 
     def test_fixed_point_is_fixed(self):
@@ -79,7 +79,7 @@ class TestFixedPointStep:
         u, rep = solve_nonlocal(LAP, grid, g, psi)
         assert rep.converged
         eps = rep.tie_snap
-        again = fixed_point_step(u, eps, 1.0, LAP, grid, g, psi)
+        again = fixed_point_step(u, eps, 1.0, LAP, g, psi)
         gap = float(np.max(np.abs(again.interior - u.interior)))
         # The cell-quantized map can amplify the accepted gap a little when
         # value orderings flip; the returned field is fixed to that scale.
@@ -93,7 +93,7 @@ class TestFixedPointStep:
         u, rep = solve_nonlocal(LAP, grid, g, psi)
         eps = rep.tie_snap
         for theta in (0.25, 0.5, 1.0):
-            w = fixed_point_step(u, eps, theta, LAP, grid, g, psi)
+            w = fixed_point_step(u, eps, theta, LAP, g, psi)
             gap = float(np.max(np.abs(w.interior - u.interior)))
             assert gap <= theta * 3.0 * rep.outer_tol + 1e-12
 
@@ -107,10 +107,10 @@ class TestFixedPointStep:
         psi = BoundaryData.zero()
         v = ScalarField.from_interior(
             grid, np.linspace(0.0, 1.0, grid.n_interior))
-        assert np.array_equal(rhs_smoothed(v, grid, g, 1e-6).interior,
-                              rhs_plain(v, grid, g).interior)
-        stepped = fixed_point_step(v, 1e-6, 1.0, LAP, grid, g, psi)
-        plain = solve_dirichlet(LAP, grid, rhs_plain(v, grid, g), psi,
+        assert np.array_equal(rhs_smoothed(v, g, 1e-6),
+                              rhs_plain(v, g))
+        stepped = fixed_point_step(v, 1e-6, 1.0, LAP, g, psi)
+        plain = solve_dirichlet(LAP, grid, rhs_plain(v, g), psi,
                                 initial=v)
         assert np.array_equal(stepped.interior, plain.interior)
 
@@ -119,11 +119,11 @@ class TestFixedPointStep:
         g = linear_profile(grid)
         v = ScalarField.from_interior(grid, np.zeros(grid.n_interior))
         with pytest.raises(InvalidParameterError):
-            fixed_point_step(v, 0.0, 1.0, LAP, grid, g, BoundaryData.zero())
+            fixed_point_step(v, 0.0, 1.0, LAP, g, BoundaryData.zero())
         with pytest.raises(InvalidParameterError):
-            fixed_point_step(v, 0.1, 0.0, LAP, grid, g, BoundaryData.zero())
+            fixed_point_step(v, 0.1, 0.0, LAP, g, BoundaryData.zero())
         with pytest.raises(InvalidParameterError, match="positive and finite"):
-            fixed_point_step(v, 0.1, 1.0, LAP, grid, g, BoundaryData.zero(),
+            fixed_point_step(v, 0.1, 1.0, LAP, g, BoundaryData.zero(),
                              tol=math.inf)
 
     def test_1d_converges_toward_cubic_profile(self):
@@ -187,6 +187,19 @@ class TestSolveNonlocal:
         s2 = np.sum(grid.interior_coords ** 2, axis=1)
         exact = (math.pi / 32.0) * (1.0 - s2 ** 2)
         assert float(np.max(np.abs(u.interior - exact))) < 5e-3
+
+    def test_small_lam_pucci_plus_converges(self):
+        # The P+(lam, 1) solution is the Laplacian one scaled by 1/lam, and so
+        # is the default gap tolerance; unscaled, this solve ended
+        # MaxIterations at the damping floor after 64 steps.
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
+        op = EllipticOperator.pucci_plus(0.1, 1.0)
+        u, rep = solve_nonlocal(op, grid, linear_profile(grid), BoundaryData.zero())
+        assert rep.converged and rep.total_iterations <= 20
+        assert rep.outer_tol == pytest.approx(0.05 * grid.cell / 0.1, rel=1e-12)
+        s2 = np.sum(grid.interior_coords ** 2, axis=1)
+        exact = (math.pi / 16.0 / 0.1) * (1.0 - s2 ** 2)
+        assert float(np.max(np.abs(u.interior - exact))) < 0.02 * np.max(exact)
 
     def test_annulus_solve_and_positivity(self):
         from levelpde.geometry import build_annulus
@@ -322,17 +335,17 @@ class TestPlainResidual:
         g = linear_profile(grid)
         rng = np.random.default_rng(1)
         u = ScalarField.sample(grid, lambda p: np.cos(3 * p[:, 0]) * p[:, 1])
-        assert plain_residual(u, LAP, grid, g) > 0.1
+        assert plain_residual(u, LAP, g) > 0.1
 
     def test_converged_run_is_consistent(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
         g = linear_profile(grid)
         u, rep = solve_nonlocal(LAP, grid, g, BoundaryData.zero())
-        tot = plain_residual(u, LAP, grid, g)
+        tot = plain_residual(u, LAP, g)
         assert tot == rep.final_plain_residual
         # consistency level of the cell-quantized right side
         assert tot <= 1.0 * grid.h
-        total, core, band = plain_residual_parts(u, LAP, grid, g)
+        total, core, band = plain_residual_parts(u, LAP, g)
         assert total == max(core, band) or total == pytest.approx(max(core, band))
 
     def test_exact_sampled_solution_residual_small(self):
@@ -345,7 +358,7 @@ class TestPlainResidual:
             u = ScalarField.sample(
                 grid,
                 lambda p: (math.pi / 16) * (1 - np.sum(p ** 2, axis=1) ** 2))
-            vals[h] = plain_residual(u, LAP, grid, g)
+            vals[h] = plain_residual(u, LAP, g)
         assert vals[1 / 32] < vals[1 / 16]
         assert vals[1 / 32] < 0.5
 
@@ -416,6 +429,6 @@ class TestWorkPerOuterStep:
 
     def test_carried_defect_matches_the_public_residual(self, counted_disk_pucci):
         _, rep, (u, op, grid, g) = counted_disk_pucci
-        assert plain_residual_parts(u, op, grid, g) == (
+        assert plain_residual_parts(u, op, g) == (
             rep.final_plain_residual, rep.final_plain_residual_core,
             rep.final_plain_residual_band)

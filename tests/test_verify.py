@@ -68,7 +68,7 @@ class TestBallSolution:
         for h in (1 / 16, 1 / 32):
             grid = build_ball((0.0, 0.0), 1.0, h)
             sol = exact_ball_solution((0.0, 0.0), 1.0, 2, LAP)
-            lap = apply_operator(LAP, sol.sample(grid), grid).interior
+            lap = apply_operator(LAP, sol.sample(grid))
             s2 = np.sum(grid.interior_coords ** 2, axis=1)
             dist = grid.distance_to_boundary(grid.interior_coords)
             core = dist > 2 * h
@@ -81,7 +81,7 @@ class TestBallSolution:
         grid = build_ball((0.0, 0.0), 1.0, 1 / 32)
         op = EllipticOperator.pucci_minus(1.0, 2.0)
         sol = exact_ball_solution((0.0, 0.0), 1.0, 2, op)
-        out = apply_operator(op, sol.sample(grid), grid).interior
+        out = apply_operator(op, sol.sample(grid))
         s2 = np.sum(grid.interior_coords ** 2, axis=1)
         dist = grid.distance_to_boundary(grid.interior_coords)
         core = dist > 2 * grid.h
@@ -92,7 +92,7 @@ class TestBallSolution:
         # the node's radius, up to the counting error O(h).
         grid = build_ball((0.0, 0.0), 1.0, 1 / 32)
         sol = exact_ball_solution((0.0, 0.0), 1.0, 2, LAP)
-        mu = superlevel_measures(sol.sample(grid), grid).interior
+        mu = superlevel_measures(sol.sample(grid))
         s2 = np.sum(grid.interior_coords ** 2, axis=1)
         assert float(np.max(np.abs(mu - math.pi * s2))) <= 6.0 * grid.h
 
@@ -127,17 +127,17 @@ class TestBoundaryGradientMin:
     def test_linear_field(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 32)
         u = ScalarField.sample(grid, lambda p: p[:, 0])
-        assert boundary_gradient_min(u, grid, 0.1) == pytest.approx(1.0, abs=1e-12)
+        assert boundary_gradient_min(u, 0.1) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_field(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 32)
         u = ScalarField.sample(grid, lambda p: np.full(p.shape[0], 3.0))
-        assert boundary_gradient_min(u, grid, 0.1) == pytest.approx(0.0, abs=1e-12)
+        assert boundary_gradient_min(u, 0.1) == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_ball_band(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 64)
         sol = exact_ball_solution((0.0, 0.0), 1.0, 2, LAP)
-        got = boundary_gradient_min(sol.sample(grid), grid, 0.1)
+        got = boundary_gradient_min(sol.sample(grid), 0.1)
         # lower-bounded by the analytic slope at the band's inner edge
         assert got >= abs(float(sol.radial_slope(np.array(0.9)))) * 0.98
         assert got == pytest.approx(math.pi * 0.9 ** 3 / 4, rel=0.05)
@@ -146,14 +146,14 @@ class TestBoundaryGradientMin:
         grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
         u = ScalarField.sample(grid, lambda p: p[:, 0])
         with pytest.raises(InvalidParameterError):
-            boundary_gradient_min(u, grid, grid.h)
+            boundary_gradient_min(u, grid.h)
 
 
 class TestFlatRegionDetector:
     def test_constant_field_carries_whole_measure(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
         u = ScalarField.from_interior(grid, np.full(grid.n_interior, 2.0))
-        rep = flat_region_detector(u, grid, 1e-6)
+        rep = flat_region_detector(u, 1e-6)
         assert rep.max_mass == pytest.approx(domain_measure(grid))
         assert rep.max_level == 2.0
 
@@ -162,7 +162,7 @@ class TestFlatRegionDetector:
         vals = np.linspace(0.0, 1.0, grid.n_interior)
         vals[:40] = 0.5
         u = ScalarField.from_interior(grid, vals)
-        rep = flat_region_detector(u, grid, 1e-9)
+        rep = flat_region_detector(u, 1e-9)
         assert rep.max_mass >= 40 * grid.cell
 
     def test_exact_solution_mass_vanishes(self):
@@ -170,7 +170,7 @@ class TestFlatRegionDetector:
         for h in (1 / 16, 1 / 32, 1 / 64):
             grid = build_ball((0.0, 0.0), 1.0, h)
             sol = exact_ball_solution((0.0, 0.0), 1.0, 2, LAP)
-            rep = flat_region_detector(sol.sample(grid), grid, h * h)
+            rep = flat_region_detector(sol.sample(grid), h * h)
             masses[h] = rep.max_mass
         assert masses[1 / 64] < masses[1 / 32] < masses[1 / 16]
 
@@ -178,7 +178,7 @@ class TestFlatRegionDetector:
         grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
         u = ScalarField.from_interior(grid, np.zeros(grid.n_interior))
         with pytest.raises(InvalidParameterError):
-            flat_region_detector(u, grid, 0.0)
+            flat_region_detector(u, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +194,7 @@ class TestBarrierComparison:
     def test_exact_solution_passes(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 32)
         sol = exact_ball_solution((0.0, 0.0), 1.0, 2, LAP)
-        rep = barrier_comparison_check(sol.sample(grid), grid, 0.5, LAP)
+        rep = barrier_comparison_check(sol.sample(grid), 0.5, LAP)
         assert rep.passed
         assert len(rep.points) == 8
         assert all(p.n_nodes > 0 for p in rep.points)
@@ -202,7 +202,7 @@ class TestBarrierComparison:
 
     def test_solved_field_passes(self, solved_ball):
         grid, u = solved_ball
-        rep = barrier_comparison_check(u, grid, 0.5, LAP)
+        rep = barrier_comparison_check(u, 0.5, LAP)
         assert rep.passed
         assert rep.min_grad_band >= 0.9 * rep.c0
 
@@ -210,13 +210,13 @@ class TestBarrierComparison:
         grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
         u = ScalarField.sample(grid, lambda p: np.zeros(p.shape[0]))
         with pytest.raises(PreconditionError):
-            barrier_comparison_check(u, grid, 0.9, LAP)
+            barrier_comparison_check(u, 0.9, LAP)
 
     def test_gate_on_box(self):
         grid = build_box([(0, 1), (0, 1)], 1 / 8)
         u = ScalarField.sample(grid, lambda p: np.zeros(p.shape[0]))
         with pytest.raises(PreconditionError):
-            barrier_comparison_check(u, grid, 0.2, LAP)
+            barrier_comparison_check(u, 0.2, LAP)
 
 
 class TestConvergenceStudy:
@@ -228,11 +228,10 @@ class TestConvergenceStudy:
         assert rows[1].error < rows[0].error
         assert rows[1].order > 1.0
 
-    def test_1d_study_reports_first_order(self):
-        # The name predates the 1-D measure of the piecewise-linear
-        # interpolant.  With it the discrete solution is the cubic minus
-        # (h^2/12)(1 - |x|), so the error is h^2/12 and the study reports
-        # second order.
+    def test_1d_study_reports_second_order(self):
+        # With the 1-D measure of the piecewise-linear interpolant the
+        # discrete solution is the cubic minus (h^2/12)(1 - |x|), so the
+        # error is h^2/12.
         problem = StudyProblem(center=(0.0,), radius=1.0, op=LAP)
         rows = convergence_order_study(problem, [1 / 32, 1 / 64, 1 / 128])
         assert all(r.status == "Converged" for r in rows)
