@@ -29,7 +29,6 @@ from .geometry import (
     domain_measure,
 )
 from .measure import (
-    LevelStats,
     ProfileFunction,
     ProfileSpec,
     ScalarField,
@@ -53,7 +52,6 @@ from .outerloop import (
     OuterConfig,
     SolveReport,
     fixed_point_step,
-    plain_residual,
     plain_residual_parts,
     solve_nonlocal,
 )

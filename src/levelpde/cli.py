@@ -458,7 +458,6 @@ def format_report(report: SolveReport, timings: bool = False) -> str:
     """
     lines = [
         f"status = {report.status}",
-        f"initial_policy = {report.initial_policy}",
         f"damping = {_fmt(report.damping)}",
         f"outer_tol = {_fmt(report.outer_tol)}",
         f"tie_snap = {_fmt(report.tie_snap)}",
@@ -480,7 +479,6 @@ def format_report(report: SolveReport, timings: bool = False) -> str:
         lines.append(f"{p}.step_gap = {_fmt(rec.step_gap)}")
         lines.append(f"{p}.inner_residual = {_fmt(rec.inner_residual)}")
         lines.append(f"{p}.plain_residual = {_fmt(rec.plain_residual)}")
-        lines.append(f"{p}.lip_increment = {_fmt(rec.lip_increment)}")
     if timings:
         for i, (eps, sec) in enumerate(report.stage_seconds):
             lines.append(f"timing.stage.{i}.epsilon = {_fmt(eps)}")

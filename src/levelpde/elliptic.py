@@ -424,9 +424,7 @@ def solve_dirichlet(op: EllipticOperator, grid: Grid, f, psi: BoundaryData,
     residual is measured on the returned field with the same evaluator the
     rest of the package uses.
     """
-    out, res = DirichletProblem(op, grid, psi, tol=tol).solve(f, initial)
-    out.inner_residual = res
-    return out
+    return DirichletProblem(op, grid, psi, tol=tol).solve(f, initial)[0]
 
 
 # ---------------------------------------------------------------------------

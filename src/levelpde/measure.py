@@ -21,7 +21,6 @@ an O(h^2) error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -35,7 +34,6 @@ __all__ = [
     "ScalarField",
     "ProfileFunction",
     "ProfileSpec",
-    "LevelStats",
     "StepFunction",
     "superlevel_measures",
     "smoothed_superlevel_average",
@@ -223,102 +221,14 @@ class ProfileSpec:
 
 
 # ---------------------------------------------------------------------------
-# Level statistics
-
-
-class LevelStats:
-    """Order statistics of a field: G(t) = h^n * #{j : v_j >= t} and exact
-    integrals of the step function G over intervals.
-
-    G is right-continuous, nonincreasing, G(-inf) = |Omega|_h, G(+inf) = 0.
-    ``order``, a permutation that sorts ``values``, saves the sort; the
-    ``own_`` methods read the searching ones' bits at the values off it.
-    """
-
-    def __init__(self, values: NDArray[np.float64], cell: float, order=None):
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise InvalidParameterError("LevelStats needs a nonempty 1-d value array")
-        if cell <= 0:
-            raise InvalidParameterError("cell measure must be positive")
-        self.cell = float(cell)
-        self._order = np.argsort(values) if order is None else order
-        self._asc = values[self._order]
-
-    @property
-    def size(self) -> int:
-        return int(self._asc.size)
-
-    @property
-    def sorted_desc(self) -> NDArray[np.float64]:
-        return self._asc[::-1]
-
-    @property
-    def total(self) -> float:
-        """Discrete |Omega| seen by this field."""
-        return self.cell * self.size
-
-    def count_ge(self, t) -> NDArray[np.int64]:
-        t = np.asarray(t, dtype=np.float64)
-        return (self.size - np.searchsorted(self._asc, t, side="left")).astype(np.int64)
-
-    def measure_ge(self, t) -> NDArray[np.float64]:
-        """G(t) in logarithmic time per query."""
-        return self.cell * self.count_ge(t)
-
-    def _unsorted(self, x):
-        out = np.empty_like(x)
-        out[self._order] = x
-        return out
-
-    def _first(self):
-        """searchsorted(_asc, _asc, "left"): where each tie run starts."""
-        run = np.concatenate(([True], self._asc[1:] != self._asc[:-1]))
-        return np.maximum.accumulate(np.where(run, np.arange(self.size), 0))
-
-    def own_measures(self) -> NDArray[np.float64]:
-        """measure_ge at every value, in linear time."""
-        return self._unsorted(self.cell * (self.size - self._first()))
-
-    def integral(self, a: float, b: float) -> float:
-        """Exact integral of G over [a, b] (fsum over the step pieces)."""
-        if not b >= a:
-            raise InvalidParameterError("integral needs b >= a")
-        width = b - a
-        terms = np.clip(self._asc - a, 0.0, width)
-        return self.cell * math.fsum(terms.tolist())
-
-    def window_average(self, b: NDArray[np.float64], eps: float) -> NDArray[np.float64]:
-        """(1/eps) * integral of G over [b - eps, b], vectorized over b.
-
-        Computed as measure_ge(b) plus the strictly-inside-window part, so the
-        result is bitwise >= measure_ge(b), <= the discrete domain measure,
-        and collapses to measure_ge(b) exactly when the window contains no
-        further values.  The inside-window part goes through prefix sums, so
-        it carries summation rounding of order machine epsilon times the
-        magnitude of the values; for well-separated values it is exact.
-        """
-        b = np.asarray(b, dtype=np.float64)
-        return self._window(b - eps, np.searchsorted(self._asc, b, side="left"), eps)
-
-    def own_window_averages(self, eps: float) -> NDArray[np.float64]:
-        """window_average at every value; the window ends come sorted."""
-        return self._unsorted(self._window(self._asc - eps, self._first(), eps))
-
-    def _window(self, a, hi, eps):
-        if eps <= 0:
-            raise InvalidParameterError("smoothing width eps must be positive")
-        # When eps is below the ulp of b the window degenerates to [b, b];
-        # clamp so the strictly-inside range [lo, hi) stays well formed.
-        lo = np.minimum(np.searchsorted(self._asc, a, side="right"), hi)
-        base = self.cell * (self.size - hi)
-        prefix = np.concatenate(([0.0], np.cumsum(self._asc)))  # sums of the k smallest
-        inner = np.maximum((prefix[hi] - prefix[lo]) - (hi - lo) * a, 0.0)
-        return np.minimum(base + (self.cell / eps) * inner, self.total)
-
-
-# ---------------------------------------------------------------------------
 # Operations
+
+
+def _tie_starts(asc: NDArray[np.float64]) -> NDArray[np.intp]:
+    """searchsorted(asc, asc, "left") in linear time: where each tie run of
+    the ascending values starts."""
+    run = np.concatenate(([True], asc[1:] != asc[:-1]))
+    return np.maximum.accumulate(np.where(run, np.arange(asc.size), 0))
 
 
 def superlevel_measures(v: ScalarField,
@@ -330,18 +240,42 @@ def superlevel_measures(v: ScalarField,
     O(N log N) by sorting once; ``order``, a permutation that sorts the
     interior values, saves the sort.
     """
-    return LevelStats(_interior_vector(v), v.grid.cell, order).own_measures()
+    vec = _interior_vector(v)
+    order = np.argsort(vec) if order is None else order
+    out = np.empty_like(vec)
+    out[order] = v.grid.cell * (vec.size - _tie_starts(vec[order]))
+    return out
 
 
 def smoothed_superlevel_average(v: ScalarField, eps: float) -> NDArray[np.float64]:
     """Per node, the exact average of G over the value window [v(x)-eps, v(x)].
 
-    G is piecewise constant between sorted values, so the integral is a
-    closed-form summation.  The result is bounded below by the plain
-    superlevel measure, equals it once eps is smaller than the gap to the
-    nearest strictly smaller value, and never exceeds the discrete |Omega|.
+    G(t) = h^n * #{values >= t} is piecewise constant between sorted values,
+    so the integral is a closed-form summation: the plain superlevel measure
+    plus the part of the window strictly inside it.  The result is therefore
+    bitwise at least the plain superlevel measure, equals it once eps is
+    smaller than the gap to the nearest strictly smaller value, and never
+    exceeds the discrete |Omega|.  The inside part goes through prefix sums,
+    so it carries summation rounding of order machine epsilon times the
+    magnitude of the values; for well-separated values it is exact.
     """
-    return LevelStats(_interior_vector(v), v.grid.cell).own_window_averages(eps)
+    if not eps > 0:
+        raise InvalidParameterError("smoothing width eps must be positive")
+    vec = _interior_vector(v)
+    order = np.argsort(vec)
+    asc = vec[order]
+    a = asc - eps
+    hi = _tie_starts(asc)
+    # When eps is below the ulp of a value b its window degenerates to
+    # [b, b]; clamp so the strictly-inside range [lo, hi) stays well formed.
+    lo = np.minimum(np.searchsorted(asc, a, side="right"), hi)
+    cell = v.grid.cell
+    base = cell * (asc.size - hi)
+    prefix = np.concatenate(([0.0], np.cumsum(asc)))  # sums of the k smallest
+    inner = np.maximum((prefix[hi] - prefix[lo]) - (hi - lo) * a, 0.0)
+    out = np.empty_like(vec)
+    out[order] = np.minimum(base + (cell / eps) * inner, cell * asc.size)
+    return out
 
 
 def _prefix_sums(x: NDArray[np.float64]) -> tuple[NDArray[np.float64],
@@ -509,7 +443,7 @@ def rhs_smoothed(v: ScalarField, g: ProfileFunction,
     On 1-D grids the measure of ``rhs_plain`` is already continuous in the
     field, so this returns ``rhs_plain`` for every eps > 0.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise InvalidParameterError("smoothing width eps must be positive")
     if v.grid.n == 1:
         return rhs_plain(v, g)

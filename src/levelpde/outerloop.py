@@ -50,7 +50,6 @@ __all__ = [
     "SolveReport",
     "fixed_point_step",
     "solve_nonlocal",
-    "plain_residual",
     "plain_residual_parts",
 ]
 
@@ -101,7 +100,6 @@ class IterationRecord:
     step_gap: float           # ||T(v_k) - v_k||_inf, the fixed-point gap
     inner_residual: float
     plain_residual: float
-    lip_increment: float      # Lipschitz seminorm of the realized update
 
 
 @dataclass
@@ -112,7 +110,6 @@ class SolveReport:
     records: list[IterationRecord] = dc_field(default_factory=list)
     damping: float = 0.5
     outer_tol: float = 0.0
-    initial_policy: str = "HomogeneousSolve"
     tie_snap: float = 0.0
     bound_limit: float = math.inf
     bound_max_observed: float = 0.0
@@ -153,19 +150,6 @@ def _snap_ties(values: NDArray[np.float64], snap: float,
     return out
 
 
-def _lip_seminorm(grid: Grid, delta: NDArray[np.float64]) -> float:
-    """max |delta_i - delta_j| / h over interior lattice edges."""
-    plan = grid.plan
-    best = 0.0
-    for a in range(grid.n):
-        nbr = plan.nbr[(a, +1)]
-        m = nbr >= 0
-        if np.any(m):
-            d = np.abs(delta[m] - delta[nbr[m]]) / grid.h
-            best = max(best, float(np.max(d)))
-    return best
-
-
 def plain_residual_parts(u: ScalarField, op: EllipticOperator,
                          g: ProfileFunction) -> tuple[float, float, float]:
     """(total, core, band) max-norm defect of the unsmoothed equation.
@@ -184,12 +168,6 @@ def _split_defect(r: NDArray[np.float64], grid: Grid) -> tuple[float, float, flo
     band_res = float(np.max(r[band])) if np.any(band) else 0.0
     core_res = float(np.max(r[~band])) if np.any(~band) else 0.0
     return total, core_res, band_res
-
-
-def plain_residual(u: ScalarField, op: EllipticOperator,
-                   g: ProfileFunction) -> float:
-    """Max-norm defect ||F(D^2 u) - g(superlevel measure of u)||_inf."""
-    return plain_residual_parts(u, op, g)[0]
 
 
 def _plain_defect(problem: DirichletProblem, v: ScalarField, g: ProfileFunction,
@@ -238,9 +216,9 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     certifies what was actually measured on the returned field; status is
     Converged only when the final fixed-point gap and inner residual are
     below their tolerances, and an inner solve that fails inside the loop
-    ends it with status InnerFailure.  Uniqueness is not claimed; the
-    initial-guess policy is recorded so distinct fixed points are
-    attributable.
+    ends it with status InnerFailure.  Uniqueness is not claimed; every
+    solve starts from the homogeneous solve, so reruns reach the same fixed
+    point.
 
     Raises NonConvergenceError when the homogeneous start itself misses the
     inner tolerance: there is no iterate to report on.
@@ -314,7 +292,6 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
             step_gap=step_gap,
             inner_residual=inner_res,
             plain_residual=float(np.max(r)),
-            lip_increment=_lip_seminorm(grid, y - x),
         ))
         x = y
         if step_gap < 0.999 * best_gap:

@@ -23,6 +23,7 @@ from .errors import InvalidParameterError, PreconditionError
 from .geometry import (
     AnnulusDescriptor,
     BallDescriptor,
+    BoundaryData,
     Grid,
     build_ball,
     domain_measure,
@@ -365,8 +366,6 @@ def convergence_order_study(problem: StudyProblem, h_list: Sequence[float],
     Solver failures are recorded in the row status (and surface as exit 2 at
     the command line).
     """
-    from .geometry import BoundaryData  # local to avoid import cycles
-
     exact = exact_ball_solution(problem.center, problem.radius, problem.n,
                                 problem.op)
     rows: list[StudyRow] = []

@@ -1,5 +1,7 @@
 """Config parsing, field dump round trips, subcommands and exit codes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -368,3 +370,21 @@ class TestReportFormat:
         assert "record.0000.epsilon" in text
         timed = format_report(rep, timings=True)
         assert "timing.stage.0.seconds" in timed
+        # A two-step budget adds a note; between them the reports hold every
+        # kind of key, and no other.
+        _, short = solve_nonlocal(cfg.build_operator(), grid,
+                                  cfg.build_profile(grid), cfg.build_boundary(),
+                                  OuterConfig(max_outer_iterations=2))
+        assert short.notes
+        keys = [line.split(" = ", 1)[0]
+                for r in (rep, short) for line in format_report(r).splitlines()]
+        stems = {re.sub(r"^(final|note)\..*", r"\1.*",
+                        re.sub(r"^record\.\d{4}\.", "record.NNNN.", key))
+                 for key in keys}
+        assert stems == {
+            "status", "damping", "outer_tol", "tie_snap", "bound_limit",
+            "bound_max_observed", "total_iterations", "final.*", "note.*",
+            "record.NNNN.epsilon", "record.NNNN.increment",
+            "record.NNNN.step_gap", "record.NNNN.inner_residual",
+            "record.NNNN.plain_residual",
+        }

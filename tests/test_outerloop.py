@@ -1,4 +1,4 @@
-"""Fixed-point stepping, the epsilon continuation, and run reporting."""
+"""Fixed-point stepping, the nonlocal solve, residual certificates and run reporting."""
 
 import collections
 import math
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from levelpde.elliptic import _DEFAULT_TOL, EllipticOperator
+from levelpde.elliptic import _DEFAULT_TOL, EllipticOperator, solve_dirichlet
 from levelpde.errors import InvalidParameterError, NonConvergenceError
 from levelpde.geometry import BoundaryData, build_ball, build_box, domain_measure
 from levelpde.measure import ProfileFunction, ScalarField
@@ -18,7 +18,6 @@ from levelpde.outerloop import (
     OuterConfig,
     _snap_ties,
     fixed_point_step,
-    plain_residual,
     plain_residual_parts,
     solve_nonlocal,
 )
@@ -209,6 +208,31 @@ class TestSolveNonlocal:
         assert rep.converged
         assert np.all(u.interior > 0)
 
+    def test_constant_profile_reaches_the_dirichlet_solution(self):
+        # g = -1 freezes to the same forcing for every iterate.
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
+        g = ProfileFunction.linear(0.0, -1.0, domain_measure(grid))
+        u, rep = solve_nonlocal(LAP, grid, g, BoundaryData.zero())
+        assert rep.converged
+        ref = solve_dirichlet(LAP, grid, -1.0, BoundaryData.zero())
+        assert np.max(np.abs(u.interior - ref.interior)) <= rep.outer_tol
+
+    def test_zero_profile_with_zero_data_stops_at_once(self):
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
+        g = ProfileFunction.linear(0.0, 0.0, domain_measure(grid))
+        u, rep = solve_nonlocal(LAP, grid, g, BoundaryData.zero())
+        assert rep.converged and rep.total_iterations == 1
+        assert np.all(u.interior == 0.0)
+
+    @pytest.mark.parametrize("n, nodes", [(1, 4), (2, 128), (3, 2228)])
+    def test_annulus_barely_wider_than_two_cells_converges(self, n, nodes):
+        from levelpde.geometry import build_annulus
+        h = 1 / 16
+        grid = build_annulus((0.0,) * n, 0.5, 0.5 + 2.05 * h, h)
+        assert grid.n_interior == nodes
+        u, rep = solve_nonlocal(LAP, grid, linear_profile(grid), BoundaryData.zero())
+        assert rep.converged
+
     def test_3d_ball_benchmark(self):
         grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 8)
         g = linear_profile(grid)
@@ -335,13 +359,13 @@ class TestPlainResidual:
         g = linear_profile(grid)
         rng = np.random.default_rng(1)
         u = ScalarField.sample(grid, lambda p: np.cos(3 * p[:, 0]) * p[:, 1])
-        assert plain_residual(u, LAP, g) > 0.1
+        assert plain_residual_parts(u, LAP, g)[0] > 0.1
 
     def test_converged_run_is_consistent(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
         g = linear_profile(grid)
         u, rep = solve_nonlocal(LAP, grid, g, BoundaryData.zero())
-        tot = plain_residual(u, LAP, g)
+        tot = plain_residual_parts(u, LAP, g)[0]
         assert tot == rep.final_plain_residual
         # consistency level of the cell-quantized right side
         assert tot <= 1.0 * grid.h
@@ -358,7 +382,7 @@ class TestPlainResidual:
             u = ScalarField.sample(
                 grid,
                 lambda p: (math.pi / 16) * (1 - np.sum(p ** 2, axis=1) ** 2))
-            vals[h] = plain_residual(u, LAP, g)
+            vals[h] = plain_residual_parts(u, LAP, g)[0]
         assert vals[1 / 32] < vals[1 / 16]
         assert vals[1 / 32] < 0.5
 
