@@ -30,7 +30,6 @@ from .geometry import (
 )
 from .measure import (
     ProfileFunction,
-    ProfileSpec,
     ScalarField,
     StepFunction,
     increasing_rearrangement,

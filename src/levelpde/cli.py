@@ -1,10 +1,17 @@
 """Batch front end: parse run configurations, dispatch subcommands, serialize.
 
-Config files are flat ``section.key = value`` text with ``#`` comments.  The
-subcommands are ``solve`` (full nonlocal solve plus dumps), ``verify-ball``
-(solve and compare against the closed ball form), ``study`` (refinement
-table) and ``diagnose`` (flat regions, boundary gradient and barrier check on
-an existing field dump).
+Config files are flat ``section.key = value`` text with ``#`` comments.
+``_KEYS`` maps each key to the parser of its value, and ``_KINDS`` maps each
+kind key to its choices and the keys each choice needs.  The values are
+checked by the library constructors that take them (the grid builders,
+``EllipticOperator``, ``ProfileFunction``, ``BoundaryData`` and
+``OuterConfig``): ``parse_config`` runs each one and reports its error
+against the lines of the keys it read.
+
+The subcommands are ``solve`` (full nonlocal solve plus dumps),
+``verify-ball`` (solve and compare against the closed ball form), ``study``
+(refinement table) and ``diagnose`` (flat regions, boundary gradient and
+barrier check on an existing field dump).
 
 Exit codes: 0 success, 1 invalid configuration or parameters, 2 solver
 non-convergence, 3 diagnostic check failure, 4 I/O errors.
@@ -23,7 +30,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -32,6 +39,7 @@ import numpy as np
 from .elliptic import EllipticOperator
 from .errors import (
     ConfigError,
+    InvalidGridError,
     InvalidParameterError,
     LevelPDEError,
     NonConvergenceError,
@@ -52,7 +60,6 @@ from .geometry import (
 )
 from .measure import (
     ProfileFunction,
-    ProfileSpec,
     ScalarField,
     increasing_rearrangement,
 )
@@ -65,91 +72,6 @@ from .verify import (
     flat_region_detector,
     boundary_gradient_min,
 )
-
-_KNOWN_KEYS = {
-    "domain.type", "domain.center", "domain.radius", "domain.r_inner",
-    "domain.r_outer", "domain.bounds",
-    "grid.h",
-    "operator.kind", "operator.lambda", "operator.Lambda",
-    "profile.kind", "profile.a", "profile.b", "profile.knots", "profile.values",
-    "boundary.kind", "boundary.coeffs", "boundary.center", "boundary.knots",
-    "boundary.values",
-    "solver.inner_tol", "solver.damping", "solver.outer_tol",
-    "solver.max_outer_iterations",
-    "study.h_list",
-    "diagnose.field", "diagnose.delta", "diagnose.band", "diagnose.eps0",
-    "output.field", "output.report", "output.table", "output.rearrangement",
-}
-
-
-@dataclass
-class RunConfig:
-    """Fully validated run configuration (the typed view of the text file)."""
-
-    domain_type: str = "ball"
-    center: tuple[float, ...] = (0.0, 0.0)
-    radius: float = 1.0
-    r_inner: float = 0.0
-    r_outer: float = 0.0
-    bounds: tuple[tuple[float, float], ...] = ()
-    h: float = 0.0
-    operator_kind: str = "laplacian"
-    lam: float = 1.0
-    Lam: float = 1.0
-    profile: ProfileSpec = dc_field(default_factory=ProfileSpec)
-    boundary_kind: str = "zero"
-    boundary_coeffs: tuple[float, ...] = ()
-    boundary_center: tuple[float, ...] | None = None
-    boundary_knots: tuple[float, ...] = ()
-    boundary_values: tuple[float, ...] = ()
-    solver: dict = dc_field(default_factory=dict)
-    study_h_list: tuple[float, ...] = ()
-    diagnose_field: str = ""
-    diagnose_delta: float | None = None
-    diagnose_band: float | None = None
-    diagnose_eps0: float | None = None
-    out_field: str = ""
-    out_report: str = ""
-    out_table: str = ""
-    out_rearrangement: str = ""
-
-    # -- builders ----------------------------------------------------------
-
-    def build_grid(self) -> Grid:
-        if self.domain_type == "box":
-            return build_box(self.bounds, self.h)
-        if self.domain_type == "ball":
-            return build_ball(self.center, self.radius, self.h)
-        return build_annulus(self.center, self.r_inner, self.r_outer, self.h)
-
-    def build_operator(self) -> EllipticOperator:
-        if self.operator_kind == "laplacian":
-            return EllipticOperator.laplacian()
-        if self.operator_kind == "pucci_minus":
-            return EllipticOperator.pucci_minus(self.lam, self.Lam)
-        return EllipticOperator.pucci_plus(self.lam, self.Lam)
-
-    def build_profile(self, grid: Grid) -> ProfileFunction:
-        return self.profile.bind(domain_measure(grid))
-
-    def build_boundary(self) -> BoundaryData:
-        center = self.boundary_center
-        if center is None:
-            if self.domain_type == "box":
-                center = tuple(0.5 * (lo + hi) for lo, hi in self.bounds)
-            else:
-                center = self.center
-        if self.boundary_kind == "zero":
-            return BoundaryData.zero()
-        if self.boundary_kind == "radial_poly":
-            return BoundaryData.radial_poly(self.boundary_coeffs, center)
-        return BoundaryData.table(self.boundary_knots, self.boundary_values,
-                                  center)
-
-    def build_outer(self) -> OuterConfig:
-        """The solver.* keys given (each an OuterConfig field), on top of
-        the dataclass defaults."""
-        return OuterConfig(**self.solver)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -164,10 +86,119 @@ def _parse_bounds(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
+def _parse_auto(text: str) -> float | None:
+    """A number, or None for ``auto``: the default then applies."""
+    return None if text == "auto" else float(text)
+
+
+# Every config key, with the parser of its value.
+_KEYS = {
+    "domain.type": str, "domain.center": _parse_float_list,
+    "domain.radius": float, "domain.r_inner": float, "domain.r_outer": float,
+    "domain.bounds": _parse_bounds,
+    "grid.h": float,
+    "operator.kind": str, "operator.lambda": float, "operator.Lambda": float,
+    "profile.kind": str, "profile.a": float, "profile.b": float,
+    "profile.knots": _parse_float_list, "profile.values": _parse_float_list,
+    "boundary.kind": str, "boundary.coeffs": _parse_float_list,
+    "boundary.center": _parse_float_list, "boundary.knots": _parse_float_list,
+    "boundary.values": _parse_float_list,
+    "solver.inner_tol": _parse_auto, "solver.damping": _parse_auto,
+    "solver.outer_tol": _parse_auto, "solver.max_outer_iterations": int,
+    "study.h_list": _parse_float_list,
+    "diagnose.field": str, "diagnose.delta": _parse_auto,
+    "diagnose.band": _parse_auto, "diagnose.eps0": _parse_auto,
+    "output.field": str, "output.report": str, "output.table": str,
+    "output.rearrangement": str,
+}
+_KNOWN_KEYS = frozenset(_KEYS)
+
+# Each kind key (all are required), its choices, and the keys each choice
+# needs.
+_KINDS = {
+    "domain.type": {"box": ("domain.bounds",), "ball": ("domain.radius",),
+                    "annulus": ("domain.r_inner", "domain.r_outer")},
+    "operator.kind": {"laplacian": (),
+                      "pucci_minus": ("operator.lambda", "operator.Lambda"),
+                      "pucci_plus": ("operator.lambda", "operator.Lambda")},
+    "profile.kind": {"linear": ("profile.a", "profile.b"),
+                     "table": ("profile.knots", "profile.values")},
+    "boundary.kind": {"zero": (), "radial_poly": ("boundary.coeffs",),
+                      "table": ("boundary.knots", "boundary.values")},
+}
+
+
+class RunConfig(dict):
+    """A parsed run configuration: the value of each given key, by key."""
+
+    @property
+    def domain_type(self) -> str:
+        return self["domain.type"]
+
+    @property
+    def center(self) -> tuple[float, ...]:
+        return self.get("domain.center", (0.0, 0.0))
+
+    @property
+    def radius(self) -> float:
+        return self["domain.radius"]
+
+    @property
+    def bounds(self) -> tuple[tuple[float, float], ...]:
+        return self["domain.bounds"]
+
+    # -- builders ----------------------------------------------------------
+
+    def build_grid(self) -> Grid:
+        h = self["grid.h"]
+        if self.domain_type == "box":
+            return build_box(self.bounds, h)
+        if self.domain_type == "ball":
+            return build_ball(self.center, self.radius, h)
+        return build_annulus(self.center, self["domain.r_inner"],
+                             self["domain.r_outer"], h)
+
+    def build_operator(self) -> EllipticOperator:
+        kind = self["operator.kind"]
+        if kind == "laplacian":
+            return EllipticOperator.laplacian()
+        return EllipticOperator(kind, self["operator.lambda"], self["operator.Lambda"])
+
+    def build_profile(self, grid: Grid) -> ProfileFunction:
+        if self["profile.kind"] == "linear":
+            return ProfileFunction.linear(self["profile.a"], self["profile.b"],
+                                          domain_measure(grid))
+        return ProfileFunction.from_table(self["profile.knots"],
+                                          self["profile.values"], domain_measure(grid))
+
+    def build_boundary(self) -> BoundaryData:
+        kind = self["boundary.kind"]
+        if kind == "zero":
+            return BoundaryData.zero()
+        center = self.get("boundary.center")
+        if center is None:
+            if self.domain_type == "box":
+                center = tuple(0.5 * (lo + hi) for lo, hi in self.bounds)
+            else:
+                center = self.center
+        if kind == "radial_poly":
+            return BoundaryData.radial_poly(self["boundary.coeffs"], center)
+        return BoundaryData.table(self["boundary.knots"], self["boundary.values"],
+                                  center)
+
+    def build_outer(self) -> OuterConfig:
+        """The solver.* keys given (each an OuterConfig field), on top of
+        the dataclass defaults; ``auto`` keeps the default."""
+        return OuterConfig(**{key.split(".")[1]: value for key, value in self.items()
+                              if key.startswith("solver.") and value is not None})
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate; raises ConfigError carrying every problem found."""
+    """Parse and check a config; raises ConfigError carrying every problem
+    found, each with the line of its key (None for a missing key)."""
     problems: list[tuple[int | None, str, str]] = []
-    raw: dict[str, tuple[int, str]] = {}
+    lines: dict[str, int] = {}
+    cfg = RunConfig()
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -179,172 +210,58 @@ def parse_config(text: str) -> RunConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _KNOWN_KEYS:
             problems.append((lineno, key, "unknown key"))
-            continue
-        if key in raw:
+        elif key in lines:
             problems.append((lineno, key, "duplicate key"))
-            continue
-        raw[key] = (lineno, value)
-
-    cfg = RunConfig()
-
-    def take(key: str, conv, default=None, required=False):
-        if key not in raw:
-            if required:
-                problems.append((None, key, "missing required key"))
-            return default
-        lineno, value = raw[key]
-        try:
-            return conv(value)
-        except (ValueError, TypeError) as err:
-            problems.append((lineno, key, f"cannot parse {value!r}: {err}"))
-            return default
-
-    def line_of(key: str) -> int | None:
-        return raw[key][0] if key in raw else None
-
-    cfg.domain_type = take("domain.type", str, required=True, default="ball")
-    if cfg.domain_type not in ("box", "ball", "annulus"):
-        problems.append((line_of("domain.type"), "domain.type",
-                         "must be box, ball or annulus"))
-        cfg.domain_type = "ball"
-
-    cfg.h = take("grid.h", float, required=True)
-    if cfg.h is not None and not 0 < cfg.h < math.inf:
-        problems.append((line_of("grid.h"), "grid.h", "must be positive and finite"))
-
-    if cfg.domain_type == "box":
-        cfg.bounds = take("domain.bounds", _parse_bounds, required=True,
-                          default=())
-        if cfg.bounds and not (1 <= len(cfg.bounds) <= 3):
-            problems.append((line_of("domain.bounds"), "domain.bounds",
-                             "need 1 to 3 axes"))
-        for lo, hi in cfg.bounds:
-            if not -math.inf < lo < hi < math.inf:
-                problems.append((line_of("domain.bounds"), "domain.bounds",
-                                 f"empty or unbounded interval {lo}:{hi}"))
-    else:
-        cfg.center = take("domain.center", _parse_float_list,
-                          default=(0.0, 0.0))
-        if not (1 <= len(cfg.center) <= 3):
-            problems.append((line_of("domain.center"), "domain.center",
-                             "need 1 to 3 coordinates"))
-        if cfg.domain_type == "ball":
-            cfg.radius = take("domain.radius", float, required=True)
-            if cfg.radius is not None and not 0 < cfg.radius < math.inf:
-                problems.append((line_of("domain.radius"), "domain.radius",
-                                 "must be positive and finite"))
         else:
-            cfg.r_inner = take("domain.r_inner", float, required=True)
-            cfg.r_outer = take("domain.r_outer", float, required=True)
-            if cfg.r_inner is not None and cfg.r_outer is not None \
-                    and not 0 < cfg.r_inner < cfg.r_outer < math.inf:
-                problems.append((line_of("domain.r_outer"), "domain.r_outer",
-                                 "need 0 < r_inner < r_outer < inf"))
+            lines[key] = lineno
+            try:
+                cfg[key] = _KEYS[key](value)
+            except (ValueError, TypeError) as err:
+                problems.append((lineno, key, f"cannot parse {value!r}: {err}"))
 
-    cfg.operator_kind = take("operator.kind", str, required=True,
-                             default="laplacian")
-    if cfg.operator_kind not in ("laplacian", "pucci_minus", "pucci_plus"):
-        problems.append((line_of("operator.kind"), "operator.kind",
-                         "must be laplacian, pucci_minus or pucci_plus"))
-        cfg.operator_kind = "laplacian"
-    if cfg.operator_kind in ("pucci_minus", "pucci_plus"):
-        lam = take("operator.lambda", float)
-        Lam = take("operator.Lambda", float)
-        if lam is None and "operator.lambda" not in raw:
-            problems.append((None, "operator.lambda",
-                             "required for Pucci operators"))
-        if Lam is None and "operator.Lambda" not in raw:
-            problems.append((None, "operator.Lambda",
-                             "required for Pucci operators"))
-        if lam is not None and Lam is not None:
-            if not (0 < lam <= Lam):
-                problems.append((line_of("operator.Lambda"), "operator.Lambda",
-                                 "need 0 < lambda <= Lambda"))
-            cfg.lam, cfg.Lam = lam, Lam
-    else:
+    for key in ("grid.h", *_KINDS):
+        if key not in lines:
+            problems.append((None, key, "missing required key"))
+    for kind, choices in _KINDS.items():
+        choice = cfg.get(kind)
+        if kind in cfg and choice not in choices:
+            *names, last = choices
+            problems.append((lines[kind], kind, f"must be {', '.join(names)} or {last}"))
+        for key in choices.get(choice, ()):
+            if key not in lines:
+                problems.append((None, key, f"required when {kind} = {choice}"))
+    if cfg.get("operator.kind") == "laplacian":
         for key in ("operator.lambda", "operator.Lambda"):
-            if key in raw:
-                problems.append((line_of(key), key,
-                                 "only meaningful for Pucci operators"))
+            if key in lines:
+                problems.append((lines[key], key, "only meaningful for Pucci operators"))
 
-    kind = take("profile.kind", str, required=True, default="linear")
-    if kind == "linear":
-        a = take("profile.a", float, required=True, default=-1.0)
-        b = take("profile.b", float, required=True, default=0.0)
-        cfg.profile = ProfileSpec(kind="linear", a=a, b=b)
-    elif kind == "table":
-        knots = take("profile.knots", _parse_float_list, required=True,
-                     default=())
-        values = take("profile.values", _parse_float_list, required=True,
-                      default=())
-        if knots and list(knots) != sorted(set(knots)):
-            problems.append((line_of("profile.knots"), "profile.knots",
-                             "must be strictly increasing"))
-        if knots and values and len(knots) != len(values):
-            problems.append((line_of("profile.values"), "profile.values",
-                             "length must match profile.knots"))
-        cfg.profile = ProfileSpec(kind="table", knots=tuple(knots),
-                                  values=tuple(values))
-    else:
-        problems.append((line_of("profile.kind"), "profile.kind",
-                         "must be linear or table"))
+    # The constructors check the values.  Each runs only when every key of
+    # the sections it reads parsed and the keys it needs are given, so a
+    # problem in one section does not hide another's; its error is reported
+    # against each of those keys given, the kind keys aside.
+    bad = {key.split(".")[0] for _, key, _ in problems if key in _KNOWN_KEYS}
 
-    cfg.boundary_kind = take("boundary.kind", str, required=True, default="zero")
-    if cfg.boundary_kind == "radial_poly":
-        cfg.boundary_coeffs = take("boundary.coeffs", _parse_float_list,
-                                   required=True, default=())
-    elif cfg.boundary_kind == "table":
-        cfg.boundary_knots = take("boundary.knots", _parse_float_list,
-                                  required=True, default=())
-        cfg.boundary_values = take("boundary.values", _parse_float_list,
-                                   required=True, default=())
-        if cfg.boundary_knots and list(cfg.boundary_knots) != \
-                sorted(set(cfg.boundary_knots)):
-            problems.append((line_of("boundary.knots"), "boundary.knots",
-                             "must be strictly increasing"))
-    elif cfg.boundary_kind != "zero":
-        problems.append((line_of("boundary.kind"), "boundary.kind",
-                         "must be zero, radial_poly or table"))
-    if "boundary.center" in raw:
-        cfg.boundary_center = take("boundary.center", _parse_float_list)
-
-    def number(text: str) -> float | None:
-        return None if text == "auto" else float(text)
-
-    for name, conv in (("inner_tol", number), ("damping", number),
-                       ("outer_tol", number), ("max_outer_iterations", int)):
-        val = take(f"solver.{name}", conv)
-        if val is not None:
-            cfg.solver[name] = val
-
-    cfg.study_h_list = take("study.h_list", _parse_float_list, default=())
-    cfg.diagnose_field = take("diagnose.field", str, default="")
-    for name in ("delta", "band", "eps0"):
-        key = f"diagnose.{name}"
-        if key in raw:
-            val = take(key, lambda s: None if s == "auto" else float(s))
-            setattr(cfg, f"diagnose_{name}", val)
-
-    cfg.out_field = take("output.field", str, default="")
-    cfg.out_report = take("output.report", str, default="")
-    cfg.out_table = take("output.table", str, default="")
-    cfg.out_rearrangement = take("output.rearrangement", str, default="")
-
-    # Cross checks that depend on several keys at once: re-run the module
-    # constructors so every invariant is enforced at parse time.
-    if not problems:
+    def check(sections: tuple[str, ...], build, *args):
+        if not bad.isdisjoint(sections):
+            return None
         try:
-            grid = cfg.build_grid()
-            if (cfg.boundary_center is not None
-                    and len(cfg.boundary_center) != grid.n):
-                problems.append((line_of("boundary.center"), "boundary.center",
-                                 f"needs {grid.n} coordinates, one per axis"))
-            cfg.build_operator()
-            cfg.build_profile(grid)
-            cfg.build_boundary()
-            cfg.build_outer()
+            return build(*args)
         except LevelPDEError as err:
-            problems.append((None, "cross-check", str(err)))
+            problems.extend((line, key, str(err)) for key, line in lines.items()
+                            if key.split(".")[0] in sections and key not in _KINDS)
+            return None
+
+    grid = check(("domain", "grid"), cfg.build_grid)
+    check(("operator",), cfg.build_operator)
+    check(("solver",), cfg.build_outer)
+    if grid is not None:
+        check(("profile",), cfg.build_profile, grid)
+        center = cfg.get("boundary.center")
+        if center is not None and len(center) != grid.n:
+            problems.append((lines["boundary.center"], "boundary.center",
+                             f"needs {grid.n} coordinates, one per axis"))
+        else:
+            check(("boundary",), cfg.build_boundary)
 
     if problems:
         raise ConfigError(problems)
@@ -492,18 +409,18 @@ def format_report(report: SolveReport, timings: bool = False) -> str:
 
 def _write_outputs(cfg: RunConfig, field: ScalarField | None,
                    report_text: str | None, table_text: str | None) -> None:
-    if cfg.out_field and field is not None:
-        atomic_write(cfg.out_field, format_field(field))
-    if cfg.out_report and report_text is not None:
-        atomic_write(cfg.out_report, report_text)
-    if cfg.out_table and table_text is not None:
-        atomic_write(cfg.out_table, table_text)
-    if cfg.out_rearrangement and field is not None:
+    if cfg.get("output.field") and field is not None:
+        atomic_write(cfg["output.field"], format_field(field))
+    if cfg.get("output.report") and report_text is not None:
+        atomic_write(cfg["output.report"], report_text)
+    if cfg.get("output.table") and table_text is not None:
+        atomic_write(cfg["output.table"], table_text)
+    if cfg.get("output.rearrangement") and field is not None:
         star = increasing_rearrangement(field)
         lines = [f"cell = {_fmt(star.cell)}"]
         for i, v in enumerate(star.values.tolist()):
             lines.append(f"value.{i} = {_fmt(v)}")
-        atomic_write(cfg.out_rearrangement, "\n".join(lines) + "\n")
+        atomic_write(cfg["output.rearrangement"], "\n".join(lines) + "\n")
 
 
 def cmd_solve(cfg: RunConfig, timings: bool = False) -> int:
@@ -525,8 +442,8 @@ def _require_closed_form(cfg: RunConfig, command: str) -> None:
     """The closed ball form solves only g(t) = -t with zero data on a ball."""
     if cfg.domain_type != "ball":
         raise ConfigError([(None, "domain.type", f"{command} needs a ball domain")])
-    if not (cfg.profile.kind == "linear" and cfg.profile.a == -1.0
-            and cfg.profile.b == 0.0 and cfg.boundary_kind == "zero"):
+    if (cfg["profile.kind"], cfg.get("profile.a"), cfg.get("profile.b"),
+            cfg["boundary.kind"]) != ("linear", -1.0, 0.0, "zero"):
         raise ConfigError([(None, "profile",
                             f"{command} requires profile g(t) = -t and zero "
                             "boundary data (the closed form's setting)")])
@@ -561,12 +478,12 @@ def cmd_verify_ball(cfg: RunConfig, timings: bool = False) -> int:
 
 def cmd_study(cfg: RunConfig, timings: bool = False) -> int:
     _require_closed_form(cfg, "study")
-    if not cfg.study_h_list:
+    if not cfg.get("study.h_list"):
         raise ConfigError([(None, "study.h_list", "missing required key")])
     problem = StudyProblem(center=cfg.center, radius=cfg.radius,
                            op=cfg.build_operator())
     t0 = time.perf_counter()
-    rows = convergence_order_study(problem, cfg.study_h_list, cfg.build_outer())
+    rows = convergence_order_study(problem, cfg["study.h_list"], cfg.build_outer())
     elapsed = time.perf_counter() - t0
     lines = []
     for i, row in enumerate(rows):
@@ -587,10 +504,10 @@ def cmd_study(cfg: RunConfig, timings: bool = False) -> int:
 
 
 def cmd_diagnose(cfg: RunConfig, timings: bool = False) -> int:
-    if not cfg.diagnose_field:
+    if not cfg.get("diagnose.field"):
         raise ConfigError([(None, "diagnose.field", "missing required key")])
     grid = cfg.build_grid()
-    loaded = load_field(cfg.diagnose_field)
+    loaded = load_field(cfg["diagnose.field"])
     if (loaded.n, loaded.shape, loaded.h) != (grid.n, grid.shape, grid.h) \
             or loaded.origin != grid.origin:
         raise ConfigError([(None, "diagnose.field",
@@ -607,7 +524,9 @@ def cmd_diagnose(cfg: RunConfig, timings: bool = False) -> int:
     lines: list[str] = []
     failures: list[str] = []
 
-    delta = cfg.diagnose_delta if cfg.diagnose_delta is not None else grid.h ** 2
+    delta = cfg.get("diagnose.delta")
+    if delta is None:
+        delta = grid.h ** 2
     flat = flat_region_detector(u, delta)
     lines.append(f"flat.delta = {_fmt(flat.delta)}")
     lines.append(f"flat.max_mass = {_fmt(flat.max_mass)}")
@@ -626,8 +545,9 @@ def cmd_diagnose(cfg: RunConfig, timings: bool = False) -> int:
     else:
         lines.append("flat.ok = not-applicable (profile not negative)")
 
-    band = cfg.diagnose_band if cfg.diagnose_band is not None \
-        else max(2 * grid.h, 0.1)
+    band = cfg.get("diagnose.band")
+    if band is None:
+        band = max(2 * grid.h, 0.1)
     try:
         grad_min = boundary_gradient_min(u, band)
         lines.append(f"gradient.band = {_fmt(band)}")
@@ -636,7 +556,7 @@ def cmd_diagnose(cfg: RunConfig, timings: bool = False) -> int:
         lines.append(f"gradient.skipped = {err}")
 
     if isinstance(grid.descriptor, (BallDescriptor, AnnulusDescriptor)):
-        eps0 = cfg.diagnose_eps0
+        eps0 = cfg.get("diagnose.eps0")
         if eps0 is None:
             if isinstance(grid.descriptor, BallDescriptor):
                 eps0 = grid.descriptor.radius / 2
@@ -659,8 +579,8 @@ def cmd_diagnose(cfg: RunConfig, timings: bool = False) -> int:
         lines.append("barrier.skipped = box domains have no inner ball condition")
 
     table = "\n".join(lines) + "\n"
-    if cfg.out_report:
-        atomic_write(cfg.out_report, table)
+    if cfg.get("output.report"):
+        atomic_write(cfg["output.report"], table)
     for ln in lines:
         print("diagnose:", ln)
     if failures:
@@ -717,7 +637,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as err:
         print(f"error: invalid configuration:\n{err}", file=sys.stderr)
         return 1
-    except (InvalidParameterError, PreconditionError) as err:
+    except (InvalidGridError, InvalidParameterError, PreconditionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except NonConvergenceError as err:

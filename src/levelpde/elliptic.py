@@ -83,8 +83,8 @@ class EllipticOperator:
     def __post_init__(self):
         if self.kind not in ("laplacian", "pucci_minus", "pucci_plus"):
             raise InvalidParameterError(f"unknown operator kind {self.kind!r}")
-        if not (0 < self.lam <= self.Lam):
-            raise InvalidParameterError("need 0 < lam <= Lam")
+        if not (0 < self.lam <= self.Lam < math.inf):
+            raise InvalidParameterError("need 0 < lam <= Lam < inf")
         if self.kind == "laplacian" and (self.lam != 1.0 or self.Lam != 1.0):
             raise InvalidParameterError("laplacian has lam = Lam = 1")
 

@@ -438,7 +438,7 @@ def _radial_grid(descriptor: BallDescriptor | AnnulusDescriptor, h: float,
     center = np.asarray(descriptor.center, dtype=np.float64)
     n = descriptor.n
     if n < 1 or n > 3:
-        raise InvalidGridError("dimension capped at 3")
+        raise InvalidGridError(f"center {descriptor.center} needs 1 to 3 coordinates")
     if not np.all(np.isfinite(center)):
         raise InvalidGridError(f"center {descriptor.center} must be finite")
     # Index the lattice symmetrically about the center so mirrored nodes get

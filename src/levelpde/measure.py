@@ -33,7 +33,6 @@ from .geometry import EXTERIOR, BoundaryData, BoundaryTrace, Grid, build_trace
 __all__ = [
     "ScalarField",
     "ProfileFunction",
-    "ProfileSpec",
     "StepFunction",
     "superlevel_measures",
     "smoothed_superlevel_average",
@@ -155,7 +154,11 @@ class ProfileFunction:
     def linear(cls, a: float, b: float, domain_max: float) -> "ProfileFunction":
         """g(t) = a*t + b."""
         a, b = float(a), float(b)
-        bound = max(abs(b), abs(a * domain_max + b))
+        end = a * domain_max + b
+        if not np.all(np.isfinite((a, b, end))):
+            raise InvalidParameterError(
+                f"linear profile {a!r} t + {b!r} must be finite on [0, {domain_max!r}]")
+        bound = max(abs(b), abs(end))
         return cls("linear", domain_max, lambda t: a * t + b, bound,
                    {"a": a, "b": b})
 
@@ -166,6 +169,8 @@ class ProfileFunction:
         va = np.asarray(list(values), dtype=np.float64)
         if kn.size < 2 or kn.size != va.size:
             raise InvalidParameterError("table needs matching knots/values, >= 2 each")
+        if not (np.all(np.isfinite(kn)) and np.all(np.isfinite(va))):
+            raise InvalidParameterError("table knots and values must be finite")
         if not np.all(np.diff(kn) > 0):
             raise InvalidParameterError("table knots must be strictly increasing")
         if kn[0] > 0 or kn[-1] < domain_max * (1 - 1e-12):
@@ -200,24 +205,6 @@ class ProfileFunction:
             return b <= 0 and a * self.domain_max + b < 0
         va = self.params["values"]
         return bool(np.all(va[1:] < 0) and va[0] <= 0)
-
-
-@dataclass(frozen=True)
-class ProfileSpec:
-    """Grid-independent description of g, bound to a domain measure later."""
-
-    kind: str = "linear"
-    a: float = -1.0
-    b: float = 0.0
-    knots: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
-
-    def bind(self, domain_max: float) -> ProfileFunction:
-        if self.kind == "linear":
-            return ProfileFunction.linear(self.a, self.b, domain_max)
-        if self.kind == "table":
-            return ProfileFunction.from_table(self.knots, self.values, domain_max)
-        raise InvalidParameterError(f"unknown profile kind {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------

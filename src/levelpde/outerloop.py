@@ -212,7 +212,7 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     """Full pipeline for F(D^2 u) = g(|superlevel set of u|), u = psi.
 
     Starts from the homogeneous solve F(D^2 v) = 0 with data psi, then runs
-    damped fixed-point steps of the plain map.  The returned report
+    damped fixed-point steps of the plain map (undamped when g is constant).  The returned report
     certifies what was actually measured on the returned field; status is
     Converged only when the final fixed-point gap and inner residual are
     below their tolerances, and an inner solve that fails inside the loop
@@ -224,7 +224,10 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     inner tolerance: there is no iterate to report on.
     """
     cfg = cfg or OuterConfig()
-    report = SolveReport(damping=cfg.damping)
+    # A constant g freezes to the same forcing for every iterate, so the
+    # first undamped step is the answer.
+    theta = 1.0 if g.max_slope() == 0 else cfg.damping
+    report = SolveReport(damping=theta)
 
     # Default gap tolerance: the smallest forcing jump is one cell of measure
     # through g, and lattice symmetry flips whole value orbits at once (orbit
@@ -263,7 +266,6 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     x = _snap_ties(x, snap, order)
     v = v.with_interior(x)
     r, D, f = _plain_defect(problem, v, g, order)
-    theta = cfg.damping
     best_gap = math.inf
     no_progress = 0
     t_start = time.perf_counter()

@@ -100,6 +100,27 @@ solver.max_outer_iterations = 77
         assert outer == OuterConfig(damping=0.25, outer_tol=1e-5,
                                     max_outer_iterations=77, inner_tol=1e-9)
 
+    def test_constructor_errors_carry_their_keys_and_lines(self):
+        # The ball builder rejects radius 0.1 < 2h, and the operator check
+        # in another section still runs.
+        text = MINIMAL_BALL.replace("domain.radius = 1", "domain.radius = 0.1").replace(
+            "operator.kind = laplacian",
+            "operator.kind = pucci_minus\noperator.lambda = 3\noperator.Lambda = 1")
+        lines = text.splitlines()
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        found = {(line, key) for line, key, _ in err.value.problems}
+        assert (lines.index("domain.radius = 0.1") + 1, "domain.radius") in found
+        assert (lines.index("operator.Lambda = 1") + 1, "operator.Lambda") in found
+
+    def test_unparsable_value_of_a_key_the_kind_ignores(self):
+        text = MINIMAL_BALL.replace("domain.type = ball",
+                                    "domain.type = box\ndomain.bounds = -1:1,-1:1")
+        text = text.replace("domain.radius = 1", "domain.radius = x")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert [key for _, key, _ in err.value.problems] == ["domain.radius"]
+
     def test_multiple_problems_collected(self):
         text = "domain.type = cone\ngrid.h = -1\nbad line\n"
         with pytest.raises(ConfigError) as err:
@@ -233,6 +254,35 @@ output.table = {tmp_path}/study.txt
         for command in ("study", "verify-ball"):
             assert main([command, path]) == 1
             assert "closed form's setting" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("operator.kind = laplacian",
+         "operator.kind = pucci_minus\noperator.lambda = 1\noperator.Lambda = inf",
+         "lam <= Lam < inf"),
+        ("profile.a = -1", "profile.a = nan", "must be finite"),
+        ("domain.radius = 1", "domain.radius = 1\ndomain.center = ",
+         "needs 1 to 3 coordinates"),
+    ], ids=["inf-Lambda", "nan-profile", "empty-center"])
+    def test_unusable_data_exit_1_at_parse_time(self, old, new, message, tmp_path,
+                                               capsys):
+        # Each used to reach the solver: Lambda = inf ended with a NaN
+        # residual and exit 2, profile.a = nan failed after two solves.
+        text = MINIMAL_BALL.replace(old, new)
+        given = new.splitlines()[-1]
+        rc = main(["solve", write_config(tmp_path, text)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        line = text.splitlines().index(given) + 1
+        assert f"line {line}: {given.split(' = ')[0]}: " in err and message in err
+
+    @pytest.mark.parametrize("h_list", ["nan", "0.25,-1"])
+    def test_study_spacing_the_grid_builder_rejects_exit_1(self, h_list, tmp_path,
+                                                          capsys):
+        # The study builds its grids itself; InvalidGridError escaped main.
+        text = MINIMAL_BALL + f"study.h_list = {h_list}\n"
+        rc = main(["study", write_config(tmp_path, text)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: spacing h must be positive and finite\n"
 
     def test_invalid_config_exit_1(self, tmp_path):
         rc = main(["solve", write_config(tmp_path, "domain.type = cone\n")])

@@ -188,6 +188,14 @@ class TestApplyOperator:
         with pytest.raises(InvalidParameterError):
             EllipticOperator("laplacian", 1.0, 2.0)
 
+    @pytest.mark.parametrize("lam, Lam", [(1.0, math.inf), (math.inf, math.inf),
+                                          (1.0, math.nan), (math.nan, 2.0)])
+    def test_non_finite_ellipticity_constants_rejected(self, lam, Lam):
+        # Lambda = inf used to pass and then poison the solve with NaNs.
+        for make in (EllipticOperator.pucci_minus, EllipticOperator.pucci_plus):
+            with pytest.raises(InvalidParameterError):
+                make(lam, Lam)
+
     def test_concave_bump_does_not_increase_pucci_minus(self):
         # Adding a nonnegative spike at a node shifts its Hessian down by a
         # multiple of the identity, so the evaluated operator cannot grow:

@@ -58,15 +58,15 @@ BASE = {"domain.type": "ball", "domain.center": "0,0", "domain.radius": "1",
 
 
 @st.composite
-def configs(draw):
-    """A valid config with up to three values replaced or dropped and random
-    lines appended, so that both parsing configs and rejected ones are
-    drawn."""
+def configs(draw, max_lines=4):
+    """A valid config with up to three values replaced or dropped and up to
+    max_lines random lines appended, so that both parsing configs and
+    rejected ones are drawn."""
     base = dict(BASE)
     for key in draw(st.lists(st.sampled_from(sorted(BASE)), max_size=3, unique=True)):
         base[key] = draw(st.one_of(st.none(), SPACING if key == "grid.h" else VALUE))
     lines = [f"{k} = {v}" for k, v in base.items() if v is not None]
-    return "\n".join(lines + draw(st.lists(config_lines(), max_size=4)))
+    return "\n".join(lines + draw(st.lists(config_lines(), max_size=max_lines)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -76,6 +76,27 @@ def test_parse_config_raises_only_config_errors(text):
         assert isinstance(parse_config(text), RunConfig)
     except ConfigError:
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs(max_lines=1))
+def test_every_problem_carries_the_line_of_its_key(text):
+    # A problem about a key written in the text carries a line where it is
+    # written; any other names a known key that is missing, with no line.
+    # One appended line at most leaves enough configs whose only problems
+    # are the constructors' to find those.
+    written: dict[str, set[int]] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        key = line.split("#", 1)[0].split("=", 1)[0].strip()
+        written.setdefault(key, set()).add(lineno)
+    try:
+        parse_config(text)
+    except ConfigError as err:
+        for line, key, _ in err.problems:
+            if key in written:
+                assert line in written[key]
+            else:
+                assert line is None and key in _KNOWN_KEYS
 
 
 def _dump_lines() -> list[str]:

@@ -106,6 +106,13 @@ class TestBall:
             with pytest.raises(InvalidGridError, match="finite"):
                 build_ball((c, 0.0), 1.0, 0.25)
 
+    @pytest.mark.parametrize("center", [(), (0.0,) * 4], ids=["empty", "4-d"])
+    def test_center_of_no_or_four_coordinates_rejected(self, center):
+        for build in (lambda: build_ball(center, 1.0, 0.25),
+                      lambda: build_annulus(center, 0.5, 1.0, 0.125)):
+            with pytest.raises(InvalidGridError, match="needs 1 to 3 coordinates"):
+                build()
+
     def test_center_that_collapses_the_lattice_rejected(self):
         # 1e17 + h*k rounds back to 1e17: every node would share one x.
         with pytest.raises(InvalidGridError, match="cannot resolve"):

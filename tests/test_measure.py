@@ -440,6 +440,19 @@ class TestProfileFunction:
         with pytest.raises(InvalidParameterError):
             ProfileFunction.from_table([0.0, 0.5], [0, 0], domain_max=1.0)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.0), (-1.0, math.inf),
+                                      (math.inf, 0.0), (1e308, 1e308)])
+    def test_linear_must_be_finite_on_its_domain(self, a, b):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ProfileFunction.linear(a, b, 2.0)
+
+    @pytest.mark.parametrize("knots, values", [
+        ([0.0, math.inf], [0.0, -1.0]), ([math.nan, 1.0], [0.0, -1.0]),
+        ([0.0, 1.0], [math.nan, -1.0]), ([0.0, 1.0], [0.0, -math.inf])])
+    def test_table_must_be_finite(self, knots, values):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ProfileFunction.from_table(knots, values, domain_max=1.0)
+
     def test_negative_on_range(self):
         assert ProfileFunction.linear(-1.0, 0.0, 2.0).negative_on_range()
         assert not ProfileFunction.linear(1.0, 0.0, 2.0).negative_on_range()

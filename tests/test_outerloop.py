@@ -214,6 +214,7 @@ class TestSolveNonlocal:
         g = ProfileFunction.linear(0.0, -1.0, domain_measure(grid))
         u, rep = solve_nonlocal(LAP, grid, g, BoundaryData.zero())
         assert rep.converged
+        assert rep.total_iterations <= 2 and rep.damping == 1.0
         ref = solve_dirichlet(LAP, grid, -1.0, BoundaryData.zero())
         assert np.max(np.abs(u.interior - ref.interior)) <= rep.outer_tol
 
