@@ -45,7 +45,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import InvalidParameterError, NonConvergenceError
-from .geometry import BOUNDARY, BoundaryData, BoundaryTrace, Grid, build_trace
+from .geometry import BoundaryData, BoundaryTrace, Grid, build_trace
 from .measure import ScalarField
 
 __all__ = [
@@ -150,7 +150,7 @@ def _hessian(grid: Grid, uin: NDArray[np.float64], trace: BoundaryTrace,
     terms (2/3 of them in 3-D).
     """
     N, n, terms = grid.n_interior, grid.n, grid.stencil.terms
-    x = np.concatenate((uin, trace.values.ravel()))
+    x = np.concatenate((uin, trace.values))
 
     def entry(key):
         t = terms[key]
@@ -168,9 +168,6 @@ def _hessian(grid: Grid, uin: NDArray[np.float64], trace: BoundaryTrace,
 def hessian_field(u: ScalarField, trace_only: bool = False) -> NDArray[np.float64]:
     """Discrete Hessians at every interior node, shape (N, n, n), or with
     ``trace_only`` their traces, shape (N,)."""
-    if u.trace is None:
-        raise InvalidParameterError(
-            "field needs boundary data (a trace) to apply difference operators")
     return _hessian(u.grid, u.interior, u.trace, trace_only)
 
 
@@ -253,11 +250,10 @@ class DirichletProblem:
     """F(D^2 u) = f in Omega, u = psi: what one (grid, psi, operator) fixes.
 
     Built once per nonlocal solve and shared by all of its inner solves: the
-    boundary trace, the boundary offset H(0) (the Hessian of zero interior
-    values, so H(u) = H(0) + the linear part), and the field template that
-    holds psi on the Boundary lattice nodes.  ``hessian`` evaluates D(u):
-    only its trace for the Laplacian, the full Hessian for the Pucci
-    operators; ``op.evaluate`` takes either.  The Hessian that certifies one
+    boundary trace and the boundary offset H(0) (the Hessian of zero
+    interior values, so H(u) = H(0) + the linear part).  ``hessian``
+    evaluates D(u): only its trace for the Laplacian, the full Hessian for
+    the Pucci operators; ``op.evaluate`` takes either.  The Hessian that certifies one
     solve's output is the one Howard's algorithm ended on.  ``tol`` is the
     max-norm residual target (None: 1e-8 Laplacian, 1e-6 Pucci).
     """
@@ -272,13 +268,6 @@ class DirichletProblem:
         self.trace = build_trace(grid, psi)
         self.H0 = self.hessian(np.zeros(grid.n_interior))
         self.lap0 = self.H0 if self.H0.ndim == 1 else np.einsum("nii->n", self.H0)
-        vals = np.full(grid.shape, np.nan, dtype=np.float64)
-        bmask = grid.node_class == BOUNDARY
-        if np.any(bmask):
-            idx = np.nonzero(bmask)
-            pts = np.stack([grid.axis_coords[k][idx[k]] for k in range(grid.n)], axis=1)
-            vals[bmask] = psi.evaluate(pts)
-        self._template = ScalarField(grid, vals, self.trace)
 
     def hessian(self, u_int: NDArray[np.float64]) -> NDArray[np.float64]:
         return _hessian(self.grid, u_int, self.trace, self._trace_only)
@@ -310,7 +299,7 @@ class DirichletProblem:
             raise NonConvergenceError(
                 f"inner solve finished with residual {res:.3e} above tol "
                 f"{self.tol:.3e}", history)
-        return self._template.with_interior(u), res
+        return ScalarField(u, self.trace), res
 
 
 def _laplacian(grid: Grid) -> tuple:
@@ -463,11 +452,9 @@ class MaxPrincipleReport:
 
 
 def maximum_principle_check(op: EllipticOperator, u: ScalarField, f,
-                            psi: BoundaryData,
                             tol: float = 1e-6) -> MaxPrincipleReport:
     fvec = _as_interior(f, u.grid)
-    trace = u.trace if u.trace is not None else build_trace(u.grid, psi)
-    bvals = trace.all_values()
+    bvals = u.trace.values
     sup_psi = float(np.max(bvals))
     inf_psi = float(np.min(bvals))
     uin = u.interior

@@ -146,11 +146,6 @@ class Grid:
             )
         )
 
-    def node_coords(self, index: Sequence[int]) -> NDArray[np.float64]:
-        return np.array(
-            [self.axis_coords[k][index[k]] for k in range(self.n)], dtype=np.float64
-        )
-
     def ordinal(self, index: Sequence[int]) -> int:
         """Interior ordinal of a multi-index, or -1."""
         flat = int(np.ravel_multi_index(tuple(int(i) for i in index), self.shape))
@@ -202,25 +197,27 @@ class _StencilPlan:
     * ``arm_lattice[(a, s)]`` True when a non-interior arm end is a Boundary
                              lattice node (boxes), so its value may also be
                              used by diagonal-deficient mixed stencils
-    * ``arm_point[(a, s)]``  coordinates of the arm end where non-interior
-                             (boundary crossing or boundary node), NaN rows
-                             where the arm stays interior
 
     and for every axis pair (a, b), a < b, and sign pair (sa, sb):
 
     * ``diag[...]``          interior ordinal of the diagonal node, -1 otherwise
-    * ``diag_known[...]``    diagonal node is a Boundary lattice node
-    * ``diag_point[...]``    its coordinates where known and not interior
+
+    ``points`` (M, n) are the places the Dirichlet data is sampled: every
+    non-interior arm end (a crossing or a Boundary lattice node), then every
+    Boundary lattice diagonal node, by arm keys, then pair keys, nodes in
+    order within a key.  ``src[key]`` gives each node's arm end or diagonal
+    node as an index into the interior values followed by those samples:
+    the interior ordinal, or N + the sample index, or -1 for a diagonal node
+    that is neither.
     """
 
     def __init__(self) -> None:
         self.nbr: dict[tuple[int, int], NDArray[np.int64]] = {}
         self.theta: dict[tuple[int, int], NDArray[np.float64]] = {}
         self.arm_lattice: dict[tuple[int, int], NDArray[np.bool_]] = {}
-        self.arm_point: dict[tuple[int, int], NDArray[np.float64]] = {}
         self.diag: dict[tuple[int, int, int, int], NDArray[np.int64]] = {}
-        self.diag_known: dict[tuple[int, int, int, int], NDArray[np.bool_]] = {}
-        self.diag_point: dict[tuple[int, int, int, int], NDArray[np.float64]] = {}
+        self.src: dict[tuple[int, ...], NDArray[np.int64]] = {}
+        self.points = np.empty((0, 0), dtype=np.float64)
 
     def arm_keys(self, n: int) -> list[tuple[int, int]]:
         return [(a, s) for a in range(n) for s in (+1, -1)]
@@ -233,10 +230,6 @@ class _StencilPlan:
             for sa in (+1, -1)
             for sb in (+1, -1)
         ]
-
-    def sample_keys(self, n: int) -> list[tuple[int, ...]]:
-        """Arm then diagonal keys: the row order of ``BoundaryTrace.values``."""
-        return self.arm_keys(n) + self.pair_keys(n)
 
 
 def _crossing_fraction(descriptor: Descriptor, coords: NDArray[np.float64],
@@ -273,6 +266,7 @@ def _build_plan(grid: Grid) -> _StencilPlan:
     plan = _StencilPlan()
     n, N, h = grid.n, grid.n_interior, grid.h
     cls_flat = grid.node_class.ravel()
+    points: list[NDArray[np.float64]] = []
 
     def shifted(shifts: Sequence[int]):
         """Interior ordinal of each node's shifted lattice node (-1 if none),
@@ -290,6 +284,14 @@ def _build_plan(grid: Grid) -> _StencilPlan:
                                  for k in range(n)], axis=1)
         return ordinal, known, point
 
+    def sample(key, ordinal, sel, point):
+        """Number the selected nodes' points as the next samples."""
+        src = ordinal.copy()
+        start = N + sum(len(p) for p in points)
+        src[sel] = start + np.arange(np.count_nonzero(sel))
+        plan.src[key] = src
+        points.append(point[sel])
+
     for a, s in plan.arm_keys(n):
         nbr, known, point = shifted([s if k == a else 0 for k in range(n)])
         theta = np.ones(N, dtype=np.float64)
@@ -304,20 +306,24 @@ def _build_plan(grid: Grid) -> _StencilPlan:
             point[cut] = coords
             point[cut, a] += s * theta[cut] * h
         plan.nbr[(a, s)], plan.theta[(a, s)] = nbr, theta
-        plan.arm_lattice[(a, s)], plan.arm_point[(a, s)] = known, point
+        plan.arm_lattice[(a, s)] = known
+        sample((a, s), nbr, nbr < 0, point)
     for key in plan.pair_keys(n):
         a, b, sa, sb = key
         shifts = [sa if k == a else sb if k == b else 0 for k in range(n)]
-        plan.diag[key], plan.diag_known[key], plan.diag_point[key] = shifted(shifts)
+        plan.diag[key], known, point = shifted(shifts)
+        sample(key, plan.diag[key], known, point)
+    plan.points = np.concatenate(points)
     return plan
 
 
 class StencilTerms(NamedTuple):
     """Difference terms ``kappa * (x[src] - u[node])`` of one Hessian entry.
 
-    ``x`` is the interior values followed by the flattened trace samples
-    (``BoundaryTrace.values``), so ``src < n_interior`` marks an interior
-    source and every other source is a Dirichlet sample.
+    ``x`` is the interior values followed by the trace samples
+    (``BoundaryTrace.values``), indexed as ``plan.src``, so
+    ``src < n_interior`` marks an interior source and every other source is
+    a Dirichlet sample.
     """
 
     node: NDArray[np.int32]
@@ -343,13 +349,7 @@ class StencilTable:
         plan = grid.plan
         n, h, N = grid.n, grid.h, grid.n_interior
         nodes = np.arange(N, dtype=np.int32)
-        slots = {key: k for k, key in enumerate(plan.sample_keys(n))}
-
-        def source(key, ends):
-            return np.where(ends >= 0, ends, N * (1 + slots[key]) + nodes)
-
-        arm = {key: source(key, plan.nbr[key]) for key in plan.arm_keys(n)}
-        diag = {key: source(key, plan.diag[key]) for key in plan.pair_keys(n)}
+        src = plan.src
 
         def collect(parts) -> StencilTerms:
             """Concatenate (node mask, source, kappa) blocks."""
@@ -365,26 +365,25 @@ class StencilTable:
             tp, tm = plan.theta[(a, +1)], plan.theta[(a, -1)]
             self.stiffness += 2.0 / (h ** 2 * tp * tm)
             self.terms[(a, a)] = collect([
-                (every, arm[(a, +1)], 2.0 / (h ** 2 * tp * (tp + tm))),
-                (every, arm[(a, -1)], 2.0 / (h ** 2 * tm * (tp + tm))),
+                (every, src[(a, +1)], 2.0 / (h ** 2 * tp * (tp + tm))),
+                (every, src[(a, -1)], 2.0 / (h ** 2 * tm * (tp + tm))),
             ])
         for a in range(n):
             for b in range(a + 1, n):
                 signs = [(sa, sb) for sa in (+1, -1) for sb in (+1, -1)]
-                known = {(sa, sb): (plan.diag[(a, b, sa, sb)] >= 0)
-                         | plan.diag_known[(a, b, sa, sb)] for sa, sb in signs}
+                known = {(sa, sb): src[(a, b, sa, sb)] >= 0 for sa, sb in signs}
                 centred = np.logical_and.reduce(list(known.values()))
                 quads = {(sa, sb): ~centred & known[(sa, sb)]
                          & ((plan.nbr[(a, sa)] >= 0) | plan.arm_lattice[(a, sa)])
                          & ((plan.nbr[(b, sb)] >= 0) | plan.arm_lattice[(b, sb)])
                          for sa, sb in signs}
                 count = np.maximum(sum(q.astype(np.int64) for q in quads.values()), 1)
-                parts = [(centred, diag[(a, b, sa, sb)], sa * sb / (4.0 * h ** 2))
+                parts = [(centred, src[(a, b, sa, sb)], sa * sb / (4.0 * h ** 2))
                          for sa, sb in signs]
                 for (sa, sb), q in quads.items():
                     k = sa * sb / (h ** 2 * count)
-                    parts += [(q, diag[(a, b, sa, sb)], k), (q, arm[(a, sa)], -k),
-                              (q, arm[(b, sb)], -k)]
+                    parts += [(q, src[(a, b, sa, sb)], k), (q, src[(a, sa)], -k),
+                              (q, src[(b, sb)], -k)]
                 self.terms[(a, b)] = collect(parts)
         self.laplacian: tuple | None = None
 
@@ -595,31 +594,12 @@ class BoundaryData:
 
 
 class BoundaryTrace:
-    """Dirichlet values sampled at every point a grid's stencils need.
-
-    ``values`` has one row per key of ``plan.sample_keys``: psi at the
-    non-interior arm ends, then at the Boundary lattice nodes used by mixed
-    stencils, NaN elsewhere.  ``arm[(axis, sign)]`` is a view of an arm row.
-    """
+    """Dirichlet data ``psi`` and its values at every point a grid's stencils
+    need: ``values[j]`` is psi at ``grid.plan.points[j]``."""
 
     def __init__(self, grid: Grid, psi: BoundaryData):
-        self.grid = grid
-        plan = grid.plan
-        keys = plan.sample_keys(grid.n)
-        self.values = np.full((len(keys), grid.n_interior), np.nan, dtype=np.float64)
-        self.arm: dict[tuple[int, int], NDArray[np.float64]] = {}
-        for row, key in zip(self.values, keys):
-            if len(key) == 2:
-                self.arm[key] = row
-                sel, points = plan.nbr[key] < 0, plan.arm_point[key]
-            else:
-                sel, points = plan.diag_known[key], plan.diag_point[key]
-            if np.any(sel):
-                row[sel] = psi.evaluate(points[sel])
-
-    def all_values(self) -> NDArray[np.float64]:
-        """Every boundary sample the trace holds, for sup/inf queries."""
-        return self.values[np.isfinite(self.values)]
+        self.grid, self.psi = grid, psi
+        self.values = psi.evaluate(grid.plan.points)
 
 
 def build_trace(grid: Grid, psi: BoundaryData) -> BoundaryTrace:

@@ -2,9 +2,9 @@
 
 The solver iterates the plain right-hand side ``rhs_plain``; the smoothing
 is the regularization of the existence proof, kept as ``rhs_smoothed``.
-A ``ScalarField`` carries an iterate or a sampled field with its grid and
-trace; the measures and right-hand sides of a field are node data and come
-back as (n_interior,) vectors.
+A ``ScalarField`` carries an iterate or a sampled field as its interior
+values and the boundary trace of its grid; the measures and right-hand
+sides of a field are node data and come back as (n_interior,) vectors.
 
 Everything here is exact: no quadrature, no tolerance knobs.  On grids with
 n >= 2 the superlevel measure of a node is the cell measure times the number
@@ -28,7 +28,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameterError
-from .geometry import EXTERIOR, BoundaryData, BoundaryTrace, Grid, build_trace
+from .geometry import BOUNDARY, BoundaryData, BoundaryTrace, Grid, build_trace
 
 __all__ = [
     "ScalarField",
@@ -43,89 +43,59 @@ __all__ = [
 
 
 class ScalarField:
-    """One value per grid node; the carrier for iterates and sampled fields.
+    """A grid function: its interior values and the Dirichlet trace of its
+    grid, the carrier for iterates and sampled fields.
 
-    ``values`` spans the full lattice with NaN at Exterior nodes; Interior
-    values are always finite, Boundary lattice values are stored when a solve
-    or sampler provides them.  ``trace`` optionally carries Dirichlet values
-    at the off-lattice boundary crossings so difference operators can be
-    applied near curved boundaries; it must belong to the field's grid.
+    ``interior`` is a read-only (n_interior,) vector of finite values; the
+    constructor copies it and raises InvalidParameterError on a wrong length
+    or a non-finite value.  ``trace`` supplies the grid and the boundary
+    values that difference operators and measures read near the boundary.
     """
 
-    def __init__(self, grid: Grid, values: NDArray[np.float64],
-                 trace: BoundaryTrace | None = None):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != grid.shape:
+    def __init__(self, interior: NDArray[np.float64], trace: BoundaryTrace):
+        vec = np.array(interior, dtype=np.float64)
+        if vec.shape != (trace.grid.n_interior,):
             raise InvalidParameterError(
-                f"field shape {values.shape} does not match grid {grid.shape}"
-            )
-        if trace is not None and not trace.grid.matches(grid):
-            raise InvalidParameterError("trace belongs to a different grid")
-        self.grid = grid
-        self.values = values
-        self.trace = trace
-
-    # -- constructors --------------------------------------------------------
+                f"field has shape {vec.shape}; its grid has "
+                f"{trace.grid.n_interior} interior nodes")
+        if not np.all(np.isfinite(vec)):
+            raise InvalidParameterError("field has non-finite interior values")
+        vec.setflags(write=False)
+        self.interior, self.trace = vec, trace
 
     @classmethod
-    def from_interior(cls, grid: Grid, interior: NDArray[np.float64],
-                      trace: BoundaryTrace | None = None) -> "ScalarField":
-        interior = np.asarray(interior, dtype=np.float64)
-        if interior.shape != (grid.n_interior,):
-            raise InvalidParameterError("interior vector has wrong length")
-        vals = np.full(grid.shape, np.nan, dtype=np.float64)
-        vals.ravel()[grid.interior_flat] = interior
-        return cls(grid, vals, trace)
-
-    @classmethod
-    def sample(cls, grid: Grid, fn: Callable[[NDArray[np.float64]], object],
-               boundary: BoundaryData | None = None) -> "ScalarField":
-        """Sample a function of position on the lattice, with its trace.
-
-        When ``boundary`` is omitted the same function provides the Dirichlet
-        values at boundary intersection points, which is what sampled exact
-        solutions want.
-        """
-        sampled = BoundaryData.from_callable(fn)
-        vals = np.full(grid.shape, np.nan, dtype=np.float64)
-        mask = grid.node_class != EXTERIOR
-        idx = np.nonzero(mask)
-        pts = np.stack([grid.axis_coords[k][idx[k]] for k in range(grid.n)], axis=1)
-        vals[mask] = sampled.evaluate(pts)
-        return cls(grid, vals, build_trace(grid, boundary or sampled))
-
-    # -- views ----------------------------------------------------------------
+    def sample(cls, grid: Grid,
+               fn: Callable[[NDArray[np.float64]], object]) -> "ScalarField":
+        """Sample a function of position at the interior nodes; the same
+        function is the Dirichlet data, which is what sampled exact solutions
+        want."""
+        psi = BoundaryData.from_callable(fn)
+        return cls(psi.evaluate(grid.interior_coords), build_trace(grid, psi))
 
     @property
-    def interior(self) -> NDArray[np.float64]:
-        return self.values.ravel()[self.grid.interior_flat]
+    def grid(self) -> Grid:
+        return self.trace.grid
+
+    @property
+    def values(self) -> NDArray[np.float64]:
+        """The field on the full lattice: the interior values, psi at the
+        Boundary lattice nodes and NaN at Exterior nodes."""
+        grid = self.grid
+        vals = np.full(grid.shape, np.nan, dtype=np.float64)
+        vals.ravel()[grid.interior_flat] = self.interior
+        boundary = np.nonzero(grid.node_class == BOUNDARY)
+        if boundary[0].size:
+            vals[boundary] = self.trace.psi.evaluate(np.stack(
+                [grid.axis_coords[k][boundary[k]] for k in range(grid.n)], axis=1))
+        return vals
 
     def with_interior(self, interior: NDArray[np.float64]) -> "ScalarField":
-        vals = self.values.copy()
-        vals.ravel()[self.grid.interior_flat] = np.asarray(interior, dtype=np.float64)
-        return ScalarField(self.grid, vals, self.trace)
+        return ScalarField(interior, self.trace)
 
     def osc(self) -> float:
         """Oscillation max - min over interior nodes and boundary samples."""
-        vals = self.interior
-        lo, hi = float(np.min(vals)), float(np.max(vals))
-        if self.trace is not None:
-            b = self.trace.all_values()
-            if b.size:
-                lo = min(lo, float(np.min(b)))
-                hi = max(hi, float(np.max(b)))
-        return hi - lo
-
-    def check_finite(self) -> None:
-        if not np.all(np.isfinite(self.interior)):
-            raise InvalidParameterError("field has non-finite interior values")
-
-
-def _interior_vector(v: ScalarField) -> NDArray[np.float64]:
-    vec = v.interior
-    if not np.all(np.isfinite(vec)):
-        raise InvalidParameterError("field has non-finite interior values")
-    return vec
+        vals = np.concatenate((self.interior, self.trace.values))
+        return float(np.max(vals)) - float(np.min(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +197,7 @@ def superlevel_measures(v: ScalarField,
     O(N log N) by sorting once; ``order``, a permutation that sorts the
     interior values, saves the sort.
     """
-    vec = _interior_vector(v)
+    vec = v.interior
     order = np.argsort(vec) if order is None else order
     out = np.empty_like(vec)
     out[order] = v.grid.cell * (vec.size - _tie_starts(vec[order]))
@@ -248,7 +218,7 @@ def smoothed_superlevel_average(v: ScalarField, eps: float) -> NDArray[np.float6
     """
     if not eps > 0:
         raise InvalidParameterError("smoothing width eps must be positive")
-    vec = _interior_vector(v)
+    vec = v.interior
     order = np.argsort(vec)
     asc = vec[order]
     a = asc - eps
@@ -298,22 +268,16 @@ def _interval_cell_measures(v: ScalarField) -> NDArray[np.float64]:
     by a window's ends are integrated locally; only the whole pieces inside
     a window go through prefix sums.
     """
-    if v.trace is None:
-        raise InvalidParameterError(
-            "a 1-D superlevel measure needs the field's boundary trace"
-        )
-    vec = _interior_vector(v)
+    vec = v.interior
     n = vec.size
     plan, h = v.grid.plan, v.grid.h
-    right, left = plan.nbr[(0, +1)], plan.nbr[(0, -1)]
-    end_r, end_l = np.flatnonzero(right < 0), np.flatnonzero(left < 0)
-    psi = np.concatenate((v.trace.arm[(0, +1)][end_r], v.trace.arm[(0, -1)][end_l]))
-    knots, k_all = np.unique(np.concatenate((vec, psi)), return_inverse=True)
+    end_r = np.flatnonzero(plan.nbr[(0, +1)] < 0)
+    end_l = np.flatnonzero(plan.nbr[(0, -1)] < 0)
+    knots, k_all = np.unique(np.concatenate((vec, v.trace.values)),
+                             return_inverse=True)
     k_node = k_all[:n]
     # Knot index and length of the piece of u~ on each side of every node.
-    k_r, k_l = k_node[right], k_node[left]
-    k_r[end_r] = k_all[n:n + end_r.size]
-    k_l[end_l] = k_all[n + end_r.size:]
+    k_r, k_l = k_all[plan.src[(0, +1)]], k_all[plan.src[(0, -1)]]
     len_r = np.full(n, h)
     len_l = np.full(n, h)
     len_r[end_r] = plan.theta[(0, +1)][end_r] * h
@@ -413,8 +377,7 @@ def rhs_plain(v: ScalarField, g: ProfileFunction,
     On grids with n >= 2 the measure is the closed cell count of
     ``superlevel_measures``.  On 1-D grids it is the cell average of the
     measure of the superlevel sets of the piecewise-linear interpolant
-    through the interior values and the field's boundary trace, which
-    ``rhs_plain`` then requires (InvalidParameterError otherwise).  That
+    through the interior values and the field's boundary trace.  That
     measure has no tie bias and is continuous in the field.  ``order`` as in
     ``superlevel_measures``; the 1-D measure does not use it.
     """
@@ -464,4 +427,4 @@ def increasing_rearrangement(v: ScalarField) -> StepFunction:
     Takes the sorted-ascending interior values on consecutive cells of width
     h^n.  Diagnostic output only.
     """
-    return StepFunction(v.grid.cell, np.sort(_interior_vector(v)))
+    return StepFunction(v.grid.cell, np.sort(v.interior))

@@ -250,7 +250,7 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     # the tie snap.
     torsion = solve_dirichlet(EllipticOperator.laplacian(), grid, -1.0,
                               BoundaryData.zero())
-    psi_bound = float(np.max(np.abs(problem.trace.all_values()), initial=0.0))
+    psi_bound = float(np.max(np.abs(problem.trace.values), initial=0.0))
     forcing_bound = float(np.max(torsion.interior)) * g.abs_bound() / op.lam
     report.bound_limit = psi_bound + forcing_bound + 1e-9
     snap = _snap_width(grid, op, problem.tol, v.osc() + forcing_bound)

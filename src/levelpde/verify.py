@@ -129,18 +129,13 @@ def barrier_gradient_constant(eps0: float, n: int, Lam: float) -> float:
 
 def _gradient_magnitude(u: ScalarField) -> NDArray[np.float64]:
     """Central-difference gradient magnitude, offset-aware near boundaries."""
-    if u.trace is None:
-        raise InvalidParameterError("field needs boundary data (a trace)")
     grid = u.grid
     plan = grid.plan
-    uin = u.interior
+    x = np.concatenate((u.interior, u.trace.values))
     total = np.zeros(grid.n_interior, dtype=np.float64)
     for a in range(grid.n):
         tp, tm = plan.theta[(a, +1)], plan.theta[(a, -1)]
-        nbp, nbm = plan.nbr[(a, +1)], plan.nbr[(a, -1)]
-        up = np.where(nbp >= 0, uin[np.maximum(nbp, 0)], u.trace.arm[(a, +1)])
-        um = np.where(nbm >= 0, uin[np.maximum(nbm, 0)], u.trace.arm[(a, -1)])
-        da = (up - um) / ((tp + tm) * grid.h)
+        da = (x[plan.src[(a, +1)]] - x[plan.src[(a, -1)]]) / ((tp + tm) * grid.h)
         total += da * da
     return np.sqrt(total)
 

@@ -28,7 +28,8 @@ from levelpde.elliptic import (
     maximum_principle_check,
     solve_dirichlet,
 )
-from levelpde.geometry import BoundaryData, build_ball, build_box, domain_measure
+from levelpde.geometry import (BoundaryData, build_ball, build_box, build_trace,
+                               domain_measure)
 from levelpde.measure import (
     ProfileFunction,
     ScalarField,
@@ -179,7 +180,7 @@ class TestCriterion4MeasureOracle:
             else:
                 vals = rng.uniform(-5.0, 5.0, size=N)
             grid = build_box([(0.0, 0.5 * (N + 1))], 0.5)
-            f = ScalarField.from_interior(grid, vals)
+            f = ScalarField(vals, build_trace(grid, BoundaryData.zero()))
             mu = superlevel_measures(f)
             brute = np.array([grid.cell * np.sum(vals >= v) for v in vals])
             assert np.array_equal(mu, brute)
@@ -200,7 +201,7 @@ class TestCriterion5SmoothingMonotonicity:
             else:
                 vals = rng.uniform(-1.0, 1.0, size=N)
             grid = build_box([(0.0, 0.5 * (N + 1))], 0.5)
-            f = ScalarField.from_interior(grid, vals)
+            f = ScalarField(vals, build_trace(grid, BoundaryData.zero()))
             mu = superlevel_measures(f)
             total = grid.cell * N
             osc = float(vals.max() - vals.min())
@@ -248,7 +249,7 @@ class TestCriterion6MaximumPrinciple:
                 lambda p, c0=c0, c1=c1, c2=c2:
                 c0 + c1 * p[:, 0] + c2 * p[:, 0] * p[:, 1])
             u = solve_dirichlet(op, grid, f, psi, tol=1e-8)
-            rep = maximum_principle_check(op, u, f, psi, tol=1e-6)
+            rep = maximum_principle_check(op, u, f, tol=1e-6)
             assert rep.upper_applicable or rep.lower_applicable
             assert rep.passed, f"trial {trial}: {rep}"
             if rep.upper_applicable:
@@ -275,7 +276,7 @@ class TestCriterion7FlatRegionExclusion:
                        f"{domain_measure(grid):.3f})")
         assert got.max_mass <= tau
         # sanity: a genuine plateau would overshoot tau by an order
-        flat = ScalarField.from_interior(grid, np.full(grid.n_interior, 1.0))
+        flat = u.with_interior(np.full(grid.n_interior, 1.0))
         assert flat_region_detector(flat, delta).max_mass > 10 * tau
 
 

@@ -13,12 +13,16 @@ from levelpde.cli import (
     main,
     parse_config,
 )
-from levelpde.elliptic import EllipticOperator
+from levelpde.elliptic import EllipticOperator, solve_dirichlet
 from levelpde.errors import ConfigError
-from levelpde.geometry import build_ball, build_box
+from levelpde.geometry import BOUNDARY, BoundaryData, build_ball, build_box, build_trace
 from levelpde.measure import ScalarField
 from levelpde.outerloop import OuterConfig
 from levelpde.verify import exact_ball_solution
+
+def zero_data_field(grid, interior):
+    return ScalarField(interior, build_trace(grid, BoundaryData.zero()))
+
 
 MINIMAL_BALL = """\
 # minimal 2-ball benchmark
@@ -136,24 +140,44 @@ class TestFieldDump:
     def test_round_trip_byte_identical(self, make_grid, tmp_path):
         grid = make_grid()
         rng = np.random.default_rng(9)
-        u = ScalarField.from_interior(grid, rng.normal(size=grid.n_interior))
+        u = zero_data_field(grid, rng.normal(size=grid.n_interior))
         text = format_field(u)
         p = tmp_path / "field.txt"
         p.write_text(text)
         loaded = load_field(p)
         assert loaded.shape == grid.shape
         assert np.array_equal(loaded.node_class, grid.node_class)
-        rebuilt = ScalarField(grid, loaded.values)
+        rebuilt = u.with_interior(loaded.values.ravel()[grid.interior_flat])
         assert format_field(rebuilt) == text
 
     def test_values_bitexact(self, tmp_path):
         grid = build_box([(0, 1)], 0.25)
-        u = ScalarField.from_interior(grid, np.array([1 / 3, math_pi_ish(), 1e-300]))
+        u = zero_data_field(grid, np.array([1 / 3, math_pi_ish(), 1e-300]))
         p = tmp_path / "f.txt"
         p.write_text(format_field(u))
         loaded = load_field(p)
         assert np.array_equal(
             loaded.values[grid.interior_mask], u.interior)
+
+    def test_box_dump_carries_psi_at_every_boundary_node(self, tmp_path):
+        # No stencil reads the 8 corners of a cube, so no trace sample lies
+        # there; the dump still holds psi at them, as at every other
+        # Boundary lattice node.
+        grid = build_box([(0, 1)] * 3, 0.25)
+        psi = BoundaryData.from_callable(
+            lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1] * p[:, 2])
+        u = solve_dirichlet(EllipticOperator.laplacian(), grid, -1.0, psi)
+        p = tmp_path / "u.txt"
+        p.write_text(format_field(u))
+        loaded = load_field(p)
+        boundary = grid.node_class == BOUNDARY
+        lattice = np.stack(np.meshgrid(*grid.axis_coords, indexing="ij"), axis=-1)
+        assert np.array_equal(loaded.values[boundary], psi.evaluate(lattice[boundary]))
+        assert np.array_equal(loaded.values[grid.interior_mask], u.interior)
+        corners = lattice[::4, ::4, ::4].reshape(8, 3)
+        assert boundary[::4, ::4, ::4].all()
+        assert np.array_equal(loaded.values[::4, ::4, ::4].ravel(), psi.evaluate(corners))
+        assert not any(np.all(grid.plan.points == c, axis=1).any() for c in corners)
 
 
 def math_pi_ish():
@@ -197,7 +221,7 @@ output.table = {tmp_path}/table.txt
 
     def test_diagnose_constant_field_fails_flat_check(self, tmp_path):
         grid = build_ball((0.0, 0.0), 1.0, 0.125)
-        const = ScalarField.from_interior(grid, np.full(grid.n_interior, 1.0))
+        const = zero_data_field(grid, np.full(grid.n_interior, 1.0))
         (tmp_path / "const.txt").write_text(format_field(const))
         cfg = MINIMAL_BALL + f"diagnose.field = {tmp_path}/const.txt\n"
         rc = main(["diagnose", write_config(tmp_path, cfg)])
@@ -377,7 +401,7 @@ output.table = {tmp_path}/study.txt
 
     def test_diagnose_mismatched_grid_exit_1(self, tmp_path):
         grid = build_ball((0.0, 0.0), 1.0, 0.25)
-        u = ScalarField.from_interior(grid, np.zeros(grid.n_interior))
+        u = zero_data_field(grid, np.zeros(grid.n_interior))
         (tmp_path / "u.txt").write_text(format_field(u))
         cfg = MINIMAL_BALL + f"diagnose.field = {tmp_path}/u.txt\n"  # h mismatch
         rc = main(["diagnose", write_config(tmp_path, cfg)])
@@ -404,6 +428,19 @@ output.table = {tmp_path}/study.txt
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("band", ["nan", "-1", "0.01"])
+    def test_diagnose_band_below_2h_exit_1(self, band, tmp_path, capsys):
+        base = MINIMAL_BALL.replace("grid.h = 0.125", "grid.h = 0.25")
+        grid = build_ball((0.0, 0.0), 1.0, 0.25)
+        exact = exact_ball_solution((0.0, 0.0), 1.0, 2,
+                                    EllipticOperator.laplacian())
+        (tmp_path / "u.txt").write_text(format_field(exact.sample(grid)))
+        cfg = base + f"diagnose.field = {tmp_path}/u.txt\ndiagnose.band = {band}\n"
+        rc = main(["diagnose", write_config(tmp_path, cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: band must be at least 2h\n"
 
 
 class TestReportFormat:

@@ -20,7 +20,7 @@ from levelpde.elliptic import (
     solve_dirichlet,
 )
 from levelpde.errors import InvalidParameterError, NonConvergenceError
-from levelpde.geometry import BoundaryData, build_ball, build_box, build_trace
+from levelpde.geometry import BoundaryData, build_ball, build_box
 from levelpde.measure import ScalarField
 
 LAP = EllipticOperator.laplacian()
@@ -91,7 +91,7 @@ class TestDiscreteHessian:
             grid = build_box([(0, 1), (-0.5, 0.5)], h)
             u = ScalarField.sample(grid, lambda p: (p[:, 0] ** 2 + p[:, 1] ** 2) ** 2)
             node = (int(round(0.5 / h)), int(round(0.5 / h)))
-            x = grid.node_coords(node)
+            x = grid.interior_coords[grid.ordinal(node)]
             assert np.allclose(x, [0.5, 0.0])
             H = discrete_hessian(u, node)
             s2 = float(x @ x)
@@ -119,12 +119,6 @@ class TestDiscreteHessian:
         u = ScalarField.sample(grid, lambda p: p[:, 0])
         with pytest.raises(InvalidParameterError):
             discrete_hessian(u, (0, 0))
-
-    def test_trace_required(self):
-        grid = build_box([(0, 1), (0, 1)], 0.25)
-        u = ScalarField.from_interior(grid, np.zeros(grid.n_interior))
-        with pytest.raises(InvalidParameterError):
-            hessian_field(u)
 
 
 class TestApplyOperator:
@@ -157,12 +151,7 @@ class TestApplyOperator:
         assert np.allclose(out, 2 * (-2.0), atol=1e-11)
 
     def test_operator_ordering(self):
-        rng = np.random.default_rng(11)
         grid = build_box([(0, 1), (0, 1)], 0.125)
-        vals = rng.normal(size=grid.shape)
-        field = ScalarField(grid, vals, build_trace(grid, BoundaryData.zero()))
-        # Overwrite boundary trace with the lattice values so arms read the
-        # sampled data; easiest is to sample a random smooth-ish function.
         f = ScalarField.sample(
             grid, lambda p: np.sin(3 * p[:, 0]) * np.cos(2 * p[:, 1]) + p[:, 0] ** 2
         )
@@ -365,7 +354,7 @@ class TestSolveDirichlet:
     @pytest.mark.parametrize("forcing", [
         lambda grid: np.zeros(grid.n_interior + 1),
         lambda grid: np.full(grid.n_interior, np.nan),
-        lambda grid: ScalarField.from_interior(grid, np.zeros(grid.n_interior)),
+        lambda grid: ScalarField.sample(grid, lambda p: 0.0 * p[:, 0]),
     ], ids=["long", "nan", "field"])
     def test_forcing_is_a_scalar_or_an_interior_vector(self, forcing):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 4)
@@ -549,7 +538,7 @@ class TestMaximumPrinciple:
         grid = build_box([(0, 1), (0, 1)], 0.125)
         psi = BoundaryData.from_callable(lambda p: p[:, 0])
         u = solve_dirichlet(LAP, grid, 0.0, psi)
-        rep = maximum_principle_check(LAP, u, 0.0, psi)
+        rep = maximum_principle_check(LAP, u, 0.0)
         assert rep.upper_applicable and rep.lower_applicable
         assert rep.passed
         assert rep.sup_u <= 1.0 + 1e-9 and rep.inf_u >= -1e-9
@@ -558,7 +547,7 @@ class TestMaximumPrinciple:
         # f = -1, psi = 0: u = (1 - |x|^2)/(2n), max 1/(2n).
         grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
         u = solve_dirichlet(LAP, grid, -1.0, BoundaryData.zero())
-        rep = maximum_principle_check(LAP, u, -1.0, BoundaryData.zero())
+        rep = maximum_principle_check(LAP, u, -1.0)
         assert rep.lower_applicable and rep.lower_ok
         assert not rep.upper_applicable
         exact = (1.0 - np.sum(grid.interior_coords ** 2, axis=1)) / 4.0
@@ -570,6 +559,6 @@ class TestMaximumPrinciple:
         s2 = np.sum(grid.interior_coords ** 2, axis=1)
         f = -math.pi * s2
         u = solve_dirichlet(LAP, grid, f, BoundaryData.zero())
-        rep = maximum_principle_check(LAP, u, f, BoundaryData.zero())
+        rep = maximum_principle_check(LAP, u, f)
         assert rep.lower_applicable and rep.lower_ok
         assert np.all(u.interior >= -1e-9)

@@ -101,7 +101,8 @@ def test_every_problem_carries_the_line_of_its_key(text):
 
 def _dump_lines() -> list[str]:
     grid = build_ball((0.0, 0.0), 1.0, 0.4)
-    field = ScalarField.from_interior(grid, np.linspace(0, 1, grid.n_interior))
+    field = ScalarField(np.linspace(0, 1, grid.n_interior),
+                        build_trace(grid, BoundaryData.zero()))
     return format_field(field).splitlines()
 
 
@@ -215,7 +216,7 @@ def test_boundary_data_on_a_grid_gives_a_trace_or_raises(name):
         trace = build_trace(grid, BoundaryData.from_callable(OUTPUTS[name]))
     except InvalidParameterError:
         return
-    assert np.all(np.isfinite(trace.all_values()))
+    assert np.all(np.isfinite(trace.values))
 
 
 SETTING = st.one_of(st.sampled_from(ODD), st.floats(1e-12, 2),

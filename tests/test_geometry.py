@@ -141,7 +141,7 @@ class TestBall:
         expected = (math.sqrt(0.75) - 0.75) / 0.25
         assert grid.plan.theta[(0, +1)][i] == pytest.approx(expected, rel=1e-12)
         # The crossing point itself lies on the sphere.
-        pt = grid.plan.arm_point[(0, +1)][i]
+        pt = grid.plan.points[grid.plan.src[(0, +1)][i] - grid.n_interior]
         assert np.hypot(*pt) == pytest.approx(1.0, rel=1e-12)
 
     def test_every_arm_has_neighbor_or_offset(self):
@@ -228,19 +228,42 @@ class TestBoundaryData:
         with pytest.raises(InvalidParameterError, match="one finite value per point"):
             BoundaryData.from_callable(fn).evaluate(pts)
 
-    def test_trace_evaluates_on_crossings(self):
-        grid = build_ball((0.0, 0.0), 1.0, 0.25)
-        trace = build_trace(grid, BoundaryData.from_callable(
-            lambda pts: pts[:, 0] + pts[:, 1]))
-        for key in grid.plan.arm_keys(grid.n):
-            sel = grid.plan.nbr[key] < 0
-            pts = grid.plan.arm_point[key][sel]
-            assert np.allclose(trace.arm[key][sel], pts[:, 0] + pts[:, 1])
-            assert np.all(np.isnan(trace.arm[key][~sel]))
+    @pytest.mark.parametrize("grid", [build_ball((0.0, 0.0), 1.0, 0.25),
+                                      build_box([(0, 1), (0, 1), (0, 1)], 0.25)],
+                             ids=["disk", "cube"])
+    def test_trace_samples_psi_at_the_stencil_ends(self, grid):
+        # Every arm end off the interior, then every Boundary lattice
+        # diagonal node, is one sample, numbered in key order; the trace
+        # holds psi there, and src reads it after the interior values.
+        psi = BoundaryData.from_callable(lambda pts: pts[:, 0] + 2 * pts[:, -1])
+        trace = build_trace(grid, psi)
+        plan, N, h = grid.plan, grid.n_interior, grid.h
+        x = np.concatenate((np.full(N, np.nan), trace.values))
+        on_lattice = bool(np.any(grid.node_class == BOUNDARY))
+        numbered = []
+        for key in plan.arm_keys(grid.n) + plan.pair_keys(grid.n):
+            near = plan.nbr[key] if len(key) == 2 else plan.diag[key]
+            src, end = plan.src[key], grid.interior_coords.copy()
+            if len(key) == 2:
+                end[:, key[0]] += key[1] * plan.theta[key] * h
+                sampled = near < 0
+            else:
+                a, b, sa, sb = key
+                end[:, a] += sa * h
+                end[:, b] += sb * h
+                sampled = src >= N
+                assert np.array_equal(sampled, on_lattice & (near < 0))
+            assert np.array_equal(src[~sampled], near[~sampled])
+            assert np.allclose(plan.points[src[sampled] - N], end[sampled])
+            assert np.allclose(x[src[sampled]],
+                               end[sampled, 0] + 2 * end[sampled, -1])
+            numbered.append(src[sampled])
+        assert np.array_equal(np.concatenate(numbered), N + np.arange(len(plan.points)))
+        assert np.allclose(grid.distance_to_boundary(plan.points), 0.0, atol=1e-12)
 
     def test_box_trace_uses_boundary_nodes(self):
         grid = build_box([(0, 1), (0, 1)], 0.25)
         trace = build_trace(grid, BoundaryData.from_callable(lambda pts: pts[:, 0]))
-        vals = trace.all_values()
+        vals = trace.values
         assert vals.size > 0
         assert vals.min() >= 0.0 and vals.max() <= 1.0

@@ -46,7 +46,7 @@ def row_grid(n_nodes, h=0.5):
 
 
 def field_on(grid, values):
-    return ScalarField.from_interior(grid, np.asarray(values, dtype=np.float64))
+    return ScalarField(values, build_trace(grid, BoundaryData.zero()))
 
 
 def brute_superlevel(values, cell):
@@ -76,7 +76,7 @@ def brute_interval_measures(grid, v):
         if j >= 0:
             return x[j], vals[j]
         return (x[i] + s * Fraction(plan.theta[(0, s)][i]) * h,
-                Fraction(v.trace.arm[(0, s)][i]))
+                Fraction(v.trace.values[plan.src[(0, s)][i] - len(x)]))
 
     pieces = [(end(i, -1), (x[i], vals[i])) for i in range(len(x))
               if plan.nbr[(0, -1)][i] < 0]
@@ -141,6 +141,29 @@ lattice_values = hnp.arrays(
     np.float64, st.integers(min_value=1, max_value=60),
     elements=st.integers(min_value=-200, max_value=200).map(lambda k: k * 0.25),
 )
+
+
+class TestScalarField:
+    @pytest.mark.parametrize("values", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0],
+                                        [[1.0, 2.0, 3.0]]],
+                             ids=["short", "long", "2-d"])
+    def test_wrong_length_rejected(self, values):
+        with pytest.raises(InvalidParameterError, match="3 interior nodes"):
+            field_on(line_grid(3), values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            field_on(line_grid(3), [1.0, bad, 2.0])
+
+    def test_interior_is_a_read_only_copy(self):
+        values = np.array([1.0, 2.0, 3.0])
+        f = field_on(line_grid(3), values)
+        values[0] = 5.0
+        assert f.interior.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            f.interior[0] = 5.0
+        assert f.with_interior(values).interior.tolist() == [5.0, 2.0, 3.0]
 
 
 class TestSuperlevelMeasures:
@@ -397,27 +420,16 @@ class TestRhs:
                 vals = np.round(vals * 2) / 2
             elif trial % 4 == 2:
                 vals = np.round(vals * 2) / 2 + 1e-15 * rng.normal(size=vals.size)
-            v = ScalarField.from_interior(grid, vals, build_trace(grid, psi))
+            v = ScalarField(vals, build_trace(grid, psi))
             mu = rhs_plain(v, g)
             assert mu == pytest.approx(brute_interval_measures(grid, v), abs=1e-12)
 
-    def test_1d_field_without_trace_rejected(self):
-        grid = line_grid(4)
-        g = ProfileFunction.linear(-1.0, 0.0, domain_max=2.0)
-        v = field_on(grid, [3, 1, 2, 2])
-        with pytest.raises(InvalidParameterError):
-            rhs_plain(v, g)
-        with pytest.raises(InvalidParameterError):
-            rhs_smoothed(v, g, 0.1)
-
     def test_trace_of_another_grid_rejected(self):
-        # Measures and operators read the trace as the field's own boundary
-        # values, so a field refuses a trace sampled on another grid.
-        grid = line_grid(4)
+        # A field's grid is its trace's, so values meant for another grid
+        # are refused by their length.
         other = build_box([(0.0, 2.5)], 0.25)
-        with pytest.raises(InvalidParameterError):
-            ScalarField.from_interior(grid, np.zeros(4),
-                                      build_trace(other, BoundaryData.zero()))
+        with pytest.raises(InvalidParameterError, match="9 interior nodes"):
+            ScalarField(np.zeros(4), build_trace(other, BoundaryData.zero()))
 
     def test_clamping_absorbs_overshoot(self):
         g = ProfileFunction.linear(-1.0, 0.0, domain_max=1.0)

@@ -12,7 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 from levelpde.elliptic import _DEFAULT_TOL, EllipticOperator, solve_dirichlet
 from levelpde.errors import InvalidParameterError, NonConvergenceError
-from levelpde.geometry import BoundaryData, build_ball, build_box, domain_measure
+from levelpde.geometry import (BoundaryData, build_ball, build_box, build_trace,
+                               domain_measure)
 from levelpde.measure import ProfileFunction, ScalarField
 from levelpde.outerloop import (
     OuterConfig,
@@ -23,6 +24,10 @@ from levelpde.outerloop import (
 )
 
 LAP = EllipticOperator.laplacian()
+
+
+def zero_data_field(grid, interior):
+    return ScalarField(interior, build_trace(grid, BoundaryData.zero()))
 
 
 def linear_profile(grid, a=-1.0, b=0.0):
@@ -64,9 +69,8 @@ class TestFixedPointStep:
         grid = build_box([(0, 1), (0, 1)], 0.125)
         g = ProfileFunction.linear(0.0, -2.0, domain_measure(grid))
         psi = BoundaryData.zero()
-        v1 = ScalarField.from_interior(grid, np.zeros(grid.n_interior))
-        v2 = ScalarField.from_interior(
-            grid, np.sin(7.0 * grid.interior_coords[:, 0]))
+        v1 = zero_data_field(grid, np.zeros(grid.n_interior))
+        v2 = zero_data_field(grid, np.sin(7.0 * grid.interior_coords[:, 0]))
         u1 = fixed_point_step(v1, 0.3, 1.0, LAP, g, psi)
         u2 = fixed_point_step(v2, 0.3, 1.0, LAP, g, psi)
         assert np.array_equal(u1.interior, u2.interior)
@@ -104,8 +108,7 @@ class TestFixedPointStep:
         grid = build_box([(0, 1), (0, 1)], 0.25)
         g = linear_profile(grid)
         psi = BoundaryData.zero()
-        v = ScalarField.from_interior(
-            grid, np.linspace(0.0, 1.0, grid.n_interior))
+        v = zero_data_field(grid, np.linspace(0.0, 1.0, grid.n_interior))
         assert np.array_equal(rhs_smoothed(v, g, 1e-6),
                               rhs_plain(v, g))
         stepped = fixed_point_step(v, 1e-6, 1.0, LAP, g, psi)
@@ -116,7 +119,7 @@ class TestFixedPointStep:
     def test_invalid_args(self):
         grid = build_box([(0, 1), (0, 1)], 0.25)
         g = linear_profile(grid)
-        v = ScalarField.from_interior(grid, np.zeros(grid.n_interior))
+        v = zero_data_field(grid, np.zeros(grid.n_interior))
         with pytest.raises(InvalidParameterError):
             fixed_point_step(v, 0.0, 1.0, LAP, g, BoundaryData.zero())
         with pytest.raises(InvalidParameterError):
