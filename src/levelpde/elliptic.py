@@ -1,10 +1,11 @@
 """Discrete F(D^2 u) and the inner Dirichlet solve for a frozen right side.
 
-The discrete Hessian is the term table ``grid.stencil``, built once per grid:
-Shortley-Weller second differences, the centred cross for mixed derivatives,
-and averaged one-sided quadrants in the band where diagonal neighbors are
-missing.  Every entry is evaluated in difference form, sum kappa (x_src -
-u_i), in every dimension, so its rounding does not grow like eps |u| / h^2.
+The discrete Hessian is the term table of the grid's stencil
+(``grid.plan``), built once per grid: Shortley-Weller second differences,
+the centred cross for mixed derivatives, and averaged one-sided quadrants
+in the band where diagonal neighbors are missing.  Every entry is evaluated
+in difference form, sum kappa (x_src - u_i), in every dimension, so its
+rounding does not grow like eps |u| / h^2.
 The same table gives the sparse matrix of tr(W D^2 u) for any weight field,
 and the Laplacian matrix, factorized once per grid; that LU is the only
 factorization a solve normally builds.  The Laplacian is evaluated as the
@@ -149,7 +150,7 @@ def _hessian(grid: Grid, uin: NDArray[np.float64], trace: BoundaryTrace,
     shape (N,): the same bits as the trace of the full H, without the mixed
     terms (2/3 of them in 3-D).
     """
-    N, n, terms = grid.n_interior, grid.n, grid.stencil.terms
+    N, n, terms = grid.n_interior, grid.n, grid.plan.terms
     x = np.concatenate((uin, trace.values))
 
     def entry(key):
@@ -211,7 +212,7 @@ def _matrix(grid: Grid, W: NDArray[np.float64]):
     """
     N = grid.n_interior
     rows, cols, vals, nodes, coefs = [], [], [], [], []
-    for (a, b), t in grid.stencil.terms.items():
+    for (a, b), t in grid.plan.terms.items():
         # H is symmetric: W_ab H_ab is counted twice off the diagonal.
         coef = (1.0 if a == b else 2.0) * W[t.node, a, b] * t.kappa
         keep = (t.src < N) & (coef != 0.0)
@@ -305,12 +306,12 @@ class DirichletProblem:
 def _laplacian(grid: Grid) -> tuple:
     """The Laplacian matrix and its LU, built once and kept with the stencil,
     so repeated frozen-RHS solves cost triangular solves only."""
-    table = grid.stencil
-    if table.laplacian is None:
+    plan = grid.plan
+    if plan.laplacian is None:
         A = _matrix(grid, np.broadcast_to(np.eye(grid.n),
                                           (grid.n_interior, grid.n, grid.n)))
-        table.laplacian = (A, splu(A))
-    return table.laplacian
+        plan.laplacian = (A, splu(A))
+    return plan.laplacian
 
 
 def _solve_linear(prob: DirichletProblem, f, tol):
@@ -451,7 +452,7 @@ class MaxPrincipleReport:
         )
 
 
-def maximum_principle_check(op: EllipticOperator, u: ScalarField, f,
+def maximum_principle_check(u: ScalarField, f,
                             tol: float = 1e-6) -> MaxPrincipleReport:
     fvec = _as_interior(f, u.grid)
     bvals = u.trace.values

@@ -5,9 +5,10 @@ Interior, Boundary or Exterior.  Boxes carry genuine Boundary lattice nodes on
 their faces; balls and annuli have no on-lattice boundary, so each stencil arm
 that leaves the domain records the fractional distance theta in (0, 1] to the
 true boundary (Shortley-Weller offsets).  Each grid also holds, built on
-first use, its stencil plan and the term table of its discrete Hessian
-(``grid.stencil``).  Grids are immutable after construction and all queries
-are pure, so they are safe to share.
+first use, its one stencil object (``grid.plan``): the arm and diagonal
+ends, the Dirichlet sample points and the terms of its discrete Hessian.
+Grids are immutable after construction and all queries are pure, so they
+are safe to share.
 """
 
 from __future__ import annotations
@@ -124,8 +125,7 @@ class Grid:
         self.interior_coords = np.stack(
             [self.axis_coords[k][idx[k]] for k in range(self.n)], axis=1
         )
-        self._plan: _StencilPlan | None = None
-        self._stencil: StencilTable | None = None
+        self._plan: StencilPlan | None = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -148,8 +148,12 @@ class Grid:
 
     def ordinal(self, index: Sequence[int]) -> int:
         """Interior ordinal of a multi-index, or -1."""
-        flat = int(np.ravel_multi_index(tuple(int(i) for i in index), self.shape))
-        return int(self._ordinal_flat[flat])
+        index = tuple(int(i) for i in index)
+        if len(index) != self.n or not all(0 <= i < m
+                                           for i, m in zip(index, self.shape)):
+            raise InvalidParameterError(
+                f"{index} is not a node of the {self.shape} lattice")
+        return int(self._ordinal_flat[np.ravel_multi_index(index, self.shape)])
 
     def distance_to_boundary(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
         """Euclidean distance from each point to the continuum boundary."""
@@ -168,16 +172,11 @@ class Grid:
         return np.minimum(d.r_outer - s, s - d.r_inner)
 
     @property
-    def plan(self) -> "_StencilPlan":
+    def plan(self) -> "StencilPlan":
+        """The grid's stencil, built on first use."""
         if self._plan is None:
-            self._plan = _build_plan(self)
+            self._plan = StencilPlan(self)
         return self._plan
-
-    @property
-    def stencil(self) -> "StencilTable":
-        if self._stencil is None:
-            self._stencil = StencilTable(self)
-        return self._stencil
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -186,63 +185,11 @@ class Grid:
         )
 
 
-class _StencilPlan:
-    """Precomputed arm and diagonal connectivity for the interior nodes.
-
-    For every interior node and arm (axis a, direction s in {+1, -1}):
-
-    * ``nbr[(a, s)]``        interior ordinal of the arm end, -1 otherwise
-    * ``theta[(a, s)]``      fractional arm length in (0, 1]; 1.0 when the arm
-                             ends on a lattice node
-    * ``arm_lattice[(a, s)]`` True when a non-interior arm end is a Boundary
-                             lattice node (boxes), so its value may also be
-                             used by diagonal-deficient mixed stencils
-
-    and for every axis pair (a, b), a < b, and sign pair (sa, sb):
-
-    * ``diag[...]``          interior ordinal of the diagonal node, -1 otherwise
-
-    ``points`` (M, n) are the places the Dirichlet data is sampled: every
-    non-interior arm end (a crossing or a Boundary lattice node), then every
-    Boundary lattice diagonal node, by arm keys, then pair keys, nodes in
-    order within a key.  ``src[key]`` gives each node's arm end or diagonal
-    node as an index into the interior values followed by those samples:
-    the interior ordinal, or N + the sample index, or -1 for a diagonal node
-    that is neither.
-    """
-
-    def __init__(self) -> None:
-        self.nbr: dict[tuple[int, int], NDArray[np.int64]] = {}
-        self.theta: dict[tuple[int, int], NDArray[np.float64]] = {}
-        self.arm_lattice: dict[tuple[int, int], NDArray[np.bool_]] = {}
-        self.diag: dict[tuple[int, int, int, int], NDArray[np.int64]] = {}
-        self.src: dict[tuple[int, ...], NDArray[np.int64]] = {}
-        self.points = np.empty((0, 0), dtype=np.float64)
-
-    def arm_keys(self, n: int) -> list[tuple[int, int]]:
-        return [(a, s) for a in range(n) for s in (+1, -1)]
-
-    def pair_keys(self, n: int) -> list[tuple[int, int, int, int]]:
-        return [
-            (a, b, sa, sb)
-            for a in range(n)
-            for b in range(a + 1, n)
-            for sa in (+1, -1)
-            for sb in (+1, -1)
-        ]
-
-
-def _crossing_fraction(descriptor: Descriptor, coords: NDArray[np.float64],
-                       axis: int, sign: int, h: float,
-                       nbr_coords: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Fractional distance theta in (0,1] to the boundary along one arm.
-
-    ``coords`` are interior nodes whose arm end is not a domain node; for
-    boxes this never happens (faces are lattice nodes), so only spheres are
-    handled.
-    """
-    if isinstance(descriptor, BoxDescriptor):
-        raise AssertionError("box arms always end on lattice nodes")
+def _crossing_fraction(descriptor: BallDescriptor | AnnulusDescriptor,
+                       coords: NDArray[np.float64], axis: int, sign: int,
+                       h: float) -> NDArray[np.float64]:
+    """Fractional distance theta in (0,1] to the sphere the arm of ``coords``
+    along (axis, sign) crosses before its lattice neighbor."""
     center = np.asarray(descriptor.center, dtype=np.float64)
     d = coords - center
     rho2 = np.sum(d * d, axis=1) - d[:, axis] ** 2
@@ -252,69 +199,15 @@ def _crossing_fraction(descriptor: Descriptor, coords: NDArray[np.float64],
     else:
         # Annulus: the arm leaves through whichever sphere the neighbor is
         # beyond.
-        s_nbr = np.linalg.norm(nbr_coords - center, axis=1)
-        outer = s_nbr >= descriptor.r_outer
+        nbr = coords.copy()
+        nbr[:, axis] += sign * h
+        outer = np.linalg.norm(nbr - center, axis=1) >= descriptor.r_outer
         r_out = descriptor.r_outer
         t_out = np.sqrt(np.maximum(r_out * r_out - rho2, 0.0)) - sign * d[:, axis]
         r_in = descriptor.r_inner
         t_in = -sign * d[:, axis] - np.sqrt(np.maximum(r_in * r_in - rho2, 0.0))
         t = np.where(outer, t_out, t_in)
     return np.clip(t / h, 1e-12, 1.0)
-
-
-def _build_plan(grid: Grid) -> _StencilPlan:
-    plan = _StencilPlan()
-    n, N, h = grid.n, grid.n_interior, grid.h
-    cls_flat = grid.node_class.ravel()
-    points: list[NDArray[np.float64]] = []
-
-    def shifted(shifts: Sequence[int]):
-        """Interior ordinal of each node's shifted lattice node (-1 if none),
-        whether that node is a Boundary lattice node, and its coordinates
-        where it is (NaN rows elsewhere)."""
-        idx = [grid.interior_index[k] + shifts[k] for k in range(n)]
-        valid = np.logical_and.reduce([(i >= 0) & (i < grid.shape[k])
-                                       for k, i in enumerate(idx)])
-        flat = np.ravel_multi_index(tuple(np.where(valid, i, 0) for i in idx),
-                                    grid.shape)
-        ordinal = np.where(valid, grid._ordinal_flat[flat], -1).astype(np.int64)
-        known = valid & (cls_flat[flat] == BOUNDARY)
-        point = np.full((N, n), np.nan, dtype=np.float64)
-        point[known] = np.stack([grid.axis_coords[k][idx[k][known]]
-                                 for k in range(n)], axis=1)
-        return ordinal, known, point
-
-    def sample(key, ordinal, sel, point):
-        """Number the selected nodes' points as the next samples."""
-        src = ordinal.copy()
-        start = N + sum(len(p) for p in points)
-        src[sel] = start + np.arange(np.count_nonzero(sel))
-        plan.src[key] = src
-        points.append(point[sel])
-
-    for a, s in plan.arm_keys(n):
-        nbr, known, point = shifted([s if k == a else 0 for k in range(n)])
-        theta = np.ones(N, dtype=np.float64)
-        # Arms that leave the lattice's domain nodes cross a curved boundary
-        # (box arms always end on lattice nodes).
-        cut = (nbr < 0) & ~known
-        if np.any(cut):
-            coords = grid.interior_coords[cut]
-            nbr_pt = coords.copy()
-            nbr_pt[:, a] += s * h
-            theta[cut] = _crossing_fraction(grid.descriptor, coords, a, s, h, nbr_pt)
-            point[cut] = coords
-            point[cut, a] += s * theta[cut] * h
-        plan.nbr[(a, s)], plan.theta[(a, s)] = nbr, theta
-        plan.arm_lattice[(a, s)] = known
-        sample((a, s), nbr, nbr < 0, point)
-    for key in plan.pair_keys(n):
-        a, b, sa, sb = key
-        shifts = [sa if k == a else sb if k == b else 0 for k in range(n)]
-        plan.diag[key], known, point = shifted(shifts)
-        sample(key, plan.diag[key], known, point)
-    plan.points = np.concatenate(points)
-    return plan
 
 
 class StencilTerms(NamedTuple):
@@ -331,13 +224,28 @@ class StencilTerms(NamedTuple):
     kappa: NDArray[np.float64]
 
 
-class StencilTable:
-    """The finite-difference Hessian of a grid, defined once.
+class StencilPlan:
+    """The finite-difference stencil of a grid, defined once.
 
-    ``terms[(a, b)]`` (a <= b) holds the terms whose sum at node i is H_ab(u):
-    for a == b the Shortley-Weller second difference (kappa
-    2 / (h^2 theta_s (theta_+ + theta_-)) on the arm of sign s); for a < b the
-    centred cross (kappa +-1/(4 h^2)) where all four diagonal points are
+    Keys are the arms (a, s), axis a and direction s in {+1, -1}, then the
+    diagonals (a, b, sa, sb), a < b.  Per interior node:
+
+    * ``src[key]``        the arm end or diagonal node as an index into the
+                          interior values followed by the Dirichlet samples:
+                          the interior ordinal, N + the sample index, or -1
+                          for an Exterior diagonal node
+    * ``theta[(a, s)]``   fractional arm length in (0, 1]; 1.0 when the arm
+                          ends on a lattice node
+
+    ``points`` (M, n) are the places the Dirichlet data is sampled: every
+    non-interior arm end (a crossing or a Boundary lattice node), then every
+    Boundary lattice diagonal node, in key order, nodes in order within a
+    key.
+
+    ``terms[(a, b)]`` (a <= b) holds the terms whose sum at node i is
+    H_ab(u): for a == b the Shortley-Weller second difference (kappa
+    2 / (h^2 theta_s (theta_+ + theta_-)) on the arm of sign s); for a < b
+    the centred cross (kappa +-1/(4 h^2)) where all four diagonal points are
     interior or Boundary lattice nodes, else the average of the one-sided
     quadrants whose three points are, else nothing.  ``stiffness`` is
     D = sum_a 2 / (h^2 theta_+ theta_-), the weight of a Laplacian row on its
@@ -346,10 +254,43 @@ class StencilTable:
     """
 
     def __init__(self, grid: Grid):
-        plan = grid.plan
-        n, h, N = grid.n, grid.h, grid.n_interior
+        n, N, h = grid.n, grid.n_interior, grid.h
+        cls_flat = grid.node_class.ravel()
+        self.src: dict[tuple[int, ...], NDArray[np.int64]] = {}
+        self.theta: dict[tuple[int, int], NDArray[np.float64]] = {}
+        whole: dict[tuple[int, int], NDArray[np.bool_]] = {}  # arm ends on a node
+        points: list[NDArray[np.float64]] = []
+        keys = [(a, s) for a in range(n) for s in (+1, -1)] + [
+            (a, b, sa, sb) for a in range(n) for b in range(a + 1, n)
+            for sa in (+1, -1) for sb in (+1, -1)]
+        for key in keys:
+            shift = dict(zip(key[:len(key) // 2], key[len(key) // 2:]))
+            idx = [grid.interior_index[k] + shift.get(k, 0) for k in range(n)]
+            flat = np.ravel_multi_index(idx, grid.shape)
+            src = grid._ordinal_flat[flat]
+            sampled = cls_flat[flat] == BOUNDARY
+            point = np.empty((N, n), dtype=np.float64)
+            point[sampled] = np.stack([grid.axis_coords[k][idx[k][sampled]]
+                                       for k in range(n)], axis=1)
+            if len(key) == 2:
+                (a, s), theta = key, np.ones(N, dtype=np.float64)
+                # An arm ending on neither an Interior nor a Boundary node
+                # crosses a curved boundary (box arms never do).
+                cut = (src < 0) & ~sampled
+                if np.any(cut):
+                    coords = grid.interior_coords[cut]
+                    theta[cut] = _crossing_fraction(grid.descriptor, coords, a, s, h)
+                    point[cut] = coords
+                    point[cut, a] += s * theta[cut] * h
+                self.theta[key], whole[key] = theta, ~cut
+                sampled = src < 0  # every arm end off the interior
+            start = N + sum(map(len, points))
+            src[sampled] = start + np.arange(np.count_nonzero(sampled))
+            self.src[key] = src
+            points.append(point[sampled])
+        self.points = np.concatenate(points)
+
         nodes = np.arange(N, dtype=np.int32)
-        src = plan.src
 
         def collect(parts) -> StencilTerms:
             """Concatenate (node mask, source, kappa) blocks."""
@@ -359,10 +300,11 @@ class StencilTable:
                 np.concatenate([np.broadcast_to(k, m.shape)[m] for m, _, k in parts]))
 
         every = np.ones(N, dtype=bool)
+        src = self.src
         self.terms: dict[tuple[int, int], StencilTerms] = {}
         self.stiffness = np.zeros(N, dtype=np.float64)
         for a in range(n):
-            tp, tm = plan.theta[(a, +1)], plan.theta[(a, -1)]
+            tp, tm = self.theta[(a, +1)], self.theta[(a, -1)]
             self.stiffness += 2.0 / (h ** 2 * tp * tm)
             self.terms[(a, a)] = collect([
                 (every, src[(a, +1)], 2.0 / (h ** 2 * tp * (tp + tm))),
@@ -374,9 +316,7 @@ class StencilTable:
                 known = {(sa, sb): src[(a, b, sa, sb)] >= 0 for sa, sb in signs}
                 centred = np.logical_and.reduce(list(known.values()))
                 quads = {(sa, sb): ~centred & known[(sa, sb)]
-                         & ((plan.nbr[(a, sa)] >= 0) | plan.arm_lattice[(a, sa)])
-                         & ((plan.nbr[(b, sb)] >= 0) | plan.arm_lattice[(b, sb)])
-                         for sa, sb in signs}
+                         & whole[(a, sa)] & whole[(b, sb)] for sa, sb in signs}
                 count = np.maximum(sum(q.astype(np.int64) for q in quads.values()), 1)
                 parts = [(centred, src[(a, b, sa, sb)], sa * sb / (4.0 * h ** 2))
                          for sa, sb in signs]

@@ -112,8 +112,8 @@ class ProfileFunction:
     def __init__(self, kind: str, domain_max: float,
                  fn: Callable[[NDArray[np.float64]], NDArray[np.float64]],
                  abs_bound: float, params: dict):
-        if domain_max <= 0:
-            raise InvalidParameterError("profile domain_max must be positive")
+        if not 0 < domain_max < np.inf:
+            raise InvalidParameterError("profile domain_max must be positive and finite")
         self.kind = kind
         self.domain_max = float(domain_max)
         self._fn = fn
@@ -216,8 +216,8 @@ def smoothed_superlevel_average(v: ScalarField, eps: float) -> NDArray[np.float6
     so it carries summation rounding of order machine epsilon times the
     magnitude of the values; for well-separated values it is exact.
     """
-    if not eps > 0:
-        raise InvalidParameterError("smoothing width eps must be positive")
+    if not 0 < eps < np.inf:
+        raise InvalidParameterError("smoothing width eps must be positive and finite")
     vec = v.interior
     order = np.argsort(vec)
     asc = vec[order]
@@ -271,8 +271,8 @@ def _interval_cell_measures(v: ScalarField) -> NDArray[np.float64]:
     vec = v.interior
     n = vec.size
     plan, h = v.grid.plan, v.grid.h
-    end_r = np.flatnonzero(plan.nbr[(0, +1)] < 0)
-    end_l = np.flatnonzero(plan.nbr[(0, -1)] < 0)
+    end_r = np.flatnonzero(plan.src[(0, +1)] >= n)
+    end_l = np.flatnonzero(plan.src[(0, -1)] >= n)
     knots, k_all = np.unique(np.concatenate((vec, v.trace.values)),
                              return_inverse=True)
     k_node = k_all[:n]
@@ -393,8 +393,8 @@ def rhs_smoothed(v: ScalarField, g: ProfileFunction,
     On 1-D grids the measure of ``rhs_plain`` is already continuous in the
     field, so this returns ``rhs_plain`` for every eps > 0.
     """
-    if not eps > 0:
-        raise InvalidParameterError("smoothing width eps must be positive")
+    if not 0 < eps < np.inf:
+        raise InvalidParameterError("smoothing width eps must be positive and finite")
     if v.grid.n == 1:
         return rhs_plain(v, g)
     return g(smoothed_superlevel_average(v, eps))

@@ -201,7 +201,7 @@ def _snap_width(grid: Grid, op: EllipticOperator, tol: float,
                 scale: float) -> float:
     """Largest tie-consolidation width whose effect on F(D^2 u) stays under
     a quarter of the inner tolerance, given the stiffest stencil row."""
-    d_max = float(np.max(grid.stencil.stiffness))
+    d_max = float(np.max(grid.plan.stiffness))
     floor = 4.0 * np.finfo(np.float64).eps * scale
     return max(floor, min(_TIE_SNAP_REL * scale, tol / (4.0 * op.Lam * d_max)))
 

@@ -104,8 +104,8 @@ class BallSolution:
 
 def exact_ball_solution(center: Sequence[float], r: float, n: int,
                         op: EllipticOperator) -> BallSolution:
-    if not r > 0:
-        raise InvalidParameterError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise InvalidParameterError("radius must be positive and finite")
     center = tuple(float(c) for c in center)
     if len(center) != n:
         raise InvalidParameterError("center dimension does not match n")
@@ -142,16 +142,14 @@ def _gradient_magnitude(u: ScalarField) -> NDArray[np.float64]:
 
 def boundary_gradient_min(u: ScalarField, band: float) -> float:
     """Minimum gradient magnitude over interior nodes within ``band`` of the
-    boundary; the quantity the barrier bound c0 controls."""
+    boundary; the quantity the barrier bound c0 controls.  Every grid has an
+    interior node within h of the boundary, so a band of 2h holds one."""
     grid = u.grid
     if not band >= 2 * grid.h:
         raise InvalidParameterError("band must be at least 2h")
     mag = _gradient_magnitude(u)
     dist = grid.distance_to_boundary(grid.interior_coords)
-    sel = dist <= band
-    if not np.any(sel):
-        raise InvalidParameterError("no interior nodes inside the band")
-    return float(np.min(mag[sel]))
+    return float(np.min(mag[dist <= band]))
 
 
 # ---------------------------------------------------------------------------

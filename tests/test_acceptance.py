@@ -249,7 +249,7 @@ class TestCriterion6MaximumPrinciple:
                 lambda p, c0=c0, c1=c1, c2=c2:
                 c0 + c1 * p[:, 0] + c2 * p[:, 0] * p[:, 1])
             u = solve_dirichlet(op, grid, f, psi, tol=1e-8)
-            rep = maximum_principle_check(op, u, f, tol=1e-6)
+            rep = maximum_principle_check(u, f, tol=1e-6)
             assert rep.upper_applicable or rep.lower_applicable
             assert rep.passed, f"trial {trial}: {rep}"
             if rep.upper_applicable:

@@ -39,13 +39,9 @@ def defect(op, u, f):
 
 def full_stencil_ordinals(grid):
     """Interior nodes whose entire 3^n neighborhood is interior."""
-    plan = grid.plan
-    ok = np.ones(grid.n_interior, dtype=bool)
-    for key in plan.arm_keys(grid.n):
-        ok &= plan.nbr[key] >= 0
-    for key in plan.pair_keys(grid.n):
-        ok &= plan.diag[key] >= 0
-    return np.flatnonzero(ok)
+    N = grid.n_interior
+    return np.flatnonzero(np.all([(src >= 0) & (src < N)
+                                  for src in grid.plan.src.values()], axis=0))
 
 
 class TestDiscreteHessian:
@@ -80,7 +76,7 @@ class TestDiscreteHessian:
         H = hessian_field(u)
         # Nodes with at least one usable mixed stencil carry (0, 1) terms:
         usable = np.zeros(grid.n_interior, dtype=bool)
-        usable[grid.stencil.terms[(0, 1)].node] = True
+        usable[grid.plan.terms[(0, 1)].node] = True
         assert np.allclose(H[usable, 0, 1], 1.0, atol=1e-10)
 
     def test_quartic_hessian_second_order(self):
@@ -100,6 +96,15 @@ class TestDiscreteHessian:
         # O(h^2): quartering h's error by ~4
         assert errs[1 / 32] <= errs[1 / 16] / 3.0
         assert errs[1 / 32] < 5e-2
+
+    @pytest.mark.parametrize("node", [(100, 100), (1,), (-1, 2), (2, 2, 2)])
+    def test_node_off_the_lattice_rejected(self, node):
+        grid = build_box([(0, 1), (0, 1)], 0.25)
+        u = ScalarField.sample(grid, lambda p: p[:, 0])
+        with pytest.raises(InvalidParameterError, match="not a node"):
+            grid.ordinal(node)
+        with pytest.raises(InvalidParameterError, match="not a node"):
+            discrete_hessian(u, node)
 
     @pytest.mark.parametrize("make_grid", [
         lambda: build_ball((0.0, 0.0), 1.0, 1 / 16),
@@ -538,7 +543,7 @@ class TestMaximumPrinciple:
         grid = build_box([(0, 1), (0, 1)], 0.125)
         psi = BoundaryData.from_callable(lambda p: p[:, 0])
         u = solve_dirichlet(LAP, grid, 0.0, psi)
-        rep = maximum_principle_check(LAP, u, 0.0)
+        rep = maximum_principle_check(u, 0.0)
         assert rep.upper_applicable and rep.lower_applicable
         assert rep.passed
         assert rep.sup_u <= 1.0 + 1e-9 and rep.inf_u >= -1e-9
@@ -547,7 +552,7 @@ class TestMaximumPrinciple:
         # f = -1, psi = 0: u = (1 - |x|^2)/(2n), max 1/(2n).
         grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
         u = solve_dirichlet(LAP, grid, -1.0, BoundaryData.zero())
-        rep = maximum_principle_check(LAP, u, -1.0)
+        rep = maximum_principle_check(u, -1.0)
         assert rep.lower_applicable and rep.lower_ok
         assert not rep.upper_applicable
         exact = (1.0 - np.sum(grid.interior_coords ** 2, axis=1)) / 4.0
@@ -559,6 +564,6 @@ class TestMaximumPrinciple:
         s2 = np.sum(grid.interior_coords ** 2, axis=1)
         f = -math.pi * s2
         u = solve_dirichlet(LAP, grid, f, BoundaryData.zero())
-        rep = maximum_principle_check(LAP, u, f)
+        rep = maximum_principle_check(u, f)
         assert rep.lower_applicable and rep.lower_ok
         assert np.all(u.interior >= -1e-9)

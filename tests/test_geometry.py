@@ -148,10 +148,10 @@ class TestBall:
         for grid in (build_ball((0.0, 0.0), 1.0, 1 / 8),
                      build_annulus((0.0, 0.0), 0.4, 1.0, 1 / 16)):
             plan = grid.plan
-            for key in plan.arm_keys(grid.n):
-                ok = (plan.nbr[key] >= 0) | (
-                    (plan.theta[key] > 0) & (plan.theta[key] <= 1)
-                )
+            for key, theta in plan.theta.items():
+                src = plan.src[key]
+                offset = (theta > 0) & (theta <= 1)
+                ok = (src >= 0) & ((src < grid.n_interior) | offset)
                 assert bool(np.all(ok))
 
     def test_measure_converges_to_pi(self):
@@ -239,21 +239,25 @@ class TestBoundaryData:
         trace = build_trace(grid, psi)
         plan, N, h = grid.plan, grid.n_interior, grid.h
         x = np.concatenate((np.full(N, np.nan), trace.values))
-        on_lattice = bool(np.any(grid.node_class == BOUNDARY))
         numbered = []
-        for key in plan.arm_keys(grid.n) + plan.pair_keys(grid.n):
-            near = plan.nbr[key] if len(key) == 2 else plan.diag[key]
-            src, end = plan.src[key], grid.interior_coords.copy()
+        for key, src in plan.src.items():
+            # Arms (a, s) first, then diagonals (a, b, sa, sb).
+            shift = dict(zip(key[:len(key) // 2], key[len(key) // 2:]))
+            idx = tuple(grid.interior_index[k] + shift.get(k, 0)
+                        for k in range(grid.n))
+            cls, end = grid.node_class[idx], grid.interior_coords.copy()
             if len(key) == 2:
                 end[:, key[0]] += key[1] * plan.theta[key] * h
-                sampled = near < 0
+                sampled = cls != INTERIOR
             else:
-                a, b, sa, sb = key
-                end[:, a] += sa * h
-                end[:, b] += sb * h
-                sampled = src >= N
-                assert np.array_equal(sampled, on_lattice & (near < 0))
-            assert np.array_equal(src[~sampled], near[~sampled])
+                for k, s in shift.items():
+                    end[:, k] += s * h
+                sampled = cls == BOUNDARY
+                assert np.array_equal(src < 0, cls == EXTERIOR)
+            assert np.array_equal(src >= N, sampled)
+            inner = (src >= 0) & (src < N)
+            assert np.array_equal(inner, cls == INTERIOR)
+            assert np.allclose(grid.interior_coords[src[inner]], end[inner])
             assert np.allclose(plan.points[src[sampled] - N], end[sampled])
             assert np.allclose(x[src[sampled]],
                                end[sampled, 0] + 2 * end[sampled, -1])

@@ -72,14 +72,14 @@ def brute_interval_measures(grid, v):
     vals = [Fraction(c) for c in v.interior]
 
     def end(i, s):
-        j = plan.nbr[(0, s)][i]
-        if j >= 0:
+        j = plan.src[(0, s)][i]
+        if j < len(x):
             return x[j], vals[j]
         return (x[i] + s * Fraction(plan.theta[(0, s)][i]) * h,
-                Fraction(v.trace.values[plan.src[(0, s)][i] - len(x)]))
+                Fraction(v.trace.values[j - len(x)]))
 
     pieces = [(end(i, -1), (x[i], vals[i])) for i in range(len(x))
-              if plan.nbr[(0, -1)][i] < 0]
+              if plan.src[(0, -1)][i] >= len(x)]
     pieces += [((x[i], vals[i]), end(i, +1)) for i in range(len(x))]
 
     def measure(t):
@@ -304,7 +304,7 @@ class TestLevelStats:
     def test_own_window_average_rejects_nonpositive_eps(self):
         f = field_on(line_grid(3), [1.0, 2.0, 2.0])
         g = ProfileFunction.linear(-1.0, 0.0, domain_measure(f.grid))
-        for eps in (0.0, -1.0, math.nan):
+        for eps in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(InvalidParameterError):
                 smoothed_superlevel_average(f, eps)
             with pytest.raises(InvalidParameterError):
@@ -464,6 +464,13 @@ class TestProfileFunction:
     def test_table_must_be_finite(self, knots, values):
         with pytest.raises(InvalidParameterError, match="finite"):
             ProfileFunction.from_table(knots, values, domain_max=1.0)
+
+    @pytest.mark.parametrize("domain_max", [0.0, -1.0, math.nan, math.inf])
+    def test_domain_must_be_positive_and_finite(self, domain_max):
+        with pytest.raises(InvalidParameterError):
+            ProfileFunction.from_table([0.0, 1.0], [0.0, -1.0], domain_max)
+        with pytest.raises(InvalidParameterError):
+            ProfileFunction.linear(-1.0, 0.0, domain_max)
 
     def test_negative_on_range(self):
         assert ProfileFunction.linear(-1.0, 0.0, 2.0).negative_on_range()

@@ -7,8 +7,8 @@ import pytest
 
 from levelpde.elliptic import EllipticOperator, apply_operator
 from levelpde.errors import InvalidParameterError, PreconditionError
-from levelpde.geometry import (BoundaryData, build_ball, build_box, build_trace,
-                               domain_measure)
+from levelpde.geometry import (BoundaryData, build_annulus, build_ball, build_box,
+                               build_trace, domain_measure)
 from levelpde.measure import ProfileFunction, ScalarField, superlevel_measures
 from levelpde.outerloop import solve_nonlocal
 from levelpde.verify import (
@@ -60,6 +60,11 @@ class TestBallSolution:
         ang = np.linspace(0, 2 * math.pi, 13)
         pts = np.stack([0.3 + 0.7 * np.cos(ang), -0.2 + 0.7 * np.sin(ang)], axis=1)
         assert np.allclose(sol.value(pts), 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+    def test_radius_must_be_positive_and_finite(self, r):
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            exact_ball_solution((0.0, 0.0), r, 2, LAP)
 
     def test_1d_profile(self):
         sol = exact_ball_solution((0.0,), 1.0, 1, LAP)
@@ -146,6 +151,18 @@ class TestBoundaryGradientMin:
         # lower-bounded by the analytic slope at the band's inner edge
         assert got >= abs(float(sol.radial_slope(np.array(0.9)))) * 0.98
         assert got == pytest.approx(math.pi * 0.9 ** 3 / 4, rel=0.05)
+
+    @pytest.mark.parametrize("make_grid", [
+        *(lambda n=n: build_annulus((0.0,) * n, 0.4, 0.4 + 2.05 * 0.1, 0.1)
+          for n in (1, 2, 3)),
+        *(lambda n=n: build_ball((0.0,) * n, 2.01 * 0.1, 0.1) for n in (1, 2, 3)),
+        lambda: build_box([(0.0, 1.0)] * 3, 0.5),
+    ], ids=["annulus-1d", "annulus-2d", "annulus-3d", "ball-1d", "ball-2d",
+            "ball-3d", "box-one-node"])
+    def test_thinnest_grids_have_nodes_in_the_smallest_band(self, make_grid):
+        grid = make_grid()
+        u = ScalarField.sample(grid, lambda p: np.sum(p, axis=1))
+        assert math.isfinite(boundary_gradient_min(u, 2 * grid.h))
 
     def test_band_must_cover_stencils(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
