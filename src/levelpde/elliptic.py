@@ -186,7 +186,7 @@ def _eigenvalues(H: NDArray[np.float64]) -> NDArray[np.float64]:
 
 def discrete_hessian(u: ScalarField, node: Iterable[int]) -> NDArray[np.float64]:
     """Hessian matrix at one interior node (multi-index)."""
-    node = tuple(int(i) for i in node)
+    node = tuple(node)
     ordinal = u.grid.ordinal(node)
     if ordinal < 0:
         raise InvalidParameterError(f"node {node} is not Interior")

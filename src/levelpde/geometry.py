@@ -14,6 +14,7 @@ are safe to share.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -147,13 +148,17 @@ class Grid:
         )
 
     def ordinal(self, index: Sequence[int]) -> int:
-        """Interior ordinal of a multi-index, or -1."""
-        index = tuple(int(i) for i in index)
-        if len(index) != self.n or not all(0 <= i < m
-                                           for i, m in zip(index, self.shape)):
+        """Interior ordinal of a multi-index of integers, or -1."""
+        index = tuple(index)
+        try:
+            ints = tuple(operator.index(i) for i in index)
+        except TypeError:  # a non-integer entry
+            ints = ()
+        if len(ints) != self.n or not all(0 <= i < m
+                                          for i, m in zip(ints, self.shape)):
             raise InvalidParameterError(
                 f"{index} is not a node of the {self.shape} lattice")
-        return int(self._ordinal_flat[np.ravel_multi_index(index, self.shape)])
+        return int(self._ordinal_flat[np.ravel_multi_index(ints, self.shape)])
 
     def distance_to_boundary(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
         """Euclidean distance from each point to the continuum boundary."""

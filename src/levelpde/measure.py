@@ -254,7 +254,8 @@ def _prefix_sums(x: NDArray[np.float64]) -> tuple[NDArray[np.float64],
     return s, np.cumsum(err)
 
 
-def _interval_cell_measures(v: ScalarField) -> NDArray[np.float64]:
+def _interval_cell_measures(v: ScalarField,
+                            order: NDArray[np.intp]) -> NDArray[np.float64]:
     """1-D: per node, the average over its cell of |{u~ >= u~(y)}|.
 
     u~ is the piecewise-linear interpolant through the interior values and
@@ -264,17 +265,29 @@ def _interval_cell_measures(v: ScalarField) -> NDArray[np.float64]:
     the values u~ takes there (M itself at a flat half-cell).  M is linear
     between consecutive distinct values of u~ and drops by the length of the
     flat pieces at a value, so one sort, the knot values of M and prefix sums
-    of its integral give every mean exactly, in O(N log N).  Pieces of M cut
-    by a window's ends are integrated locally; only the whole pieces inside
-    a window go through prefix sums.
+    of its integral give every mean exactly, in O(N log N).  ``order``, a
+    permutation that sorts the interior values, is that sort; the few trace
+    samples are merged into it.  Pieces of M cut by a window's ends are
+    integrated locally; only the whole pieces inside a window go through
+    prefix sums.
     """
     vec = v.interior
     n = vec.size
     plan, h = v.grid.plan, v.grid.h
     end_r = np.flatnonzero(plan.src[(0, +1)] >= n)
     end_l = np.flatnonzero(plan.src[(0, -1)] >= n)
-    knots, k_all = np.unique(np.concatenate((vec, v.trace.values)),
-                             return_inverse=True)
+    # Interior values and trace samples in ascending order (sample ids
+    # n + j), and the knots: their distinct values.
+    samples = v.trace.values
+    s_order = np.argsort(samples)
+    asc = vec[order]
+    at = np.searchsorted(asc, samples[s_order])
+    ends = np.insert(order, at, n + s_order)
+    asc = np.insert(asc, at, samples[s_order])
+    first = np.concatenate(([True], asc[1:] != asc[:-1]))
+    knots = asc[first]
+    k_all = np.empty(ends.size, dtype=np.intp)
+    k_all[ends] = np.cumsum(first) - 1
     k_node = k_all[:n]
     # Knot index and length of the piece of u~ on each side of every node.
     k_r, k_l = k_all[plan.src[(0, +1)]], k_all[plan.src[(0, -1)]]
@@ -283,10 +296,12 @@ def _interval_cell_measures(v: ScalarField) -> NDArray[np.float64]:
     len_r[end_r] = plan.theta[(0, +1)][end_r] * h
     len_l[end_l] = plan.theta[(0, -1)][end_l] * h
 
-    # Every piece of u~ once: the right piece of each node, plus the left
-    # piece of each node whose left arm ends at a crossing.
-    ka = np.concatenate((k_node, k_l[end_l]))
-    kb = np.concatenate((k_r, k_node[end_l]))
+    # Every piece of u~ once, from its left end a to its right end b: the
+    # right piece of each node, plus the left piece of each node whose left
+    # arm ends at a crossing.
+    a = np.concatenate((np.arange(n), plan.src[(0, -1)][end_l]))
+    b = np.concatenate((plan.src[(0, +1)], end_l))
+    ka, kb = k_all[a], k_all[b]
     seg_len = np.concatenate((len_r, len_l[end_l]))
     k_lo, k_hi = np.minimum(ka, kb), np.maximum(ka, kb)
     with np.errstate(divide="ignore", over="ignore"):
@@ -298,14 +313,17 @@ def _interval_cell_measures(v: ScalarField) -> NDArray[np.float64]:
 
     # M on (knots[k], knots[k+1]) falls with slope sigma[k], the summed
     # |dy/dt| of the pieces spanning it: each piece adds its slope at its
-    # lower knot and removes it at its upper one.  The events are summed one
-    # by one, unmerged and in any order within a knot, so that a steep
+    # lower end and removes it at its upper one.  Each end is the left end
+    # of at most one piece and the right end of at most one, so its two
+    # event slots, taken in ascending order of the ends, order the events by
+    # knot.  The events are summed one by one, unmerged, so that a steep
     # piece's rounding cannot outlive it.
-    ramp = ~flat
-    ev_k = np.concatenate((k_lo[ramp], k_hi[ramp]))
-    order = np.argsort(ev_k)
-    s, c = _prefix_sums(np.concatenate((slope[ramp], -slope[ramp]))[order])
-    upto = np.cumsum(np.bincount(ev_k, minlength=n_knots)[:-1])
+    rise = np.where(flat, 0.0, np.where(ka < kb, slope, -slope))
+    events = np.zeros((ends.size, 2))
+    events[a, 0] = rise
+    events[b, 1] = -rise
+    s, c = _prefix_sums(events[ends].ravel())
+    upto = 2 * np.flatnonzero(first)[1:]
     sigma = np.maximum(s[upto] + c[upto], 0.0)
     gap = np.diff(knots)
     # m_up[k] = M just above knots[k]; m_dn[k] = M just below knots[k+1],
@@ -379,11 +397,13 @@ def rhs_plain(v: ScalarField, g: ProfileFunction,
     measure of the superlevel sets of the piecewise-linear interpolant
     through the interior values and the field's boundary trace.  That
     measure has no tie bias and is continuous in the field.  ``order`` as in
-    ``superlevel_measures``; the 1-D measure does not use it.
+    ``superlevel_measures``.
     """
+    if order is None:
+        order = np.argsort(v.interior)
     if v.grid.n > 1:
         return g(superlevel_measures(v, order))
-    return g(_interval_cell_measures(v))
+    return g(_interval_cell_measures(v, order))
 
 
 def rhs_smoothed(v: ScalarField, g: ProfileFunction,

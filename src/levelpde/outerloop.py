@@ -1,23 +1,37 @@
-"""The fixed-point construction: freeze, solve, damp, repeat.
+"""The fixed-point construction: the solve map T and the iteration on it.
 
-One step of the map freezes the iterate v inside the right-hand side
-g(superlevel measure of v), solves the resulting Dirichlet problem, and
-blends the solution with v; the blend weight halves when the fixed-point gap
-stagnates.  The paper smooths the measure over a value window only to prove
-existence; the plain map depends on v only through its value ordering and
-converges geometrically once that ordering settles.
+The map T freezes an iterate v inside the right-hand side g(superlevel
+measure of v) and solves the resulting Dirichlet problem; the paper's
+solution is a fixed point of T.  The paper smooths the measure over a value
+window only to prove existence; T uses the plain measure.  Each step blends
+T(v) into v with weight damping, which halves when the fixed-point gap
+stagnates.  How much a step may learn from the steps before it depends only
+on the grid's dimension, because the dimension decides whether T is
+Lipschitz:
+
+* n >= 2: damped Picard.  The counting measure makes T depend on v only
+  through its value ordering, so differences of T across steps carry no
+  derivative; the iteration converges geometrically once the ordering
+  settles.
+* n = 1: Anderson mixing.  The 1-D measure is continuous in the field, so T
+  is Lipschitz, and the secants of the last few steps model it: each step
+  also subtracts the combination of those steps that best cancels the
+  current gap (a multisecant quasi-Newton step on v - T(v); kept over all
+  steps on a linear map, it is GMRES).  A step that does not lower the gap
+  drops the secants, and the first stall ends the mixing: from there on the
+  steps are damped Picard ones.  Each step costs one evaluation of T, as a
+  Picard step does.
 
 Two implementation details matter for reproducibility.  First, stopping is
-measured on the full fixed-point gap ||T(v) - v||_inf; the damped update is
-exactly damping times that gap, and the accepted final iterate is the inner
-solve output itself, so the returned field carries the inner solver's own
-residual certificate.  Second, iterate values closer together than a tiny
-snap width are consolidated to their cluster minimum, the starting iterate
-included: solver roundoff otherwise splits the exact value ties that
-symmetric domains and constant data produce, and the counting measure would
-order that noise.  The snap width is a tiny fraction of the a-priori
-oscillation bound, capped so the perturbation it makes to F(D^2 u) stays far
-below the inner tolerance.
+measured on the full fixed-point gap ||T(v) - v||_inf, and the accepted
+final iterate is the inner solve output itself, so the returned field
+carries the inner solver's own residual certificate.  Second, iterate values
+closer together than a tiny snap width are consolidated to their cluster
+minimum before T reads them, the starting iterate included: solver roundoff
+otherwise splits the exact value ties that symmetric domains and constant
+data produce, and the counting measure would order that noise.  The snap
+width is a tiny fraction of the a-priori oscillation bound, capped so the
+perturbation it makes to F(D^2 u) stays far below the inner tolerance.
 
 One solve is a single logical thread of control (its inner solves vectorize
 per node); independent solves share no mutable state and may run
@@ -59,12 +73,16 @@ __all__ = [
 _TIE_SNAP_REL = 1e-12
 # Stagnation halves the damping down to this floor; a stall there ends the solve.
 _DAMPING_FLOOR = 1e-3
+# On 1-D grids each step fits the current gap by the secants of this many
+# previous steps at most.
+_ANDERSON_DEPTH = 2
 
 
 @dataclass
 class OuterConfig:
     """Controls the damped fixed-point iteration: each step blends the solve
-    output into the iterate with weight damping, which halves (down to 1e-3)
+    output into the iterate with weight damping (and on 1-D grids mixes in
+    the secants of the previous steps), and damping halves (down to 1e-3)
     after four steps without the fixed-point gap falling by 0.1 %.
     Converged needs the gap under outer_tol within max_outer_iterations.
     inner_tol is the residual target of every inner solve (None: 1e-8 for
@@ -94,6 +112,10 @@ class OuterConfig:
 
 @dataclass
 class IterationRecord:
+    """One step from the iterate v_k: the fixed-point gap and inner residual
+    of T(v_k), the move to the next iterate v_{k+1} and the plain residual
+    of v_{k+1}; after the last record v_{k+1} is the returned field."""
+
     k: int
     epsilon: float
     increment: float          # ||v_{k+1} - v_k||_inf, the realized update
@@ -170,14 +192,19 @@ def _split_defect(r: NDArray[np.float64], grid: Grid) -> tuple[float, float, flo
     return total, core_res, band_res
 
 
-def _plain_defect(problem: DirichletProblem, v: ScalarField, g: ProfileFunction,
-                  order: NDArray[np.intp]) -> tuple:
-    """|F(D^2 v) - g(superlevel measure of v)| per node, with the Hessian
-    D(v) and the plain forcing g(superlevel measure of v) (sorted by
-    ``order``) that the step from v reuses."""
+def _snapped(problem: DirichletProblem, g: ProfileFunction, snap: float,
+             x: NDArray[np.float64]) -> tuple:
+    """The iterate x with its ties snapped, as a field v, with its plain
+    defect |F(D^2 v) - g(superlevel measure of v)| per node, its Hessian
+    D(v) and its plain forcing, which the solve from v reuses.  The snap's
+    sort is the iterate's only sort and serves its measure too; on a snapped
+    iterate every positive value gap exceeds the snap, so the plain forcing
+    is bitwise the smoothed right-hand side at width snap."""
+    order = np.argsort(x)
+    v = ScalarField(_snap_ties(x, snap, order), problem.trace)
     D = problem.hessian(v.interior)
     f = rhs_plain(v, g, order)
-    return np.abs(problem.op.evaluate(D) - f), D, f
+    return v, np.abs(problem.op.evaluate(D) - f), D, f
 
 
 def fixed_point_step(v: ScalarField, eps: float, theta: float,
@@ -212,13 +239,13 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     """Full pipeline for F(D^2 u) = g(|superlevel set of u|), u = psi.
 
     Starts from the homogeneous solve F(D^2 v) = 0 with data psi, then runs
-    damped fixed-point steps of the plain map (undamped when g is constant).  The returned report
-    certifies what was actually measured on the returned field; status is
-    Converged only when the final fixed-point gap and inner residual are
-    below their tolerances, and an inner solve that fails inside the loop
-    ends it with status InnerFailure.  Uniqueness is not claimed; every
-    solve starts from the homogeneous solve, so reruns reach the same fixed
-    point.
+    damped fixed-point steps of the plain map (undamped when g is constant),
+    Anderson-mixed on 1-D grids.  The returned report certifies what was
+    actually measured on the returned field; status is Converged only when
+    the final fixed-point gap and inner residual are below their
+    tolerances, and an inner solve that fails inside the loop ends it with
+    status InnerFailure.  Uniqueness is not claimed; every solve starts from
+    the homogeneous solve, so reruns reach the same fixed point.
 
     Raises NonConvergenceError when the homogeneous start itself misses the
     inner tolerance: there is no iterate to report on.
@@ -256,18 +283,17 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     snap = _snap_width(grid, op, problem.tol, v.osc() + forcing_bound)
     report.tie_snap = snap
 
-    # Each iterate is sorted once, for the tie snap; that order serves its
-    # measure, and its Hessian D and plain forcing f serve both its residual
-    # and the step from it.  On snapped iterates every positive value gap
-    # exceeds the snap, so f is bitwise the smoothed right-hand side at
-    # width snap.
+    # Each iterate is sorted once, for the tie snap, and its Hessian D and
+    # plain forcing f serve both its residual and the step from it.  Only
+    # the 1-D measure is continuous in the field; elsewhere differences of T
+    # across steps are no model of it, and the steps are plain damped ones.
+    depth = _ANDERSON_DEPTH if grid.n == 1 else 0
+    v, r, D, f = _snapped(problem, g, snap, v.interior)
     x = v.interior
-    order = np.argsort(x)
-    x = _snap_ties(x, snap, order)
-    v = v.with_interior(x)
-    r, D, f = _plain_defect(problem, v, g, order)
-    best_gap = math.inf
+    best_gap = prev_gap = math.inf
     no_progress = 0
+    dX: list[NDArray[np.float64]] = []
+    dF: list[NDArray[np.float64]] = []
     t_start = time.perf_counter()
     for k in range(cfg.max_outer_iterations):
         try:
@@ -282,11 +308,23 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
         # Accept the undamped solve output at the end, so the final field is
         # an inner-solve output with its certificate.
         if not done:
-            y = (1.0 - theta) * x + theta * y
-        order = np.argsort(y)
-        y = _snap_ties(y, snap, order)
-        v = u.with_interior(y)
-        r, D, f = _plain_defect(problem, v, g, order)
+            blend = (1.0 - theta) * x + theta * y
+            if depth:
+                gap_vec = y - x
+                if step_gap >= prev_gap:
+                    dX, dF = [], []
+                elif k:
+                    dX = (dX + [x - x_prev])[-depth:]
+                    dF = (dF + [gap_vec - gap_prev])[-depth:]
+                x_prev, gap_prev = x, gap_vec
+                if dF:
+                    A = np.column_stack(dF)
+                    gamma = np.linalg.lstsq(A, gap_vec, rcond=None)[0]
+                    blend -= (np.column_stack(dX) + theta * A) @ gamma
+            y = blend
+        prev_gap = step_gap
+        v, r, D, f = _snapped(problem, g, snap, y)
+        y = v.interior
         report.records.append(IterationRecord(
             k=k,
             epsilon=snap,
@@ -305,8 +343,14 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
                     report.notes.append("gap stalled at the damping floor")
                     break
                 no_progress, theta = 0, theta / 2
-                report.notes.append(
-                    f"gap stagnated at {best_gap:.3e}; damping -> {theta:g}")
+                note = f"gap stagnated at {best_gap:.3e}; damping -> {theta:g}"
+                if depth:
+                    # The secants model T no better than no secants at all:
+                    # plain damped steps from here on, their stall measured
+                    # from here on.
+                    depth, best_gap = 0, math.inf
+                    note += ", Anderson mixing off"
+                report.notes.append(note)
         sup = float(np.max(np.abs(x)))
         report.bound_max_observed = max(report.bound_max_observed, sup)
         if sup > report.bound_limit:

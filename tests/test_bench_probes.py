@@ -19,15 +19,19 @@ import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import spans
 from levelpde import (BoundaryData, EllipticOperator, ProfileFunction,
-                      build_ball, domain_measure, outerloop)
+                      build_ball, build_box, domain_measure, outerloop)
 
 recorder = spans.Recorder()
 spans.install(recorder)
-grid = build_ball((0.0, 0.0), 1.0, 1 / 4)
+if sys.argv[3] == "disk":
+    grid = build_ball((0.0, 0.0), 1.0, 1 / 4)
+    op = EllipticOperator.pucci_minus(1.0, 2.0)
+else:
+    grid = build_box([(-1.0, 1.0)], 1 / 64)
+    op = EllipticOperator.laplacian()
 g = ProfileFunction.linear(-1.0, 0.0, domain_measure(grid))
 u, report = recorder.call("outerloop.solve_nonlocal", outerloop.solve_nonlocal,
-                          EllipticOperator.pucci_minus(1.0, 2.0), grid, g,
-                          BoundaryData.zero())
+                          op, grid, g, BoundaryData.zero())
 recorder.reports.append(report)
 metrics = {k: v for k, (v, _) in spans.layer_metrics(recorder).items()}
 print(json.dumps({"status": report.status, "nested": recorder.nested(),
@@ -35,23 +39,35 @@ print(json.dumps({"status": report.status, "nested": recorder.nested(),
 """
 
 
-def test_layer_metrics_cover_the_benchmark_after_install():
+def probe_run(domain: str) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     done = subprocess.run(
-        [sys.executable, "-c", PROBE_RUN, str(ROOT / "bench"), str(ROOT / "src")],
+        [sys.executable, "-c", PROBE_RUN, str(ROOT / "bench"), str(ROOT / "src"),
+         domain],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout.strip().splitlines()[-1])
     assert out["status"] == "Converged" and out["nested"]
+    return out["metrics"]
 
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
-    run_level = {"trace_overhead_s", "failed_fraction"}
-    wanted = {m["name"] for m in declared} - run_level
-    metrics = out["metrics"]
-    assert wanted <= set(metrics)
+
+def assert_one_solve_per_iterate(metrics: dict):
     # The solve ran through the probes: one plain right-hand side per
     # iterate, the start included, and the grid's one factorization.
     assert metrics["outerloop.iterations"] >= 1
     assert metrics["measure.rhs_plain.calls"] == metrics["outerloop.iterations"] + 1
     assert metrics["elliptic.factorizations"] == 1
+
+
+def test_layer_metrics_cover_the_benchmark_after_install():
+    metrics = probe_run("disk")
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    run_level = {"trace_overhead_s", "failed_fraction"}
+    wanted = {m["name"] for m in declared} - run_level
+    assert wanted <= set(metrics)
+    assert_one_solve_per_iterate(metrics)
+
+
+def test_probes_follow_the_1d_driver():
+    assert_one_solve_per_iterate(probe_run("interval"))

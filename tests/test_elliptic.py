@@ -97,7 +97,8 @@ class TestDiscreteHessian:
         assert errs[1 / 32] <= errs[1 / 16] / 3.0
         assert errs[1 / 32] < 5e-2
 
-    @pytest.mark.parametrize("node", [(100, 100), (1,), (-1, 2), (2, 2, 2)])
+    @pytest.mark.parametrize("node", [(100, 100), (1,), (-1, 2), (2, 2, 2),
+                                      (1.7, 2), (1.2, 2.9), (1.0, 2)])
     def test_node_off_the_lattice_rejected(self, node):
         grid = build_box([(0, 1), (0, 1)], 0.25)
         u = ScalarField.sample(grid, lambda p: p[:, 0])
