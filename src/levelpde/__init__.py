@@ -2,9 +2,9 @@
 F(D^2 u) = g(measure of the superlevel set of u), on boxes, balls and annuli.
 
 The pipeline: freeze the unknown in the right-hand side, solve the resulting
-elliptic problem, damp (on 1-D grids also Anderson-mix) and iterate until the
-fixed-point gap is below the outer tolerance.  The measure smoothed over a
-value window of width epsilon stays available as ``rhs_smoothed``.
+elliptic problem, damp, Anderson-mix and iterate until the fixed-point gap is
+below the outer tolerance.  The measure smoothed over a value window of width
+epsilon stays available as ``rhs_smoothed``.
 """
 
 from .errors import (

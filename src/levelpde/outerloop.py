@@ -4,23 +4,15 @@ The map T freezes an iterate v inside the right-hand side g(superlevel
 measure of v) and solves the resulting Dirichlet problem; the paper's
 solution is a fixed point of T.  The paper smooths the measure over a value
 window only to prove existence; T uses the plain measure.  Each step blends
-T(v) into v with weight damping, which halves when the fixed-point gap
-stagnates.  How much a step may learn from the steps before it depends only
-on the grid's dimension, because the dimension decides whether T is
-Lipschitz:
-
-* n >= 2: damped Picard.  The counting measure makes T depend on v only
-  through its value ordering, so differences of T across steps carry no
-  derivative; the iteration converges geometrically once the ordering
-  settles.
-* n = 1: Anderson mixing.  The 1-D measure is continuous in the field, so T
-  is Lipschitz, and the secants of the last few steps model it: each step
-  also subtracts the combination of those steps that best cancels the
-  current gap (a multisecant quasi-Newton step on v - T(v); kept over all
-  steps on a linear map, it is GMRES).  A step that does not lower the gap
-  drops the secants, and the first stall ends the mixing: from there on the
-  steps are damped Picard ones.  Each step costs one evaluation of T, as a
-  Picard step does.
+T(v) into v with weight damping and, Anderson-mixed, also subtracts the
+combination of the last few steps' secants that best cancels the current
+gap (a multisecant quasi-Newton step on v - T(v); kept over all steps on a
+linear map, it is GMRES).  A step that does not lower the gap drops the
+secants.  When the gap stagnates the damping halves, the secants are dropped
+and the mixing goes on.  Each step costs one evaluation of T.  The secants
+fit T on every grid: the 1-D measure is continuous in the field, and for
+n >= 2 the counting measure jumps by a lattice orbit of cells at a time, the
+size of the default gap tolerance, so above that gap T is nearly smooth.
 
 Two implementation details matter for reproducibility.  First, stopping is
 measured on the full fixed-point gap ||T(v) - v||_inf, and the accepted
@@ -43,6 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -73,17 +66,17 @@ __all__ = [
 _TIE_SNAP_REL = 1e-12
 # Stagnation halves the damping down to this floor; a stall there ends the solve.
 _DAMPING_FLOOR = 1e-3
-# On 1-D grids each step fits the current gap by the secants of this many
-# previous steps at most.
+# Each step fits the current gap by the secants of this many previous steps
+# at most; 0 makes the steps damped Picard ones.
 _ANDERSON_DEPTH = 2
 
 
 @dataclass
 class OuterConfig:
     """Controls the damped fixed-point iteration: each step blends the solve
-    output into the iterate with weight damping (and on 1-D grids mixes in
-    the secants of the previous steps), and damping halves (down to 1e-3)
-    after four steps without the fixed-point gap falling by 0.1 %.
+    output into the iterate with weight damping and mixes in the secants of
+    the previous steps, and damping halves (down to 1e-3) after four steps
+    without the fixed-point gap falling by 0.1 %.
     Converged needs the gap under outer_tol within max_outer_iterations.
     inner_tol is the residual target of every inner solve (None: 1e-8 for
     the Laplacian, 1e-6 for the Pucci operators)."""
@@ -239,12 +232,12 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     """Full pipeline for F(D^2 u) = g(|superlevel set of u|), u = psi.
 
     Starts from the homogeneous solve F(D^2 v) = 0 with data psi, then runs
-    damped fixed-point steps of the plain map (undamped when g is constant),
-    Anderson-mixed on 1-D grids.  The returned report certifies what was
-    actually measured on the returned field; status is Converged only when
-    the final fixed-point gap and inner residual are below their
-    tolerances, and an inner solve that fails inside the loop ends it with
-    status InnerFailure.  Uniqueness is not claimed; every solve starts from
+    damped, Anderson-mixed fixed-point steps of the plain map (undamped when
+    g is constant).  The returned report certifies what was actually
+    measured on the returned field; status is Converged only when the final
+    fixed-point gap and inner residual are below their tolerances, and an
+    inner solve that fails inside the loop ends it with status
+    InnerFailure.  Uniqueness is not claimed; every solve starts from
     the homogeneous solve, so reruns reach the same fixed point.
 
     Raises NonConvergenceError when the homogeneous start itself misses the
@@ -284,16 +277,14 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     report.tie_snap = snap
 
     # Each iterate is sorted once, for the tie snap, and its Hessian D and
-    # plain forcing f serve both its residual and the step from it.  Only
-    # the 1-D measure is continuous in the field; elsewhere differences of T
-    # across steps are no model of it, and the steps are plain damped ones.
-    depth = _ANDERSON_DEPTH if grid.n == 1 else 0
+    # plain forcing f serve both its residual and the step from it.
     v, r, D, f = _snapped(problem, g, snap, v.interior)
     x = v.interior
     best_gap = prev_gap = math.inf
     no_progress = 0
-    dX: list[NDArray[np.float64]] = []
-    dF: list[NDArray[np.float64]] = []
+    # The secants: iterate changes dX and the matching gap changes dF.
+    dX: deque[NDArray[np.float64]] = deque(maxlen=_ANDERSON_DEPTH)
+    dF: deque[NDArray[np.float64]] = deque(maxlen=_ANDERSON_DEPTH)
     t_start = time.perf_counter()
     for k in range(cfg.max_outer_iterations):
         try:
@@ -303,25 +294,24 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
             report.notes.append(f"inner solve failed: {err}")
             break
         y = u.interior
-        step_gap = float(np.max(np.abs(y - x)))
+        gap_vec = y - x
+        step_gap = float(np.max(np.abs(gap_vec)))
         done = step_gap <= outer_tol
         # Accept the undamped solve output at the end, so the final field is
         # an inner-solve output with its certificate.
         if not done:
-            blend = (1.0 - theta) * x + theta * y
-            if depth:
-                gap_vec = y - x
-                if step_gap >= prev_gap:
-                    dX, dF = [], []
-                elif k:
-                    dX = (dX + [x - x_prev])[-depth:]
-                    dF = (dF + [gap_vec - gap_prev])[-depth:]
-                x_prev, gap_prev = x, gap_vec
-                if dF:
-                    A = np.column_stack(dF)
-                    gamma = np.linalg.lstsq(A, gap_vec, rcond=None)[0]
-                    blend -= (np.column_stack(dX) + theta * A) @ gamma
-            y = blend
+            if step_gap >= prev_gap:
+                dX.clear()
+                dF.clear()
+            elif k:
+                dX.append(x - x_prev)
+                dF.append(gap_vec - gap_prev)
+            x_prev, gap_prev = x, gap_vec
+            y = (1.0 - theta) * x + theta * y
+            if dF:
+                A = np.column_stack(dF)
+                gamma = np.linalg.lstsq(A, gap_vec, rcond=None)[0]
+                y -= (np.column_stack(dX) + theta * A) @ gamma
         prev_gap = step_gap
         v, r, D, f = _snapped(problem, g, snap, y)
         y = v.interior
@@ -342,15 +332,12 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
                 if theta / 2 < _DAMPING_FLOOR:
                     report.notes.append("gap stalled at the damping floor")
                     break
-                no_progress, theta = 0, theta / 2
-                note = f"gap stagnated at {best_gap:.3e}; damping -> {theta:g}"
-                if depth:
-                    # The secants model T no better than no secants at all:
-                    # plain damped steps from here on, their stall measured
-                    # from here on.
-                    depth, best_gap = 0, math.inf
-                    note += ", Anderson mixing off"
-                report.notes.append(note)
+                report.notes.append(
+                    f"gap stagnated at {best_gap:.3e}; damping -> {theta / 2:g}")
+                # The stall is measured afresh, with fresh secants.
+                no_progress, theta, best_gap = 0, theta / 2, math.inf
+                dX.clear()
+                dF.clear()
         sup = float(np.max(np.abs(x)))
         report.bound_max_observed = max(report.bound_max_observed, sup)
         if sup > report.bound_limit:

@@ -28,8 +28,10 @@ from levelpde.outerloop import (
     plain_residual_parts,
     solve_nonlocal,
 )
+from levelpde.verify import exact_ball_solution
 
 LAP = EllipticOperator.laplacian()
+PUCCI_MINUS = EllipticOperator.pucci_minus(1.0, 2.0)
 
 
 def zero_data_field(grid, interior):
@@ -547,17 +549,55 @@ class TestAndersonMixing1D:
         assert all(rep.converged for rep in runs)
         assert runs[0].records[0].increment != runs[1].records[0].increment
 
-    def test_first_stall_ends_the_mixing(self):
-        # The gap cannot reach 1e-12: the measure moves in whole cells.
+    def test_a_stall_drops_the_secants_and_the_mixing_goes_on(self, monkeypatch):
+        # The gap cannot reach 1e-12: the measure moves in whole cells.  Each
+        # evaluation of T reads one plain right-hand side, so the secants a
+        # step fits (the columns of its least-squares fit, 0 for none) are
+        # the ones between that step's forcing and the next.
+        events = []
+        real_fit, real_rhs = np.linalg.lstsq, outerloop.rhs_plain
+        monkeypatch.setattr(np.linalg, "lstsq", lambda A, *a, **k:
+                            events.append(A.shape[1]) or real_fit(A, *a, **k))
+        monkeypatch.setattr(outerloop, "rhs_plain",
+                            lambda *a: events.append(0) or real_rhs(*a))
         grid, psi = off_centre_interval(1 / 64)
         _, rep = solve_nonlocal(LAP, grid, linear_profile(grid), psi,
                                 OuterConfig(outer_tol=1e-12))
+        marks = [i for i, e in enumerate(events) if e == 0]
+        secants = [max(events[i + 1:j], default=0) for i, j in zip(marks, marks[1:])]
+        assert len(secants) == rep.total_iterations
+        # Stalls: four steps without a 0.1 % fall of the best gap since the
+        # last stall.
+        stalls, best, idle = [], math.inf, 0
+        for rec in rep.records:
+            if rec.step_gap < 0.999 * best:
+                best, idle = rec.step_gap, 0
+            elif (idle := idle + 1) == 4:
+                stalls.append(rec.k)
+                best, idle = math.inf, 0
         assert rep.status == "MaxIterations"
-        assert rep.notes[0].endswith("damping -> 0.25, Anderson mixing off")
-        assert not any("mixing" in note for note in rep.notes[1:])
+        assert stalls[-1] == rep.total_iterations - 1
+        assert len(rep.notes) == len(stalls) == 9
+        assert [note.split("; ")[1] for note in rep.notes[:-1]] == [
+            f"damping -> {0.5 / 2 ** i:g}" for i in range(1, 9)]
         assert rep.notes[-1] == "gap stalled at the damping floor"
+        for k, end in zip(stalls, stalls[1:]):
+            assert secants[k + 1] <= 1
+            assert 2 in secants[k + 2:end + 1]
         # The returned field is an iterate with its certificate.
         assert rep.final_inner_residual <= _DEFAULT_TOL[LAP.kind]
+
+    @pytest.mark.parametrize("op, g_slope, steps", [
+        (LAP, -1.0, 40), (LAP, -3.0, 63),
+        (EllipticOperator.pucci_plus(0.5, 1.0), -1.0, 54),
+        (EllipticOperator.pucci_plus(0.5, 1.0), -3.0, 80)])
+    def test_near_tied_components(self, op, g_slope, steps):
+        # Two components whose maxima nearly tie: the slowest 1-D inputs.
+        grid = build_annulus((0.2,), 0.1, 1.0, 1 / 256)
+        psi = BoundaryData.from_callable(lambda p: 0.02 * p[:, 0])
+        _, rep = solve_nonlocal(op, grid, linear_profile(grid, g_slope), psi)
+        assert rep.converged
+        assert rep.total_iterations <= steps
 
     def test_records_follow_the_iterates(self):
         grid, psi = off_centre_interval(1 / 256)
@@ -574,6 +614,54 @@ class TestAndersonMixing1D:
             _, rep = solve_nonlocal(LAP, grid, linear_profile(grid), psi)
             texts.add(format_report(rep))
         assert len(texts) == 1
+
+
+class TestAndersonMixingMultiD:
+    """The mixing on grids with n >= 2, against damped Picard (depth 0)."""
+
+    @pytest.mark.parametrize("op, n, h, steps", [
+        (PUCCI_MINUS, 2, 1 / 32, 6), (LAP, 3, 1 / 10, 7), (LAP, 2, 1 / 64, 7)],
+        ids=["disk-pucci-h32", "ball3d-h10", "disk-h64"])
+    def test_no_more_steps_than_damped_picard(self, monkeypatch, op, n, h, steps):
+        grid = build_ball((0.0,) * n, 1.0, h)
+        exact = exact_ball_solution((0.0,) * n, 1.0, n, op).value(grid.interior_coords)
+        u, rep = solve_nonlocal(op, grid, linear_profile(grid), BoundaryData.zero())
+        monkeypatch.setattr(outerloop, "_ANDERSON_DEPTH", 0)
+        v, picard = solve_nonlocal(op, grid, linear_profile(grid), BoundaryData.zero())
+        assert rep.status == picard.status == "Converged"
+        assert rep.total_iterations <= min(steps, picard.total_iterations)
+        err = np.max(np.abs(u.interior - exact))
+        assert err <= 1.1 * np.max(np.abs(v.interior - exact))
+
+    def test_depth_zero_is_damped_picard(self, monkeypatch):
+        monkeypatch.setattr(outerloop, "_ANDERSON_DEPTH", 0)
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 32)
+        _, rep = solve_nonlocal(PUCCI_MINUS, grid, linear_profile(grid),
+                                BoundaryData.zero())
+        assert rep.converged and rep.total_iterations == 13
+
+    def test_annulus_spacings_that_converge(self):
+        # Near the circle where u peaks the measure grows like the square
+        # root of the depth below the maximum, so T is not Lipschitz there;
+        # these four spacings converge.
+        converged = set()
+        for m in (12, 14, 16, 18, 20, 22, 24, 28, 32):
+            grid = build_annulus((0.0, 0.0), 0.4, 1.0, 1 / m)
+            _, rep = solve_nonlocal(LAP, grid, linear_profile(grid),
+                                    BoundaryData.zero())
+            if rep.converged:
+                converged.add(m)
+        assert converged >= {16, 18, 22, 32}
+
+    def test_stall_notes_name_the_new_damping(self):
+        # bench/spans.py counts the damping halvings by this marker.
+        grid = build_annulus((0.0, 0.0), 0.4, 1.0, 1 / 16)
+        _, rep = solve_nonlocal(LAP, grid, linear_profile(grid), BoundaryData.zero())
+        assert rep.converged
+        halvings = [note.split("damping -> ")[1] for note in rep.notes
+                    if "damping ->" in note]
+        assert len(halvings) == len(rep.notes) >= 1
+        assert halvings == [f"{0.5 / 2 ** i:g}" for i in range(1, len(halvings) + 1)]
 
 
 def test_import_does_not_load_scipy_optimize():
