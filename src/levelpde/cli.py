@@ -303,12 +303,17 @@ def format_field(field: ScalarField) -> str:
             ",".join(repr(o) for o in grid.origin),
         )
     ]
-    # Multi-indices in C order, the order of ravel().
-    labels = itertools.product(*([str(i) for i in range(s)] for s in grid.shape))
-    lines += [f"{','.join(index)} {_CLASS_NAMES[cls]} {value!r}"
-              for index, cls, value in zip(labels, grid.node_class.ravel().tolist(),
+    lines += [f"{label} {_CLASS_NAMES[cls]} {value!r}"
+              for label, cls, value in zip(_node_labels(grid.shape),
+                                           grid.node_class.ravel().tolist(),
                                            field.values.ravel().tolist())]
     return "\n".join(lines) + "\n"
+
+
+def _node_labels(shape: tuple[int, ...]):
+    """The ``i,j,k`` text of every multi-index, in C order (that of ravel())."""
+    return map(",".join, itertools.product(*([str(i) for i in range(s)]
+                                             for s in shape)))
 
 
 @dataclass
@@ -347,20 +352,24 @@ def load_field(path: str | Path) -> LoadedField:
         raise InvalidParameterError(
             f"{path}: expected {count} node lines, found {len(body)}")
     # Line k must carry the k-th node in C order; an index off the lattice
-    # is malformed, one on it but elsewhere is out of order.
+    # is malformed, one on it but elsewhere is out of order.  The index text
+    # is parsed only where it differs from format_field's label.
     classes, values = [], []
-    for (lineno, ln), node in zip(body, itertools.product(*map(range, shape))):
+    for (lineno, ln), label in zip(body, _node_labels(shape)):
         try:
             idx_s, cls_s, val_s = ln.split()
-            index = tuple(int(i) for i in idx_s.split(","))
-            if index != node:
-                np.ravel_multi_index(index, shape)
+            in_order = idx_s == label
+            if not in_order:
+                index = tuple(int(i) for i in idx_s.split(","))
+                in_order = index == tuple(map(int, label.split(",")))
+                if not in_order:
+                    np.ravel_multi_index(index, shape)
             classes.append(_CLASS_CODES[cls_s])
             values.append(float(val_s))
         except (KeyError, ValueError) as err:
             raise InvalidParameterError(
                 f"{path}:{lineno}: malformed node line ({err!r})") from None
-        if index != node:
+        if not in_order:
             raise InvalidParameterError(f"{path}:{lineno}: node lines out of order")
     return LoadedField(n, shape, h, origin,
                        np.array(classes, dtype=np.int8).reshape(shape),

@@ -8,9 +8,11 @@ in difference form, sum kappa (x_src - u_i), in every dimension, so its
 rounding does not grow like eps |u| / h^2.
 The same table gives the sparse matrix of tr(W D^2 u) for any weight field,
 and the Laplacian matrix, factorized once per grid; that LU is the only
-factorization a solve normally builds.  The Laplacian is evaluated as the
-trace of the discrete Hessian (its diagonal terms only), the Pucci operators
-through its eigenvalues (closed form in 1-D and 2-D).
+factorization a solve normally builds.  It is ordered by minimum degree on
+A + A^T and keeps its diagonal pivots: -A is a nonsingular M-matrix, so
+elimination needs no pivoting to stay stable.  The Laplacian is evaluated
+as the trace of the discrete Hessian (its diagonal terms only), the Pucci
+operators through its eigenvalues (closed form in 1-D and 2-D).
 
 Operator values come back as interior vectors; a forcing is a scalar or an
 interior vector.  A ``DirichletProblem`` holds what one (grid, psi,
@@ -305,12 +307,23 @@ class DirichletProblem:
 
 def _laplacian(grid: Grid) -> tuple:
     """The Laplacian matrix and its LU, built once and kept with the stencil,
-    so repeated frozen-RHS solves cost triangular solves only."""
+    so repeated frozen-RHS solves cost triangular solves only.
+
+    -A is a nonsingular M-matrix: positive diagonal, nonpositive couplings,
+    every row diagonally dominant and strictly so where a stencil end is a
+    boundary point.  Gaussian elimination needs no pivoting to stay stable
+    on it, so the LU keeps the diagonal pivots of SuperLU's minimum-degree
+    ordering of A + A^T (partial pivoting would undo that symmetric
+    ordering).  Its fill is about half of COLAMD's: 6.4 M against 13.7 M
+    nonzeros in L + U on the 3-D ball at h = 1/16.
+    """
     plan = grid.plan
     if plan.laplacian is None:
         A = _matrix(grid, np.broadcast_to(np.eye(grid.n),
                                           (grid.n_interior, grid.n, grid.n)))
-        plan.laplacian = (A, splu(A))
+        plan.laplacian = (A, splu(A, permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0,
+                                 options={"SymmetricMode": True}))
     return plan.laplacian
 
 
@@ -355,6 +368,7 @@ def _solve_frozen(prob: DirichletProblem, W, f, u0):
     u = u0 + lu.solve(y / s)
     if np.max(np.abs(b - A @ u)) <= target:
         return u
+    # Mixed couplings make A no M-matrix, so this LU keeps partial pivoting.
     return splu(A).solve(b)
 
 

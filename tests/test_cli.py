@@ -14,7 +14,7 @@ from levelpde.cli import (
     parse_config,
 )
 from levelpde.elliptic import EllipticOperator, solve_dirichlet
-from levelpde.errors import ConfigError
+from levelpde.errors import ConfigError, InvalidParameterError
 from levelpde.geometry import BOUNDARY, BoundaryData, build_ball, build_box, build_trace
 from levelpde.measure import ScalarField
 from levelpde.outerloop import OuterConfig
@@ -178,6 +178,28 @@ class TestFieldDump:
         assert boundary[::4, ::4, ::4].all()
         assert np.array_equal(loaded.values[::4, ::4, ::4].ravel(), psi.evaluate(corners))
         assert not any(np.all(grid.plan.points == c, axis=1).any() for c in corners)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda lines: lines.__setitem__(7, "0" + lines[7]), None),
+        (lambda lines: lines.__setitem__(7, "+" + lines[7].replace(",", ",0", 1)), None),
+        (lambda lines: lines.insert(8, lines.pop(7)), ":8: node lines out of order"),
+        (lambda lines: lines.__setitem__(7, "9" + lines[7]), ":8: malformed node line"),
+        (lambda lines: lines.__setitem__(7, "x" + lines[7]), ":8: malformed node line"),
+    ], ids=["leading-zero", "plus-sign", "swapped", "off-lattice", "not-an-int"])
+    def test_index_text_off_the_label(self, damage, message, tmp_path):
+        # A line whose index text is not format_field's label is parsed: the
+        # same node loads as it is, another one is out of order.
+        grid = build_ball((0.0, 0.0), 1.0, 0.25)
+        u = zero_data_field(grid, np.arange(grid.n_interior, dtype=np.float64))
+        lines = format_field(u).splitlines()
+        damage(lines)
+        p = tmp_path / "u.txt"
+        p.write_text("\n".join(lines) + "\n")
+        if message is None:
+            assert np.array_equal(load_field(p).values, u.values, equal_nan=True)
+        else:
+            with pytest.raises(InvalidParameterError, match=message):
+                load_field(p)
 
 
 def math_pi_ish():

@@ -317,7 +317,7 @@ class TestSolveDirichlet:
         calls = []
         real = elliptic.splu
         monkeypatch.setattr(elliptic, "splu",
-                            lambda A: calls.append(A.shape) or real(A))
+                            lambda A, **kw: calls.append(A.shape) or real(A, **kw))
         grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
         for f, psi in ((-1.0, BoundaryData.zero()),
                        (2.0, BoundaryData.from_callable(lambda p: p[:, 0]))):
@@ -338,11 +338,39 @@ class TestSolveDirichlet:
                 return self.lu.solve(b)
 
         real = elliptic.splu
-        monkeypatch.setattr(elliptic, "splu", lambda A: CountingLU(real(A)))
+        monkeypatch.setattr(elliptic, "splu",
+                            lambda A, **kw: CountingLU(real(A, **kw)))
         grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 5)
         u = solve_dirichlet(LAP, grid, -1.0, BoundaryData.zero())
         assert solves == [grid.n_interior]
         assert defect(LAP, u, -1.0) <= _DEFAULT_TOL[LAP.kind]
+
+    @pytest.mark.parametrize("center, h, bound", [
+        ((0.0, 0.0, 0.0), 1 / 10, 750_000),  # COLAMD: 1.32 M
+        ((0.0, 0.0), 1 / 32, 120_000),        # COLAMD: 0.163 M
+    ], ids=["ball3d", "disk"])
+    def test_laplacian_lu_fill(self, center, h, bound):
+        # Minimum degree on A + A^T with diagonal pivots; a fall-back to
+        # COLAMD or to partial pivoting overshoots the bound.
+        lu = _laplacian(build_ball(center, 1.0, h))[1]
+        assert lu.L.nnz + lu.U.nnz <= bound
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.0, 0.0, 0.0)], ids=["2d", "3d"])
+    def test_diagonal_pivots_on_a_clipped_theta(self, center):
+        # At radius 1 + 1e-13 a lattice node sits on the sphere, its theta
+        # hits the clip and the diagonal spans 2.6e2 ... 1.4e14: the
+        # unpivoted LU still certifies and matches a partially pivoted one.
+        from scipy.sparse.linalg import splu
+
+        grid = build_ball(center, 1.0 + 1e-13, 1 / 8)
+        A = _laplacian(grid)[0]
+        diag = -A.diagonal()
+        assert diag.min() < 1e3 and diag.max() > 1e14
+        prob = DirichletProblem(LAP, grid, BoundaryData.zero())
+        u, res = prob.solve(-1.0)
+        assert res <= prob.tol
+        ref = splu(A).solve(np.full(grid.n_interior, -1.0) - prob.lap0)
+        assert np.max(np.abs(u.interior - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_harmonic_linear_boundary(self):
         grid = build_box([(0, 1), (0, 1)], 0.125)
@@ -439,7 +467,7 @@ class TestPolicySolve:
         calls = []
         real = elliptic.splu
         monkeypatch.setattr(elliptic, "splu",
-                            lambda A: calls.append(A.shape) or real(A))
+                            lambda A, **kw: calls.append(A.shape) or real(A, **kw))
         return calls
 
     def test_definite_hessians_reuse_the_laplacian_lu(self, monkeypatch):
@@ -467,6 +495,22 @@ class TestPolicySolve:
         assert len(misses) >= 2 and len(calls) == len(misses)
         assert defect(self.OP, u, 1.0) <= _DEFAULT_TOL[self.OP.kind]
         assert np.allclose(u.interior, ref.interior, atol=1e-7)
+
+    def test_krylov_miss_factorizes_with_partial_pivoting(self, monkeypatch):
+        # The frozen Pucci matrix with mixed couplings is no M-matrix, so
+        # its direct LU keeps splu's defaults.
+        from levelpde import elliptic
+
+        grid = build_box([(-1, 1), (-1, 1)], 1 / 8)
+        _laplacian(grid)
+        psi = BoundaryData.from_callable(lambda p: np.exp(p[:, 0]) * np.sin(2 * p[:, 1]))
+        options = []
+        real = elliptic.splu
+        monkeypatch.setattr(elliptic, "splu",
+                            lambda A, **kw: options.append(kw) or real(A, **kw))
+        monkeypatch.setattr(elliptic, "gmres", lambda A, b, **kw: (0.0 * b, 1))
+        solve_dirichlet(self.OP, grid, 1.0, psi)
+        assert len(options) >= 2 and all(kw == {} for kw in options)
 
     def test_mixed_signs_keep_the_preconditioned_gmres(self, monkeypatch):
         # e^x sin 2y gives Hessians with eigenvalues of both signs, so no
