@@ -31,7 +31,6 @@ from .geometry import (
 from .measure import (
     ProfileFunction,
     ScalarField,
-    StepFunction,
     increasing_rearrangement,
     rhs_plain,
     rhs_smoothed,

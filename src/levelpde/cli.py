@@ -425,9 +425,8 @@ def _write_outputs(cfg: RunConfig, field: ScalarField | None,
     if cfg.get("output.table") and table_text is not None:
         atomic_write(cfg["output.table"], table_text)
     if cfg.get("output.rearrangement") and field is not None:
-        star = increasing_rearrangement(field)
-        lines = [f"cell = {_fmt(star.cell)}"]
-        for i, v in enumerate(star.values.tolist()):
+        lines = [f"cell = {_fmt(field.grid.cell)}"]
+        for i, v in enumerate(increasing_rearrangement(field).tolist()):
             lines.append(f"value.{i} = {_fmt(v)}")
         atomic_write(cfg["output.rearrangement"], "\n".join(lines) + "\n")
 

@@ -21,7 +21,6 @@ an O(h^2) error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ from .geometry import BOUNDARY, BoundaryData, BoundaryTrace, Grid, build_trace
 __all__ = [
     "ScalarField",
     "ProfileFunction",
-    "StepFunction",
     "superlevel_measures",
     "smoothed_superlevel_average",
     "rhs_plain",
@@ -420,31 +418,9 @@ def rhs_smoothed(v: ScalarField, g: ProfileFunction,
     return g(smoothed_superlevel_average(v, eps))
 
 
-@dataclass
-class StepFunction:
-    """Right-open step function on [0, total]: value[k] on [k*cell, (k+1)*cell).
-
-    The last cell is closed so the function is defined on all of [0, total].
+def increasing_rearrangement(v: ScalarField) -> NDArray[np.float64]:
+    """The nondecreasing rearrangement of the field: its interior values
+    sorted ascending, one per cell of width h^n on [0, |Omega|_h].
+    Diagnostic output only.
     """
-
-    cell: float
-    values: NDArray[np.float64] = field(repr=False)
-
-    @property
-    def total(self) -> float:
-        return self.cell * self.values.size
-
-    def __call__(self, t) -> NDArray[np.float64]:
-        t = np.asarray(t, dtype=np.float64)
-        k = np.clip(np.floor(t / self.cell).astype(np.int64), 0,
-                    self.values.size - 1)
-        return self.values[k]
-
-
-def increasing_rearrangement(v: ScalarField) -> StepFunction:
-    """The nondecreasing step rearrangement of the field on [0, |Omega|_h].
-
-    Takes the sorted-ascending interior values on consecutive cells of width
-    h^n.  Diagnostic output only.
-    """
-    return StepFunction(v.grid.cell, np.sort(v.interior))
+    return np.sort(v.interior)

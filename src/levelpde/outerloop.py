@@ -7,12 +7,13 @@ window only to prove existence; T uses the plain measure.  Each step blends
 T(v) into v with weight damping and, Anderson-mixed, also subtracts the
 combination of the last few steps' secants that best cancels the current
 gap (a multisecant quasi-Newton step on v - T(v); kept over all steps on a
-linear map, it is GMRES).  A step that does not lower the gap drops the
-secants.  When the gap stagnates the damping halves, the secants are dropped
-and the mixing goes on.  Each step costs one evaluation of T.  The secants
-fit T on every grid: the 1-D measure is continuous in the field, and for
-n >= 2 the counting measure jumps by a lattice orbit of cells at a time, the
-size of the default gap tolerance, so above that gap T is nearly smooth.
+linear map, it is GMRES).  A secant leaves only by ageing out of the last
+few steps or in a stall: when the gap stagnates the damping halves, the
+secants are dropped and the mixing goes on.  Each step costs one evaluation
+of T.  The secants fit T on every grid: the 1-D measure is continuous in the
+field, and for n >= 2 the counting measure jumps by a lattice orbit of cells
+at a time, the size of the default gap tolerance, so above that gap T is
+nearly smooth.
 
 Two implementation details matter for reproducibility.  First, stopping is
 measured on the full fixed-point gap ||T(v) - v||_inf, and the accepted
@@ -75,8 +76,8 @@ _ANDERSON_DEPTH = 2
 class OuterConfig:
     """Controls the damped fixed-point iteration: each step blends the solve
     output into the iterate with weight damping and mixes in the secants of
-    the previous steps, and damping halves (down to 1e-3) after four steps
-    without the fixed-point gap falling by 0.1 %.
+    the previous steps; after four steps without the fixed-point gap falling
+    by 0.1 % the damping halves (down to 1e-3) and the secants are dropped.
     Converged needs the gap under outer_tol within max_outer_iterations.
     inner_tol is the residual target of every inner solve (None: 1e-8 for
     the Laplacian, 1e-6 for the Pucci operators)."""
@@ -233,12 +234,13 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
 
     Starts from the homogeneous solve F(D^2 v) = 0 with data psi, then runs
     damped, Anderson-mixed fixed-point steps of the plain map (undamped when
-    g is constant).  The returned report certifies what was actually
-    measured on the returned field; status is Converged only when the final
-    fixed-point gap and inner residual are below their tolerances, and an
-    inner solve that fails inside the loop ends it with status
-    InnerFailure.  Uniqueness is not claimed; every solve starts from
-    the homogeneous solve, so reruns reach the same fixed point.
+    g is constant), whose secants are kept until the gap stalls.  The
+    returned report certifies what was actually measured on the returned
+    field; status is Converged only when the final fixed-point gap and inner
+    residual are below their tolerances, and an inner solve that fails
+    inside the loop ends it with status InnerFailure.  Uniqueness is not
+    claimed; every solve starts from the homogeneous solve, so reruns reach
+    the same fixed point.
 
     Raises NonConvergenceError when the homogeneous start itself misses the
     inner tolerance: there is no iterate to report on.
@@ -280,7 +282,7 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
     # plain forcing f serve both its residual and the step from it.
     v, r, D, f = _snapped(problem, g, snap, v.interior)
     x = v.interior
-    best_gap = prev_gap = math.inf
+    best_gap = math.inf
     no_progress = 0
     # The secants: iterate changes dX and the matching gap changes dF.
     dX: deque[NDArray[np.float64]] = deque(maxlen=_ANDERSON_DEPTH)
@@ -300,10 +302,7 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
         # Accept the undamped solve output at the end, so the final field is
         # an inner-solve output with its certificate.
         if not done:
-            if step_gap >= prev_gap:
-                dX.clear()
-                dF.clear()
-            elif k:
+            if k:
                 dX.append(x - x_prev)
                 dF.append(gap_vec - gap_prev)
             x_prev, gap_prev = x, gap_vec
@@ -312,7 +311,6 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
                 A = np.column_stack(dF)
                 gamma = np.linalg.lstsq(A, gap_vec, rcond=None)[0]
                 y -= (np.column_stack(dX) + theta * A) @ gamma
-        prev_gap = step_gap
         v, r, D, f = _snapped(problem, g, snap, y)
         y = v.interior
         report.records.append(IterationRecord(

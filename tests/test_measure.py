@@ -487,29 +487,17 @@ class TestRearrangement:
     def test_hand_counted_example(self):
         grid = line_grid(3, h=1.0)
         u = increasing_rearrangement(field_on(grid, [3.0, 1.0, 2.0]))
-        assert u(np.array([0.0, 0.5, 1.0, 1.7, 2.5, 3.0])).tolist() == \
-            [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+        assert u.tolist() == [1.0, 2.0, 3.0]
 
     def test_constant(self):
         grid = line_grid(4)
         u = increasing_rearrangement(field_on(grid, [2.0] * 4))
-        assert np.all(u(np.linspace(0, u.total, 9)) == 2.0)
+        assert u.tolist() == [2.0] * 4
 
     @given(value_arrays)
     @settings(max_examples=60, deadline=None)
     def test_nondecreasing_same_multiset(self, values):
         grid = line_grid(values.size)
         u = increasing_rearrangement(field_on(grid, values))
-        assert np.all(np.diff(u.values) >= 0)
-        assert sorted(u.values.tolist()) == sorted(values.tolist())
-
-    def test_composition_recovers_distinct_values(self):
-        rng = np.random.default_rng(7)
-        values = rng.permutation(np.linspace(-3, 5, 40))
-        grid = line_grid(values.size)
-        f = field_on(grid, values)
-        u = increasing_rearrangement(f)
-        # t = |{v < v(x)}| lands on the cell carrying v(x)
-        for v in values:
-            t = grid.cell * np.sum(values < v)
-            assert u(np.array([t]))[0] == v
+        assert np.all(np.diff(u) >= 0)
+        assert sorted(u.tolist()) == sorted(values.tolist())

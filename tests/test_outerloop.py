@@ -587,17 +587,19 @@ class TestAndersonMixing1D:
         # The returned field is an iterate with its certificate.
         assert rep.final_inner_residual <= _DEFAULT_TOL[LAP.kind]
 
-    @pytest.mark.parametrize("op, g_slope, steps", [
-        (LAP, -1.0, 40), (LAP, -3.0, 63),
-        (EllipticOperator.pucci_plus(0.5, 1.0), -1.0, 54),
-        (EllipticOperator.pucci_plus(0.5, 1.0), -3.0, 80)])
-    def test_near_tied_components(self, op, g_slope, steps):
-        # Two components whose maxima nearly tie: the slowest 1-D inputs.
+    @pytest.mark.parametrize("op, g_slope", [
+        (LAP, -1.0), (LAP, -3.0),
+        (EllipticOperator.pucci_plus(0.5, 1.0), -1.0),
+        (EllipticOperator.pucci_plus(0.5, 1.0), -3.0)],
+        ids=["laplacian-t", "laplacian-3t", "plus-t", "plus-3t"])
+    def test_near_tied_components(self, op, g_slope):
+        # Two components whose maxima nearly tie: the gap rises on some steps,
+        # and the secants must outlive them.
         grid = build_annulus((0.2,), 0.1, 1.0, 1 / 256)
         psi = BoundaryData.from_callable(lambda p: 0.02 * p[:, 0])
         _, rep = solve_nonlocal(op, grid, linear_profile(grid, g_slope), psi)
         assert rep.converged
-        assert rep.total_iterations <= steps
+        assert rep.total_iterations <= 20
 
     def test_records_follow_the_iterates(self):
         grid, psi = off_centre_interval(1 / 256)
@@ -652,6 +654,17 @@ class TestAndersonMixingMultiD:
             if rep.converged:
                 converged.add(m)
         assert converged >= {16, 18, 22, 32}
+
+    @pytest.mark.parametrize("op, steps", [
+        (EllipticOperator.pucci_minus(0.5, 1.0), 25),
+        (EllipticOperator.pucci_minus(0.25, 1.0), 12),
+        (EllipticOperator.pucci_plus(0.25, 1.0), 10)],
+        ids=["minus-0.5", "minus-0.25", "plus-0.25"])
+    def test_pucci_annulus_steps(self, op, steps):
+        grid = build_annulus((0.0, 0.0), 0.4, 1.0, 1 / 16)
+        _, rep = solve_nonlocal(op, grid, linear_profile(grid), BoundaryData.zero())
+        assert rep.converged
+        assert rep.total_iterations <= steps
 
     def test_stall_notes_name_the_new_damping(self):
         # bench/spans.py counts the damping halvings by this marker.
