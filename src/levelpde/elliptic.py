@@ -10,7 +10,12 @@ The same table gives the sparse matrix of tr(W D^2 u) for any weight field,
 and the Laplacian matrix, factorized once per grid; that LU is the only
 factorization a solve normally builds.  It is ordered by minimum degree on
 A + A^T and keeps its diagonal pivots: -A is a nonsingular M-matrix, so
-elimination needs no pivoting to stay stable.  The Laplacian is evaluated
+elimination needs no pivoting to stay stable.  On a 3-D grid whose
+Laplacian is exactly invariant under the three axis reflections (boxes,
+and balls and annuli centred at 0) the LU factors the eight mirror-symmetry
+sectors of A instead, one block-diagonal matrix with a quarter of the
+fill; every block stays row-diagonally dominant, because |sum +-a| <=
+sum |a|, and the even one is again an M-matrix.  The Laplacian is evaluated
 as the trace of the discrete Hessian (its diagonal terms only), the Pucci
 operators through its eigenvalues (closed form in 1-D and 2-D).
 
@@ -44,7 +49,7 @@ from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import InvalidParameterError, NonConvergenceError
@@ -210,20 +215,25 @@ def _matrix(grid: Grid, W: NDArray[np.float64]):
 
     Each term contributes w * kappa to its source's column when the source is
     interior, and -w * kappa to the diagonal; exactly zero couplings are
-    dropped, so the Laplacian carries no mixed ones.
+    dropped, and a key whose weights are all zero is skipped, so the
+    Laplacian carries no mixed ones.  The diagonal sums each key's terms
+    first: a mirror swaps the two arms of an axis but keeps the keys, so on
+    a mirror-symmetric stencil the diagonal is mirror-symmetric bit for bit.
     """
     N = grid.n_interior
-    rows, cols, vals, nodes, coefs = [], [], [], [], []
+    rows, cols, vals = [], [], []
+    diag = np.zeros(N)
     for (a, b), t in grid.plan.terms.items():
+        w = W[t.node, a, b]
+        if not w.any():
+            continue
         # H is symmetric: W_ab H_ab is counted twice off the diagonal.
-        coef = (1.0 if a == b else 2.0) * W[t.node, a, b] * t.kappa
+        coef = (1.0 if a == b else 2.0) * w * t.kappa
         keep = (t.src < N) & (coef != 0.0)
         rows.append(t.node[keep])
         cols.append(t.src[keep])
         vals.append(coef[keep])
-        nodes.append(t.node)
-        coefs.append(coef)
-    diag = -np.bincount(np.concatenate(nodes), np.concatenate(coefs), minlength=N)
+        diag -= np.bincount(t.node, coef, minlength=N)
     ids = np.arange(N)
     return coo_matrix(
         (np.concatenate(vals + [diag]),
@@ -305,6 +315,115 @@ class DirichletProblem:
         return ScalarField(u, self.trace), res
 
 
+# The eight reflections g and the eight sectors s are bitmasks over the
+# three axes: _FLIPS[g] the axes g reflects, _CHI[s, g] = chi_s(g) =
+# (-1)^|s & g|, and _SLOTS[g] the stencil slots of a row reflected by g.
+_FLIPS = (np.arange(8)[:, None] >> np.arange(3)) & 1
+_CHI = 1.0 - 2.0 * (_FLIPS[np.arange(8)[:, None] & np.arange(8)].sum(axis=2) % 2)
+_SLOTS = np.column_stack([np.zeros(8, dtype=np.int64)] + [
+    1 + 2 * a + (_FLIPS[:, a] ^ sign) for a in range(3) for sign in (0, 1)])
+
+
+class _SectorLU:
+    """LU of the block-diagonal B = S A T: A^-1 b = T B^-1 S b.  Other
+    attributes (L, U, ...) are those of B's LU."""
+
+    def __init__(self, lu, S, T):
+        self.lu, self.S, self.T = lu, S, T
+
+    def solve(self, b):
+        return self.T @ self.lu.solve(self.S @ b)
+
+    def __getattr__(self, attr):
+        return getattr(self.lu, attr)
+
+
+def _offsets(counts):
+    """CSR/CSC index pointer of rows holding ``counts`` entries each."""
+    indptr = np.zeros(counts.size + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def _sectors(grid: Grid, A):
+    """(S, B, T) splitting a 3-D Laplacian A into its eight mirror sectors,
+    or None unless A is exactly invariant under the three axis reflections.
+
+    The reflection of axis a maps lattice index i_a to shape_a - 1 - i_a;
+    the group they generate has eight elements g.  Each orbit has one
+    representative r in the lower octant (2 i_a <= shape_a - 1 on every
+    axis).  Sector s holds the fields with u(g r) = chi_s(g) u(r), so a node
+    on the mirror plane of axis a has no sector with bit a set.  T (entries
+    +-1) maps sector values to nodes, and S = T^-1 (entries +-2^-k, where
+    the orbit has 2^k nodes) maps them back.  A commutes with every g, so
+    B = S A T is block diagonal.  Its block s is A on the representatives
+    of sector s, except that
+    * the coupling of a node on the mirror plane of axis a to its neighbour
+      below on that axis doubles: the neighbour above is the mirror image of
+      that one;
+    * along an axis with an even node count the plane lies between nodes,
+      and the node just below it couples to its own mirror image: its
+      diagonal gains chi_s(g_a) times that coupling.
+    """
+    if grid.n != 3:
+        return None
+    N, shape, flat, plan = grid.n_interior, grid.shape, grid.interior_flat, grid.plan
+    ordinal = np.append(grid._ordinal_flat, -1).astype(np.int32)
+    stride = np.array([shape[1] * shape[2], shape[2], 1])
+    # A as a table of row stencils, one row per slot: slot 0 the diagonal,
+    # slots 1 + 2a and 2 + 2a the couplings to the + and - arm ends on axis
+    # a.  A holds the arm weights of the plan's terms at the interior ends.
+    stencil = np.empty((7, N))
+    stencil[0] = A.diagonal()
+    ends = [np.arange(N)[None]]
+    for a in range(3):
+        t = plan.terms[(a, a)]
+        ends.append(t.src.reshape(2, N))
+        stencil[1 + 2 * a:3 + 2 * a] = np.where(ends[-1] < N, t.kappa.reshape(2, N), 0.0)
+    # orbit[g, j]: the image of the j-th representative under g.  fits[m, j]:
+    # the bitmask m shares no axis with the mirror planes through r_j, so
+    # as a reflection it gives a new node of the orbit, and r_j has a
+    # column in sector m.
+    off = np.stack([2 * i - (m - 1) for i, m in zip(grid.interior_index, shape)])
+    reps = np.flatnonzero(np.all(off <= 0, axis=0))
+    off = off[:, reps]
+    fits = (_FLIPS @ (off == 0)) == 0
+    orbit = ordinal[flat[reps] - _FLIPS @ (off * stride[:, None])]
+    st = stencil[:, reps]
+    if (np.any(orbit < 0) or np.count_nonzero(fits) != N
+            or not np.array_equal(stencil[:, orbit], st[_SLOTS.T])):
+        return None
+    # col[s, j]: the column of r_j in sector s, or -1 (also for j = -1).
+    col = np.full((8, reps.size + 1), -1, dtype=np.int32)
+    col[:, :-1][fits] = np.arange(N, dtype=np.int32)
+    # Row col[s, j] of S holds chi_s(g) / 2^k at each node g r_j of the
+    # orbit; T is its transpose with chi_s(g) itself.
+    where = fits[:, :, None] & fits.T
+    chi = np.broadcast_to(_CHI[:, None, :], where.shape)[where]
+    nodes = np.broadcast_to(orbit.T, where.shape)[where]
+    size = np.broadcast_to(np.count_nonzero(fits, axis=0), fits.shape)[fits]
+    indptr = _offsets(size)
+    T = csc_matrix((chi, nodes, indptr), shape=(N, N))
+    S = csr_matrix((chi / np.repeat(size, size), nodes, indptr), shape=(N, N))
+    # Column j of block s: the representatives among r_j and its
+    # neighbours, each with its row's coupling to r_j, in ascending order:
+    # the - arm ends of axes 0, 1, 2, r_j, the + arm ends of axes 2, 1, 0.
+    order = np.array([2, 4, 6, 0, 5, 3, 1])
+    opposite = np.array([0, 2, 1, 4, 3, 6, 5])
+    rep_of = np.full(N + 1, -1)
+    rep_of[reps] = np.arange(reps.size)
+    y = rep_of[np.minimum(np.concatenate([e[:, reps] for e in ends])[order].T, N)]
+    vals = st[opposite[order], y]
+    vals[:, [6, 5, 4]] *= 1.0 + (off == -2).T
+    vals = np.repeat(vals[None], 8, axis=0)
+    vals[:, :, 3] += _CHI[:, [1, 2, 4]] @ (st[[1, 3, 5]] * (off == -1))
+    brow = col[:, y]
+    keep = (brow >= 0) & fits[:, :, None]
+    B = csc_matrix((vals[keep], brow[keep], _offsets(keep.sum(axis=2)[fits])),
+                   shape=(N, N))
+    return S, B, T
+
+
 def _laplacian(grid: Grid) -> tuple:
     """The Laplacian matrix and its LU, built once and kept with the stencil,
     so repeated frozen-RHS solves cost triangular solves only.
@@ -316,14 +435,26 @@ def _laplacian(grid: Grid) -> tuple:
     ordering of A + A^T (partial pivoting would undo that symmetric
     ordering).  Its fill is about half of COLAMD's: 6.4 M against 13.7 M
     nonzeros in L + U on the 3-D ball at h = 1/16.
+
+    On a 3-D grid whose A is exactly invariant under the three axis
+    reflections (boxes, and balls and annuli centred at 0) the LU factors
+    the block-diagonal B = S A T of its eight mirror sectors instead
+    (``_sectors``), with a quarter of the fill: 1.47 M nonzeros at
+    h = 1/16.  Each entry of a block is a sum of entries of one row of A
+    with signs, so every block stays row-diagonally dominant
+    (|sum +-a| <= sum |a|) and the even one is again an M-matrix: the
+    diagonal pivots stay stable.  1-D and 2-D grids keep the plain LU: a
+    tridiagonal matrix has no fill to save, and on the disk the split cut
+    the fill but not the time.
     """
     plan = grid.plan
     if plan.laplacian is None:
         A = _matrix(grid, np.broadcast_to(np.eye(grid.n),
                                           (grid.n_interior, grid.n, grid.n)))
-        plan.laplacian = (A, splu(A, permc_spec="MMD_AT_PLUS_A",
-                                 diag_pivot_thresh=0.0,
-                                 options={"SymmetricMode": True}))
+        S, B, T = _sectors(grid, A) or (None, A, None)
+        lu = splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        plan.laplacian = (A, lu if S is None else _SectorLU(lu, S, T))
     return plan.laplacian
 
 
@@ -333,10 +464,14 @@ def _solve_linear(prob: DirichletProblem, f, tol):
     rhs = f - prob.lap0
     u = lu.solve(rhs)
     # Up to two passes of iterative refinement, each only while the
-    # algebraic residual is not yet well below the certificate tolerance.
+    # algebraic residual is neither well below the certificate tolerance
+    # nor down to the rounding of A @ u, about eps max|A| max|u| (max|A| is
+    # the largest diagonal entry), which no pass can get below.
     for _ in range(2):
         r = rhs - A @ u
-        if np.max(np.abs(r)) <= _ALGEBRAIC_FRACTION * tol:
+        res = np.max(np.abs(r))
+        if res <= _ALGEBRAIC_FRACTION * tol or res <= np.finfo(np.float64).eps * (
+                np.max(prob.grid.plan.stiffness) * np.max(np.abs(u))):
             break
         u = u + lu.solve(r)
     return u

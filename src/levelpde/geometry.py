@@ -83,28 +83,29 @@ class Grid:
     ----------
     n : spatial dimension (1, 2 or 3)
     h : lattice spacing, identical along every axis
+    axis_coords : node coordinates along each axis, as the builder computed
+                  them (the radial builders place mirrored nodes at
+                  bit-identical offsets from the center)
     origin : coordinate of node index (0, ..., 0)
     shape : node counts per axis
     node_class : int8 array over the full lattice (INTERIOR/BOUNDARY/EXTERIOR)
     descriptor : the continuum domain this lattice discretizes
     """
 
-    def __init__(self, descriptor: Descriptor, h: float, origin: tuple[float, ...],
-                 shape: tuple[int, ...], node_class: NDArray[np.int8]):
+    def __init__(self, descriptor: Descriptor, h: float,
+                 axis_coords: Sequence[NDArray[np.float64]],
+                 node_class: NDArray[np.int8]):
         self.descriptor = descriptor
         self.n = descriptor.n
         self.h = float(h)
-        self.origin = tuple(float(o) for o in origin)
-        self.shape = tuple(int(s) for s in shape)
+        self.axis_coords = list(axis_coords)
+        self.origin = tuple(float(ax[0]) for ax in self.axis_coords)
+        self.shape = node_class.shape
         self.node_class = node_class
         node_class.setflags(write=False)
 
-        self.axis_coords: list[NDArray[np.float64]] = [
-            self.origin[k] + self.h * np.arange(self.shape[k], dtype=np.float64)
-            for k in range(self.n)
-        ]
-        # Far from the origin of the coordinates, origin + h*k rounds onto a
-        # coarser lattice, or onto the origin itself.
+        # Far from the origin of the coordinates, the axes round onto a
+        # coarser lattice, or onto a single point.
         for ax in self.axis_coords:
             if not np.all(np.abs(np.diff(ax) - self.h) <= _DIVIDE_RTOL * self.h):
                 raise InvalidGridError(
@@ -249,13 +250,16 @@ class StencilPlan:
 
     ``terms[(a, b)]`` (a <= b) holds the terms whose sum at node i is
     H_ab(u): for a == b the Shortley-Weller second difference (kappa
-    2 / (h^2 theta_s (theta_+ + theta_-)) on the arm of sign s); for a < b
+    2 / (h^2 theta_s (theta_+ + theta_-)) on the arm of sign s), every
+    node's + arm term and then every node's - arm term; for a < b
     the centred cross (kappa +-1/(4 h^2)) where all four diagonal points are
     interior or Boundary lattice nodes, else the average of the one-sided
     quadrants whose three points are, else nothing.  ``stiffness`` is
     D = sum_a 2 / (h^2 theta_+ theta_-), the weight of a Laplacian row on its
     own node; ``laplacian`` caches the Laplacian matrix and its LU for the
-    linear solver.
+    linear solver.  On a 3-D grid whose Laplacian is exactly mirror-symmetric
+    in every axis that LU factors the matrix's eight mirror-symmetry
+    sectors, one block-diagonal matrix, and maps into and out of them.
     """
 
     def __init__(self, grid: Grid):
@@ -373,8 +377,8 @@ def build_box(bounds: Iterable[tuple[float, float]], h: float) -> Grid:
     if any(s.stop <= s.start for s in interior):
         raise InvalidGridError("box too thin for interior nodes at this h")
     node_class[interior] = INTERIOR
-    origin = tuple(lo for lo, _ in bounds)
-    return Grid(descriptor, h, origin, shape, node_class)
+    axes = [lo + h * np.arange(m, dtype=np.float64) for (lo, _), m in zip(bounds, shape)]
+    return Grid(descriptor, h, axes, node_class)
 
 
 def _radial_grid(descriptor: BallDescriptor | AnnulusDescriptor, h: float,
@@ -385,8 +389,10 @@ def _radial_grid(descriptor: BallDescriptor | AnnulusDescriptor, h: float,
         raise InvalidGridError(f"center {descriptor.center} needs 1 to 3 coordinates")
     if not np.all(np.isfinite(center)):
         raise InvalidGridError(f"center {descriptor.center} must be finite")
-    # Index the lattice symmetrically about the center so mirrored nodes get
-    # bit-identical coordinates.
+    # Index the lattice symmetrically about the center, and keep these axes
+    # as the grid's: mirrored nodes get offsets h * (k - m) of opposite
+    # sign, bit for bit, so a ball centred at 0 has a mirror-symmetric
+    # stencil down to the last bit.
     try:
         m = int(math.ceil(r_max / h))
         axes = [center[k] + h * (np.arange(2 * m + 1, dtype=np.float64) - m)
@@ -394,7 +400,6 @@ def _radial_grid(descriptor: BallDescriptor | AnnulusDescriptor, h: float,
         mesh = np.meshgrid(*axes, indexing="ij")
     except (ValueError, MemoryError, OverflowError):
         raise InvalidGridError(f"h = {h} gives a lattice too large to allocate") from None
-    shape = tuple([2 * m + 1] * n)
     d2 = sum((g - c) ** 2 for g, c in zip(mesh, center))
     s = np.sqrt(d2)
     if isinstance(descriptor, BallDescriptor):
@@ -402,8 +407,7 @@ def _radial_grid(descriptor: BallDescriptor | AnnulusDescriptor, h: float,
     else:
         inside = (s > descriptor.r_inner) & (s < descriptor.r_outer)
     node_class = np.where(inside, INTERIOR, EXTERIOR).astype(np.int8)
-    origin = tuple(float(axes[k][0]) for k in range(n))
-    return Grid(descriptor, h, origin, shape, node_class)
+    return Grid(descriptor, h, axes, node_class)
 
 
 def build_ball(center: Sequence[float], radius: float, h: float) -> Grid:

@@ -26,6 +26,9 @@ spans.install(recorder)
 if sys.argv[3] == "disk":
     grid = build_ball((0.0, 0.0), 1.0, 1 / 4)
     op = EllipticOperator.pucci_minus(1.0, 2.0)
+elif sys.argv[3] == "ball3d":
+    grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 4)
+    op = EllipticOperator.laplacian()
 else:
     grid = build_box([(-1.0, 1.0)], 1 / 64)
     op = EllipticOperator.laplacian()
@@ -71,3 +74,12 @@ def test_layer_metrics_cover_the_benchmark_after_install():
 
 def test_probes_follow_the_1d_driver():
     assert_one_solve_per_iterate(probe_run("interval"))
+
+
+def test_probes_follow_the_sector_lu():
+    # The 3-D ball's LU factors its eight mirror sectors behind a wrapper:
+    # still one factorization, and one triangular solve per inner solve
+    # (the start, the torsion bound and one per iterate).
+    metrics = probe_run("ball3d")
+    assert_one_solve_per_iterate(metrics)
+    assert metrics["elliptic.lu_solves"] == metrics["outerloop.iterations"] + 2

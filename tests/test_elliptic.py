@@ -20,7 +20,7 @@ from levelpde.elliptic import (
     solve_dirichlet,
 )
 from levelpde.errors import InvalidParameterError, NonConvergenceError
-from levelpde.geometry import BoundaryData, build_ball, build_box
+from levelpde.geometry import BoundaryData, build_annulus, build_ball, build_box
 from levelpde.measure import ScalarField
 
 LAP = EllipticOperator.laplacian()
@@ -310,6 +310,26 @@ class TestAssembler:
         assert np.all(A.diagonal() < 0)
 
 
+def count_lu_solves(monkeypatch) -> list:
+    """Patch splu so that every solve with an LU it builds is recorded, by
+    the length of its right-hand side."""
+    from levelpde import elliptic
+
+    solves = []
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            solves.append(len(b))
+            return self.lu.solve(b)
+
+    real = elliptic.splu
+    monkeypatch.setattr(elliptic, "splu", lambda A, **kw: CountingLU(real(A, **kw)))
+    return solves
+
+
 class TestSolveDirichlet:
     def test_laplacian_factorized_once_per_grid(self, monkeypatch):
         from levelpde import elliptic
@@ -325,33 +345,20 @@ class TestSolveDirichlet:
         assert calls == [(grid.n_interior, grid.n_interior)]
 
     def test_laplacian_solve_needs_one_lu_solve(self, monkeypatch):
-        from levelpde import elliptic
-
-        solves = []
-
-        class CountingLU:
-            def __init__(self, lu):
-                self.lu = lu
-
-            def solve(self, b):
-                solves.append(len(b))
-                return self.lu.solve(b)
-
-        real = elliptic.splu
-        monkeypatch.setattr(elliptic, "splu",
-                            lambda A, **kw: CountingLU(real(A, **kw)))
+        solves = count_lu_solves(monkeypatch)
         grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 5)
         u = solve_dirichlet(LAP, grid, -1.0, BoundaryData.zero())
         assert solves == [grid.n_interior]
         assert defect(LAP, u, -1.0) <= _DEFAULT_TOL[LAP.kind]
 
     @pytest.mark.parametrize("center, h, bound", [
-        ((0.0, 0.0, 0.0), 1 / 10, 750_000),  # COLAMD: 1.32 M
+        ((0.0, 0.0, 0.0), 1 / 10, 200_000),  # one block: 0.64 M; COLAMD: 1.32 M
         ((0.0, 0.0), 1 / 32, 120_000),        # COLAMD: 0.163 M
     ], ids=["ball3d", "disk"])
     def test_laplacian_lu_fill(self, center, h, bound):
-        # Minimum degree on A + A^T with diagonal pivots; a fall-back to
-        # COLAMD or to partial pivoting overshoots the bound.
+        # Minimum degree on A + A^T with diagonal pivots, in 3-D on the
+        # eight mirror sectors; a fall-back to COLAMD, to partial pivoting or
+        # to one block for the whole 3-D ball overshoots the bound.
         lu = _laplacian(build_ball(center, 1.0, h))[1]
         assert lu.L.nnz + lu.U.nnz <= bound
 
@@ -371,6 +378,15 @@ class TestSolveDirichlet:
         assert res <= prob.tol
         ref = splu(A).solve(np.full(grid.n_interior, -1.0) - prob.lap0)
         assert np.max(np.abs(u.interior - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_refinement_stops_at_the_rounding_floor(self, monkeypatch):
+        # At h = 1/4096 the residual of rhs - A @ u cannot fall below about
+        # eps max|A| max|u| = 7e-9, above the 1e-10 refinement target.
+        solves = count_lu_solves(monkeypatch)
+        grid = build_box([(-1, 1)], 1 / 4096)
+        u = solve_dirichlet(LAP, grid, -2.0, BoundaryData.zero())
+        assert len(solves) <= 2
+        assert np.allclose(u.interior, 1.0 - grid.interior_coords[:, 0] ** 2, atol=1e-8)
 
     def test_harmonic_linear_boundary(self):
         grid = build_box([(0, 1), (0, 1)], 0.125)
@@ -455,6 +471,74 @@ class TestSolveDirichlet:
         u = solve_dirichlet(LAP, grid, -2.0, BoundaryData.zero())
         exact = 1.0 - grid.interior_coords[:, 0] ** 2
         assert np.allclose(u.interior, exact, atol=1e-10)
+
+
+def mirrors(grid):
+    """The interior ordinals of each node's mirror image, one array per axis."""
+    out = []
+    for a in range(grid.n):
+        index = list(grid.interior_index)
+        index[a] = grid.shape[a] - 1 - index[a]
+        out.append(grid._ordinal_flat[np.ravel_multi_index(index, grid.shape)])
+    return out
+
+
+def factorized(grid, monkeypatch):
+    """The matrix the grid's Laplacian LU factors, and the LU."""
+    from levelpde import elliptic
+
+    seen = []
+    real = elliptic.splu
+    monkeypatch.setattr(elliptic, "splu",
+                        lambda M, **kw: seen.append(M) or real(M, **kw))
+    lu = _laplacian(grid)[1]
+    return seen[0], lu
+
+
+SYMMETRIC = {
+    "ball-0.1": lambda: build_ball((0.0, 0.0, 0.0), 1.0, 0.1),
+    "ball-1/16": lambda: build_ball((0.0, 0.0, 0.0), 1.0, 1 / 16),
+    "annulus": lambda: build_annulus((0.0, 0.0, 0.0), 0.4, 1.0, 0.1),
+    "box": lambda: build_box([(-1.0, 1.0)] * 3, 1 / 4),
+    "box-even": lambda: build_box([(0.0, 1.0), (0.0, 0.6), (0.1, 0.6)], 0.1),
+    "clipped-theta": lambda: build_ball((0.0, 0.0, 0.0), 1.0 + 1e-13, 1 / 8),
+}
+
+
+class TestMirrorSectors:
+    @pytest.mark.parametrize("name", SYMMETRIC)
+    def test_laplacian_is_mirror_invariant(self, name):
+        grid = SYMMETRIC[name]()
+        A = _laplacian(grid)[0].tocsr()
+        for p in mirrors(grid):
+            assert np.all(p >= 0)
+            assert (A[p][:, p] != A).nnz == 0
+
+    @pytest.mark.parametrize("name", SYMMETRIC)
+    def test_sector_solves_match_a_plain_lu(self, name, monkeypatch):
+        from scipy.sparse.csgraph import connected_components
+        from scipy.sparse.linalg import splu
+
+        grid = SYMMETRIC[name]()
+        B, lu = factorized(grid, monkeypatch)
+        A = _laplacian(grid)[0]
+        # Eight sector blocks, no coupling between them.
+        assert B.shape == A.shape and connected_components(B)[0] >= 8
+        b = np.random.default_rng(3).normal(size=grid.n_interior)
+        ref = splu(A).solve(b)
+        assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("grid", [
+        lambda: build_ball((0.1, 0.2, 0.3), 1.0, 0.1),
+        lambda: build_ball((0.0, 0.0), 1.0, 1 / 16),
+        lambda: build_box([(-1.0, 1.0)], 1 / 64),
+    ], ids=["off-centre-ball", "disk", "interval"])
+    def test_other_grids_factor_the_laplacian_itself(self, grid, monkeypatch):
+        # Off the lattice node, d = x - c is not exactly antisymmetric, so
+        # the mirrored rows differ in their last bits.
+        grid = grid()
+        M, _ = factorized(grid, monkeypatch)
+        assert (M != _laplacian(grid)[0]).nnz == 0
 
 
 class TestPolicySolve:

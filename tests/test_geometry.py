@@ -79,6 +79,21 @@ class TestBox:
 
 
 class TestBall:
+    @pytest.mark.parametrize("build", [
+        lambda: build_ball((0.0, 0.0, 0.0), 1.0, 0.1),
+        lambda: build_ball((0.0, 0.0, 0.0), 1.0, 1 / 16),
+        lambda: build_annulus((0.0, 0.0, 0.0), 0.4, 1.0, 0.1),
+    ], ids=["ball-0.1", "ball-1/16", "annulus"])
+    def test_axes_centred_at_zero_are_mirror_symmetric(self, build):
+        # Built as origin + h k, the h = 0.1 axis would put node 19 at
+        # 0.9000000000000001 and node 1 at -0.9.
+        grid = build()
+        for ax in grid.axis_coords:
+            assert np.array_equal(ax, -ax[::-1])
+        coords = grid.interior_coords
+        mirrored = {tuple(p) for p in coords * (-1.0, 1.0, 1.0)}
+        assert mirrored == {tuple(p) for p in coords}
+
     def test_radius_at_most_2h_rejected(self):
         with pytest.raises(InvalidGridError):
             build_ball((0.0, 0.0), 1.0, 0.5)
