@@ -10,14 +10,14 @@ The same table gives the sparse matrix of tr(W D^2 u) for any weight field,
 and the Laplacian matrix, factorized once per grid; that LU is the only
 factorization a solve normally builds.  It is ordered by minimum degree on
 A + A^T and keeps its diagonal pivots: -A is a nonsingular M-matrix, so
-elimination needs no pivoting to stay stable.  On a 3-D grid whose
-Laplacian is exactly invariant under the three axis reflections (boxes,
-and balls and annuli centred at 0) the LU factors the eight mirror-symmetry
-sectors of A instead, one block-diagonal matrix with a quarter of the
-fill; every block stays row-diagonally dominant, because |sum +-a| <=
-sum |a|, and the even one is again an M-matrix.  The Laplacian is evaluated
-as the trace of the discrete Hessian (its diagonal terms only), the Pucci
-operators through its eigenvalues (closed form in 1-D and 2-D).
+elimination needs no pivoting to stay stable.  On a 3-D grid the LU
+factors the mirror-symmetry sectors of A instead, split along every axis
+whose reflection leaves A invariant bit for bit (all three on any box, ball
+or annulus): one block-diagonal matrix with a quarter of the fill; every
+block stays row-diagonally dominant, because |sum +-a| <= sum |a|, and the
+even one is again an M-matrix.  The Laplacian is evaluated as the trace of
+the discrete Hessian (its diagonal terms only), the Pucci operators through
+its eigenvalues (closed form in 1-D and 2-D).
 
 Operator values come back as interior vectors; a forcing is a scalar or an
 interior vector.  A ``DirichletProblem`` holds what one (grid, psi,
@@ -315,13 +315,9 @@ class DirichletProblem:
         return ScalarField(u, self.trace), res
 
 
-# The eight reflections g and the eight sectors s are bitmasks over the
-# three axes: _FLIPS[g] the axes g reflects, _CHI[s, g] = chi_s(g) =
-# (-1)^|s & g|, and _SLOTS[g] the stencil slots of a row reflected by g.
-_FLIPS = (np.arange(8)[:, None] >> np.arange(3)) & 1
-_CHI = 1.0 - 2.0 * (_FLIPS[np.arange(8)[:, None] & np.arange(8)].sum(axis=2) % 2)
-_SLOTS = np.column_stack([np.zeros(8, dtype=np.int64)] + [
-    1 + 2 * a + (_FLIPS[:, a] ^ sign) for a in range(3) for sign in (0, 1)])
+# Reflections g and sectors s are bitmasks over the three axes, and
+# _CHI[s, g] = chi_s(g) = (-1)^|s & g|, read from the parity of each mask.
+_CHI = 1.0 - 2.0 * np.array([0, 1, 1, 0, 1, 0, 0, 1])[np.arange(8)[:, None] & np.arange(8)]
 
 
 class _SectorLU:
@@ -338,89 +334,72 @@ class _SectorLU:
         return getattr(self.lu, attr)
 
 
-def _offsets(counts):
-    """CSR/CSC index pointer of rows holding ``counts`` entries each."""
-    indptr = np.zeros(counts.size + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr
-
-
 def _sectors(grid: Grid, A):
-    """(S, B, T) splitting a 3-D Laplacian A into its eight mirror sectors,
-    or None unless A is exactly invariant under the three axis reflections.
+    """(S, B, T) splitting a 3-D Laplacian A into its mirror-symmetry
+    sectors, or None unless A is exactly invariant under an axis reflection.
 
-    The reflection of axis a maps lattice index i_a to shape_a - 1 - i_a;
-    the group they generate has eight elements g.  Each orbit has one
-    representative r in the lower octant (2 i_a <= shape_a - 1 on every
-    axis).  Sector s holds the fields with u(g r) = chi_s(g) u(r), so a node
-    on the mirror plane of axis a has no sector with bit a set.  T (entries
-    +-1) maps sector values to nodes, and S = T^-1 (entries +-2^-k, where
-    the orbit has 2^k nodes) maps them back.  A commutes with every g, so
-    B = S A T is block diagonal.  Its block s is A on the representatives
-    of sector s, except that
-    * the coupling of a node on the mirror plane of axis a to its neighbour
-      below on that axis doubles: the neighbour above is the mirror image of
-      that one;
-    * along an axis with an even node count the plane lies between nodes,
-      and the node just below it couples to its own mirror image: its
-      diagonal gains chi_s(g_a) times that coupling.
+    Axis a is split when its reflection i_a -> shape_a - 1 - i_a maps the
+    interior onto itself, by a map m of ordinals, and A[m][:, m] == A bit
+    for bit.  The reflections g of the split axes fold each node onto one
+    representative r below every split plane.  Sector s, a set of split
+    axes, holds the fields with u(g r) = chi_s(g) u(r); a node on the mirror
+    plane of axis a has no sector with bit a set.  T (entries +-1) maps
+    sector values to nodes and S = T^-1 (+-2^-k on an orbit of 2^k nodes)
+    maps them back.  A commutes with every g, so B = S A T is block
+    diagonal, its entry ((s, r), (s, q)) the sum of chi_s(g) A[r, g q] over
+    the distinct nodes g q.  That doubles the coupling of a node on a mirror
+    plane to its neighbour below, and where an even node count puts the
+    plane between two nodes, adds chi_s(g_a) times a node's coupling to its
+    image to its diagonal.
     """
     if grid.n != 3:
         return None
-    N, shape, flat, plan = grid.n_interior, grid.shape, grid.interior_flat, grid.plan
-    ordinal = np.append(grid._ordinal_flat, -1).astype(np.int32)
-    stride = np.array([shape[1] * shape[2], shape[2], 1])
-    # A as a table of row stencils, one row per slot: slot 0 the diagonal,
-    # slots 1 + 2a and 2 + 2a the couplings to the + and - arm ends on axis
-    # a.  A holds the arm weights of the plan's terms at the interior ends.
-    stencil = np.empty((7, N))
-    stencil[0] = A.diagonal()
-    ends = [np.arange(N)[None]]
+    N, index, shape = grid.n_interior, grid.interior_index, grid.shape
+    # Ordinals in A's index dtype spare the sparse constructors a copy.
+    ordinal = grid._ordinal_flat.astype(A.indices.dtype)
+    split, below, plane, mirror = 0, True, 0, [np.arange(N, dtype=ordinal.dtype)] * 3
     for a in range(3):
-        t = plan.terms[(a, a)]
-        ends.append(t.src.reshape(2, N))
-        stencil[1 + 2 * a:3 + 2 * a] = np.where(ends[-1] < N, t.kappa.reshape(2, N), 0.0)
-    # orbit[g, j]: the image of the j-th representative under g.  fits[m, j]:
-    # the bitmask m shares no axis with the mirror planes through r_j, so
-    # as a reflection it gives a new node of the orbit, and r_j has a
-    # column in sector m.
-    off = np.stack([2 * i - (m - 1) for i, m in zip(grid.interior_index, shape)])
-    reps = np.flatnonzero(np.all(off <= 0, axis=0))
-    off = off[:, reps]
-    fits = (_FLIPS @ (off == 0)) == 0
-    orbit = ordinal[flat[reps] - _FLIPS @ (off * stride[:, None])]
-    st = stencil[:, reps]
-    if (np.any(orbit < 0) or np.count_nonzero(fits) != N
-            or not np.array_equal(stencil[:, orbit], st[_SLOTS.T])):
+        image = [shape[b] - 1 - i if b == a else i for b, i in enumerate(index)]
+        m = ordinal[np.ravel_multi_index(image, shape)]
+        if m.min() < 0:
+            continue
+        P = A[:, m]  # column j of A[m][:, m]: column m[j] of A, rows mapped by m
+        P.indices, P.has_sorted_indices = m[P.indices], False
+        P.sort_indices()
+        if all(np.array_equal(getattr(P, k), getattr(A, k))
+               for k in ("indptr", "indices", "data")):
+            off = 2 * index[a] - (shape[a] - 1)
+            split, mirror[a] = split | 1 << a, m
+            below, plane = below & (off <= 0), plane | (off == 0) << a
+    if not split:
         return None
-    # col[s, j]: the column of r_j in sector s, or -1 (also for j = -1).
-    col = np.full((8, reps.size + 1), -1, dtype=np.int32)
-    col[:, :-1][fits] = np.arange(N, dtype=np.int32)
+    reps = np.flatnonzero(below).astype(ordinal.dtype)
+    # fits[g, j]: g reflects split axes only, none whose plane holds r_j, so
+    # g r_j is a new node of its orbit and r_j has a column in sector g.
+    fits = (np.arange(8)[:, None] & (7 & ~split | plane[reps])) == 0
+    orbit = reps[None]  # orbit[g, j] = g r_j; unsplit axes map by the identity
+    for m in mirror:
+        orbit = np.concatenate((orbit, m[orbit]))
+    # Node i = g r_j for exactly one (g, j) that fits: flip(i) = g, rep(i) = j.
+    flip, rep = np.empty((2, N), dtype=np.int64)
+    flip[orbit[fits]], rep[orbit[fits]] = np.nonzero(fits)
+    # col[s, j]: the column of r_j in sector s, sector-major, or -1.
+    col = np.where(fits, np.cumsum(fits, dtype=ordinal.dtype).reshape(fits.shape) - 1, -1)
+    on = flip[A.indices] == 0  # the entries A[r, c] of representative rows
+    r, c, v = A.indices[on], np.repeat(np.arange(N), np.diff(A.indptr))[on], A.data[on]
+    brow, bcol = col[:, rep[r]], col[:, rep[c]]
+    keep = (brow >= 0) & (bcol >= 0)
+    B = coo_matrix(((_CHI[:, flip[c]] * v)[keep], (brow[keep], bcol[keep])),
+                   shape=(N, N)).tocsc()
     # Row col[s, j] of S holds chi_s(g) / 2^k at each node g r_j of the
     # orbit; T is its transpose with chi_s(g) itself.
     where = fits[:, :, None] & fits.T
-    chi = np.broadcast_to(_CHI[:, None, :], where.shape)[where]
-    nodes = np.broadcast_to(orbit.T, where.shape)[where]
-    size = np.broadcast_to(np.count_nonzero(fits, axis=0), fits.shape)[fits]
-    indptr = _offsets(size)
+    chi, nodes = (np.broadcast_to(x, where.shape)[where]
+                  for x in (_CHI[:, None], orbit.T))
+    size = np.count_nonzero(where, axis=2)[fits]
+    indptr = np.append(0, np.cumsum(size))
     T = csc_matrix((chi, nodes, indptr), shape=(N, N))
     S = csr_matrix((chi / np.repeat(size, size), nodes, indptr), shape=(N, N))
-    # Column j of block s: the representatives among r_j and its
-    # neighbours, each with its row's coupling to r_j, in ascending order:
-    # the - arm ends of axes 0, 1, 2, r_j, the + arm ends of axes 2, 1, 0.
-    order = np.array([2, 4, 6, 0, 5, 3, 1])
-    opposite = np.array([0, 2, 1, 4, 3, 6, 5])
-    rep_of = np.full(N + 1, -1)
-    rep_of[reps] = np.arange(reps.size)
-    y = rep_of[np.minimum(np.concatenate([e[:, reps] for e in ends])[order].T, N)]
-    vals = st[opposite[order], y]
-    vals[:, [6, 5, 4]] *= 1.0 + (off == -2).T
-    vals = np.repeat(vals[None], 8, axis=0)
-    vals[:, :, 3] += _CHI[:, [1, 2, 4]] @ (st[[1, 3, 5]] * (off == -1))
-    brow = col[:, y]
-    keep = (brow >= 0) & fits[:, :, None]
-    B = csc_matrix((vals[keep], brow[keep], _offsets(keep.sum(axis=2)[fits])),
-                   shape=(N, N))
     return S, B, T
 
 
@@ -436,11 +415,11 @@ def _laplacian(grid: Grid) -> tuple:
     ordering).  Its fill is about half of COLAMD's: 6.4 M against 13.7 M
     nonzeros in L + U on the 3-D ball at h = 1/16.
 
-    On a 3-D grid whose A is exactly invariant under the three axis
-    reflections (boxes, and balls and annuli centred at 0) the LU factors
-    the block-diagonal B = S A T of its eight mirror sectors instead
-    (``_sectors``), with a quarter of the fill: 1.47 M nonzeros at
-    h = 1/16.  Each entry of a block is a sum of entries of one row of A
+    On a 3-D grid the LU factors the block-diagonal B = S A T of A's
+    mirror-symmetry sectors instead (``_sectors``), split along every axis
+    whose reflection leaves A invariant (all three on every ball, annulus
+    and box), with a quarter of the fill: 1.47 M nonzeros at h = 1/16.
+    Each entry of a block is a sum of entries of one row of A
     with signs, so every block stays row-diagonally dominant
     (|sum +-a| <= sum |a|) and the even one is again an M-matrix: the
     diagonal pivots stay stable.  1-D and 2-D grids keep the plain LU: a

@@ -84,8 +84,8 @@ class Grid:
     n : spatial dimension (1, 2 or 3)
     h : lattice spacing, identical along every axis
     axis_coords : node coordinates along each axis, as the builder computed
-                  them (the radial builders place mirrored nodes at
-                  bit-identical offsets from the center)
+                  them; a ball or annulus has 2m + 1 nodes per axis, node m
+                  at its center
     origin : coordinate of node index (0, ..., 0)
     shape : node counts per axis
     node_class : int8 array over the full lattice (INTERIOR/BOUNDARY/EXTERIOR)
@@ -110,6 +110,10 @@ class Grid:
             if not np.all(np.abs(np.diff(ax) - self.h) <= _DIVIDE_RTOL * self.h):
                 raise InvalidGridError(
                     f"coordinates near {ax[0]} cannot resolve the spacing h = {self.h}")
+        if not isinstance(descriptor, BoxDescriptor) and any(
+                ax.size % 2 == 0 or ax[ax.size // 2] != c
+                for ax, c in zip(self.axis_coords, descriptor.center)):
+            raise InvalidGridError("the center must be the middle node of every axis")
 
         self.interior_mask = node_class == INTERIOR
         self.interior_flat = np.flatnonzero(self.interior_mask.ravel())
@@ -191,13 +195,13 @@ class Grid:
         )
 
 
-def _crossing_fraction(descriptor: BallDescriptor | AnnulusDescriptor,
-                       coords: NDArray[np.float64], axis: int, sign: int,
-                       h: float) -> NDArray[np.float64]:
-    """Fractional distance theta in (0,1] to the sphere the arm of ``coords``
-    along (axis, sign) crosses before its lattice neighbor."""
-    center = np.asarray(descriptor.center, dtype=np.float64)
-    d = coords - center
+def _crossing_fraction(grid: Grid, cut: NDArray[np.bool_], axis: int,
+                       sign: int) -> NDArray[np.float64]:
+    """Fractional distance theta in (0,1] to the sphere the arm of the
+    interior nodes ``cut`` along (axis, sign) crosses before its neighbor,
+    from their offsets h (i - m) to the center node m: exact on both sides."""
+    descriptor, h = grid.descriptor, grid.h
+    d = h * np.stack([i[cut] - k // 2 for i, k in zip(grid.interior_index, grid.shape)], 1)
     rho2 = np.sum(d * d, axis=1) - d[:, axis] ** 2
     if isinstance(descriptor, BallDescriptor):
         r = descriptor.radius
@@ -205,9 +209,9 @@ def _crossing_fraction(descriptor: BallDescriptor | AnnulusDescriptor,
     else:
         # Annulus: the arm leaves through whichever sphere the neighbor is
         # beyond.
-        nbr = coords.copy()
+        nbr = d.copy()
         nbr[:, axis] += sign * h
-        outer = np.linalg.norm(nbr - center, axis=1) >= descriptor.r_outer
+        outer = np.linalg.norm(nbr, axis=1) >= descriptor.r_outer
         r_out = descriptor.r_outer
         t_out = np.sqrt(np.maximum(r_out * r_out - rho2, 0.0)) - sign * d[:, axis]
         r_in = descriptor.r_inner
@@ -257,9 +261,9 @@ class StencilPlan:
     quadrants whose three points are, else nothing.  ``stiffness`` is
     D = sum_a 2 / (h^2 theta_+ theta_-), the weight of a Laplacian row on its
     own node; ``laplacian`` caches the Laplacian matrix and its LU for the
-    linear solver.  On a 3-D grid whose Laplacian is exactly mirror-symmetric
-    in every axis that LU factors the matrix's eight mirror-symmetry
-    sectors, one block-diagonal matrix, and maps into and out of them.
+    linear solver.  In 3-D that LU factors the matrix's mirror-symmetry
+    sectors, split along every axis the Laplacian is exactly symmetric in,
+    one block-diagonal matrix, and maps into and out of them.
     """
 
     def __init__(self, grid: Grid):
@@ -288,7 +292,7 @@ class StencilPlan:
                 cut = (src < 0) & ~sampled
                 if np.any(cut):
                     coords = grid.interior_coords[cut]
-                    theta[cut] = _crossing_fraction(grid.descriptor, coords, a, s, h)
+                    theta[cut] = _crossing_fraction(grid, cut, a, s)
                     point[cut] = coords
                     point[cut, a] += s * theta[cut] * h
                 self.theta[key], whole[key] = theta, ~cut
@@ -389,25 +393,23 @@ def _radial_grid(descriptor: BallDescriptor | AnnulusDescriptor, h: float,
         raise InvalidGridError(f"center {descriptor.center} needs 1 to 3 coordinates")
     if not np.all(np.isfinite(center)):
         raise InvalidGridError(f"center {descriptor.center} must be finite")
-    # Index the lattice symmetrically about the center, and keep these axes
-    # as the grid's: mirrored nodes get offsets h * (k - m) of opposite
-    # sign, bit for bit, so a ball centred at 0 has a mirror-symmetric
-    # stencil down to the last bit.
+    # Index the lattice symmetrically about the center and classify the
+    # nodes by their offsets h * (k - m) from it, which mirrored nodes get
+    # with opposite sign, bit for bit: wherever the center lies, the
+    # classes and the stencil are mirror-symmetric down to the last bit.
     try:
         m = int(math.ceil(r_max / h))
-        axes = [center[k] + h * (np.arange(2 * m + 1, dtype=np.float64) - m)
-                for k in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        offsets = h * (np.arange(2 * m + 1, dtype=np.float64) - m)
+        mesh = np.meshgrid(*[offsets] * n, indexing="ij")
     except (ValueError, MemoryError, OverflowError):
         raise InvalidGridError(f"h = {h} gives a lattice too large to allocate") from None
-    d2 = sum((g - c) ** 2 for g, c in zip(mesh, center))
-    s = np.sqrt(d2)
+    s = np.sqrt(sum(g ** 2 for g in mesh))
     if isinstance(descriptor, BallDescriptor):
         inside = s < descriptor.radius
     else:
         inside = (s > descriptor.r_inner) & (s < descriptor.r_outer)
     node_class = np.where(inside, INTERIOR, EXTERIOR).astype(np.int8)
-    return Grid(descriptor, h, axes, node_class)
+    return Grid(descriptor, h, [c + offsets for c in center], node_class)
 
 
 def build_ball(center: Sequence[float], radius: float, h: float) -> Grid:

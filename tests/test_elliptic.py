@@ -20,7 +20,8 @@ from levelpde.elliptic import (
     solve_dirichlet,
 )
 from levelpde.errors import InvalidParameterError, NonConvergenceError
-from levelpde.geometry import BoundaryData, build_annulus, build_ball, build_box
+from levelpde.geometry import (
+    EXTERIOR, BoundaryData, Grid, build_annulus, build_ball, build_box)
 from levelpde.measure import ScalarField
 
 LAP = EllipticOperator.laplacian()
@@ -353,8 +354,9 @@ class TestSolveDirichlet:
 
     @pytest.mark.parametrize("center, h, bound", [
         ((0.0, 0.0, 0.0), 1 / 10, 200_000),  # one block: 0.64 M; COLAMD: 1.32 M
+        ((0.1, 0.2, 0.3), 1 / 10, 200_000),  # split as well: 0.16 M
         ((0.0, 0.0), 1 / 32, 120_000),        # COLAMD: 0.163 M
-    ], ids=["ball3d", "disk"])
+    ], ids=["ball3d", "ball3d-off-centre", "disk"])
     def test_laplacian_lu_fill(self, center, h, bound):
         # Minimum degree on A + A^T with diagonal pivots, in 3-D on the
         # eight mirror sectors; a fall-back to COLAMD, to partial pivoting or
@@ -502,7 +504,17 @@ SYMMETRIC = {
     "box": lambda: build_box([(-1.0, 1.0)] * 3, 1 / 4),
     "box-even": lambda: build_box([(0.0, 1.0), (0.0, 0.6), (0.1, 0.6)], 0.1),
     "clipped-theta": lambda: build_ball((0.0, 0.0, 0.0), 1.0 + 1e-13, 1 / 8),
+    "off-centre-ball": lambda: build_ball((0.1, 0.2, 0.3), 1.0, 0.1),
+    "off-centre-annulus": lambda: build_annulus((0.1, 0.2, 0.3), 0.4, 1.0, 0.1),
 }
+
+
+def ball_without(node):
+    """The ball at h = 0.1 with one interior node made Exterior."""
+    grid = build_ball((0.0, 0.0, 0.0), 1.0, 0.1)
+    node_class = grid.node_class.copy()
+    node_class[node] = EXTERIOR
+    return Grid(grid.descriptor, grid.h, grid.axis_coords, node_class)
 
 
 class TestMirrorSectors:
@@ -528,14 +540,28 @@ class TestMirrorSectors:
         ref = splu(A).solve(b)
         assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_one_mirror_splits_two_sectors(self, monkeypatch):
+        from scipy.sparse.csgraph import connected_components
+        from scipy.sparse.linalg import splu
+
+        # The missing node lies on the x = 0 plane: only the x mirror maps
+        # the interior onto itself.
+        grid = ball_without((10, 12, 11))
+        B, lu = factorized(grid, monkeypatch)
+        A = _laplacian(grid)[0]
+        assert (B != A).nnz > 0 and connected_components(B)[0] == 2
+        b = np.random.default_rng(3).normal(size=grid.n_interior)
+        ref = splu(A).solve(b)
+        assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("grid", [
-        lambda: build_ball((0.1, 0.2, 0.3), 1.0, 0.1),
+        lambda: ball_without((13, 12, 11)),
         lambda: build_ball((0.0, 0.0), 1.0, 1 / 16),
         lambda: build_box([(-1.0, 1.0)], 1 / 64),
-    ], ids=["off-centre-ball", "disk", "interval"])
+    ], ids=["ball-without-a-node", "disk", "interval"])
     def test_other_grids_factor_the_laplacian_itself(self, grid, monkeypatch):
-        # Off the lattice node, d = x - c is not exactly antisymmetric, so
-        # the mirrored rows differ in their last bits.
+        # The missing node lies off every mirror plane, so no reflection
+        # maps the interior onto itself.
         grid = grid()
         M, _ = factorized(grid, monkeypatch)
         assert (M != _laplacian(grid)[0]).nnz == 0

@@ -12,6 +12,7 @@ from levelpde.geometry import (
     EXTERIOR,
     INTERIOR,
     BoundaryData,
+    Grid,
     build_annulus,
     build_ball,
     build_box,
@@ -93,6 +94,26 @@ class TestBall:
         coords = grid.interior_coords
         mirrored = {tuple(p) for p in coords * (-1.0, 1.0, 1.0)}
         assert mirrored == {tuple(p) for p in coords}
+
+    @pytest.mark.parametrize("build", [build_ball, lambda c, r, h: build_annulus(c, 0.4, r, h)],
+                             ids=["ball", "annulus"])
+    def test_offsets_do_not_depend_on_the_center(self, build):
+        # Classes and crossing fractions come from the offsets h (i - m) to
+        # the center node m, exact wherever the center lies.
+        centred = build((0.0, 0.0, 0.0), 1.0, 0.1)
+        moved = build((0.1, 0.2, 0.3), 1.0, 0.1)
+        assert np.array_equal(moved.node_class, centred.node_class)
+        for key, theta in centred.plan.theta.items():
+            assert np.array_equal(moved.plan.theta[key], theta)
+
+    def test_hand_built_axes_must_centre_the_ball(self):
+        grid = build_ball((0.1, 0.2, 0.3), 1.0, 0.25)
+        shifted = [ax + 0.5 * grid.h for ax in grid.axis_coords]
+        even = [ax[1:] for ax in grid.axis_coords]
+        for axes, node_class in ((shifted, grid.node_class),
+                                 (even, grid.node_class[1:, 1:, 1:])):
+            with pytest.raises(InvalidGridError, match="middle node"):
+                Grid(grid.descriptor, grid.h, axes, node_class)
 
     def test_radius_at_most_2h_rejected(self):
         with pytest.raises(InvalidGridError):
