@@ -13,7 +13,8 @@ A + A^T and keeps its diagonal pivots: -A is a nonsingular M-matrix, so
 elimination needs no pivoting to stay stable.  On a 3-D grid the LU
 factors the mirror-symmetry sectors of A instead, split along every axis
 whose reflection leaves A invariant bit for bit (all three on any box, ball
-or annulus): one block-diagonal matrix with a quarter of the fill; every
+or annulus), each sector's block on the first right side with a part in
+it, so a mirror-symmetric problem factors the even block alone; every
 block stays row-diagonally dominant, because |sum +-a| <= sum |a|, and the
 even one is again an M-matrix.  The Laplacian is evaluated as the trace of
 the discrete Hessian (its diagonal terms only), the Pucci operators through
@@ -52,7 +53,7 @@ from numpy.typing import NDArray
 from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
-from .errors import InvalidParameterError, NonConvergenceError
+from .errors import InvalidGridError, InvalidParameterError, NonConvergenceError
 from .geometry import BoundaryData, BoundaryTrace, Grid, build_trace
 from .measure import ScalarField
 
@@ -318,24 +319,45 @@ class DirichletProblem:
 # Reflections g and sectors s are bitmasks over the three axes, and
 # _CHI[s, g] = chi_s(g) = (-1)^|s & g|, read from the parity of each mask.
 _CHI = 1.0 - 2.0 * np.array([0, 1, 1, 0, 1, 0, 0, 1])[np.arange(8)[:, None] & np.arange(8)]
+# _PAIRED[s]: the reflections in mirror pairs (g, g ^ the lowest bit of s),
+# so data even in that bit's axis sum to exactly 0.0 in S's rows of sector s.
+_PAIRED = np.array([sorted(range(8), key=lambda g: (g & ~(s & -s), g)) for s in range(8)])
+
+
+def _lu(M):
+    """SuperLU of the M-matrix -M (or of a sector block of one), ordered by
+    minimum degree on M + M^T with its diagonal pivots (see _laplacian)."""
+    try:
+        return splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+    except MemoryError:
+        raise InvalidGridError(
+            f"the LU of {M.shape[0]} Laplacian rows does not fit in memory") from None
 
 
 class _SectorLU:
-    """LU of the block-diagonal B = S A T: A^-1 b = T B^-1 S b.  Other
-    attributes (L, U, ...) are those of B's LU."""
+    """A^-1 b = T B^-1 S b for the block-diagonal B = S A T.  Each sector's
+    block of B is factored when a right side first has a nonzero part in
+    that sector; a zero part solves to zeros."""
 
-    def __init__(self, lu, S, T):
-        self.lu, self.S, self.T = lu, S, T
+    def __init__(self, S, B, T, sizes):
+        self.S, self.B, self.T = S, B, T
+        ends = np.cumsum(sizes)
+        self.blocks, self.lus = list(zip(ends - sizes, ends)), [None] * len(sizes)
 
     def solve(self, b):
-        return self.T @ self.lu.solve(self.S @ b)
-
-    def __getattr__(self, attr):
-        return getattr(self.lu, attr)
+        c = self.S @ b
+        y = np.zeros_like(c)
+        for s, (lo, hi) in enumerate(self.blocks):
+            if c[lo:hi].any():
+                if self.lus[s] is None:
+                    self.lus[s] = _lu(self.B[lo:hi, lo:hi])
+                y[lo:hi] = self.lus[s].solve(c[lo:hi])
+        return self.T @ y
 
 
 def _sectors(grid: Grid, A):
-    """(S, B, T) splitting a 3-D Laplacian A into its mirror-symmetry
+    """(S, B, T, sizes) splitting a 3-D Laplacian A into its mirror-symmetry
     sectors, or None unless A is exactly invariant under an axis reflection.
 
     Axis a is split when its reflection i_a -> shape_a - 1 - i_a maps the
@@ -345,12 +367,13 @@ def _sectors(grid: Grid, A):
     axes, holds the fields with u(g r) = chi_s(g) u(r); a node on the mirror
     plane of axis a has no sector with bit a set.  T (entries +-1) maps
     sector values to nodes and S = T^-1 (+-2^-k on an orbit of 2^k nodes)
-    maps them back.  A commutes with every g, so B = S A T is block
-    diagonal, its entry ((s, r), (s, q)) the sum of chi_s(g) A[r, g q] over
-    the distinct nodes g q.  That doubles the coupling of a node on a mirror
-    plane to its neighbour below, and where an even node count puts the
-    plane between two nodes, adds chi_s(g_a) times a node's coupling to its
-    image to its diagonal.
+    maps them back, each row of S listing its orbit in mirror pairs.  A
+    commutes with every g, so B = S A T is block diagonal, with sizes[s]
+    rows in block s, its entry ((s, r), (s, q)) the sum of chi_s(g)
+    A[r, g q] over the distinct nodes g q.  That doubles the coupling of a
+    node on a mirror plane to its neighbour below, and where an even node
+    count puts the plane between two nodes, adds chi_s(g_a) times a node's
+    coupling to its image to its diagonal.
     """
     if grid.n != 3:
         return None
@@ -392,15 +415,16 @@ def _sectors(grid: Grid, A):
     B = coo_matrix(((_CHI[:, flip[c]] * v)[keep], (brow[keep], bcol[keep])),
                    shape=(N, N)).tocsc()
     # Row col[s, j] of S holds chi_s(g) / 2^k at each node g r_j of the
-    # orbit; T is its transpose with chi_s(g) itself.
-    where = fits[:, :, None] & fits.T
+    # orbit, in _PAIRED[s] order; T is its transpose with chi_s(g) itself.
+    paired_fits, paired_orbit = (x[_PAIRED].transpose(0, 2, 1) for x in (fits, orbit))
+    where = fits[:, :, None] & paired_fits
     chi, nodes = (np.broadcast_to(x, where.shape)[where]
-                  for x in (_CHI[:, None], orbit.T))
+                  for x in (np.take_along_axis(_CHI, _PAIRED, 1)[:, None], paired_orbit))
     size = np.count_nonzero(where, axis=2)[fits]
     indptr = np.append(0, np.cumsum(size))
     T = csc_matrix((chi, nodes, indptr), shape=(N, N))
     S = csr_matrix((chi / np.repeat(size, size), nodes, indptr), shape=(N, N))
-    return S, B, T
+    return S, B, T, np.count_nonzero(fits, axis=1)
 
 
 def _laplacian(grid: Grid) -> tuple:
@@ -415,10 +439,11 @@ def _laplacian(grid: Grid) -> tuple:
     ordering).  Its fill is about half of COLAMD's: 6.4 M against 13.7 M
     nonzeros in L + U on the 3-D ball at h = 1/16.
 
-    On a 3-D grid the LU factors the block-diagonal B = S A T of A's
-    mirror-symmetry sectors instead (``_sectors``), split along every axis
+    On a 3-D grid the LU factors the diagonal blocks of B = S A T, one per
+    mirror-symmetry sector of A (``_sectors``), split along every axis
     whose reflection leaves A invariant (all three on every ball, annulus
-    and box), with a quarter of the fill: 1.47 M nonzeros at h = 1/16.
+    and box), each on first use (``_SectorLU``): a mirror-symmetric problem
+    factors the even one alone.  All eight hold 1.47 M nonzeros at h = 1/16.
     Each entry of a block is a sum of entries of one row of A
     with signs, so every block stays row-diagonally dominant
     (|sum +-a| <= sum |a|) and the even one is again an M-matrix: the
@@ -430,10 +455,8 @@ def _laplacian(grid: Grid) -> tuple:
     if plan.laplacian is None:
         A = _matrix(grid, np.broadcast_to(np.eye(grid.n),
                                           (grid.n_interior, grid.n, grid.n)))
-        S, B, T = _sectors(grid, A) or (None, A, None)
-        lu = splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-        plan.laplacian = (A, lu if S is None else _SectorLU(lu, S, T))
+        split = _sectors(grid, A)
+        plan.laplacian = (A, _SectorLU(*split) if split else _lu(A))
     return plan.laplacian
 
 

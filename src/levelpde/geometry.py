@@ -261,9 +261,9 @@ class StencilPlan:
     quadrants whose three points are, else nothing.  ``stiffness`` is
     D = sum_a 2 / (h^2 theta_+ theta_-), the weight of a Laplacian row on its
     own node; ``laplacian`` caches the Laplacian matrix and its LU for the
-    linear solver.  In 3-D that LU factors the matrix's mirror-symmetry
-    sectors, split along every axis the Laplacian is exactly symmetric in,
-    one block-diagonal matrix, and maps into and out of them.
+    linear solver.  In 3-D that LU maps into and out of the matrix's
+    mirror-symmetry sectors, split along every axis the Laplacian is
+    exactly symmetric in, and factors each sector's block on first use.
     """
 
     def __init__(self, grid: Grid):

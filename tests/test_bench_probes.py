@@ -77,9 +77,11 @@ def test_probes_follow_the_1d_driver():
 
 
 def test_probes_follow_the_sector_lu():
-    # The 3-D ball's LU factors its eight mirror sectors behind a wrapper:
-    # still one factorization, and one triangular solve per inner solve
-    # (the start, the torsion bound and one per iterate).
+    # The 3-D ball's LU factors its mirror sectors on first use: the
+    # problem is mirror-symmetric, so one factorization, of the even block,
+    # and one triangular solve per inner solve with a nonzero right side
+    # (the torsion bound and one per iterate; the homogeneous start's right
+    # side is zero and needs none).
     metrics = probe_run("ball3d")
     assert_one_solve_per_iterate(metrics)
-    assert metrics["elliptic.lu_solves"] == metrics["outerloop.iterations"] + 2
+    assert metrics["elliptic.lu_solves"] == metrics["outerloop.iterations"] + 1

@@ -202,6 +202,9 @@ class TestFieldDump:
                 load_field(p)
 
 
+BALL3D = MINIMAL_BALL.replace("grid.h = 0.125", "domain.center = 0,0,0\ngrid.h = 0.1")
+
+
 def math_pi_ish():
     return 3.14159265358979
 
@@ -233,6 +236,31 @@ output.table = {tmp_path}/table.txt
         first = (tmp_path / "r.txt").read_bytes()
         assert main(["verify-ball", path]) == 0
         assert (tmp_path / "r.txt").read_bytes() == first
+
+    def test_ball3d_verify_factors_the_even_sector_only(self, tmp_path, monkeypatch):
+        # The 3-D ball's data are mirror-symmetric, so its Laplacian LU
+        # factors one block of eight: the even sector, 639 of 4,139 nodes.
+        from levelpde import elliptic
+
+        shapes = []
+        real = elliptic.splu
+        monkeypatch.setattr(elliptic, "splu",
+                            lambda A, **kw: shapes.append(A.shape) or real(A, **kw))
+        cfg = BALL3D + f"output.report = {tmp_path}/r.txt\n"
+        assert main(["verify-ball", write_config(tmp_path, cfg)]) == 0
+        assert shapes == [(639, 639)]
+
+    def test_lu_out_of_memory_exit_1(self, tmp_path, monkeypatch, capsys):
+        from levelpde import elliptic
+
+        def splu(A, **kw):
+            raise MemoryError
+
+        monkeypatch.setattr(elliptic, "splu", splu)
+        rc = main(["verify-ball", write_config(tmp_path, BALL3D)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: the LU of 639 Laplacian rows does not fit in memory\n"
 
     def test_solve_max_iterations_exit_2(self, tmp_path):
         cfg = MINIMAL_BALL + "solver.max_outer_iterations = 1\n" \

@@ -346,10 +346,12 @@ class TestSolveDirichlet:
         assert calls == [(grid.n_interior, grid.n_interior)]
 
     def test_laplacian_solve_needs_one_lu_solve(self, monkeypatch):
+        # The torsion problem is mirror-symmetric: one solve, in the even
+        # sector's block.
         solves = count_lu_solves(monkeypatch)
         grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 5)
         u = solve_dirichlet(LAP, grid, -1.0, BoundaryData.zero())
-        assert solves == [grid.n_interior]
+        assert solves == [_laplacian(grid)[1].blocks[0][1]]
         assert defect(LAP, u, -1.0) <= _DEFAULT_TOL[LAP.kind]
 
     @pytest.mark.parametrize("center, h, bound", [
@@ -359,10 +361,15 @@ class TestSolveDirichlet:
     ], ids=["ball3d", "ball3d-off-centre", "disk"])
     def test_laplacian_lu_fill(self, center, h, bound):
         # Minimum degree on A + A^T with diagonal pivots, in 3-D on the
-        # eight mirror sectors; a fall-back to COLAMD, to partial pivoting or
-        # to one block for the whole 3-D ball overshoots the bound.
-        lu = _laplacian(build_ball(center, 1.0, h))[1]
-        assert lu.L.nnz + lu.U.nnz <= bound
+        # eight mirror sectors, all factored by a random right side; a
+        # fall-back to COLAMD, to partial pivoting or to one block for the
+        # whole 3-D ball overshoots the bound.
+        grid = build_ball(center, 1.0, h)
+        lu = _laplacian(grid)[1]
+        lu.solve(random_rhs(grid))
+        lus = lu.lus if grid.n == 3 else [lu]
+        assert None not in lus
+        assert sum(x.L.nnz + x.U.nnz for x in lus) <= bound
 
     @pytest.mark.parametrize("center", [(0.0, 0.0), (0.0, 0.0, 0.0)], ids=["2d", "3d"])
     def test_diagonal_pivots_on_a_clipped_theta(self, center):
@@ -486,7 +493,11 @@ def mirrors(grid):
 
 
 def factorized(grid, monkeypatch):
-    """The matrix the grid's Laplacian LU factors, and the LU."""
+    """The block diagonal of the matrices that the grid's Laplacian LU
+    factorizes by the time it has solved the random right side
+    random_rhs(grid), and the LU."""
+    from scipy.sparse import block_diag
+
     from levelpde import elliptic
 
     seen = []
@@ -494,7 +505,17 @@ def factorized(grid, monkeypatch):
     monkeypatch.setattr(elliptic, "splu",
                         lambda M, **kw: seen.append(M) or real(M, **kw))
     lu = _laplacian(grid)[1]
-    return seen[0], lu
+    lu.solve(random_rhs(grid))
+    return block_diag(seen, format="csc"), lu
+
+
+def random_rhs(grid):
+    return np.random.default_rng(3).normal(size=grid.n_interior)
+
+
+def factored(lu):
+    """The sectors whose blocks the sector LU has factored."""
+    return [s for s, block in enumerate(lu.lus) if block is not None]
 
 
 SYMMETRIC = {
@@ -534,9 +555,10 @@ class TestMirrorSectors:
         grid = SYMMETRIC[name]()
         B, lu = factorized(grid, monkeypatch)
         A = _laplacian(grid)[0]
-        # Eight sector blocks, no coupling between them.
+        # Eight sector blocks, all factored, no coupling between them.
+        assert factored(lu) == list(range(8))
         assert B.shape == A.shape and connected_components(B)[0] >= 8
-        b = np.random.default_rng(3).normal(size=grid.n_interior)
+        b = random_rhs(grid)
         ref = splu(A).solve(b)
         assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -549,10 +571,40 @@ class TestMirrorSectors:
         grid = ball_without((10, 12, 11))
         B, lu = factorized(grid, monkeypatch)
         A = _laplacian(grid)[0]
+        assert factored(lu) == [0, 1]
         assert (B != A).nnz > 0 and connected_components(B)[0] == 2
-        b = np.random.default_rng(3).normal(size=grid.n_interior)
+        b = random_rhs(grid)
         ref = splu(A).solve(b)
         assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", SYMMETRIC)
+    def test_symmetric_right_sides_factor_the_even_sector_only(self, name):
+        # A right side that is a function of each axis's distance from the
+        # middle sums to exactly 0.0 in every odd sector, since S lists each
+        # orbit in mirror pairs, and u is its own mirror image bit for bit.
+        grid = SYMMETRIC[name]()
+        offsets = [np.abs(2 * i - (s - 1)) for i, s in zip(grid.interior_index, grid.shape)]
+        b = np.cos(offsets[0] + 2.0 * offsets[1] + 3.0 * offsets[2])
+        lu = _laplacian(grid)[1]
+        c = lu.S @ b
+        assert all(not c[lo:hi].any() for lo, hi in lu.blocks[1:])
+        u = lu.solve(b)
+        assert factored(lu) == [0]
+        assert all(np.array_equal(u[m], u) for m in mirrors(grid))
+
+    def test_data_odd_in_x_factors_the_x_odd_sector(self):
+        # psi = x is odd in x and even in y and z, so the right side sums to
+        # exactly 0.0 in sectors 2, 4 and 6, whose rows pair on y or z.  In
+        # the sectors paired on x the exact zero does not cancel in order.
+        from scipy.sparse.linalg import splu
+
+        grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 8)
+        prob = DirichletProblem(LAP, grid, BoundaryData.from_callable(lambda p: p[:, 0]))
+        u, _ = prob.solve(-1.0)
+        A, lu = _laplacian(grid)
+        assert {0, 1} <= set(factored(lu)) and not {2, 4, 6} & set(factored(lu))
+        ref = splu(A).solve(np.full(grid.n_interior, -1.0) - prob.lap0)
+        assert np.max(np.abs(u.interior - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("grid", [
         lambda: ball_without((13, 12, 11)),
