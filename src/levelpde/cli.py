@@ -400,14 +400,12 @@ def format_report(report: SolveReport, timings: bool = False) -> str:
         lines.append(f"note.{i} = {note}")
     for rec in report.records:
         p = f"record.{rec.k:04d}"
-        lines.append(f"{p}.epsilon = {_fmt(rec.epsilon)}")
         lines.append(f"{p}.increment = {_fmt(rec.increment)}")
         lines.append(f"{p}.step_gap = {_fmt(rec.step_gap)}")
         lines.append(f"{p}.inner_residual = {_fmt(rec.inner_residual)}")
         lines.append(f"{p}.plain_residual = {_fmt(rec.plain_residual)}")
     if timings:
-        for i, (eps, sec) in enumerate(report.stage_seconds):
-            lines.append(f"timing.stage.{i}.epsilon = {_fmt(eps)}")
+        for i, (_, sec) in enumerate(report.stage_seconds):
             lines.append(f"timing.stage.{i}.seconds = {_fmt(sec)}")
     return "\n".join(lines) + "\n"
 

@@ -11,12 +11,12 @@ and the Laplacian matrix, factorized once per grid; that LU is the only
 factorization a solve normally builds.  It is ordered by minimum degree on
 A + A^T and keeps its diagonal pivots: -A is a nonsingular M-matrix, so
 elimination needs no pivoting to stay stable.  On a 3-D grid the LU
-factors the mirror-symmetry sectors of A instead, split along every axis
-whose reflection leaves A invariant bit for bit (all three on any box, ball
-or annulus), each sector's block on the first right side with a part in
-it, so a mirror-symmetric problem factors the even block alone; every
-block stays row-diagonally dominant, because |sum +-a| <= sum |a|, and the
-even one is again an M-matrix.  The Laplacian is evaluated as the trace of
+factors the eight mirror-symmetry sectors of A instead (every grid
+classifies its nodes mirror-symmetrically in all three axes), each
+sector's block on the first right side with a part in it, so a
+mirror-symmetric problem factors the even block alone; every block stays
+row-diagonally dominant, because |sum +-a| <= sum |a|, and the even one
+is again an M-matrix.  The Laplacian is evaluated as the trace of
 the discrete Hessian (its diagonal terms only), the Pucci operators through
 its eigenvalues (closed form in 1-D and 2-D).
 
@@ -357,14 +357,15 @@ class _SectorLU:
 
 
 def _sectors(grid: Grid, A):
-    """(S, B, T, sizes) splitting a 3-D Laplacian A into its mirror-symmetry
-    sectors, or None unless A is exactly invariant under an axis reflection.
+    """(S, B, T, sizes) splitting a 3-D Laplacian A into its eight
+    mirror-symmetry sectors.
 
-    Axis a is split when its reflection i_a -> shape_a - 1 - i_a maps the
-    interior onto itself, by a map m of ordinals, and A[m][:, m] == A bit
-    for bit.  The reflections g of the split axes fold each node onto one
-    representative r below every split plane.  Sector s, a set of split
-    axes, holds the fields with u(g r) = chi_s(g) u(r); a node on the mirror
+    Every grid classifies its own nodes mirror-symmetrically (see
+    ``geometry._classify``), so the reflection i_a -> shape_a - 1 - i_a of
+    each axis a maps the interior onto itself, by a map m of ordinals, and
+    A[m][:, m] == A bit for bit.  The reflections g fold each node onto one
+    representative r below every mirror plane.  Sector s, a set of axes,
+    holds the fields with u(g r) = chi_s(g) u(r); a node on the mirror
     plane of axis a has no sector with bit a set.  T (entries +-1) maps
     sector values to nodes and S = T^-1 (+-2^-k on an orbit of 2^k nodes)
     maps them back, each row of S listing its orbit in mirror pairs.  A
@@ -375,32 +376,20 @@ def _sectors(grid: Grid, A):
     count puts the plane between two nodes, adds chi_s(g_a) times a node's
     coupling to its image to its diagonal.
     """
-    if grid.n != 3:
-        return None
     N, index, shape = grid.n_interior, grid.interior_index, grid.shape
     # Ordinals in A's index dtype spare the sparse constructors a copy.
     ordinal = grid._ordinal_flat.astype(A.indices.dtype)
-    split, below, plane, mirror = 0, True, 0, [np.arange(N, dtype=ordinal.dtype)] * 3
+    below, plane, mirror = True, 0, []
     for a in range(3):
         image = [shape[b] - 1 - i if b == a else i for b, i in enumerate(index)]
-        m = ordinal[np.ravel_multi_index(image, shape)]
-        if m.min() < 0:
-            continue
-        P = A[:, m]  # column j of A[m][:, m]: column m[j] of A, rows mapped by m
-        P.indices, P.has_sorted_indices = m[P.indices], False
-        P.sort_indices()
-        if all(np.array_equal(getattr(P, k), getattr(A, k))
-               for k in ("indptr", "indices", "data")):
-            off = 2 * index[a] - (shape[a] - 1)
-            split, mirror[a] = split | 1 << a, m
-            below, plane = below & (off <= 0), plane | (off == 0) << a
-    if not split:
-        return None
+        mirror.append(ordinal[np.ravel_multi_index(image, shape)])
+        off = 2 * index[a] - (shape[a] - 1)
+        below, plane = below & (off <= 0), plane | (off == 0) << a
     reps = np.flatnonzero(below).astype(ordinal.dtype)
-    # fits[g, j]: g reflects split axes only, none whose plane holds r_j, so
-    # g r_j is a new node of its orbit and r_j has a column in sector g.
-    fits = (np.arange(8)[:, None] & (7 & ~split | plane[reps])) == 0
-    orbit = reps[None]  # orbit[g, j] = g r_j; unsplit axes map by the identity
+    # fits[g, j]: g reflects no axis whose plane holds r_j, so g r_j is a
+    # new node of its orbit and r_j has a column in sector g.
+    fits = (np.arange(8)[:, None] & plane[reps]) == 0
+    orbit = reps[None]  # orbit[g, j] = g r_j
     for m in mirror:
         orbit = np.concatenate((orbit, m[orbit]))
     # Node i = g r_j for exactly one (g, j) that fits: flip(i) = g, rep(i) = j.
@@ -439,11 +428,10 @@ def _laplacian(grid: Grid) -> tuple:
     ordering).  Its fill is about half of COLAMD's: 6.4 M against 13.7 M
     nonzeros in L + U on the 3-D ball at h = 1/16.
 
-    On a 3-D grid the LU factors the diagonal blocks of B = S A T, one per
-    mirror-symmetry sector of A (``_sectors``), split along every axis
-    whose reflection leaves A invariant (all three on every ball, annulus
-    and box), each on first use (``_SectorLU``): a mirror-symmetric problem
-    factors the even one alone.  All eight hold 1.47 M nonzeros at h = 1/16.
+    On every 3-D grid the LU factors the diagonal blocks of B = S A T, one
+    per mirror-symmetry sector of A in all three axes (``_sectors``), each
+    on first use (``_SectorLU``): a mirror-symmetric problem factors the
+    even one alone.  All eight hold 1.47 M nonzeros at h = 1/16.
     Each entry of a block is a sum of entries of one row of A
     with signs, so every block stays row-diagonally dominant
     (|sum +-a| <= sum |a|) and the even one is again an M-matrix: the
@@ -455,8 +443,7 @@ def _laplacian(grid: Grid) -> tuple:
     if plan.laplacian is None:
         A = _matrix(grid, np.broadcast_to(np.eye(grid.n),
                                           (grid.n_interior, grid.n, grid.n)))
-        split = _sectors(grid, A)
-        plan.laplacian = (A, _SectorLU(*split) if split else _lu(A))
+        plan.laplacian = (A, _SectorLU(*_sectors(grid, A)) if grid.n == 3 else _lu(A))
     return plan.laplacian
 
 

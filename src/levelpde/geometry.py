@@ -88,21 +88,19 @@ class Grid:
                   at its center
     origin : coordinate of node index (0, ..., 0)
     shape : node counts per axis
-    node_class : int8 array over the full lattice (INTERIOR/BOUNDARY/EXTERIOR)
+    node_class : int8 array over the full lattice (INTERIOR/BOUNDARY/EXTERIOR),
+                 classified by the grid itself, mirror-symmetric in every axis
     descriptor : the continuum domain this lattice discretizes
     """
 
     def __init__(self, descriptor: Descriptor, h: float,
-                 axis_coords: Sequence[NDArray[np.float64]],
-                 node_class: NDArray[np.int8]):
+                 axis_coords: Sequence[NDArray[np.float64]]):
         self.descriptor = descriptor
         self.n = descriptor.n
         self.h = float(h)
         self.axis_coords = list(axis_coords)
         self.origin = tuple(float(ax[0]) for ax in self.axis_coords)
-        self.shape = node_class.shape
-        self.node_class = node_class
-        node_class.setflags(write=False)
+        self.shape = tuple(ax.size for ax in self.axis_coords)
 
         # Far from the origin of the coordinates, the axes round onto a
         # coarser lattice, or onto a single point.
@@ -114,6 +112,8 @@ class Grid:
                 ax.size % 2 == 0 or ax[ax.size // 2] != c
                 for ax, c in zip(self.axis_coords, descriptor.center)):
             raise InvalidGridError("the center must be the middle node of every axis")
+        self.node_class = node_class = _classify(descriptor, self.h, self.shape)
+        node_class.setflags(write=False)
 
         self.interior_mask = node_class == INTERIOR
         self.interior_flat = np.flatnonzero(self.interior_mask.ravel())
@@ -195,6 +195,28 @@ class Grid:
         )
 
 
+def _classify(descriptor: Descriptor, h: float,
+              shape: tuple[int, ...]) -> NDArray[np.int8]:
+    """Node classes: a box's faces are Boundary nodes; a ball's or annulus's
+    come from the offsets h (k - m) to the center node m, which mirrored
+    nodes get with opposite sign, bit for bit, wherever the center lies."""
+    try:
+        if isinstance(descriptor, BoxDescriptor):
+            node_class = np.full(shape, BOUNDARY, dtype=np.int8)
+            node_class[tuple(slice(1, k - 1) for k in shape)] = INTERIOR
+            return node_class
+        mesh = np.meshgrid(*[h * (np.arange(k, dtype=np.float64) - k // 2) for k in shape],
+                           indexing="ij")
+    except (ValueError, MemoryError):
+        raise InvalidGridError(f"h = {h} gives a lattice too large to allocate") from None
+    s = np.sqrt(sum(g ** 2 for g in mesh))
+    if isinstance(descriptor, BallDescriptor):
+        inside = s < descriptor.radius
+    else:
+        inside = (s > descriptor.r_inner) & (s < descriptor.r_outer)
+    return np.where(inside, INTERIOR, EXTERIOR).astype(np.int8)
+
+
 def _crossing_fraction(grid: Grid, cut: NDArray[np.bool_], axis: int,
                        sign: int) -> NDArray[np.float64]:
     """Fractional distance theta in (0,1] to the sphere the arm of the
@@ -261,9 +283,9 @@ class StencilPlan:
     quadrants whose three points are, else nothing.  ``stiffness`` is
     D = sum_a 2 / (h^2 theta_+ theta_-), the weight of a Laplacian row on its
     own node; ``laplacian`` caches the Laplacian matrix and its LU for the
-    linear solver.  In 3-D that LU maps into and out of the matrix's
-    mirror-symmetry sectors, split along every axis the Laplacian is
-    exactly symmetric in, and factors each sector's block on first use.
+    linear solver.  In 3-D that LU maps into and out of the matrix's eight
+    mirror-symmetry sectors, one parity per axis, and factors each sector's
+    block on first use.
     """
 
     def __init__(self, grid: Grid):
@@ -371,45 +393,27 @@ def build_box(bounds: Iterable[tuple[float, float]], h: float) -> Grid:
             raise InvalidGridError(f"h={h} does not divide side [{lo}, {hi}]")
         counts.append(m + 1)
 
-    descriptor = BoxDescriptor(bounds)
-    shape = tuple(counts)
     try:
-        node_class = np.full(shape, BOUNDARY, dtype=np.int8)
+        axes = [lo + h * np.arange(m, dtype=np.float64) for (lo, _), m in zip(bounds, counts)]
     except (ValueError, MemoryError):
         raise InvalidGridError(f"h = {h} gives a lattice too large to allocate") from None
-    interior = tuple(slice(1, s - 1) for s in shape)
-    if any(s.stop <= s.start for s in interior):
-        raise InvalidGridError("box too thin for interior nodes at this h")
-    node_class[interior] = INTERIOR
-    axes = [lo + h * np.arange(m, dtype=np.float64) for (lo, _), m in zip(bounds, shape)]
-    return Grid(descriptor, h, axes, node_class)
+    return Grid(BoxDescriptor(bounds), h, axes)
 
 
 def _radial_grid(descriptor: BallDescriptor | AnnulusDescriptor, h: float,
                  r_max: float) -> Grid:
     center = np.asarray(descriptor.center, dtype=np.float64)
-    n = descriptor.n
-    if n < 1 or n > 3:
+    if not 1 <= descriptor.n <= 3:
         raise InvalidGridError(f"center {descriptor.center} needs 1 to 3 coordinates")
     if not np.all(np.isfinite(center)):
         raise InvalidGridError(f"center {descriptor.center} must be finite")
-    # Index the lattice symmetrically about the center and classify the
-    # nodes by their offsets h * (k - m) from it, which mirrored nodes get
-    # with opposite sign, bit for bit: wherever the center lies, the
-    # classes and the stencil are mirror-symmetric down to the last bit.
     try:
         m = int(math.ceil(r_max / h))
+        m += h * m < r_max  # r_max / h rounded down: put node m past r_max
         offsets = h * (np.arange(2 * m + 1, dtype=np.float64) - m)
-        mesh = np.meshgrid(*[offsets] * n, indexing="ij")
     except (ValueError, MemoryError, OverflowError):
         raise InvalidGridError(f"h = {h} gives a lattice too large to allocate") from None
-    s = np.sqrt(sum(g ** 2 for g in mesh))
-    if isinstance(descriptor, BallDescriptor):
-        inside = s < descriptor.radius
-    else:
-        inside = (s > descriptor.r_inner) & (s < descriptor.r_outer)
-    node_class = np.where(inside, INTERIOR, EXTERIOR).astype(np.int8)
-    return Grid(descriptor, h, [c + offsets for c in center], node_class)
+    return Grid(descriptor, h, [c + offsets for c in center])
 
 
 def build_ball(center: Sequence[float], radius: float, h: float) -> Grid:

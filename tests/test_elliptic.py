@@ -20,8 +20,7 @@ from levelpde.elliptic import (
     solve_dirichlet,
 )
 from levelpde.errors import InvalidParameterError, NonConvergenceError
-from levelpde.geometry import (
-    EXTERIOR, BoundaryData, Grid, build_annulus, build_ball, build_box)
+from levelpde.geometry import BoundaryData, build_annulus, build_ball, build_box
 from levelpde.measure import ScalarField
 
 LAP = EllipticOperator.laplacian()
@@ -530,14 +529,6 @@ SYMMETRIC = {
 }
 
 
-def ball_without(node):
-    """The ball at h = 0.1 with one interior node made Exterior."""
-    grid = build_ball((0.0, 0.0, 0.0), 1.0, 0.1)
-    node_class = grid.node_class.copy()
-    node_class[node] = EXTERIOR
-    return Grid(grid.descriptor, grid.h, grid.axis_coords, node_class)
-
-
 class TestMirrorSectors:
     @pytest.mark.parametrize("name", SYMMETRIC)
     def test_laplacian_is_mirror_invariant(self, name):
@@ -558,21 +549,6 @@ class TestMirrorSectors:
         # Eight sector blocks, all factored, no coupling between them.
         assert factored(lu) == list(range(8))
         assert B.shape == A.shape and connected_components(B)[0] >= 8
-        b = random_rhs(grid)
-        ref = splu(A).solve(b)
-        assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_one_mirror_splits_two_sectors(self, monkeypatch):
-        from scipy.sparse.csgraph import connected_components
-        from scipy.sparse.linalg import splu
-
-        # The missing node lies on the x = 0 plane: only the x mirror maps
-        # the interior onto itself.
-        grid = ball_without((10, 12, 11))
-        B, lu = factorized(grid, monkeypatch)
-        A = _laplacian(grid)[0]
-        assert factored(lu) == [0, 1]
-        assert (B != A).nnz > 0 and connected_components(B)[0] == 2
         b = random_rhs(grid)
         ref = splu(A).solve(b)
         assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -607,13 +583,10 @@ class TestMirrorSectors:
         assert np.max(np.abs(u.interior - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("grid", [
-        lambda: ball_without((13, 12, 11)),
         lambda: build_ball((0.0, 0.0), 1.0, 1 / 16),
         lambda: build_box([(-1.0, 1.0)], 1 / 64),
-    ], ids=["ball-without-a-node", "disk", "interval"])
+    ], ids=["disk", "interval"])
     def test_other_grids_factor_the_laplacian_itself(self, grid, monkeypatch):
-        # The missing node lies off every mirror plane, so no reflection
-        # maps the interior onto itself.
         grid = grid()
         M, _ = factorized(grid, monkeypatch)
         assert (M != _laplacian(grid)[0]).nnz == 0

@@ -3,7 +3,8 @@ raises ConfigError, a field dump either loads or raises
 InvalidParameterError, the Python API's grid builders and boundary data
 either give a value or raise a LevelPDEError, and solver settings either
 raise InvalidParameterError or give a solve report; no other exception may
-escape.
+escape.  Every 3-D grid the builders make is mirror-symmetric in each axis,
+down to the last bit of its Laplacian, which the sector LU relies on.
 
 Numbers are drawn small (|x| <= 2, h >= 1/16 for configs; extents <= 4,
 h >= 1/64, h >= 1/4 in 3-D, for builders) or absurd (non-finite, negative,
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from levelpde.cli import _KNOWN_KEYS, RunConfig, format_field, load_field, parse_config
-from levelpde.elliptic import EllipticOperator
+from levelpde.elliptic import EllipticOperator, _laplacian
 from levelpde.errors import ConfigError, InvalidParameterError, LevelPDEError
 from levelpde.geometry import (BoundaryData, Grid, build_annulus, build_ball,
                                build_box, build_trace, domain_measure)
@@ -181,6 +182,44 @@ def test_builders_give_a_grid_or_a_package_error(call):
     assert isinstance(grid, Grid) and grid.n_interior > 0
     for ax in grid.axis_coords:
         assert np.allclose(np.diff(ax), grid.h, rtol=1e-9, atol=0)
+
+
+COORD = st.one_of(st.just(0.0), st.floats(-2, 2), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def grids_3d(draw):
+    """A 3-D ball, annulus or box: centres or corners at 0, near it or up to
+    1e3 away, and boxes with odd and even node counts per axis."""
+    h = draw(st.floats(1 / 4, 1 / 2))
+    kind = draw(st.sampled_from(["ball", "annulus", "box"]))
+    corner = tuple(draw(st.lists(COORD, min_size=3, max_size=3)))
+    if kind == "box":
+        counts = draw(st.lists(st.integers(3, 8), min_size=3, max_size=3))
+        return build_box([(lo, lo + (k - 1) * h) for lo, k in zip(corner, counts)], h)
+    gap = draw(st.floats(2 * h + 1e-12, 2 * h + 1))  # a radius or a gap
+    if kind == "ball":
+        return build_ball(corner, gap, h)
+    r_inner = draw(st.floats(0.05, 1))
+    return build_annulus(corner, r_inner, r_inner + gap, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids_3d())
+def test_3d_grids_are_mirror_symmetric_in_every_axis(grid):
+    A = _laplacian(grid)[0].tocsr()
+    A.sort_indices()
+    for a in range(3):
+        index = list(grid.interior_index)
+        index[a] = grid.shape[a] - 1 - index[a]
+        image = grid._ordinal_flat[np.ravel_multi_index(index, grid.shape)]
+        # The reflection maps the interior onto itself ...
+        assert np.all(image >= 0)
+        # ... and leaves the Laplacian unchanged, bit for bit.
+        M = A[image][:, image]
+        M.sort_indices()
+        assert np.array_equal(M.indptr, A.indptr) and np.array_equal(M.indices, A.indices)
+        assert np.array_equal(M.data.view(np.uint64), A.data.view(np.uint64))
 
 
 OUTPUTS = {

@@ -110,10 +110,32 @@ class TestBall:
         grid = build_ball((0.1, 0.2, 0.3), 1.0, 0.25)
         shifted = [ax + 0.5 * grid.h for ax in grid.axis_coords]
         even = [ax[1:] for ax in grid.axis_coords]
-        for axes, node_class in ((shifted, grid.node_class),
-                                 (even, grid.node_class[1:, 1:, 1:])):
+        for axes in (shifted, even):
             with pytest.raises(InvalidGridError, match="middle node"):
-                Grid(grid.descriptor, grid.h, axes, node_class)
+                Grid(grid.descriptor, grid.h, axes)
+
+    @pytest.mark.parametrize("grid", [
+        lambda: build_ball((0.1, 0.2, 0.3), 1.0, 0.25),
+        lambda: build_annulus((0.0, -3.0), 0.4, 1.0, 1 / 8),
+        lambda: build_box([(0.0, 1.0), (0.1, 0.6), (-1.0, 1.0)], 0.25),
+    ], ids=["ball", "annulus", "box"])
+    def test_hand_built_grid_classifies_its_own_nodes(self, grid):
+        grid = grid()
+        hand = Grid(grid.descriptor, grid.h, grid.axis_coords)
+        assert np.array_equal(hand.node_class, grid.node_class)
+        assert not hand.node_class.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_lattice_reaches_beyond_the_sphere(self, n):
+        # 1 / (1/161) rounds down to 161.0 while 161 * (1/161) < 1, so
+        # ceil(radius / h) alone would leave Interior nodes on the faces.
+        for grid in (build_ball((0.0,) * n, 1.0, 1 / 161),
+                     build_annulus((0.0,) * n, 0.5, 1.0, 1 / 161)):
+            m = grid.shape[0] // 2
+            assert m == 162 and grid.h * (m - 1) < 1.0 <= grid.h * m
+            faces = [np.take(grid.node_class, (0, -1), axis=a) for a in range(n)]
+            assert all(np.all(f == EXTERIOR) for f in faces)
+            assert grid.plan.points.shape[1] == n
 
     def test_radius_at_most_2h_rejected(self):
         with pytest.raises(InvalidGridError):
