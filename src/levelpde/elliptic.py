@@ -3,9 +3,14 @@
 The discrete Hessian is the term table of the grid's stencil
 (``grid.plan``), built once per grid: Shortley-Weller second differences,
 the centred cross for mixed derivatives, and averaged one-sided quadrants
-in the band where diagonal neighbors are missing.  Every entry is evaluated
-in difference form, sum kappa (x_src - u_i), in every dimension, so its
-rounding does not grow like eps |u| / h^2.
+in the band where diagonal neighbors are missing.  The diagonal terms are
+built with the plan and the mixed ones on first use, which the Laplacian
+never makes.  Every entry is evaluated in difference form, sum kappa
+(x_src - u_i), in every dimension, so its rounding does not grow like
+eps |u| / h^2; a key's fixed-arity blocks (two arm terms at every node,
+four centred-cross terms at each node that has them) are summed by
+gathers and only the quadrant band by a bincount, with the bits of one
+bincount over all of them.
 The same table gives the sparse matrix of tr(W D^2 u) for any weight field,
 and the Laplacian matrix, factorized once per grid; that LU is the only
 factorization a solve normally builds.  It is ordered by minimum degree on
@@ -13,10 +18,10 @@ A + A^T and keeps its diagonal pivots: -A is a nonsingular M-matrix, so
 elimination needs no pivoting to stay stable.  On a 3-D grid the LU
 factors the eight mirror-symmetry sectors of A instead (every grid
 classifies its nodes mirror-symmetrically in all three axes), each
-sector's block on the first right side with a part in it, so a
-mirror-symmetric problem factors the even block alone; every block stays
-row-diagonally dominant, because |sum +-a| <= sum |a|, and the even one
-is again an M-matrix.  The Laplacian is evaluated as the trace of
+sector's block assembled and factored on the first right side with a part
+in it, so a mirror-symmetric problem factors the even block alone; every
+block stays row-diagonally dominant, because |sum +-a| <= sum |a|, and the
+even one is again an M-matrix.  The Laplacian is evaluated as the trace of
 the discrete Hessian (its diagonal terms only), the Pucci operators through
 its eigenvalues (closed form in 1-D and 2-D).
 
@@ -154,22 +159,22 @@ def _hessian(grid: Grid, uin: NDArray[np.float64], trace: BoundaryTrace,
              trace_only: bool = False) -> NDArray[np.float64]:
     """Sum every stencil term kappa * (x_src - u_i) into its Hessian entry.
 
-    With ``trace_only`` only the (a, a) entries are summed, into tr H of
-    shape (N,): the same bits as the trace of the full H, without the mixed
-    terms (2/3 of them in 3-D).
+    Each entry has the bits of a bincount of its key's terms over their
+    nodes (``StencilTerms.node_sums``).  With ``trace_only`` only the
+    (a, a) entries are summed, into tr H of shape (N,): the same bits as the
+    trace of the full H, without building or summing the mixed terms.
     """
-    N, n, terms = grid.n_interior, grid.n, grid.plan.terms
+    N, plan = grid.n_interior, grid.plan
     x = np.concatenate((uin, trace.values))
 
     def entry(key):
-        t = terms[key]
-        return np.bincount(t.node, weights=t.kappa * (x[t.src] - uin[t.node]),
-                           minlength=N)
+        t = plan.terms[key]
+        return t.node_sums(t.values(x, uin), N)
 
     if trace_only:
-        return sum(entry((a, a)) for a in range(n))
-    H = np.empty((N, n, n), dtype=np.float64)
-    for a, b in terms:
+        return sum(entry((a, a)) for a in range(grid.n))
+    H = np.empty((N, grid.n, grid.n), dtype=np.float64)
+    for a, b in plan.pairs:
         H[:, a, b] = H[:, b, a] = entry((a, b))
     return H
 
@@ -216,25 +221,27 @@ def _matrix(grid: Grid, W: NDArray[np.float64]):
 
     Each term contributes w * kappa to its source's column when the source is
     interior, and -w * kappa to the diagonal; exactly zero couplings are
-    dropped, and a key whose weights are all zero is skipped, so the
-    Laplacian carries no mixed ones.  The diagonal sums each key's terms
-    first: a mirror swaps the two arms of an axis but keeps the keys, so on
-    a mirror-symmetric stencil the diagonal is mirror-symmetric bit for bit.
+    dropped.  A key whose weights are all zero is skipped before its terms
+    are looked up, so the Laplacian neither builds nor carries mixed ones.
+    The diagonal sums each key's terms first (``StencilTerms.node_sums``),
+    the keys in ``plan.pairs`` order: a mirror swaps the two arms of an axis
+    but keeps the keys, so on a mirror-symmetric stencil the diagonal is
+    mirror-symmetric bit for bit.
     """
-    N = grid.n_interior
+    N, plan = grid.n_interior, grid.plan
     rows, cols, vals = [], [], []
     diag = np.zeros(N)
-    for (a, b), t in grid.plan.terms.items():
-        w = W[t.node, a, b]
-        if not w.any():
+    for a, b in plan.pairs:
+        if not W[:, a, b].any():
             continue
+        t = plan.terms[(a, b)]
         # H is symmetric: W_ab H_ab is counted twice off the diagonal.
-        coef = (1.0 if a == b else 2.0) * w * t.kappa
+        coef = (1.0 if a == b else 2.0) * W[t.node, a, b] * t.kappa
         keep = (t.src < N) & (coef != 0.0)
         rows.append(t.node[keep])
         cols.append(t.src[keep])
         vals.append(coef[keep])
-        diag -= np.bincount(t.node, coef, minlength=N)
+        diag -= t.node_sums(coef, N)
     ids = np.arange(N)
     return coo_matrix(
         (np.concatenate(vals + [diag]),
@@ -337,11 +344,11 @@ def _lu(M):
 
 class _SectorLU:
     """A^-1 b = T B^-1 S b for the block-diagonal B = S A T.  Each sector's
-    block of B is factored when a right side first has a nonzero part in
-    that sector; a zero part solves to zeros."""
+    block of B, ``block(s)``, is assembled and factored when a right side
+    first has a nonzero part in that sector; a zero part solves to zeros."""
 
-    def __init__(self, S, B, T, sizes):
-        self.S, self.B, self.T = S, B, T
+    def __init__(self, S, T, block, sizes):
+        self.S, self.T, self.block = S, T, block
         ends = np.cumsum(sizes)
         self.blocks, self.lus = list(zip(ends - sizes, ends)), [None] * len(sizes)
 
@@ -351,14 +358,15 @@ class _SectorLU:
         for s, (lo, hi) in enumerate(self.blocks):
             if c[lo:hi].any():
                 if self.lus[s] is None:
-                    self.lus[s] = _lu(self.B[lo:hi, lo:hi])
+                    self.lus[s] = _lu(self.block(s))
                 y[lo:hi] = self.lus[s].solve(c[lo:hi])
         return self.T @ y
 
 
 def _sectors(grid: Grid, A):
-    """(S, B, T, sizes) splitting a 3-D Laplacian A into its eight
-    mirror-symmetry sectors.
+    """(S, T, block, sizes) splitting a 3-D Laplacian A into its eight
+    mirror-symmetry sectors; ``block(s)`` assembles sector s's diagonal
+    block of B = S A T.
 
     Every grid classifies its own nodes mirror-symmetrically (see
     ``geometry._classify``), so the reflection i_a -> shape_a - 1 - i_a of
@@ -389,20 +397,25 @@ def _sectors(grid: Grid, A):
     # fits[g, j]: g reflects no axis whose plane holds r_j, so g r_j is a
     # new node of its orbit and r_j has a column in sector g.
     fits = (np.arange(8)[:, None] & plane[reps]) == 0
+    sizes = np.count_nonzero(fits, axis=1)
     orbit = reps[None]  # orbit[g, j] = g r_j
     for m in mirror:
         orbit = np.concatenate((orbit, m[orbit]))
     # Node i = g r_j for exactly one (g, j) that fits: flip(i) = g, rep(i) = j.
     flip, rep = np.empty((2, N), dtype=np.int64)
     flip[orbit[fits]], rep[orbit[fits]] = np.nonzero(fits)
-    # col[s, j]: the column of r_j in sector s, sector-major, or -1.
-    col = np.where(fits, np.cumsum(fits, dtype=ordinal.dtype).reshape(fits.shape) - 1, -1)
+    # col[s, j]: the column of r_j in sector s's block, or -1.
+    col = np.where(fits, np.cumsum(fits, axis=1, dtype=ordinal.dtype) - 1, -1)
     on = flip[A.indices] == 0  # the entries A[r, c] of representative rows
     r, c, v = A.indices[on], np.repeat(np.arange(N), np.diff(A.indptr))[on], A.data[on]
-    brow, bcol = col[:, rep[r]], col[:, rep[c]]
-    keep = (brow >= 0) & (bcol >= 0)
-    B = coo_matrix(((_CHI[:, flip[c]] * v)[keep], (brow[keep], bcol[keep])),
-                   shape=(N, N)).tocsc()
+    r, c, flip_c = rep[r], rep[c], flip[c]
+
+    def block(s):
+        brow, bcol = col[s, r], col[s, c]
+        keep = (brow >= 0) & (bcol >= 0)
+        return coo_matrix(((_CHI[s, flip_c] * v)[keep], (brow[keep], bcol[keep])),
+                          shape=(sizes[s], sizes[s])).tocsc()
+
     # Row col[s, j] of S holds chi_s(g) / 2^k at each node g r_j of the
     # orbit, in _PAIRED[s] order; T is its transpose with chi_s(g) itself.
     paired_fits, paired_orbit = (x[_PAIRED].transpose(0, 2, 1) for x in (fits, orbit))
@@ -413,7 +426,7 @@ def _sectors(grid: Grid, A):
     indptr = np.append(0, np.cumsum(size))
     T = csc_matrix((chi, nodes, indptr), shape=(N, N))
     S = csr_matrix((chi / np.repeat(size, size), nodes, indptr), shape=(N, N))
-    return S, B, T, np.count_nonzero(fits, axis=1)
+    return S, T, block, sizes
 
 
 def _laplacian(grid: Grid) -> tuple:
@@ -430,8 +443,8 @@ def _laplacian(grid: Grid) -> tuple:
 
     On every 3-D grid the LU factors the diagonal blocks of B = S A T, one
     per mirror-symmetry sector of A in all three axes (``_sectors``), each
-    on first use (``_SectorLU``): a mirror-symmetric problem factors the
-    even one alone.  All eight hold 1.47 M nonzeros at h = 1/16.
+    assembled and factored on first use (``_SectorLU``): a mirror-symmetric
+    problem builds the even one alone.  All eight hold 1.47 M nonzeros at h = 1/16.
     Each entry of a block is a sum of entries of one row of A
     with signs, so every block stays row-diagonally dominant
     (|sum +-a| <= sum |a|) and the even one is again an M-matrix: the

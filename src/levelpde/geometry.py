@@ -199,7 +199,9 @@ def _classify(descriptor: Descriptor, h: float,
               shape: tuple[int, ...]) -> NDArray[np.int8]:
     """Node classes: a box's faces are Boundary nodes; a ball's or annulus's
     come from the offsets h (k - m) to the center node m, which mirrored
-    nodes get with opposite sign, bit for bit, wherever the center lies."""
+    nodes get with opposite sign, bit for bit, wherever the center lies.
+    Every arm of an Interior node must end on the lattice, so no lattice
+    face may hold one."""
     try:
         if isinstance(descriptor, BoxDescriptor):
             node_class = np.full(shape, BOUNDARY, dtype=np.int8)
@@ -214,6 +216,9 @@ def _classify(descriptor: Descriptor, h: float,
         inside = s < descriptor.radius
     else:
         inside = (s > descriptor.r_inner) & (s < descriptor.r_outer)
+    if any(np.take(inside, [0, -1], axis=a).any() for a in range(len(shape))):
+        raise InvalidGridError("the axes must reach past the sphere: an Interior "
+                               "node lies on a face of the lattice")
     return np.where(inside, INTERIOR, EXTERIOR).astype(np.int8)
 
 
@@ -248,12 +253,56 @@ class StencilTerms(NamedTuple):
     ``x`` is the interior values followed by the trace samples
     (``BoundaryTrace.values``), indexed as ``plan.src``, so
     ``src < n_interior`` marks an interior source and every other source is
-    a Dirichlet sample.
+    a Dirichlet sample.  The first ``arity * width`` terms, the head, are
+    ``arity`` blocks of one term at each of the ``width`` ascending nodes
+    ``node[:width]``; the rest, the band, belong to other nodes, any number
+    each.
     """
 
     node: NDArray[np.int32]
     src: NDArray[np.int32]
     kappa: NDArray[np.float64]
+    arity: int
+    width: int
+
+    def values(self, x: NDArray[np.float64],
+               uin: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Each term kappa * (x[src] - u[node]) for the interior values uin."""
+        head = self.arity * self.width
+        d = x[self.src]
+        blocks = d[:head].reshape(self.arity, self.width)  # a view of d
+        blocks -= uin if self.width == uin.size else uin[self.node[:self.width]]
+        d[head:] -= uin[self.node[head:]]
+        d *= self.kappa
+        return d
+
+    def node_sums(self, w: NDArray[np.float64], N: int) -> NDArray[np.float64]:
+        """The sum of the term values w at each of the N nodes, with the
+        bits of ``np.bincount(node, w, minlength=N)``: that adds a node's
+        terms in order, from +0.0, which the head's blocks do by gathers."""
+        head = self.arity * self.width
+        rows = w[:head].reshape(self.arity, self.width)
+        s = 0.0 + rows[0]
+        for row in rows[1:]:
+            s += row
+        if self.width == N:  # every node in the head, so no band
+            return s
+        out = np.bincount(self.node[head:], w[head:], minlength=N)
+        out = out.astype(np.float64, copy=False)  # an empty band counts in int64
+        out[self.node[:self.width]] = s
+        return out
+
+
+class _Terms(dict):
+    """A plan's ``terms``: each key missing on lookup is built then."""
+
+    def __init__(self, build: Callable[[int, int], StencilTerms]):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key: tuple[int, int]) -> StencilTerms:
+        self[key] = terms = self._build(*key)
+        return terms
 
 
 class StencilPlan:
@@ -275,17 +324,22 @@ class StencilPlan:
     key.
 
     ``terms[(a, b)]`` (a <= b) holds the terms whose sum at node i is
-    H_ab(u): for a == b the Shortley-Weller second difference (kappa
-    2 / (h^2 theta_s (theta_+ + theta_-)) on the arm of sign s), every
-    node's + arm term and then every node's - arm term; for a < b
-    the centred cross (kappa +-1/(4 h^2)) where all four diagonal points are
-    interior or Boundary lattice nodes, else the average of the one-sided
-    quadrants whose three points are, else nothing.  ``stiffness`` is
-    D = sum_a 2 / (h^2 theta_+ theta_-), the weight of a Laplacian row on its
-    own node; ``laplacian`` caches the Laplacian matrix and its LU for the
-    linear solver.  In 3-D that LU maps into and out of the matrix's eight
-    mirror-symmetry sectors, one parity per axis, and factors each sector's
-    block on first use.
+    H_ab(u) (see ``StencilTerms`` for the layout).  For a == b it is the
+    Shortley-Weller second difference, kappa 2 / (h^2 theta_s (theta_+ +
+    theta_-)) on the arm of sign s: a head of arity 2 over every node, the
+    + arm terms then the - arm terms.  For a < b it is the centred cross,
+    kappa +-1/(4 h^2), a head of arity 4 (signs (+, +), (+, -), (-, +),
+    (-, -)) over the nodes whose four diagonal points are all interior or
+    Boundary lattice nodes; the band then holds, at each other node, the
+    average of the one-sided quadrants whose three points are, or nothing.
+    The (a, a) terms are built with the plan, and each (a, b) key on its
+    first lookup, since the Laplacian reads none of them.  ``pairs`` lists
+    the keys, (a, a) first, in the order every sum over keys follows.
+    ``stiffness`` is D = sum_a 2 / (h^2 theta_+ theta_-), the weight of a
+    Laplacian row on its own node; ``laplacian`` caches the Laplacian matrix
+    and its LU for the linear solver.  In 3-D that LU maps into and out of
+    the matrix's eight mirror-symmetry sectors, one parity per axis, and
+    assembles and factors each sector's block on first use.
     """
 
     def __init__(self, grid: Grid):
@@ -324,42 +378,42 @@ class StencilPlan:
             self.src[key] = src
             points.append(point[sampled])
         self.points = np.concatenate(points)
-
-        nodes = np.arange(N, dtype=np.int32)
-
-        def collect(parts) -> StencilTerms:
-            """Concatenate (node mask, source, kappa) blocks."""
-            return StencilTerms(
-                np.concatenate([nodes[m] for m, _, _ in parts]),
-                np.concatenate([s[m] for m, s, _ in parts]).astype(np.int32),
-                np.concatenate([np.broadcast_to(k, m.shape)[m] for m, _, k in parts]))
-
-        every = np.ones(N, dtype=bool)
         src = self.src
-        self.terms: dict[tuple[int, int], StencilTerms] = {}
+
+        def cross(a: int, b: int) -> StencilTerms:
+            """The (a, b) terms: the centred head, then the quadrant band."""
+            signs = [(sa, sb) for sa in (+1, -1) for sb in (+1, -1)]
+            known = {(sa, sb): src[(a, b, sa, sb)] >= 0 for sa, sb in signs}
+            centred = np.logical_and.reduce(list(known.values()))
+            quads = {(sa, sb): ~centred & known[(sa, sb)]
+                     & whole[(a, sa)] & whole[(b, sb)] for sa, sb in signs}
+            count = np.maximum(sum(q.astype(np.int64) for q in quads.values()), 1)
+            parts = [(centred, src[(a, b, sa, sb)], sa * sb / (4.0 * h ** 2))
+                     for sa, sb in signs]
+            for (sa, sb), q in quads.items():
+                k = sa * sb / (h ** 2 * count)
+                parts += [(q, src[(a, b, sa, sb)], k), (q, src[(a, sa)], -k),
+                          (q, src[(b, sb)], -k)]
+            return StencilTerms(
+                np.concatenate([np.flatnonzero(m) for m, _, _ in parts]).astype(np.int32),
+                np.concatenate([s[m] for m, s, _ in parts]).astype(np.int32),
+                np.concatenate([np.broadcast_to(k, m.shape)[m] for m, _, k in parts]),
+                4, int(np.count_nonzero(centred)))
+
+        self.pairs = [(a, a) for a in range(n)] + [
+            (a, b) for a in range(n) for b in range(a + 1, n)]
+        self.terms = _Terms(cross)
         self.stiffness = np.zeros(N, dtype=np.float64)
+        nodes = np.arange(N, dtype=np.int32)
         for a in range(n):
             tp, tm = self.theta[(a, +1)], self.theta[(a, -1)]
             self.stiffness += 2.0 / (h ** 2 * tp * tm)
-            self.terms[(a, a)] = collect([
-                (every, src[(a, +1)], 2.0 / (h ** 2 * tp * (tp + tm))),
-                (every, src[(a, -1)], 2.0 / (h ** 2 * tm * (tp + tm))),
-            ])
-        for a in range(n):
-            for b in range(a + 1, n):
-                signs = [(sa, sb) for sa in (+1, -1) for sb in (+1, -1)]
-                known = {(sa, sb): src[(a, b, sa, sb)] >= 0 for sa, sb in signs}
-                centred = np.logical_and.reduce(list(known.values()))
-                quads = {(sa, sb): ~centred & known[(sa, sb)]
-                         & whole[(a, sa)] & whole[(b, sb)] for sa, sb in signs}
-                count = np.maximum(sum(q.astype(np.int64) for q in quads.values()), 1)
-                parts = [(centred, src[(a, b, sa, sb)], sa * sb / (4.0 * h ** 2))
-                         for sa, sb in signs]
-                for (sa, sb), q in quads.items():
-                    k = sa * sb / (h ** 2 * count)
-                    parts += [(q, src[(a, b, sa, sb)], k), (q, src[(a, sa)], -k),
-                              (q, src[(b, sb)], -k)]
-                self.terms[(a, b)] = collect(parts)
+            self.terms[(a, a)] = StencilTerms(
+                np.concatenate((nodes, nodes)),
+                np.concatenate((src[(a, +1)], src[(a, -1)])).astype(np.int32),
+                np.concatenate((2.0 / (h ** 2 * tp * (tp + tm)),
+                                2.0 / (h ** 2 * tm * (tp + tm)))),
+                2, N)
         self.laplacian: tuple | None = None
 
 

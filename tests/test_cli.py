@@ -250,6 +250,24 @@ output.table = {tmp_path}/table.txt
         assert main(["verify-ball", write_config(tmp_path, cfg)]) == 0
         assert shapes == [(639, 639)]
 
+    def test_ball3d_verify_and_diagnose_build_no_mixed_terms(self, tmp_path, monkeypatch):
+        # The Laplacian reads the (a, a) stencil terms alone, and the
+        # symmetric problem assembles and factors the even sector's block.
+        from levelpde import cli
+
+        grids = []
+        real = cli.build_ball
+        monkeypatch.setattr(cli, "build_ball",
+                            lambda *args: grids.append(real(*args)) or grids[-1])
+        cfg = BALL3D + f"output.field = {tmp_path}/u.txt\n"
+        assert main(["verify-ball", write_config(tmp_path, cfg)]) == 0
+        cfg = BALL3D + f"diagnose.field = {tmp_path}/u.txt\n" \
+            + f"output.report = {tmp_path}/diag.txt\n"
+        assert main(["diagnose", write_config(tmp_path, cfg, "d.cfg")]) == 0
+        assert all(set(grid.plan.terms) == {(0, 0), (1, 1), (2, 2)} for grid in grids)
+        lus = [grid.plan.laplacian[1].lus for grid in grids if grid.plan.laplacian]
+        assert [[s for s, lu in enumerate(one) if lu is not None] for one in lus] == [[0]]
+
     def test_lu_out_of_memory_exit_1(self, tmp_path, monkeypatch, capsys):
         from levelpde import elliptic
 

@@ -11,6 +11,7 @@ from levelpde.elliptic import (
     DirichletProblem,
     _DEFAULT_TOL,
     _eigenvalues,
+    _hessian,
     _laplacian,
     _matrix,
     apply_operator,
@@ -20,7 +21,7 @@ from levelpde.elliptic import (
     solve_dirichlet,
 )
 from levelpde.errors import InvalidParameterError, NonConvergenceError
-from levelpde.geometry import BoundaryData, build_annulus, build_ball, build_box
+from levelpde.geometry import BoundaryData, build_annulus, build_ball, build_box, build_trace
 from levelpde.measure import ScalarField
 
 LAP = EllipticOperator.laplacian()
@@ -125,6 +126,52 @@ class TestDiscreteHessian:
         u = ScalarField.sample(grid, lambda p: p[:, 0])
         with pytest.raises(InvalidParameterError):
             discrete_hessian(u, (0, 0))
+
+
+KERNEL_GRIDS = {
+    "ball-1d": lambda: build_ball((0.0,), 1.0, 1 / 64),
+    "disk": lambda: build_ball((0.0, 0.0), 1.0, 1 / 16),
+    "box-2d": lambda: build_box([(0.0, 1.0), (0.0, 0.5)], 1 / 8),
+    "ball-3d": lambda: build_ball((0.0, 0.0, 0.0), 1.0, 1 / 6),
+    "off-centre-ball": lambda: build_ball((0.1, 0.2, 0.3), 1.0, 1 / 6),
+    "annulus-3d": lambda: build_annulus((0.0, 0.0, 0.0), 0.4, 1.0, 1 / 8),
+    "box-3d": lambda: build_box([(0.0, 1.0), (0.0, 0.5), (-0.5, 0.5)], 1 / 8),
+}
+
+
+class TestHessianKernel:
+    @pytest.mark.parametrize("name", KERNEL_GRIDS)
+    def test_gather_sums_are_a_bincount_bit_for_bit(self, name):
+        # The reference sums each key's terms with a plain bincount, which
+        # adds a node's terms in order from +0.0.  The signed zeros in u and
+        # psi give -0.0 terms, whose sums a bincount turns into +0.0.
+        grid = KERNEL_GRIDS[name]()
+        N, n = grid.n_interior, grid.n
+        psi = BoundaryData.from_callable(
+            lambda p: np.where(p[:, 0] < 0.2, np.cos(3 * p[:, 0]) - p[:, -1] ** 2, -0.0))
+        trace = build_trace(grid, psi)
+        rng = np.random.default_rng(7)
+        for u in (rng.normal(size=N), np.where(rng.random(N) < 0.5, -0.0, 0.0)):
+            x = np.concatenate((u, trace.values))
+            ref = np.empty((N, n, n))
+            for a in range(n):
+                for b in range(a, n):
+                    t = grid.plan.terms[(a, b)]
+                    ref[:, a, b] = ref[:, b, a] = np.bincount(
+                        t.node, t.kappa * (x[t.src] - u[t.node]), minlength=N)
+            assert _hessian(grid, u, trace).tobytes() == ref.tobytes()
+            trace_ref = sum(ref[:, a, a] for a in range(n))
+            assert _hessian(grid, u, trace, trace_only=True).tobytes() == trace_ref.tobytes()
+
+    def test_laplacian_reads_no_mixed_terms(self):
+        grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 6)
+        diagonal = {(0, 0), (1, 1), (2, 2)}
+        prob = DirichletProblem(LAP, grid, BoundaryData.from_callable(lambda p: p[:, 0]))
+        prob.solve(-1.0)
+        assert set(grid.plan.terms) == diagonal
+        # A Pucci operator needs the full Hessian, so it builds the rest.
+        DirichletProblem(EllipticOperator.pucci_minus(1, 2), grid, BoundaryData.zero())
+        assert set(grid.plan.terms) == diagonal | {(0, 1), (0, 2), (1, 2)}
 
 
 class TestApplyOperator:

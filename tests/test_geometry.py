@@ -125,6 +125,17 @@ class TestBall:
         assert np.array_equal(hand.node_class, grid.node_class)
         assert not hand.node_class.flags.writeable
 
+    @pytest.mark.parametrize("grid, cut", [
+        (lambda: build_ball((0.0, 0.0, 0.0), 1.0, 0.25), 2),
+        (lambda: build_annulus((0.0, -3.0), 0.4, 1.0, 1 / 8), 1),
+    ], ids=["ball", "annulus"])
+    def test_hand_built_axes_must_reach_past_the_sphere(self, grid, cut):
+        # Cut axes leave Interior nodes on the lattice faces, where an arm
+        # would end off the lattice.
+        grid = grid()
+        with pytest.raises(InvalidGridError, match="face of the lattice"):
+            Grid(grid.descriptor, grid.h, [ax[cut:-cut] for ax in grid.axis_coords])
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_lattice_reaches_beyond_the_sphere(self, n):
         # 1 / (1/161) rounds down to 161.0 while 161 * (1/161) < 1, so
