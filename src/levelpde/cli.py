@@ -149,14 +149,21 @@ class RunConfig(dict):
 
     # -- builders ----------------------------------------------------------
 
+    _grid: Grid | None = None
+
     def build_grid(self) -> Grid:
-        h = self["grid.h"]
-        if self.domain_type == "box":
-            return build_box(self.bounds, h)
-        if self.domain_type == "ball":
-            return build_ball(self.center, self.radius, h)
-        return build_annulus(self.center, self["domain.r_inner"],
-                             self["domain.r_outer"], h)
+        """The configured grid, built on the first call (parse_config's
+        check) and returned again by every later one."""
+        if self._grid is None:
+            h = self["grid.h"]
+            if self.domain_type == "box":
+                self._grid = build_box(self.bounds, h)
+            elif self.domain_type == "ball":
+                self._grid = build_ball(self.center, self.radius, h)
+            else:
+                self._grid = build_annulus(self.center, self["domain.r_inner"],
+                                           self["domain.r_outer"], h)
+        return self._grid
 
     def build_operator(self) -> EllipticOperator:
         kind = self["operator.kind"]

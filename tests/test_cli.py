@@ -251,8 +251,9 @@ output.table = {tmp_path}/table.txt
         assert shapes == [(639, 639)]
 
     def test_ball3d_verify_and_diagnose_build_no_mixed_terms(self, tmp_path, monkeypatch):
-        # The Laplacian reads the (a, a) stencil terms alone, and the
-        # symmetric problem assembles and factors the even sector's block.
+        # Each command builds its grid once: parse_config's grid is the
+        # command's.  The Laplacian reads the (a, a) stencil terms alone, and
+        # the symmetric problem assembles and factors the even sector's block.
         from levelpde import cli
 
         grids = []
@@ -264,6 +265,7 @@ output.table = {tmp_path}/table.txt
         cfg = BALL3D + f"diagnose.field = {tmp_path}/u.txt\n" \
             + f"output.report = {tmp_path}/diag.txt\n"
         assert main(["diagnose", write_config(tmp_path, cfg, "d.cfg")]) == 0
+        assert len(grids) == 2
         assert all(set(grid.plan.terms) == {(0, 0), (1, 1), (2, 2)} for grid in grids)
         lus = [grid.plan.laplacian[1].lus for grid in grids if grid.plan.laplacian]
         assert [[s for s, lu in enumerate(one) if lu is not None] for one in lus] == [[0]]

@@ -385,37 +385,41 @@ class TestSolveDirichlet:
         real = elliptic.splu
         monkeypatch.setattr(elliptic, "splu",
                             lambda A, **kw: calls.append(A.shape) or real(A, **kw))
+        # Both problems are mirror-symmetric: one LU, of the even sector's
+        # block, serves them.
         grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
         for f, psi in ((-1.0, BoundaryData.zero()),
-                       (2.0, BoundaryData.from_callable(lambda p: p[:, 0]))):
+                       (2.0, BoundaryData.from_callable(lambda p: p[:, 0] ** 2))):
             solve_dirichlet(LAP, grid, f, psi)
-        assert calls == [(grid.n_interior, grid.n_interior)]
+        rows = _laplacian(grid)[1].blocks[0][1]
+        assert calls == [(rows, rows)]
 
     def test_laplacian_solve_needs_one_lu_solve(self, monkeypatch):
         # The torsion problem is mirror-symmetric: one solve, in the even
-        # sector's block.
+        # sector's block, on the 3-D ball and on the disk.
         solves = count_lu_solves(monkeypatch)
-        grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 5)
-        u = solve_dirichlet(LAP, grid, -1.0, BoundaryData.zero())
-        assert solves == [_laplacian(grid)[1].blocks[0][1]]
-        assert defect(LAP, u, -1.0) <= _DEFAULT_TOL[LAP.kind]
+        for grid in (build_ball((0.0, 0.0, 0.0), 1.0, 1 / 5),
+                     build_ball((0.0, 0.0), 1.0, 1 / 16)):
+            solves.clear()
+            u = solve_dirichlet(LAP, grid, -1.0, BoundaryData.zero())
+            assert solves == [_laplacian(grid)[1].blocks[0][1]]
+            assert defect(LAP, u, -1.0) <= _DEFAULT_TOL[LAP.kind]
 
     @pytest.mark.parametrize("center, h, bound", [
         ((0.0, 0.0, 0.0), 1 / 10, 200_000),  # one block: 0.64 M; COLAMD: 1.32 M
         ((0.1, 0.2, 0.3), 1 / 10, 200_000),  # split as well: 0.16 M
-        ((0.0, 0.0), 1 / 32, 120_000),        # COLAMD: 0.163 M
+        ((0.0, 0.0), 1 / 32, 80_000),         # 65 k; one block: 103 k; COLAMD: 163 k
     ], ids=["ball3d", "ball3d-off-centre", "disk"])
     def test_laplacian_lu_fill(self, center, h, bound):
-        # Minimum degree on A + A^T with diagonal pivots, in 3-D on the
-        # eight mirror sectors, all factored by a random right side; a
-        # fall-back to COLAMD, to partial pivoting or to one block for the
-        # whole 3-D ball overshoots the bound.
+        # Minimum degree on A + A^T with diagonal pivots, on the 2^n mirror
+        # sectors, all factored by a random right side; a fall-back to
+        # COLAMD, to partial pivoting or to one block for the whole ball or
+        # disk overshoots the bound.
         grid = build_ball(center, 1.0, h)
         lu = _laplacian(grid)[1]
         lu.solve(random_rhs(grid))
-        lus = lu.lus if grid.n == 3 else [lu]
-        assert None not in lus
-        assert sum(x.L.nnz + x.U.nnz for x in lus) <= bound
+        assert None not in lu.lus
+        assert sum(x.L.nnz + x.U.nnz for x in lu.lus) <= bound
 
     @pytest.mark.parametrize("center", [(0.0, 0.0), (0.0, 0.0, 0.0)], ids=["2d", "3d"])
     def test_diagonal_pivots_on_a_clipped_theta(self, center):
@@ -573,6 +577,10 @@ SYMMETRIC = {
     "clipped-theta": lambda: build_ball((0.0, 0.0, 0.0), 1.0 + 1e-13, 1 / 8),
     "off-centre-ball": lambda: build_ball((0.1, 0.2, 0.3), 1.0, 0.1),
     "off-centre-annulus": lambda: build_annulus((0.1, 0.2, 0.3), 0.4, 1.0, 0.1),
+    "disk": lambda: build_ball((0.0, 0.0), 1.0, 1 / 16),
+    "off-centre-disk": lambda: build_ball((0.1, 0.2), 1.0, 1 / 16),
+    "annulus-2d": lambda: build_annulus((0.0, 0.0), 0.4, 1.0, 1 / 16),
+    "box-even-2d": lambda: build_box([(0.0, 0.7), (0.1, 0.6)], 0.1),
 }
 
 
@@ -593,9 +601,9 @@ class TestMirrorSectors:
         grid = SYMMETRIC[name]()
         B, lu = factorized(grid, monkeypatch)
         A = _laplacian(grid)[0]
-        # Eight sector blocks, all factored, no coupling between them.
-        assert factored(lu) == list(range(8))
-        assert B.shape == A.shape and connected_components(B)[0] >= 8
+        # 2^n sector blocks, all factored, no coupling between them.
+        assert factored(lu) == list(range(2 ** grid.n))
+        assert B.shape == A.shape and connected_components(B)[0] >= 2 ** grid.n
         b = random_rhs(grid)
         ref = splu(A).solve(b)
         assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -607,7 +615,7 @@ class TestMirrorSectors:
         # orbit in mirror pairs, and u is its own mirror image bit for bit.
         grid = SYMMETRIC[name]()
         offsets = [np.abs(2 * i - (s - 1)) for i, s in zip(grid.interior_index, grid.shape)]
-        b = np.cos(offsets[0] + 2.0 * offsets[1] + 3.0 * offsets[2])
+        b = np.cos(sum((a + 1.0) * off for a, off in enumerate(offsets)))
         lu = _laplacian(grid)[1]
         c = lu.S @ b
         assert all(not c[lo:hi].any() for lo, hi in lu.blocks[1:])
@@ -630,9 +638,8 @@ class TestMirrorSectors:
         assert np.max(np.abs(u.interior - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("grid", [
-        lambda: build_ball((0.0, 0.0), 1.0, 1 / 16),
         lambda: build_box([(-1.0, 1.0)], 1 / 64),
-    ], ids=["disk", "interval"])
+    ], ids=["interval"])
     def test_other_grids_factor_the_laplacian_itself(self, grid, monkeypatch):
         grid = grid()
         M, _ = factorized(grid, monkeypatch)
@@ -655,13 +662,15 @@ class TestPolicySolve:
     def test_definite_hessians_reuse_the_laplacian_lu(self, monkeypatch):
         # psi = 0 and f < 0 keep every Hessian negative definite, so every
         # frozen W is Lam I and the preconditioned GMRES needs no new LU.
+        # The data are mirror-symmetric, so the LU is the even sector's.
         calls = self.count_factorizations(monkeypatch)
         grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
         tol = _DEFAULT_TOL[self.OP.kind]
         for f in (-1.0, -2.0):
             u = solve_dirichlet(self.OP, grid, f, BoundaryData.zero())
             assert defect(self.OP, u, f) <= tol
-        assert calls == [(grid.n_interior, grid.n_interior)]
+        rows = _laplacian(grid)[1].blocks[0][1]
+        assert calls == [(rows, rows)]
 
     def test_krylov_miss_factorizes_the_policy_matrix(self, monkeypatch):
         from levelpde import elliptic

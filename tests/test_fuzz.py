@@ -188,14 +188,15 @@ COORD = st.one_of(st.just(0.0), st.floats(-2, 2), st.floats(-1e3, 1e3))
 
 
 @st.composite
-def grids_3d(draw):
-    """A 3-D ball, annulus or box: centres or corners at 0, near it or up to
-    1e3 away, and boxes with odd and even node counts per axis."""
+def mirror_grids(draw):
+    """A 2-D or 3-D ball, annulus or box: centres or corners at 0, near it or
+    up to 1e3 away, and boxes with odd and even node counts per axis."""
+    n = draw(st.sampled_from([2, 3]))
     h = draw(st.floats(1 / 4, 1 / 2))
     kind = draw(st.sampled_from(["ball", "annulus", "box"]))
-    corner = tuple(draw(st.lists(COORD, min_size=3, max_size=3)))
+    corner = tuple(draw(st.lists(COORD, min_size=n, max_size=n)))
     if kind == "box":
-        counts = draw(st.lists(st.integers(3, 8), min_size=3, max_size=3))
+        counts = draw(st.lists(st.integers(3, 8), min_size=n, max_size=n))
         return build_box([(lo, lo + (k - 1) * h) for lo, k in zip(corner, counts)], h)
     gap = draw(st.floats(2 * h + 1e-12, 2 * h + 1))  # a radius or a gap
     if kind == "ball":
@@ -205,11 +206,11 @@ def grids_3d(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(grids_3d())
-def test_3d_grids_are_mirror_symmetric_in_every_axis(grid):
+@given(mirror_grids())
+def test_grids_are_mirror_symmetric_in_every_axis(grid):
     A = _laplacian(grid)[0].tocsr()
     A.sort_indices()
-    for a in range(3):
+    for a in range(grid.n):
         index = list(grid.interior_index)
         index[a] = grid.shape[a] - 1 - index[a]
         image = grid._ordinal_flat[np.ravel_multi_index(index, grid.shape)]

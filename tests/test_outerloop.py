@@ -645,7 +645,7 @@ class TestAndersonMixingMultiD:
     def test_annulus_spacings_that_converge(self):
         # Near the circle where u peaks the measure grows like the square
         # root of the depth below the maximum, so T is not Lipschitz there;
-        # all spacings but 1/28 converge.
+        # all nine spacings converge all the same.
         converged = set()
         for m in (12, 14, 16, 18, 20, 22, 24, 28, 32):
             grid = build_annulus((0.0, 0.0), 0.4, 1.0, 1 / m)
@@ -653,7 +653,7 @@ class TestAndersonMixingMultiD:
                                     BoundaryData.zero())
             if rep.converged:
                 converged.add(m)
-        assert converged >= {12, 14, 16, 18, 20, 22, 24, 32}
+        assert converged == {12, 14, 16, 18, 20, 22, 24, 28, 32}
 
     @pytest.mark.parametrize("op, steps", [
         (EllipticOperator.pucci_minus(0.5, 1.0), 25),
