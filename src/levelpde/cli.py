@@ -300,7 +300,8 @@ def atomic_write(path: str | Path, text: str) -> None:
 
 
 def format_field(field: ScalarField) -> str:
-    """Bit-exact dump: header plus one ``i,j k class value`` line per node."""
+    """Bit-exact dump: a header, then one ``index class value`` line per
+    node in C order, the index one comma-joined token (``i,j,k`` in 3-D)."""
     grid = field.grid
     lines = [
         "# n={} shape={} h={} origin={}".format(
@@ -473,8 +474,9 @@ def cmd_verify_ball(cfg: RunConfig, timings: bool = False) -> int:
     u, report = solve_nonlocal(op, grid, g, BoundaryData.zero(),
                                cfg.build_outer())
     elapsed = time.perf_counter() - t0
-    err = float(np.max(np.abs(u.interior - exact.value(grid.interior_coords))))
-    sup = float(np.max(np.abs(exact.value(grid.interior_coords))))
+    ref = exact.value(grid.interior_coords)
+    err = float(np.max(np.abs(u.interior - ref)))
+    sup = float(np.max(np.abs(ref)))
     table = "\n".join([
         f"h = {_fmt(grid.h)}",
         f"n_interior = {grid.n_interior}",

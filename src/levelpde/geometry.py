@@ -222,11 +222,12 @@ def _classify(descriptor: Descriptor, h: float,
     return np.where(inside, INTERIOR, EXTERIOR).astype(np.int8)
 
 
-def _crossing_fraction(grid: Grid, cut: NDArray[np.bool_], axis: int,
+def _crossing_fraction(grid: Grid, cut: NDArray[np.intp], axis: int,
                        sign: int) -> NDArray[np.float64]:
     """Fractional distance theta in (0,1] to the sphere the arm of the
-    interior nodes ``cut`` along (axis, sign) crosses before its neighbor,
-    from their offsets h (i - m) to the center node m: exact on both sides."""
+    interior nodes with ordinals ``cut`` along (axis, sign) crosses before
+    its neighbor, from their offsets h (i - m) to the center node m: exact
+    on both sides."""
     descriptor, h = grid.descriptor, grid.h
     d = h * np.stack([i[cut] - k // 2 for i, k in zip(grid.interior_index, grid.shape)], 1)
     rho2 = np.sum(d * d, axis=1) - d[:, axis] ** 2
@@ -318,6 +319,11 @@ class StencilPlan:
     * ``theta[(a, s)]``   fractional arm length in (0, 1]; 1.0 when the arm
                           ends on a lattice node
 
+    An end is the node's flat lattice index plus the key's offset in the
+    C-order strides; ``_classify`` keeps every Interior node off the lattice
+    faces, so no end wraps onto another row.  Only the ends that are
+    sampled are unravelled to their coordinates.
+
     ``points`` (M, n) are the places the Dirichlet data is sampled: every
     non-interior arm end (a crossing or a Boundary lattice node), then every
     Boundary lattice diagonal node, in key order, nodes in order within a
@@ -337,8 +343,8 @@ class StencilPlan:
     the keys, (a, a) first, in the order every sum over keys follows.
     ``stiffness`` is D = sum_a 2 / (h^2 theta_+ theta_-), the weight of a
     Laplacian row on its own node; ``laplacian`` caches the Laplacian matrix
-    and its LU for the linear solver.  In 3-D that LU maps into and out of
-    the matrix's eight mirror-symmetry sectors, one parity per axis, and
+    and its LU for the linear solver.  For n >= 2 that LU maps into and out
+    of the matrix's 2^n mirror-symmetry sectors, one parity per axis, and
     assembles and factors each sector's block on first use.
     """
 
@@ -352,31 +358,34 @@ class StencilPlan:
         keys = [(a, s) for a in range(n) for s in (+1, -1)] + [
             (a, b, sa, sb) for a in range(n) for b in range(a + 1, n)
             for sa in (+1, -1) for sb in (+1, -1)]
+        strides = [math.prod(grid.shape[a + 1:]) for a in range(n)]
         for key in keys:
-            shift = dict(zip(key[:len(key) // 2], key[len(key) // 2:]))
-            idx = [grid.interior_index[k] + shift.get(k, 0) for k in range(n)]
-            flat = np.ravel_multi_index(idx, grid.shape)
-            src = grid._ordinal_flat[flat]
-            sampled = cls_flat[flat] == BOUNDARY
-            point = np.empty((N, n), dtype=np.float64)
-            point[sampled] = np.stack([grid.axis_coords[k][idx[k][sampled]]
-                                       for k in range(n)], axis=1)
+            shift = zip(key[:len(key) // 2], key[len(key) // 2:])
+            end = grid.interior_flat + sum(s * strides[a] for a, s in shift)
+            src = grid._ordinal_flat[end]
+            off = np.flatnonzero(src < 0)  # the nodes whose end is not Interior
+            end = end[off]
+            on_node = cls_flat[end] == BOUNDARY
+            point = np.empty((off.size, n), dtype=np.float64)
+            point[on_node] = np.stack([ax[i] for ax, i in zip(
+                grid.axis_coords, np.unravel_index(end[on_node], grid.shape))], axis=1)
             if len(key) == 2:
                 (a, s), theta = key, np.ones(N, dtype=np.float64)
+                whole[key] = np.ones(N, dtype=np.bool_)
                 # An arm ending on neither an Interior nor a Boundary node
                 # crosses a curved boundary (box arms never do).
-                cut = (src < 0) & ~sampled
-                if np.any(cut):
-                    coords = grid.interior_coords[cut]
+                cut = off[~on_node]
+                if cut.size:
                     theta[cut] = _crossing_fraction(grid, cut, a, s)
-                    point[cut] = coords
-                    point[cut, a] += s * theta[cut] * h
-                self.theta[key], whole[key] = theta, ~cut
-                sampled = src < 0  # every arm end off the interior
-            start = N + sum(map(len, points))
-            src[sampled] = start + np.arange(np.count_nonzero(sampled))
+                    point[~on_node] = grid.interior_coords[cut]
+                    point[~on_node, a] += s * theta[cut] * h
+                    whole[key][cut] = False
+                self.theta[key] = theta
+            else:  # an Exterior diagonal node keeps src -1
+                off, point = off[on_node], point[on_node]
+            src[off] = N + sum(map(len, points)) + np.arange(off.size)
             self.src[key] = src
-            points.append(point[sampled])
+            points.append(point)
         self.points = np.concatenate(points)
         src = self.src
 

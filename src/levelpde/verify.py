@@ -84,7 +84,11 @@ class BallSolution:
 
     def value(self, points) -> NDArray[np.float64]:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        s = np.linalg.norm(pts - np.asarray(self.center), axis=1)
+        return self.radial_value(np.linalg.norm(pts - np.asarray(self.center), axis=1))
+
+    def radial_value(self, s) -> NDArray[np.float64]:
+        """The value at distance s from the center."""
+        s = np.asarray(s, dtype=np.float64)
         m = self.n + 2
         return self.amplitude * (self.radius ** m - s ** m)
 
@@ -212,6 +216,10 @@ def _sample_directions(n: int) -> NDArray[np.float64]:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
+# Probes per vectorized pass: the pass holds a few (probes, N) arrays.
+_PROBES_PER_PASS = 4
+
+
 @dataclass
 class BarrierPoint:
     boundary_point: tuple[float, ...]
@@ -245,6 +253,13 @@ def barrier_comparison_check(u: ScalarField, eps0: float,
                              tol: float | None = None) -> BarrierReport:
     """Compare the solution against the tangent-ball barrier at boundary
     probes and report the boundary-band gradient floor.
+
+    A probe is a direction from ``_sample_directions`` on each bounding
+    sphere.  It reports the nodes in its tangent ball of radius eps0, their
+    least slack u - barrier (+inf in a ball that holds no node) and whether
+    each has superlevel measure at least |Omega|/2.  ``_PROBES_PER_PASS``
+    probes share one pass over their (probe, node) distances, which are
+    summed axis by axis as ``np.linalg.norm`` sums them.
 
     Preconditions (PreconditionError, not a failed comparison): the grid is a
     ball or annulus (uniform inner ball condition), the tangent ball fits,
@@ -290,29 +305,33 @@ def barrier_comparison_check(u: ScalarField, eps0: float,
     mu = superlevel_measures(u)
     uin, coords = u.interior, grid.interior_coords
 
-    points: list[BarrierPoint] = []
-    for radius, inward in spheres:
-        for dvec in _sample_directions(n):
-            y = center + radius * dvec
-            cb = center + (radius + inward * eps0) * dvec
-            barrier = exact_ball_solution(tuple(cb), eps0, n, barrier_op)
-            in_ball = np.linalg.norm(coords - cb, axis=1) < eps0
-            n_nodes = int(np.sum(in_ball))
-            if n_nodes == 0:
-                points.append(BarrierPoint(tuple(y), tuple(cb), 0, math.inf,
-                                           True, True))
-                continue
-            slack = uin[in_ball] - barrier.value(coords[in_ball])
-            min_slack = float(np.min(slack))
-            measure_ok = bool(np.all(mu[in_ball] >= half - grid.cell))
-            points.append(BarrierPoint(
-                boundary_point=tuple(float(x) for x in y),
-                ball_center=tuple(float(x) for x in cb),
-                n_nodes=n_nodes,
-                min_slack=min_slack,
-                ok=min_slack >= -tol,
-                measure_ok=measure_ok,
-            ))
+    # Every tangent ball carries the same radial barrier about its center.
+    barrier = exact_ball_solution(tuple(center), eps0, n, barrier_op)
+    dirs = _sample_directions(n)
+    ys = np.concatenate([center + radius * dirs for radius, _ in spheres])
+    cbs = np.concatenate([center + (radius + inward * eps0) * dirs
+                          for radius, inward in spheres])
+    P = len(cbs)
+    n_nodes = np.zeros(P, dtype=np.int64)
+    min_slack = np.full(P, math.inf)
+    n_short = np.zeros(P, dtype=np.int64)  # nodes whose superlevel measure is short
+    for lo in range(0, P, _PROBES_PER_PASS):
+        cb = cbs[lo:lo + _PROBES_PER_PASS]
+        # |x - cb|, its squares summed axis by axis as np.linalg.norm sums them.
+        dist = (coords[:, 0] - cb[:, :1]) ** 2
+        for k in range(1, n):
+            dist += (coords[:, k] - cb[:, k:k + 1]) ** 2
+        np.sqrt(dist, out=dist)
+        probe, node = np.nonzero(dist < eps0)
+        slack = uin[node] - barrier.radial_value(dist[probe, node])
+        probe += lo
+        n_nodes += np.bincount(probe, minlength=P)
+        np.minimum.at(min_slack, probe, slack)
+        n_short += np.bincount(probe[~(mu[node] >= half - grid.cell)], minlength=P)
+    points = [BarrierPoint(boundary_point=tuple(y), ball_center=tuple(cb),
+                           n_nodes=k, min_slack=m, ok=m >= -tol, measure_ok=short == 0)
+              for y, cb, k, m, short in zip(ys.tolist(), cbs.tolist(), n_nodes.tolist(),
+                                            min_slack.tolist(), n_short.tolist())]
 
     band = max(2 * grid.h, 0.5 * eps0)
     return BarrierReport(

@@ -24,8 +24,9 @@ from hypothesis import strategies as st
 from levelpde.cli import _KNOWN_KEYS, RunConfig, format_field, load_field, parse_config
 from levelpde.elliptic import EllipticOperator, _laplacian
 from levelpde.errors import ConfigError, InvalidParameterError, LevelPDEError
-from levelpde.geometry import (BoundaryData, Grid, build_annulus, build_ball,
-                               build_box, build_trace, domain_measure)
+from levelpde.geometry import (BOUNDARY, BoundaryData, Grid, _crossing_fraction,
+                               build_annulus, build_ball, build_box, build_trace,
+                               domain_measure)
 from levelpde.measure import ProfileFunction, ScalarField
 from levelpde.outerloop import OuterConfig, solve_nonlocal
 
@@ -188,10 +189,11 @@ COORD = st.one_of(st.just(0.0), st.floats(-2, 2), st.floats(-1e3, 1e3))
 
 
 @st.composite
-def mirror_grids(draw):
-    """A 2-D or 3-D ball, annulus or box: centres or corners at 0, near it or
-    up to 1e3 away, and boxes with odd and even node counts per axis."""
-    n = draw(st.sampled_from([2, 3]))
+def mirror_grids(draw, dims=(2, 3)):
+    """A ball, annulus or box in one of ``dims`` dimensions: centres or
+    corners at 0, near it or up to 1e3 away, and boxes with odd and even
+    node counts per axis."""
+    n = draw(st.sampled_from(dims))
     h = draw(st.floats(1 / 4, 1 / 2))
     kind = draw(st.sampled_from(["ball", "annulus", "box"]))
     corner = tuple(draw(st.lists(COORD, min_size=n, max_size=n)))
@@ -221,6 +223,95 @@ def test_grids_are_mirror_symmetric_in_every_axis(grid):
         M.sort_indices()
         assert np.array_equal(M.indptr, A.indptr) and np.array_equal(M.indices, A.indices)
         assert np.array_equal(M.data.view(np.uint64), A.data.view(np.uint64))
+
+
+def _reference_plan(grid):
+    """src, theta and points of every key, each end found by
+    np.ravel_multi_index of the shifted multi-indices, and the terms built
+    node by node in the layout ``StencilTerms`` documents."""
+    n, N, h = grid.n, grid.n_interior, grid.h
+    cls = grid.node_class.ravel()
+    src, theta, whole, points = {}, {}, {}, []
+    keys = [(a, s) for a in range(n) for s in (+1, -1)] + [
+        (a, b, sa, sb) for a in range(n) for b in range(a + 1, n)
+        for sa in (+1, -1) for sb in (+1, -1)]
+    for key in keys:
+        shift = dict(zip(key[:len(key) // 2], key[len(key) // 2:]))
+        idx = [grid.interior_index[k] + shift.get(k, 0) for k in range(n)]
+        flat = np.ravel_multi_index(idx, grid.shape)
+        ends = grid._ordinal_flat[flat]
+        sampled = cls[flat] == BOUNDARY
+        point = np.empty((N, n))
+        point[sampled] = np.stack([grid.axis_coords[k][idx[k][sampled]]
+                                   for k in range(n)], axis=1)
+        if len(key) == 2:
+            a, s = key
+            theta[key] = np.ones(N)
+            cut = (ends < 0) & ~sampled
+            if np.any(cut):
+                theta[key][cut] = _crossing_fraction(grid, np.flatnonzero(cut), a, s)
+                point[cut] = grid.interior_coords[cut]
+                point[cut, a] += s * theta[key][cut] * h
+            whole[key] = ~cut
+            sampled = ends < 0
+        ends[sampled] = N + sum(map(len, points)) + np.arange(np.count_nonzero(sampled))
+        src[key] = ends
+        points.append(point[sampled])
+
+    stiffness, terms = np.zeros(N), {}
+    for a in range(n):
+        tp, tm = theta[(a, +1)], theta[(a, -1)]
+        stiffness += 2.0 / (h ** 2 * tp * tm)
+        terms[(a, a)] = ([*range(N)] * 2, [*src[(a, +1)], *src[(a, -1)]],
+                         [*(2.0 / (h ** 2 * tp * (tp + tm))),
+                          *(2.0 / (h ** 2 * tm * (tp + tm)))], 2, N)
+    signs = [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            head, band = [[] for _ in signs], [[] for _ in range(3 * len(signs))]
+            for i in range(N):
+                diag = [src[(a, b, sa, sb)][i] for sa, sb in signs]
+                if min(diag) >= 0:
+                    for q, (sa, sb) in enumerate(signs):
+                        head[q].append((i, diag[q], sa * sb / (4.0 * h ** 2)))
+                    continue
+                quads = [q for q, (sa, sb) in enumerate(signs) if diag[q] >= 0
+                         and whole[(a, sa)][i] and whole[(b, sb)][i]]
+                for q in quads:
+                    sa, sb = signs[q]
+                    k = sa * sb / (h ** 2 * len(quads))
+                    band[3 * q].append((i, diag[q], k))
+                    band[3 * q + 1].append((i, src[(a, sa)][i], -k))
+                    band[3 * q + 2].append((i, src[(b, sb)][i], -k))
+            rows = [t for part in head + band for t in part]
+            terms[(a, b)] = ([t[0] for t in rows], [t[1] for t in rows],
+                             [t[2] for t in rows], 4, len(head[0]))
+    return src, theta, np.concatenate(points), stiffness, terms
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and np.array_equal(
+        x.view(np.uint64) if x.dtype == np.float64 else x,
+        y.view(np.uint64) if y.dtype == np.float64 else y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mirror_grids(dims=(1, 2, 3)))
+def test_stencil_plan_matches_a_per_key_reference(grid):
+    src, theta, points, stiffness, terms = _reference_plan(grid)
+    plan = grid.plan
+    assert plan.src.keys() == src.keys() and plan.theta.keys() == theta.keys()
+    assert all(_same_bits(plan.src[k], src[k]) for k in src)
+    assert all(_same_bits(plan.theta[k], theta[k]) for k in theta)
+    assert _same_bits(plan.points, points) and _same_bits(plan.stiffness, stiffness)
+    assert plan.pairs == list(terms)
+    for key, (node, ends, kappa, arity, width) in terms.items():
+        got = plan.terms[key]
+        assert _same_bits(got.node, np.array(node, dtype=np.int32))
+        assert _same_bits(got.src, np.array(ends, dtype=np.int32))
+        assert _same_bits(got.kappa, np.array(kappa, dtype=np.float64))
+        assert (got.arity, got.width) == (arity, width)
 
 
 OUTPUTS = {

@@ -12,6 +12,7 @@ from levelpde.geometry import (BoundaryData, build_annulus, build_ball, build_bo
 from levelpde.measure import ProfileFunction, ScalarField, superlevel_measures
 from levelpde.outerloop import solve_nonlocal
 from levelpde.verify import (
+    BarrierPoint,
     StudyProblem,
     barrier_comparison_check,
     barrier_gradient_constant,
@@ -20,6 +21,7 @@ from levelpde.verify import (
     exact_ball_solution,
     flat_region_detector,
     unit_ball_volume,
+    _sample_directions,
 )
 
 LAP = EllipticOperator.laplacian()
@@ -203,6 +205,45 @@ class TestFlatRegionDetector:
             flat_region_detector(u, 0.0)
 
 
+def _bits(p):
+    """A BarrierPoint as exact values: floats as their hex text."""
+    return (tuple(map(float.hex, p.boundary_point)), tuple(map(float.hex, p.ball_center)),
+            p.n_nodes, float.hex(p.min_slack), p.ok, p.measure_ok)
+
+
+def _per_probe_barrier_points(u, eps0, op, tol):
+    """The barrier comparison one probe at a time: a full-grid distance, a
+    closed-form barrier and five reductions per probe."""
+    grid, d = u.grid, u.grid.descriptor
+    n = grid.n
+    half = 0.5 * domain_measure(grid)
+    center = np.asarray(d.center, dtype=np.float64)
+    if hasattr(d, "radius"):
+        spheres = [(d.radius, -1.0)]
+    else:
+        spheres = [(d.r_outer, -1.0), (d.r_inner, +1.0)]
+    barrier_op = EllipticOperator.pucci_minus(op.lam, op.Lam)
+    mu = superlevel_measures(u)
+    uin, coords = u.interior, grid.interior_coords
+    points = []
+    for radius, inward in spheres:
+        for dvec in _sample_directions(n):
+            y = center + radius * dvec
+            cb = center + (radius + inward * eps0) * dvec
+            barrier = exact_ball_solution(tuple(cb), eps0, n, barrier_op)
+            in_ball = np.linalg.norm(coords - cb, axis=1) < eps0
+            n_nodes = int(np.sum(in_ball))
+            if n_nodes == 0:
+                points.append(BarrierPoint(tuple(y), tuple(cb), 0, math.inf, True, True))
+                continue
+            min_slack = float(np.min(uin[in_ball] - barrier.value(coords[in_ball])))
+            points.append(BarrierPoint(
+                tuple(float(x) for x in y), tuple(float(x) for x in cb), n_nodes,
+                min_slack, min_slack >= -tol,
+                bool(np.all(mu[in_ball] >= half - grid.cell))))
+    return points
+
+
 @pytest.fixture(scope="module")
 def solved_ball():
     grid = build_ball((0.0, 0.0), 1.0, 1 / 32)
@@ -227,6 +268,36 @@ class TestBarrierComparison:
         rep = barrier_comparison_check(u, 0.5, LAP)
         assert rep.passed
         assert rep.min_grad_band >= 0.9 * rep.c0
+
+    @pytest.mark.parametrize("make_grid, eps0", [
+        (lambda: build_ball((0.0, 0.0), 1.0, 1 / 32), 0.5),
+        (lambda: build_ball((0.0, 0.0, 0.0), 1.0, 1 / 10), 0.5),
+        (lambda: build_ball((0.1, 0.2, 0.3), 1.0, 1 / 10), 0.3),
+        (lambda: build_ball((0.0,), 1.0, 1 / 16), 0.5),
+        (lambda: build_annulus((0.0, 0.0), 0.4, 1.0, 1 / 16), 0.15),
+        (lambda: build_ball((0.0, 0.0), 1.0, 0.1), 0.04),
+        (lambda: build_ball((0.0, 0.0, 0.0), 1.0, 0.1), 0.05),
+    ], ids=["disk", "ball-3d", "ball-3d-off-centre", "interval", "annulus",
+            "disk-empty-probes", "ball-3d-empty-probes"])
+    @pytest.mark.parametrize("field", ["closed-form", "random", "below-barrier"])
+    def test_matches_the_per_probe_loop(self, make_grid, eps0, field):
+        grid = make_grid()
+        if field == "closed-form":
+            u = exact_ball_solution(grid.descriptor.center, 1.0, grid.n, LAP).sample(grid)
+        elif field == "random":  # the minimum at a random node: every last bit counts
+            u = zero_data_field(grid, np.random.default_rng(0).random(grid.n_interior))
+        else:  # |x - c|^2 - 1: below every barrier, superlevel sets at the sphere
+            c = np.asarray(grid.descriptor.center)
+            u = ScalarField.sample(grid, lambda p: np.sum((p - c) ** 2, axis=1) - 1.0)
+        rep = barrier_comparison_check(u, eps0, LAP)
+        want = _per_probe_barrier_points(u, eps0, LAP, rep.tol)
+        assert [_bits(p) for p in rep.points] == [_bits(p) for p in want]
+        assert rep.passed == all(p.ok for p in want)
+        assert rep.hypothesis_ok == all(p.measure_ok for p in want)
+        if field == "below-barrier" and hasattr(grid.descriptor, "radius"):
+            assert not any(p.measure_ok for p in rep.points if p.n_nodes)
+        if eps0 < grid.h:  # some tangent balls fall between the nodes
+            assert any(p.n_nodes == 0 for p in rep.points)
 
     def test_gate_on_large_eps0(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
