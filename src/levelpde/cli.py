@@ -579,12 +579,15 @@ def cmd_diagnose(cfg: RunConfig, timings: bool = False) -> int:
         lines.append(f"barrier.tol = {_fmt(barrier.tol)}")
         lines.append(f"barrier.min_grad_band = {_fmt(barrier.min_grad_band)}")
         lines.append(f"barrier.points = {len(barrier.points)}")
+        lines.append(f"barrier.empty_probes = {barrier.empty_probes}")
         lines.append(f"barrier.passed = {barrier.passed}")
         lines.append(f"barrier.hypothesis_ok = {barrier.hypothesis_ok}")
         for i, p in enumerate(barrier.points):
             lines.append(f"barrier.point.{i}.min_slack = {_fmt(p.min_slack)}")
             lines.append(f"barrier.point.{i}.ok = {p.ok}")
-        if not barrier.passed:
+        if barrier.empty_probes == len(barrier.points):
+            failures.append("no barrier probe's tangent ball holds a node")
+        elif not barrier.passed:
             failures.append("barrier comparison failed at a sampled point")
     else:
         lines.append("barrier.skipped = box domains have no inner ball condition")

@@ -332,11 +332,13 @@ _CHI = 1.0 - 2.0 * np.array([0, 1, 1, 0, 1, 0, 0, 1])[np.arange(8)[:, None] & np
 _PAIRED = np.array([sorted(range(8), key=lambda g: (g & ~(s & -s), g)) for s in range(8)])
 
 
-def _lu(M):
+def _lu(M, panel_size=None, relax=None):
     """SuperLU of the M-matrix -M (or of a sector block of one), ordered by
-    minimum degree on M + M^T with its diagonal pivots (see _laplacian)."""
+    minimum degree on M + M^T with its diagonal pivots (see _laplacian);
+    ``panel_size`` and ``relax`` go to ``splu``."""
     try:
         return splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    relax=relax, panel_size=panel_size,
                     options={"SymmetricMode": True})
     except MemoryError:
         raise InvalidGridError(
@@ -455,13 +457,17 @@ def _laplacian(grid: Grid) -> tuple:
     with signs, so every block stays row-diagonally dominant
     (|sum +-a| <= sum |a|) and the even one is again an M-matrix: the
     diagonal pivots stay stable.  1-D grids keep the plain LU: a
-    tridiagonal matrix has no fill to save.
+    tridiagonal matrix has no fill to save.  Its supernodes are single
+    columns, so it is factored with panels and relaxed supernodes of one
+    column (``panel_size=1, relax=1``): wider ones only cost workspace and
+    its page faults, and the solves keep their bits.
     """
     plan = grid.plan
     if plan.laplacian is None:
         A = _matrix(grid, np.broadcast_to(np.eye(grid.n),
                                           (grid.n_interior, grid.n, grid.n)))
-        plan.laplacian = (A, _SectorLU(*_sectors(grid, A)) if grid.n > 1 else _lu(A))
+        plan.laplacian = (A, _SectorLU(*_sectors(grid, A)) if grid.n > 1
+                          else _lu(A, panel_size=1, relax=1))
     return plan.laplacian
 
 

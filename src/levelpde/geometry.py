@@ -236,13 +236,14 @@ def _crossing_fraction(grid: Grid, cut: NDArray[np.intp], axis: int,
         t = np.sqrt(np.maximum(r * r - rho2, 0.0)) - sign * d[:, axis]
     else:
         # Annulus: the arm leaves through whichever sphere the neighbor is
-        # beyond.
+        # beyond.  Its offset d + s h can round to the other side of a
+        # sphere than _classify's h (k + s - m), so it is compared with the
+        # middle radius instead, far from both spheres.
         nbr = d.copy()
         nbr[:, axis] += sign * h
-        outer = np.linalg.norm(nbr, axis=1) >= descriptor.r_outer
-        r_out = descriptor.r_outer
+        r_in, r_out = descriptor.r_inner, descriptor.r_outer
+        outer = 2 * np.linalg.norm(nbr, axis=1) >= r_in + r_out
         t_out = np.sqrt(np.maximum(r_out * r_out - rho2, 0.0)) - sign * d[:, axis]
-        r_in = descriptor.r_inner
         t_in = -sign * d[:, axis] - np.sqrt(np.maximum(r_in * r_in - rho2, 0.0))
         t = np.where(outer, t_out, t_in)
     return np.clip(t / h, 1e-12, 1.0)
@@ -345,7 +346,9 @@ class StencilPlan:
     Laplacian row on its own node; ``laplacian`` caches the Laplacian matrix
     and its LU for the linear solver.  For n >= 2 that LU maps into and out
     of the matrix's 2^n mirror-symmetry sectors, one parity per axis, and
-    assembles and factors each sector's block on first use.
+    assembles and factors each sector's block on first use.  ``interval``
+    keeps what the 1-D cell measure reads of the grid alone
+    (``measure._interval_pieces``), built on its first call.
     """
 
     def __init__(self, grid: Grid):
@@ -424,6 +427,7 @@ class StencilPlan:
                                 2.0 / (h ** 2 * tm * (tp + tm)))),
                 2, N)
         self.laplacian: tuple | None = None
+        self.interval: tuple | None = None
 
 
 # ---------------------------------------------------------------------------

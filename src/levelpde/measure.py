@@ -252,6 +252,35 @@ def _prefix_sums(x: NDArray[np.float64]) -> tuple[NDArray[np.float64],
     return s, np.cumsum(err)
 
 
+def _interval_pieces(grid: Grid) -> tuple:
+    """The grid-fixed data of ``_interval_cell_measures``, built on first use
+    and kept on the grid's stencil plan as ``plan.interval``: the piece ends
+    a, b and the piece lengths, then the (2, N) neighbour sources (left row,
+    right row), half-cell lengths and half-cell to piece length ratios, and
+    the cell lengths."""
+    plan, h = grid.plan, grid.h
+    if plan.interval is None:
+        n = grid.n_interior
+        src_r, src_l = plan.src[(0, +1)], plan.src[(0, -1)]
+        end_r, end_l = np.flatnonzero(src_r >= n), np.flatnonzero(src_l >= n)
+        len_r, len_l = np.full(n, h), np.full(n, h)
+        len_r[end_r] = plan.theta[(0, +1)][end_r] * h
+        len_l[end_l] = plan.theta[(0, -1)][end_l] * h
+        # Every piece of u~ once, from its left end a to its right end b: the
+        # right piece of each node, plus the left piece of each node whose
+        # left arm ends at a crossing.
+        a = np.concatenate((np.arange(n), src_l[end_l]))
+        b = np.concatenate((src_r, end_l))
+        seg_len = np.concatenate((len_r, len_l[end_l]))
+        # Each half-cell runs from the node to its midpoint with the
+        # neighbour, or to the crossing when that is nearer.
+        half_l, half_r = np.minimum(0.5 * h, len_l), np.minimum(0.5 * h, len_r)
+        plan.interval = (a, b, seg_len, np.stack((src_l, src_r)),
+                         np.stack((half_l, half_r)),
+                         np.stack((half_l / len_l, half_r / len_r)), half_l + half_r)
+    return plan.interval
+
+
 def _interval_cell_measures(v: ScalarField,
                             order: NDArray[np.intp]) -> NDArray[np.float64]:
     """1-D: per node, the average over its cell of |{u~ >= u~(y)}|.
@@ -268,108 +297,112 @@ def _interval_cell_measures(v: ScalarField,
     samples are merged into it.  Pieces of M cut by a window's ends are
     integrated locally; only the whole pieces inside a window go through
     prefix sums.
+
+    The pieces of u~, the half-cells and their lengths depend on the grid
+    alone: ``_interval_pieces`` computes them on a grid's first call and
+    keeps them on its stencil plan.  Each call reads the values at their
+    ends straight from x, the interior values followed by the trace
+    samples.
     """
     vec = v.interior
     n = vec.size
-    plan, h = v.grid.plan, v.grid.h
-    end_r = np.flatnonzero(plan.src[(0, +1)] >= n)
-    end_l = np.flatnonzero(plan.src[(0, -1)] >= n)
-    # Interior values and trace samples in ascending order (sample ids
-    # n + j), and the knots: their distinct values.
+    a, b, seg_len, nbr, half, ratio, cell = _interval_pieces(v.grid)
     samples = v.trace.values
+    x = np.concatenate((vec, samples))
+    # The ids of x in ascending order of their values, each id's rank in
+    # that order, and the knots: the distinct values.
     s_order = np.argsort(samples)
-    asc = vec[order]
-    at = np.searchsorted(asc, samples[s_order])
-    ends = np.insert(order, at, n + s_order)
-    asc = np.insert(asc, at, samples[s_order])
+    ends = np.insert(order, np.searchsorted(vec, samples[s_order], sorter=order),
+                     n + s_order)
+    rank = np.empty(ends.size, dtype=np.intp)
+    rank[ends] = np.arange(ends.size)
+    asc = x[ends]
     first = np.concatenate(([True], asc[1:] != asc[:-1]))
     knots = asc[first]
-    k_all = np.empty(ends.size, dtype=np.intp)
-    k_all[ends] = np.cumsum(first) - 1
-    k_node = k_all[:n]
-    # Knot index and length of the piece of u~ on each side of every node.
-    k_r, k_l = k_all[plan.src[(0, +1)]], k_all[plan.src[(0, -1)]]
-    len_r = np.full(n, h)
-    len_l = np.full(n, h)
-    len_r[end_r] = plan.theta[(0, +1)][end_r] * h
-    len_l[end_l] = plan.theta[(0, -1)][end_l] * h
-
-    # Every piece of u~ once, from its left end a to its right end b: the
-    # right piece of each node, plus the left piece of each node whose left
-    # arm ends at a crossing.
-    a = np.concatenate((np.arange(n), plan.src[(0, -1)][end_l]))
-    b = np.concatenate((plan.src[(0, +1)], end_l))
-    ka, kb = k_all[a], k_all[b]
-    seg_len = np.concatenate((len_r, len_l[end_l]))
-    k_lo, k_hi = np.minimum(ka, kb), np.maximum(ka, kb)
+    k_of = np.cumsum(first) - 1         # knot index by rank
+    rank_a, rank_b = rank[a], rank[b]
+    rise = x[b] - x[a]
     with np.errstate(divide="ignore", over="ignore"):
-        slope = seg_len / (knots[k_hi] - knots[k_lo])
+        slope = seg_len / np.abs(rise)
     # A piece too steep in t to resolve counts as flat at its lower value.
     flat = ~np.isfinite(slope)
-    n_knots = knots.size
-    flat_len = np.bincount(k_lo[flat], weights=seg_len[flat], minlength=n_knots)
+    flat_len = np.bincount(k_of[np.minimum(rank_a[flat], rank_b[flat])],
+                           weights=seg_len[flat], minlength=knots.size)
 
     # M on (knots[k], knots[k+1]) falls with slope sigma[k], the summed
     # |dy/dt| of the pieces spanning it: each piece adds its slope at its
     # lower end and removes it at its upper one.  Each end is the left end
     # of at most one piece and the right end of at most one, so its two
-    # event slots, taken in ascending order of the ends, order the events by
-    # knot.  The events are summed one by one, unmerged, so that a steep
-    # piece's rounding cannot outlive it.
-    rise = np.where(flat, 0.0, np.where(ka < kb, slope, -slope))
-    events = np.zeros((ends.size, 2))
-    events[a, 0] = rise
-    events[b, 1] = -rise
-    s, c = _prefix_sums(events[ends].ravel())
+    # event slots, 2 rank and 2 rank + 1, order the events by knot.  The
+    # events are summed one by one, unmerged, so that a steep piece's
+    # rounding cannot outlive it.
+    rise = np.where(flat, 0.0, np.copysign(slope, rise))
+    events = np.zeros(2 * ends.size)
+    events[0::2][rank_a] = rise
+    events[1::2][rank_b] = -rise
+    s, c = _prefix_sums(events)
     upto = 2 * np.flatnonzero(first)[1:]
     sigma = np.maximum(s[upto] + c[upto], 0.0)
     gap = np.diff(knots)
-    # m_up[k] = M just above knots[k]; m_dn[k] = M just below knots[k+1],
-    # summed from the top so that the small measures near the maximum keep
-    # their relative accuracy.
+    # m_up[k] = M just above knots[k]; m_closed[k + 1] = M just below
+    # knots[k + 1], summed from the top so that the small measures near the
+    # maximum keep their relative accuracy.
     drop = sigma * gap + flat_len[1:]
     m_up = np.concatenate((np.cumsum(drop[::-1])[::-1], [0.0]))
     m_closed = flat_len + m_up          # M(knots[k]), ties included
-    m_dn = m_closed[1:]
     m_up = m_up[:-1]
-    area_s, area_c = _prefix_sums(0.5 * gap * (m_up + m_dn))
+    area_s, area_c = _prefix_sums(0.5 * gap * (m_up + m_closed[1:]))
 
-    # Each half-cell runs from the node to its midpoint with the neighbour,
-    # or to the crossing when that is nearer; on it u~ runs over the values
-    # between knots[k] and knots[k] + d.
-    half_l, half_r = np.minimum(0.5 * h, len_l), np.minimum(0.5 * h, len_r)
-    k = np.concatenate((k_node, k_node))
-    d = np.concatenate(((half_l / len_l) * (knots[k_l] - vec),
-                        (half_r / len_r) * (knots[k_r] - vec)))
-    mean = m_closed[k]
-    wide = np.flatnonzero(d != 0)
-    if wide.size:
-        mean[wide] = _window_means(knots, gap, m_up, m_dn, area_s, area_c,
-                                   k[wide], d[wide])
-    return (half_l * mean[:n] + half_r * mean[n:]) / (half_l + half_r)
+    # On the half-cells left and right of a node (the rows of d) u~ runs
+    # over the values between knots[k] and knots[k] + d.
+    k = np.tile(k_of[rank[:n]], 2)
+    d = (ratio * (x[nbr] - vec)).ravel()
+    if gap.size:
+        mean = _window_means(knots, gap, m_up, m_closed, area_s, area_c, k, d)
+    else:  # a constant field
+        mean = m_closed[k]
+    mean = half * mean.reshape(2, n)
+    return (mean[0] + mean[1]) / cell
 
 
-def _window_means(knots, gap, m_up, m_dn, area_s, area_c, k, d):
-    """Mean of M over the values between knots[k] and knots[k] + d, d != 0.
+def _window_means(knots, gap, m_up, m_closed, area_s, area_c, k, d):
+    """Mean of M over the values between knots[k] and knots[k] + d, and
+    M(knots[k]) where d == 0.
 
     M is linear on each piece (knots[j], knots[j+1]) from m_up[j] to
-    m_dn[j]; area_s + area_c are the prefix sums of its integral.  Offsets
-    from knots are formed as (knots[k] - knots[j]) + d rather than from the
-    rounded far end, which keeps windows a few ulps wide exact.
+    m_closed[j+1]; area_s + area_c are the prefix sums of its integral.
+    Offsets from knots are formed as (knots[k] - knots[j]) + d rather than
+    from the rounded far end, which keeps windows a few ulps wide exact.
     """
+    m_dn = m_closed[1:]
+    rise = m_dn - m_up
+
     def at(j, kk, dt):
         """M at knots[kk] + dt, on piece j."""
         frac = np.clip(((knots[kk] - knots[j]) + dt) / gap[j], 0.0, 1.0)
-        return m_up[j] + (m_dn[j] - m_up[j]) * frac
+        return m_up[j] + rise[j] * frac
 
-    up = d > 0
     # Windows that pass the next knot in their direction hold knots inside;
     # M is linear over every other window, so its mean is M at the middle.
-    j = np.where(up, k, k - 1)
-    out = at(j, k, 0.5 * d)
-    cut = np.flatnonzero(np.abs(d) > gap[j])
+    # That lies on piece j = k (d > 0) or k - 1 (d < 0), whose offset
+    # knots[k] - knots[j] is 0.0 or gap[j], bit for bit.  A window with
+    # d == 0 takes piece k - 1 as well (piece -1 at knot 0) until it is
+    # overwritten.
+    down = d <= 0
+    j = k - down
+    g = gap[j]
+    frac = 0.5 * d
+    np.add(g, frac, out=frac, where=down)
+    frac /= g
+    np.clip(frac, 0.0, 1.0, out=frac)
+    out = rise[j]
+    out *= frac
+    out += m_up[j]
+    level = np.flatnonzero(d == 0)
+    out[level] = m_closed[k[level]]
+    cut = np.flatnonzero(np.abs(d) > g)
     if cut.size:
-        k, d, up = k[cut], d[cut], up[cut]
+        k, d, up = k[cut], d[cut], ~down[cut]
         far = np.clip(knots[k] + d, knots[0], knots[-1])
         # Knots strictly inside the window are a .. b-1.
         a, b = k + 1, k.copy()

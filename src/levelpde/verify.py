@@ -240,8 +240,14 @@ class BarrierReport:
     points: list[BarrierPoint] = dc_field(default_factory=list)
 
     @property
+    def empty_probes(self) -> int:
+        """The probes whose tangent ball holds no node: they test nothing."""
+        return sum(p.n_nodes == 0 for p in self.points)
+
+    @property
     def passed(self) -> bool:
-        return all(p.ok for p in self.points)
+        """Every probe is within tol, and some probe holds a node."""
+        return self.empty_probes < len(self.points) and all(p.ok for p in self.points)
 
     @property
     def hypothesis_ok(self) -> bool:
@@ -257,9 +263,11 @@ def barrier_comparison_check(u: ScalarField, eps0: float,
     A probe is a direction from ``_sample_directions`` on each bounding
     sphere.  It reports the nodes in its tangent ball of radius eps0, their
     least slack u - barrier (+inf in a ball that holds no node) and whether
-    each has superlevel measure at least |Omega|/2.  ``_PROBES_PER_PASS``
-    probes share one pass over their (probe, node) distances, which are
-    summed axis by axis as ``np.linalg.norm`` sums them.
+    each has superlevel measure at least |Omega|/2.  The report counts the
+    empty balls, and does not pass when every ball is empty.
+    ``_PROBES_PER_PASS`` probes share one pass over their (probe, node)
+    distances, which are summed axis by axis as ``np.linalg.norm`` sums
+    them.
 
     Preconditions (PreconditionError, not a failed comparison): the grid is a
     ball or annulus (uniform inner ball condition), the tangent ball fits,

@@ -309,7 +309,20 @@ output.report = {tmp_path}/diag.txt
         assert rc == 0
         text = (tmp_path / "diag.txt").read_text()
         assert "flat.ok = True" in text
+        assert "barrier.empty_probes = 0" in text
         assert "barrier.passed = True" in text
+
+    def test_diagnose_fails_when_no_probe_holds_a_node(self, tmp_path, capsys):
+        # With eps0 = 0.02 all 8 tangent balls fall between the nodes.
+        cfg_text = MINIMAL_BALL + f"output.field = {tmp_path}/u.txt\n"
+        assert main(["solve", write_config(tmp_path, cfg_text)]) == 0
+        cfg2 = MINIMAL_BALL + f"diagnose.field = {tmp_path}/u.txt\ndiagnose.eps0 = 0.02\n"
+        capsys.readouterr()
+        assert main(["diagnose", write_config(tmp_path, cfg2, "d.cfg")]) == 3
+        out = capsys.readouterr()
+        assert "diagnose: barrier.empty_probes = 8" in out.out
+        assert "diagnose: barrier.passed = False" in out.out
+        assert "no barrier probe's tangent ball holds a node" in out.err
 
     def test_rearrangement_dump(self, tmp_path):
         cfg = MINIMAL_BALL + f"output.rearrangement = {tmp_path}/star.txt\n"

@@ -488,6 +488,24 @@ class TestSolveDirichlet:
         ordc = grid.ordinal(tuple(s // 2 for s in grid.shape))
         assert ordc >= 0
 
+    @pytest.mark.parametrize("n, m", [(2, 14), (2, 24), (2, 28), (2, 32), (3, 14)])
+    def test_annulus_torsion_closed_form(self, n, m):
+        # -Lap u = 1, psi = 0 on the annulus (a, b).  At h = 1/14, 1/24 and
+        # 1/28 (2-D) and 1/14 (3-D) some arm's neighbour rounds onto the
+        # outer sphere; an arm sent to the inner sphere instead gave errors
+        # of 3-7 h^2.  Correct arms stay within 0.06 h^2.
+        a, b = 0.4, 1.0
+        grid = build_annulus((0.0,) * n, a, b, 1 / m)
+        r = np.linalg.norm(grid.interior_coords, axis=1)
+        if n == 2:
+            C = (b * b - a * a) / (4 * math.log(b / a))
+            exact = (b * b - r * r) / 4 + C * np.log(r / b)
+        else:
+            B = (a * a - b * b) / (6 * (1 / a - 1 / b))
+            exact = -r * r / 6 + (b * b / 6 - B / b) + B / r
+        u = solve_dirichlet(LAP, grid, -1.0, BoundaryData.zero())
+        assert np.max(np.abs(u.interior - exact)) <= 0.1 / m ** 2
+
     def test_pucci_quadratic_negative_definite(self):
         # u = -|x|^2/2: pucci_minus = Lam * (-n); quadratic exactness means
         # the discrete solution is the sampled quadratic up to the tolerance.

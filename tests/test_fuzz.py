@@ -18,13 +18,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from levelpde.cli import _KNOWN_KEYS, RunConfig, format_field, load_field, parse_config
 from levelpde.elliptic import EllipticOperator, _laplacian
 from levelpde.errors import ConfigError, InvalidParameterError, LevelPDEError
-from levelpde.geometry import (BOUNDARY, BoundaryData, Grid, _crossing_fraction,
+from levelpde.geometry import (BOUNDARY, EXTERIOR, BoundaryData, Grid, _crossing_fraction,
                                build_annulus, build_ball, build_box, build_trace,
                                domain_measure)
 from levelpde.measure import ProfileFunction, ScalarField
@@ -312,6 +312,36 @@ def test_stencil_plan_matches_a_per_key_reference(grid):
         assert _same_bits(got.src, np.array(ends, dtype=np.int32))
         assert _same_bits(got.kappa, np.array(kappa, dtype=np.float64))
         assert (got.arity, got.width) == (arity, width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.one_of(st.just(1.0), st.floats(0.5, 1.5)),
+       st.floats(0.2, 0.6), st.integers(11, 24), st.booleans(), st.data())
+@example(2, 1.0, 0.4, 24, False, None)  # 23h + h rounds below 1.0; 24h is 1.0
+@example(3, 1.0, 0.4, 14, False, None)
+def test_crossing_arms_end_on_the_sphere_beyond_their_neighbour(
+        n, r_outer, inner, m, scaled, data):
+    # Spacings r_outer / m and 1 / m put lattice nodes on a sphere or a
+    # rounding away from it.  The neighbour of a crossing arm is Exterior
+    # by _classify's offsets h (k + s - m); the middle radius tells which
+    # sphere it is beyond, and the arm's end must lie on that sphere.
+    center = (0.0,) * n if data is None else tuple(
+        data.draw(st.lists(COORD, min_size=n, max_size=n)))
+    r_inner, h = inner * r_outer, (r_outer if scaled else 1.0) / m
+    grid = build_annulus(center, r_inner, r_outer, h)
+    plan, N = grid.plan, grid.n_interior
+    center_node = np.array(grid.shape) // 2
+    for a in range(n):
+        for s in (+1, -1):
+            cut = np.flatnonzero(plan.src[(a, s)] >= N)
+            nbr = np.stack(grid.interior_index, axis=1)[cut]
+            nbr[:, a] += s
+            assert np.all(grid.node_class[tuple(nbr.T)] == EXTERIOR)
+            offset = h * (nbr - center_node)
+            outer = 2 * np.linalg.norm(offset, axis=1) >= r_inner + r_outer
+            end = plan.points[plan.src[(a, s)][cut] - N]
+            radius = np.linalg.norm(end - np.array(center), axis=1)
+            assert np.all(np.abs(radius - np.where(outer, r_outer, r_inner)) <= 1e-9)
 
 
 OUTPUTS = {

@@ -299,6 +299,21 @@ class TestBarrierComparison:
         if eps0 < grid.h:  # some tangent balls fall between the nodes
             assert any(p.n_nodes == 0 for p in rep.points)
 
+    @pytest.mark.parametrize("n, radius, eps0, empty", [
+        (3, 1.0, 0.05, 8),    # 8 of the 26 tangent balls fall between the nodes
+        (2, 0.97, 0.01, 8),   # every one of the 8 does
+        (3, 0.97, 0.01, 26),  # every one of the 26 does
+    ], ids=["ball-3d-some", "disk-all", "ball-3d-all"])
+    def test_counts_the_empty_probes(self, n, radius, eps0, empty):
+        center = (0.0,) * n
+        grid = build_ball(center, radius, 0.1)
+        rep = barrier_comparison_check(
+            exact_ball_solution(center, radius, n, LAP).sample(grid), eps0, LAP)
+        assert rep.empty_probes == empty
+        assert all(p.ok for p in rep.points)
+        # A check in which no probe holds a node tested nothing.
+        assert rep.passed == (empty < len(rep.points))
+
     def test_gate_on_large_eps0(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
         u = ScalarField.sample(grid, lambda p: np.zeros(p.shape[0]))
