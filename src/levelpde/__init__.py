@@ -1,10 +1,11 @@
 """Solver and verification suite for Dirichlet problems of the form
 F(D^2 u) = g(measure of the superlevel set of u), on boxes, balls and annuli.
 
-The pipeline: freeze the unknown in the right-hand side, solve the resulting
-elliptic problem, damp, Anderson-mix and iterate until the fixed-point gap is
-below the outer tolerance.  The measure smoothed over a value window of width
-epsilon stays available as ``rhs_smoothed``.
+The pipeline, ``solve_nonlocal``: freeze the unknown in the right-hand side,
+solve the resulting elliptic problem, damp, Anderson-mix and iterate until the
+fixed-point gap is below the outer tolerance.  It iterates the plain map; the
+measure smoothed over a value window of width epsilon, which the existence
+proof uses, stays available as ``rhs_smoothed``.
 """
 
 from .errors import (
@@ -49,7 +50,6 @@ from .outerloop import (
     IterationRecord,
     OuterConfig,
     SolveReport,
-    fixed_point_step,
     plain_residual_parts,
     solve_nonlocal,
 )

@@ -182,12 +182,7 @@ class RunConfig(dict):
         kind = self["boundary.kind"]
         if kind == "zero":
             return BoundaryData.zero()
-        center = self.get("boundary.center")
-        if center is None:
-            if self.domain_type == "box":
-                center = tuple(0.5 * (lo + hi) for lo, hi in self.bounds)
-            else:
-                center = self.center
+        center = self.get("boundary.center", self.build_grid().descriptor.center)
         if kind == "radial_poly":
             return BoundaryData.radial_poly(self["boundary.coeffs"], center)
         return BoundaryData.table(self["boundary.knots"], self["boundary.values"],

@@ -50,13 +50,13 @@ from .elliptic import (
 )
 from .errors import InvalidParameterError, NonConvergenceError
 from .geometry import BoundaryData, BoxDescriptor, Grid
+# Unused here; bench/spans.py traces the smoothed measure as outerloop.rhs_smoothed.
 from .measure import ProfileFunction, ScalarField, rhs_plain, rhs_smoothed
 
 __all__ = [
     "OuterConfig",
     "IterationRecord",
     "SolveReport",
-    "fixed_point_step",
     "solve_nonlocal",
     "plain_residual_parts",
 ]
@@ -199,23 +199,6 @@ def _snapped(problem: DirichletProblem, g: ProfileFunction, snap: float,
     D = problem.hessian(v.interior)
     f = rhs_plain(v, g, order)
     return v, np.abs(problem.op.evaluate(D) - f), D, f
-
-
-def fixed_point_step(v: ScalarField, eps: float, theta: float,
-                     op: EllipticOperator, g: ProfileFunction,
-                     psi: BoundaryData, *,
-                     tol: float | None = None) -> ScalarField:
-    """One damped application of the frozen-and-smoothed solve map.
-
-    With theta = 1 this is exactly T(v): solve F(D^2 u) = g(smoothed
-    superlevel average of v) with data psi to the inner tolerance ``tol``.
-    Propagates inner non-convergence.
-    """
-    if not (0 < theta <= 1):
-        raise InvalidParameterError("damping must lie in (0, 1]")
-    f = rhs_smoothed(v, g, eps)
-    u = DirichletProblem(op, v.grid, psi, tol=tol).solve(f, v)[0]
-    return u.with_interior((1.0 - theta) * v.interior + theta * u.interior)
 
 
 def _snap_width(grid: Grid, op: EllipticOperator, tol: float,

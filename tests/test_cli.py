@@ -93,6 +93,19 @@ boundary.kind = zero
         assert cfg.bounds == ((0.0, 1.0), (0.0, 2.0))
         assert cfg.build_grid().n == 2
 
+    @pytest.mark.parametrize("domain, center", [
+        ("box\ndomain.bounds = 0:1,0:2", (0.5, 1.0)),
+        ("ball\ndomain.center = 0.25,-0.5\ndomain.radius = 1", (0.25, -0.5)),
+        ("annulus\ndomain.center = 0.25,-0.5\ndomain.r_inner = 0.4\n"
+         "domain.r_outer = 1", (0.25, -0.5)),
+    ], ids=["box", "ball", "annulus"])
+    def test_boundary_data_default_to_the_domain_centre(self, domain, center):
+        text = MINIMAL_BALL.replace("ball\ndomain.radius = 1", domain).replace(
+            "boundary.kind = zero", "boundary.kind = radial_poly\nboundary.coeffs = 0,1")
+        psi = parse_config(text).build_boundary()
+        pts = np.random.default_rng(3).normal(size=(20, 2))
+        assert np.array_equal(psi.evaluate(pts), np.linalg.norm(pts - center, axis=1))
+
     def test_solver_overrides(self):
         text = MINIMAL_BALL + """
 solver.damping = 0.25
@@ -203,6 +216,8 @@ class TestFieldDump:
 
 
 BALL3D = MINIMAL_BALL.replace("grid.h = 0.125", "domain.center = 0,0,0\ngrid.h = 0.1")
+BOX2D = MINIMAL_BALL.replace("domain.type = ball\ndomain.radius = 1",
+                             "domain.type = box\ndomain.bounds = -1:1,-1:1")
 
 
 def math_pi_ish():
@@ -323,6 +338,36 @@ output.report = {tmp_path}/diag.txt
         assert "diagnose: barrier.empty_probes = 8" in out.out
         assert "diagnose: barrier.passed = False" in out.out
         assert "no barrier probe's tangent ball holds a node" in out.err
+
+    def test_diagnose_box_skips_the_barrier(self, tmp_path, capsys):
+        # Off the ball the flat threshold falls back to 0.05 |Omega|_h, 0.197
+        # here, against a flat mass of 0.152.
+        text = BOX2D.replace("grid.h = 0.125", "grid.h = 0.015625")
+        text += f"output.field = {tmp_path}/u.txt\ndiagnose.field = {tmp_path}/u.txt\n"
+        path = write_config(tmp_path, text)
+        assert main(["solve", path]) == 0
+        assert main(["diagnose", path]) == 0
+        out = capsys.readouterr().out
+        assert "diagnose: flat.threshold = 0.19688720703125\n" in out
+        assert "diagnose: flat.ok = True\n" in out
+        assert ("diagnose: barrier.skipped = box domains have no inner ball "
+                "condition\n") in out
+
+    def test_diagnose_annulus_default_eps0(self, tmp_path, capsys):
+        # eps0 defaults to a quarter of the shell's width, (1 - 0.4) / 4.
+        text = MINIMAL_BALL.replace(
+            "domain.type = ball\ndomain.radius = 1",
+            "domain.type = annulus\ndomain.r_inner = 0.4\ndomain.r_outer = 1")
+        text = text.replace("grid.h = 0.125", "grid.h = 0.0625")
+        text += (f"output.field = {tmp_path}/u.txt\ndiagnose.field = {tmp_path}/u.txt\n"
+                 "diagnose.delta = 1e-9\n")
+        path = write_config(tmp_path, text)
+        assert main(["solve", path]) == 0
+        assert main(["diagnose", path]) == 0
+        out = capsys.readouterr().out
+        assert "diagnose: flat.ok = True\n" in out
+        assert "diagnose: barrier.eps0 = 0.15\n" in out
+        assert "diagnose: barrier.passed = True\n" in out
 
     def test_rearrangement_dump(self, tmp_path):
         cfg = MINIMAL_BALL + f"output.rearrangement = {tmp_path}/star.txt\n"
@@ -481,6 +526,48 @@ output.table = {tmp_path}/study.txt
 
     def test_missing_config_exit_4(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.cfg")]) == 4
+
+    def test_field_output_onto_a_directory_exit_4(self, tmp_path, capsys):
+        (tmp_path / "u.txt").mkdir()
+        text = MINIMAL_BALL + f"output.field = {tmp_path}/u.txt\n"
+        rc = main(["solve", write_config(tmp_path, text)])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("error: I/O failure:")
+        # The temporary file is gone and the directory is left as it was.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "u.txt"]
+        assert not any((tmp_path / "u.txt").iterdir())
+
+    def test_diagnose_non_utf8_dump_exit_1(self, tmp_path, capsys):
+        (tmp_path / "u.txt").write_bytes(b"# n=2 \xff\xfe\n")
+        cfg = MINIMAL_BALL + f"diagnose.field = {tmp_path}/u.txt\n"
+        rc = main(["diagnose", write_config(tmp_path, cfg)])
+        assert rc == 1
+        assert "not a text field dump" in capsys.readouterr().err
+
+    def test_diagnose_other_node_classes_exit_1(self, tmp_path, capsys):
+        # Same lattice, but one Interior node relabelled Boundary.
+        grid = build_ball((0.0, 0.0), 1.0, 0.125)
+        lines = format_field(zero_data_field(grid, np.zeros(grid.n_interior))
+                             ).splitlines()
+        k = 1 + int(np.ravel_multi_index((8, 8), grid.shape))
+        lines[k] = lines[k].replace("Interior", "Boundary")
+        (tmp_path / "u.txt").write_text("\n".join(lines) + "\n")
+        cfg = MINIMAL_BALL + f"diagnose.field = {tmp_path}/u.txt\n"
+        rc = main(["diagnose", write_config(tmp_path, cfg)])
+        assert rc == 1
+        assert "dump node classes do not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [
+        ("study", "study.h_list"), ("diagnose", "diagnose.field")])
+    def test_missing_command_key_exit_1(self, command, key, tmp_path, capsys):
+        rc = main([command, write_config(tmp_path, MINIMAL_BALL)])
+        assert rc == 1
+        assert f"{key}: missing required key" in capsys.readouterr().err
+
+    def test_verify_ball_on_a_box_exit_1(self, tmp_path, capsys):
+        rc = main(["verify-ball", write_config(tmp_path, BOX2D)])
+        assert rc == 1
+        assert "verify-ball needs a ball domain" in capsys.readouterr().err
 
     def test_diagnose_mismatched_grid_exit_1(self, tmp_path):
         grid = build_ball((0.0, 0.0), 1.0, 0.25)

@@ -769,6 +769,33 @@ class TestPolicySolve:
         assert history[0] == 1.0  # F(D^2 0) - f = 0 - (-1)
         assert len(history) == 6 and max(history[1:]) < 1e-12
 
+    @pytest.mark.parametrize("stop", ["non-finite-residual", "failed-step",
+                                      "non-finite-step"])
+    def test_early_stops_raise_with_the_howard_history(self, stop, monkeypatch):
+        # Each stop ends Howard's loop at once: the history holds the
+        # start's residual alone, F(D^2 0) - f = 0 - (-1), or NaN.
+        from levelpde import elliptic
+
+        def step(*args):
+            if stop == "failed-step":
+                raise RuntimeError("factor is exactly singular")
+            return np.full(grid.n_interior, np.nan)
+
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
+        if stop == "non-finite-residual":
+            monkeypatch.setattr(elliptic, "_eigenvalues",
+                                lambda H: np.full(H.shape[:2], np.nan))
+        else:
+            monkeypatch.setattr(elliptic, "_solve_linear", step)
+            monkeypatch.setattr(elliptic, "_solve_frozen", step)
+        with pytest.raises(NonConvergenceError) as err:
+            solve_dirichlet(self.OP, grid, -1.0, BoundaryData.zero())
+        history = err.value.history
+        if stop == "non-finite-residual":
+            assert len(history) == 1 and math.isnan(history[0])
+        else:
+            assert history == [1.0]
+
     def test_diverging_howard_raises_in_seconds(self):
         # The centred cross is not monotone for lam/Lam = 0.01 on this box:
         # Howard's residuals grow after its second step, and the solve ends

@@ -477,6 +477,23 @@ class TestProfileFunction:
         assert not ProfileFunction.linear(1.0, 0.0, 2.0).negative_on_range()
         assert ProfileFunction.linear(0.0, -3.0, 2.0).negative_on_range()
 
+    @pytest.mark.parametrize("values, negative", [
+        ([0.0, -1.0, -4.0], True), ([-1.0, -1.0, -1.0], True),
+        ([0.0, 0.0, -1.0], False), ([0.5, -1.0, -4.0], False),
+        ([-1.0, -1.0, 0.2], False)])
+    def test_table_negative_on_range(self, values, negative):
+        # g(0) may vanish; every later knot value must be negative.
+        g = ProfileFunction.from_table([0.0, 1.0, 2.0], values, domain_max=2.0)
+        assert g.negative_on_range() is negative
+
+    @pytest.mark.parametrize("values, slope", [
+        ([0.0, -1.0, -4.0], 3.0), ([0.0, -1.0, -2.0], 1.0),
+        ([-2.0, -2.0, -2.0], 0.0), ([1.0, -0.5, 0.0], 1.5)])
+    def test_table_max_slope(self, values, slope):
+        # The steepest piece of the interpolant, whatever its sign.
+        g = ProfileFunction.from_table([0.0, 1.0, 2.0], values, domain_max=2.0)
+        assert g.max_slope() == slope
+
     def test_abs_bound(self):
         assert ProfileFunction.linear(-1.0, 0.0, 2.0).abs_bound() == 2.0
         g = ProfileFunction.from_table([0.0, 1.0], [0.5, -3.0], domain_max=1.0)

@@ -20,11 +20,10 @@ from levelpde.elliptic import _DEFAULT_TOL, EllipticOperator, solve_dirichlet
 from levelpde.errors import InvalidParameterError, NonConvergenceError
 from levelpde.geometry import (BoundaryData, build_annulus, build_ball, build_box,
                                build_trace, domain_measure)
-from levelpde.measure import ProfileFunction, ScalarField
+from levelpde.measure import ProfileFunction, ScalarField, rhs_plain
 from levelpde.outerloop import (
     OuterConfig,
     _snap_ties,
-    fixed_point_step,
     plain_residual_parts,
     solve_nonlocal,
 )
@@ -72,6 +71,12 @@ class TestSnapTies:
         assert np.all(np.diff(out[order]) >= 0)
 
 
+def solve_map(v, op, g, psi):
+    """T(v), the map solve_nonlocal iterates: the Dirichlet solve with the
+    plain forcing of v, started from v."""
+    return solve_dirichlet(op, v.grid, rhs_plain(v, g), psi, initial=v)
+
+
 class TestFixedPointStep:
     def test_constant_profile_forgets_input(self):
         grid = build_box([(0, 1), (0, 1)], 0.125)
@@ -79,8 +84,8 @@ class TestFixedPointStep:
         psi = BoundaryData.zero()
         v1 = zero_data_field(grid, np.zeros(grid.n_interior))
         v2 = zero_data_field(grid, np.sin(7.0 * grid.interior_coords[:, 0]))
-        u1 = fixed_point_step(v1, 0.3, 1.0, LAP, g, psi)
-        u2 = fixed_point_step(v2, 0.3, 1.0, LAP, g, psi)
+        u1 = solve_map(v1, LAP, g, psi)
+        u2 = solve_map(v2, LAP, g, psi)
         assert np.array_equal(u1.interior, u2.interior)
 
     def test_fixed_point_is_fixed(self):
@@ -89,8 +94,7 @@ class TestFixedPointStep:
         psi = BoundaryData.zero()
         u, rep = solve_nonlocal(LAP, grid, g, psi)
         assert rep.converged
-        eps = rep.tie_snap
-        again = fixed_point_step(u, eps, 1.0, LAP, g, psi)
+        again = solve_map(u, LAP, g, psi)
         gap = float(np.max(np.abs(again.interior - u.interior)))
         # The cell-quantized map can amplify the accepted gap a little when
         # value orderings flip; the returned field is fixed to that scale.
@@ -102,39 +106,11 @@ class TestFixedPointStep:
         g = linear_profile(grid)
         psi = BoundaryData.zero()
         u, rep = solve_nonlocal(LAP, grid, g, psi)
-        eps = rep.tie_snap
+        Tu = solve_map(u, LAP, g, psi).interior
         for theta in (0.25, 0.5, 1.0):
-            w = fixed_point_step(u, eps, theta, LAP, g, psi)
-            gap = float(np.max(np.abs(w.interior - u.interior)))
+            w = (1.0 - theta) * u.interior + theta * Tu
+            gap = float(np.max(np.abs(w - u.interior)))
             assert gap <= theta * 3.0 * rep.outer_tol + 1e-12
-
-    def test_collapse_matches_plain_composition(self):
-        # eps below the minimal value gap: the smoothed right side equals the
-        # plain one bitwise, so the step output is bit-identical.
-        from levelpde.elliptic import solve_dirichlet
-        from levelpde.measure import rhs_plain, rhs_smoothed
-        grid = build_box([(0, 1), (0, 1)], 0.25)
-        g = linear_profile(grid)
-        psi = BoundaryData.zero()
-        v = zero_data_field(grid, np.linspace(0.0, 1.0, grid.n_interior))
-        assert np.array_equal(rhs_smoothed(v, g, 1e-6),
-                              rhs_plain(v, g))
-        stepped = fixed_point_step(v, 1e-6, 1.0, LAP, g, psi)
-        plain = solve_dirichlet(LAP, grid, rhs_plain(v, g), psi,
-                                initial=v)
-        assert np.array_equal(stepped.interior, plain.interior)
-
-    def test_invalid_args(self):
-        grid = build_box([(0, 1), (0, 1)], 0.25)
-        g = linear_profile(grid)
-        v = zero_data_field(grid, np.zeros(grid.n_interior))
-        with pytest.raises(InvalidParameterError):
-            fixed_point_step(v, 0.0, 1.0, LAP, g, BoundaryData.zero())
-        with pytest.raises(InvalidParameterError):
-            fixed_point_step(v, 0.1, 0.0, LAP, g, BoundaryData.zero())
-        with pytest.raises(InvalidParameterError, match="positive and finite"):
-            fixed_point_step(v, 0.1, 1.0, LAP, g, BoundaryData.zero(),
-                             tol=math.inf)
 
     def test_1d_converges_toward_cubic_profile(self):
         # The 1-D measure of the interpolant gives 2|x| at every node but the
@@ -280,6 +256,15 @@ class TestSolveNonlocal:
             assert (np.max(np.abs(u.interior - c - u0.interior))
                     <= 1e-13 * max(1.0, abs(c)))
 
+    def test_table_profile_slope_sets_the_default_gap_tolerance(self):
+        # 0.00625 * 2^n n! * cell * max|g'| / lam, with max|g'| = 3.
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
+        m = domain_measure(grid)
+        g = ProfileFunction.from_table([0.0, m / 2, m], [0.0, -0.5 * m, -2.0 * m], m)
+        cfg = OuterConfig(max_outer_iterations=1)
+        rep = solve_nonlocal(LAP, grid, g, BoundaryData.zero(), cfg)[1]
+        assert rep.outer_tol == pytest.approx(0.00625 * 8 * grid.cell * 3.0, rel=1e-12)
+
     def test_max_iterations_status(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
         g = linear_profile(grid)
@@ -298,6 +283,24 @@ class TestSolveNonlocal:
                                 BoundaryData.zero(), cfg)
         assert rep.status == "InnerFailure" and rep.total_iterations == 0
         assert any("inner solve failed" in n for n in rep.notes)
+
+    def test_boundedness_violation_ends_in_inner_failure(self, monkeypatch):
+        # A torsion function a thousand times too small shrinks the bound
+        # below the first iterate.
+        real = outerloop.solve_dirichlet
+
+        def small_torsion(*args):
+            u = real(*args)
+            return u.with_interior(1e-3 * u.interior)
+
+        monkeypatch.setattr(outerloop, "solve_dirichlet", small_torsion)
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
+        rep = solve_nonlocal(LAP, grid, linear_profile(grid), BoundaryData.zero())[1]
+        assert rep.status == "InnerFailure" and rep.total_iterations == 1
+        assert rep.bound_max_observed > rep.bound_limit
+        assert rep.notes == [
+            f"boundedness violated: sup |v| = {rep.bound_max_observed:.6e} "
+            f"exceeds {rep.bound_limit:.6e}"]
 
     def test_diverging_howard_ends_in_inner_failure_in_seconds(self):
         # P+(0.05, 1) with mixed-sign data: the first step's Howard
@@ -327,6 +330,11 @@ class TestSolveNonlocal:
     def test_tolerances_must_be_positive_and_finite(self, field, value):
         with pytest.raises(InvalidParameterError, match="positive and finite"):
             OuterConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0.0, 1.5, math.nan])
+    def test_damping_must_lie_in_the_unit_interval(self, value):
+        with pytest.raises(InvalidParameterError, match=r"damping must lie in \(0, 1\]"):
+            OuterConfig(damping=value)
 
     def test_report_completeness(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
