@@ -30,7 +30,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -46,11 +45,11 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import (
-    _CLASS_CODES,
     _CLASS_NAMES,
     BallDescriptor,
     AnnulusDescriptor,
     BoundaryData,
+    BoundaryTrace,
     Grid,
     build_annulus,
     build_ball,
@@ -131,37 +130,20 @@ _KINDS = {
 class RunConfig(dict):
     """A parsed run configuration: the value of each given key, by key."""
 
-    @property
-    def domain_type(self) -> str:
-        return self["domain.type"]
-
-    @property
-    def center(self) -> tuple[float, ...]:
-        return self.get("domain.center", (0.0, 0.0))
-
-    @property
-    def radius(self) -> float:
-        return self["domain.radius"]
-
-    @property
-    def bounds(self) -> tuple[tuple[float, float], ...]:
-        return self["domain.bounds"]
-
-    # -- builders ----------------------------------------------------------
-
     _grid: Grid | None = None
 
     def build_grid(self) -> Grid:
         """The configured grid, built on the first call (parse_config's
         check) and returned again by every later one."""
         if self._grid is None:
-            h = self["grid.h"]
-            if self.domain_type == "box":
-                self._grid = build_box(self.bounds, h)
-            elif self.domain_type == "ball":
-                self._grid = build_ball(self.center, self.radius, h)
+            kind, h = self["domain.type"], self["grid.h"]
+            center = self.get("domain.center", (0.0, 0.0))
+            if kind == "box":
+                self._grid = build_box(self["domain.bounds"], h)
+            elif kind == "ball":
+                self._grid = build_ball(center, self["domain.radius"], h)
             else:
-                self._grid = build_annulus(self.center, self["domain.r_inner"],
+                self._grid = build_annulus(center, self["domain.r_inner"],
                                            self["domain.r_outer"], h)
         return self._grid
 
@@ -294,23 +276,11 @@ def atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def format_field(field: ScalarField) -> str:
-    """Bit-exact dump: a header, then one ``index class value`` line per
-    node in C order, the index one comma-joined token (``i,j,k`` in 3-D)."""
-    grid = field.grid
-    lines = [
-        "# n={} shape={} h={} origin={}".format(
-            grid.n,
-            ",".join(str(s) for s in grid.shape),
-            repr(grid.h),
-            ",".join(repr(o) for o in grid.origin),
-        )
-    ]
-    lines += [f"{label} {_CLASS_NAMES[cls]} {value!r}"
-              for label, cls, value in zip(_node_labels(grid.shape),
-                                           grid.node_class.ravel().tolist(),
-                                           field.values.ravel().tolist())]
-    return "\n".join(lines) + "\n"
+def _header(grid: Grid) -> str:
+    """The first line of a dump of a field on ``grid``."""
+    return "# n={} shape={} h={} origin={}".format(
+        grid.n, ",".join(str(s) for s in grid.shape), repr(grid.h),
+        ",".join(repr(o) for o in grid.origin))
 
 
 def _node_labels(shape: tuple[int, ...]):
@@ -319,64 +289,56 @@ def _node_labels(shape: tuple[int, ...]):
                                              for s in shape)))
 
 
-@dataclass
-class LoadedField:
-    n: int
-    shape: tuple[int, ...]
-    h: float
-    origin: tuple[float, ...]
-    node_class: np.ndarray
-    values: np.ndarray
+def format_field(field: ScalarField) -> str:
+    """Bit-exact dump: a header, then one ``index class value`` line per
+    node in C order, the index one comma-joined token (``i,j,k`` in 3-D)."""
+    grid = field.grid
+    lines = [_header(grid)]
+    lines += [f"{label} {_CLASS_NAMES[cls]} {value!r}"
+              for label, cls, value in zip(_node_labels(grid.shape),
+                                           grid.node_class.ravel().tolist(),
+                                           field.values.ravel().tolist())]
+    return "\n".join(lines) + "\n"
 
 
-def load_field(path: str | Path) -> LoadedField:
-    """Parse a field dump; a malformed one raises InvalidParameterError
-    naming the file and the line."""
+def load_field(path: str | Path, trace: BoundaryTrace) -> ScalarField:
+    """The field that format_field dumped to ``path``, on ``trace``'s grid.
+
+    The header, and the index and class of each node line, must be the text
+    format_field writes for that grid; anything else raises
+    InvalidParameterError naming the file and the line.
+    """
+    grid = trace.grid
     try:
         lines = Path(path).read_text().splitlines()
     except UnicodeDecodeError as err:
         raise InvalidParameterError(f"{path}: not a text field dump ({err})") from None
-    if not lines or not lines[0].startswith("# "):
-        raise InvalidParameterError(f"{path}: missing field header")
-    try:
-        header = dict(tok.split("=", 1) for tok in lines[0][2:].split())
-        n = int(header["n"])
-        shape = tuple(int(s) for s in header["shape"].split(","))
-        h = float(header["h"])
-        origin = tuple(float(o) for o in header["origin"].split(","))
-        if min(shape) < 1:
-            raise ValueError(f"shape {shape} has an empty axis")
-    except (KeyError, ValueError) as err:
+    header = _header(grid)
+    if not lines or lines[0] != header:
         raise InvalidParameterError(
-            f"{path}:1: malformed field header ({err!r})") from None
-    count = math.prod(shape)
+            f"{path}:1: expected the configured grid's header {header!r}")
     body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    if len(body) != count:
+    if len(body) != grid.node_class.size:
         raise InvalidParameterError(
-            f"{path}: expected {count} node lines, found {len(body)}")
-    # Line k must carry the k-th node in C order; an index off the lattice
-    # is malformed, one on it but elsewhere is out of order.  The index text
-    # is parsed only where it differs from format_field's label.
-    classes, values = [], []
-    for (lineno, ln), label in zip(body, _node_labels(shape)):
+            f"{path}: expected {grid.node_class.size} node lines, found {len(body)}")
+    values = []
+    for (lineno, ln), label, cls in zip(body, _node_labels(grid.shape),
+                                        grid.node_class.ravel().tolist()):
         try:
-            idx_s, cls_s, val_s = ln.split()
-            in_order = idx_s == label
-            if not in_order:
-                index = tuple(int(i) for i in idx_s.split(","))
-                in_order = index == tuple(map(int, label.split(",")))
-                if not in_order:
-                    np.ravel_multi_index(index, shape)
-            classes.append(_CLASS_CODES[cls_s])
-            values.append(float(val_s))
-        except (KeyError, ValueError) as err:
+            index, name, value = ln.split()
+            values.append(float(value))
+        except ValueError as err:
             raise InvalidParameterError(
-                f"{path}:{lineno}: malformed node line ({err!r})") from None
-        if not in_order:
-            raise InvalidParameterError(f"{path}:{lineno}: node lines out of order")
-    return LoadedField(n, shape, h, origin,
-                       np.array(classes, dtype=np.int8).reshape(shape),
-                       np.array(values, dtype=np.float64).reshape(shape))
+                f"{path}:{lineno}: malformed node line ({err})") from None
+        if (index, name) != (label, _CLASS_NAMES[cls]):
+            raise InvalidParameterError(
+                f"{path}:{lineno}: expected node {label} {_CLASS_NAMES[cls]}")
+    interior = np.array(values)[grid.interior_flat]
+    bad = np.flatnonzero(~np.isfinite(interior))
+    if bad.size:
+        raise InvalidParameterError(f"{path}:{body[grid.interior_flat[bad[0]]][0]}: "
+                                    "non-finite value at an Interior node")
+    return ScalarField(interior, trace)
 
 
 def format_report(report: SolveReport, timings: bool = False) -> str:
@@ -449,7 +411,7 @@ def cmd_solve(cfg: RunConfig, timings: bool = False) -> int:
 
 def _require_closed_form(cfg: RunConfig, command: str) -> None:
     """The closed ball form solves only g(t) = -t with zero data on a ball."""
-    if cfg.domain_type != "ball":
+    if cfg["domain.type"] != "ball":
         raise ConfigError([(None, "domain.type", f"{command} needs a ball domain")])
     if (cfg["profile.kind"], cfg.get("profile.a"), cfg.get("profile.b"),
             cfg["boundary.kind"]) != ("linear", -1.0, 0.0, "zero"):
@@ -463,8 +425,8 @@ def cmd_verify_ball(cfg: RunConfig, timings: bool = False) -> int:
     grid = cfg.build_grid()
     op = cfg.build_operator()
     g = cfg.build_profile(grid)
-    n = len(cfg.center)
-    exact = exact_ball_solution(cfg.center, cfg.radius, n, op)
+    ball = grid.descriptor
+    exact = exact_ball_solution(ball.center, ball.radius, grid.n, op)
     t0 = time.perf_counter()
     u, report = solve_nonlocal(op, grid, g, BoundaryData.zero(),
                                cfg.build_outer())
@@ -490,7 +452,8 @@ def cmd_study(cfg: RunConfig, timings: bool = False) -> int:
     _require_closed_form(cfg, "study")
     if not cfg.get("study.h_list"):
         raise ConfigError([(None, "study.h_list", "missing required key")])
-    problem = StudyProblem(center=cfg.center, radius=cfg.radius,
+    ball = cfg.build_grid().descriptor
+    problem = StudyProblem(center=ball.center, radius=ball.radius,
                            op=cfg.build_operator())
     t0 = time.perf_counter()
     rows = convergence_order_study(problem, cfg["study.h_list"], cfg.build_outer())
@@ -517,17 +480,7 @@ def cmd_diagnose(cfg: RunConfig, timings: bool = False) -> int:
     if not cfg.get("diagnose.field"):
         raise ConfigError([(None, "diagnose.field", "missing required key")])
     grid = cfg.build_grid()
-    loaded = load_field(cfg["diagnose.field"])
-    if (loaded.n, loaded.shape, loaded.h) != (grid.n, grid.shape, grid.h) \
-            or loaded.origin != grid.origin:
-        raise ConfigError([(None, "diagnose.field",
-                            "dump geometry does not match the configured grid")])
-    if not np.array_equal(loaded.node_class, grid.node_class):
-        raise ConfigError([(None, "diagnose.field",
-                            "dump node classes do not match the configured grid")])
-    psi = cfg.build_boundary()
-    u = ScalarField(loaded.values.ravel()[grid.interior_flat],
-                    build_trace(grid, psi))
+    u = load_field(cfg["diagnose.field"], build_trace(grid, cfg.build_boundary()))
     g = cfg.build_profile(grid)
     op = cfg.build_operator()
 

@@ -145,10 +145,16 @@ class ProfileFunction:
             raise InvalidParameterError(
                 f"table knots must span [0, {domain_max}]"
             )
-        bound = float(np.max(np.abs(va)))
+        # The params hold the table of g on [0, domain_max] alone, the knots
+        # inside it and the two ends as np.interp evaluates them, for the
+        # bound, the slope and the sign; g itself interpolates the table given.
+        inside = (kn > 0) & (kn < domain_max)
+        ends = np.interp([0.0, domain_max], kn, va)
+        on_domain = np.concatenate((ends[:1], va[inside], ends[1:]))
         return cls("table", domain_max,
-                   lambda t: np.interp(t, kn, va), bound,
-                   {"knots": kn, "values": va})
+                   lambda t: np.interp(t, kn, va), float(np.max(np.abs(on_domain))),
+                   {"knots": np.concatenate(([0.0], kn[inside], [domain_max])),
+                    "values": on_domain})
 
     def __call__(self, t) -> NDArray[np.float64]:
         arr = np.asarray(t, dtype=np.float64)

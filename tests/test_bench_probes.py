@@ -3,7 +3,9 @@
 ``bench/spans.py`` replaces module attributes of the package by name, so a
 renamed or removed function breaks the traced benchmark run without failing
 any other fast test.  ``install`` patches the package for the life of the
-process, so the probe run happens in a child interpreter.
+process, so the probe run happens in a child interpreter.  One probe runs
+the CLI's verify-ball and diagnose, the ball3d-cli workload's commands, so a
+change to the field dump or its loader that breaks the traced run fails here.
 """
 
 import json
@@ -42,15 +44,44 @@ print(json.dumps({"status": report.status, "nested": recorder.nested(),
 """
 
 
-def probe_run(domain: str) -> dict:
+# The ball3d-cli workload's two commands, on a coarse grid: verify-ball
+# writes the field dump and diagnose loads it back.
+CLI_RUN = """
+import json, os, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import spans
+from levelpde import cli
+
+recorder = spans.Recorder()
+spans.install(recorder)
+dump = os.path.join(sys.argv[3], "u.txt")
+base = ("domain.type = ball\\ndomain.center = 0,0,0\\ndomain.radius = 1.0\\n"
+        "grid.h = 0.25\\noperator.kind = laplacian\\nprofile.kind = linear\\n"
+        "profile.a = -1\\nprofile.b = 0\\nboundary.kind = zero\\n")
+codes = []
+for command, key in (("verify-ball", "output.field"), ("diagnose", "diagnose.field")):
+    path = os.path.join(sys.argv[3], command + ".cfg")
+    with open(path, "w") as fh:
+        fh.write(base + f"{key} = {dump}\\n")
+    codes.append(cli.main([command, path]))
+metrics = {k: v for k, (v, _) in spans.layer_metrics(recorder).items()}
+print(json.dumps({"codes": codes, "nested": recorder.nested(),
+                  "dump_bytes": os.path.getsize(dump), "metrics": metrics}))
+"""
+
+
+def run_child(script: str, *args: str) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     done = subprocess.run(
-        [sys.executable, "-c", PROBE_RUN, str(ROOT / "bench"), str(ROOT / "src"),
-         domain],
+        [sys.executable, "-c", script, str(ROOT / "bench"), str(ROOT / "src"), *args],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    out = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def probe_run(domain: str) -> dict:
+    out = run_child(PROBE_RUN, domain)
     assert out["status"] == "Converged" and out["nested"]
     return out["metrics"]
 
@@ -85,3 +116,13 @@ def test_probes_follow_the_sector_lu():
     metrics = probe_run("ball3d")
     assert_one_solve_per_iterate(metrics)
     assert metrics["elliptic.lu_solves"] == metrics["outerloop.iterations"] + 1
+
+
+def test_probes_follow_the_cli_field_dump(tmp_path):
+    # The traced ball3d-cli run times the dump's write and load, and counts
+    # the bytes the loader read.
+    out = run_child(CLI_RUN, str(tmp_path))
+    assert out["codes"] == [0, 0] and out["nested"]
+    metrics = out["metrics"]
+    assert metrics["cli.format_field.s"] > 0 and metrics["cli.load_field.s"] > 0
+    assert metrics["cli.bytes_read"] == out["dump_bytes"]

@@ -15,7 +15,8 @@ from levelpde.cli import (
 )
 from levelpde.elliptic import EllipticOperator, solve_dirichlet
 from levelpde.errors import ConfigError, InvalidParameterError
-from levelpde.geometry import BOUNDARY, BoundaryData, build_ball, build_box, build_trace
+from levelpde.geometry import (BOUNDARY, BallDescriptor, BoundaryData, BoxDescriptor,
+                               build_annulus, build_ball, build_box, build_trace)
 from levelpde.measure import ScalarField
 from levelpde.outerloop import OuterConfig
 from levelpde.verify import exact_ball_solution
@@ -40,10 +41,9 @@ boundary.kind = zero
 class TestParseConfig:
     def test_minimal_ball_valid(self):
         cfg = parse_config(MINIMAL_BALL)
-        assert cfg.domain_type == "ball"
-        assert cfg.radius == 1.0
-        assert cfg.center == (0.0, 0.0)
+        assert cfg["domain.type"] == "ball"
         grid = cfg.build_grid()
+        assert grid.descriptor == BallDescriptor((0.0, 0.0), 1.0)
         assert grid.n == 2
 
     def test_missing_Lambda_names_the_key(self):
@@ -90,18 +90,24 @@ profile.b = 0
 boundary.kind = zero
 """
         cfg = parse_config(text)
-        assert cfg.bounds == ((0.0, 1.0), (0.0, 2.0))
+        assert cfg.build_grid().descriptor == BoxDescriptor(((0.0, 1.0), (0.0, 2.0)))
         assert cfg.build_grid().n == 2
 
+    @pytest.mark.parametrize("kind", [
+        "radial_poly\nboundary.coeffs = 0,1",
+        "table\nboundary.knots = 0,8\nboundary.values = 0,8"],
+        ids=["radial_poly", "table"])
     @pytest.mark.parametrize("domain, center", [
         ("box\ndomain.bounds = 0:1,0:2", (0.5, 1.0)),
         ("ball\ndomain.center = 0.25,-0.5\ndomain.radius = 1", (0.25, -0.5)),
         ("annulus\ndomain.center = 0.25,-0.5\ndomain.r_inner = 0.4\n"
          "domain.r_outer = 1", (0.25, -0.5)),
     ], ids=["box", "ball", "annulus"])
-    def test_boundary_data_default_to_the_domain_centre(self, domain, center):
+    def test_boundary_data_default_to_the_domain_centre(self, domain, center, kind):
+        # Both radial kinds give psi = |x - centre| (the table's one piece
+        # has slope 1, and the points lie within 8 of the centre).
         text = MINIMAL_BALL.replace("ball\ndomain.radius = 1", domain).replace(
-            "boundary.kind = zero", "boundary.kind = radial_poly\nboundary.coeffs = 0,1")
+            "boundary.kind = zero", f"boundary.kind = {kind}")
         psi = parse_config(text).build_boundary()
         pts = np.random.default_rng(3).normal(size=(20, 2))
         assert np.array_equal(psi.evaluate(pts), np.linalg.norm(pts - center, axis=1))
@@ -157,20 +163,16 @@ class TestFieldDump:
         text = format_field(u)
         p = tmp_path / "field.txt"
         p.write_text(text)
-        loaded = load_field(p)
-        assert loaded.shape == grid.shape
-        assert np.array_equal(loaded.node_class, grid.node_class)
-        rebuilt = u.with_interior(loaded.values.ravel()[grid.interior_flat])
-        assert format_field(rebuilt) == text
+        loaded = load_field(p, u.trace)
+        assert loaded.trace is u.trace
+        assert format_field(loaded) == text
 
     def test_values_bitexact(self, tmp_path):
         grid = build_box([(0, 1)], 0.25)
         u = zero_data_field(grid, np.array([1 / 3, math_pi_ish(), 1e-300]))
         p = tmp_path / "f.txt"
         p.write_text(format_field(u))
-        loaded = load_field(p)
-        assert np.array_equal(
-            loaded.values[grid.interior_mask], u.interior)
+        assert np.array_equal(load_field(p, u.trace).interior, u.interior)
 
     def test_box_dump_carries_psi_at_every_boundary_node(self, tmp_path):
         # No stencil reads the 8 corners of a cube, so no trace sample lies
@@ -182,37 +184,37 @@ class TestFieldDump:
         u = solve_dirichlet(EllipticOperator.laplacian(), grid, -1.0, psi)
         p = tmp_path / "u.txt"
         p.write_text(format_field(u))
-        loaded = load_field(p)
+        dumped = np.array([float(ln.split()[2]) for ln in p.read_text().splitlines()[1:]]
+                          ).reshape(grid.shape)
         boundary = grid.node_class == BOUNDARY
         lattice = np.stack(np.meshgrid(*grid.axis_coords, indexing="ij"), axis=-1)
-        assert np.array_equal(loaded.values[boundary], psi.evaluate(lattice[boundary]))
-        assert np.array_equal(loaded.values[grid.interior_mask], u.interior)
+        assert np.array_equal(dumped[boundary], psi.evaluate(lattice[boundary]))
+        assert np.array_equal(dumped[grid.interior_mask], u.interior)
+        assert np.array_equal(load_field(p, u.trace).interior, u.interior)
         corners = lattice[::4, ::4, ::4].reshape(8, 3)
         assert boundary[::4, ::4, ::4].all()
-        assert np.array_equal(loaded.values[::4, ::4, ::4].ravel(), psi.evaluate(corners))
+        assert np.array_equal(dumped[::4, ::4, ::4].ravel(), psi.evaluate(corners))
         assert not any(np.all(grid.plan.points == c, axis=1).any() for c in corners)
 
-    @pytest.mark.parametrize("damage, message", [
-        (lambda lines: lines.__setitem__(7, "0" + lines[7]), None),
-        (lambda lines: lines.__setitem__(7, "+" + lines[7].replace(",", ",0", 1)), None),
-        (lambda lines: lines.insert(8, lines.pop(7)), ":8: node lines out of order"),
-        (lambda lines: lines.__setitem__(7, "9" + lines[7]), ":8: malformed node line"),
-        (lambda lines: lines.__setitem__(7, "x" + lines[7]), ":8: malformed node line"),
+    @pytest.mark.parametrize("damage", [
+        lambda lines: lines.__setitem__(7, "0" + lines[7]),
+        lambda lines: lines.__setitem__(7, "+" + lines[7].replace(",", ",0", 1)),
+        lambda lines: lines.insert(8, lines.pop(7)),
+        lambda lines: lines.__setitem__(7, "9" + lines[7]),
+        lambda lines: lines.__setitem__(7, "x" + lines[7]),
     ], ids=["leading-zero", "plus-sign", "swapped", "off-lattice", "not-an-int"])
-    def test_index_text_off_the_label(self, damage, message, tmp_path):
-        # A line whose index text is not format_field's label is parsed: the
-        # same node loads as it is, another one is out of order.
+    def test_index_text_off_the_label(self, damage, tmp_path):
+        # Line 8 must carry format_field's label of the 7th node, 0,6; any
+        # other index text, even one naming the same node, is rejected.
         grid = build_ball((0.0, 0.0), 1.0, 0.25)
         u = zero_data_field(grid, np.arange(grid.n_interior, dtype=np.float64))
         lines = format_field(u).splitlines()
         damage(lines)
         p = tmp_path / "u.txt"
         p.write_text("\n".join(lines) + "\n")
-        if message is None:
-            assert np.array_equal(load_field(p).values, u.values, equal_nan=True)
-        else:
-            with pytest.raises(InvalidParameterError, match=message):
-                load_field(p)
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{re.escape(str(p))}:8: expected node 0,6 Exterior$"):
+            load_field(p, u.trace)
 
 
 BALL3D = MINIMAL_BALL.replace("grid.h = 0.125", "domain.center = 0,0,0\ngrid.h = 0.1")
@@ -304,26 +306,46 @@ output.table = {tmp_path}/table.txt
         assert rc == 2
         assert "status = MaxIterations" in (tmp_path / "r.txt").read_text()
 
-    def test_diagnose_constant_field_fails_flat_check(self, tmp_path):
-        grid = build_ball((0.0, 0.0), 1.0, 0.125)
-        const = zero_data_field(grid, np.full(grid.n_interior, 1.0))
+    @pytest.mark.parametrize("value, h, failures", [
+        (1.0, 0.125, ["flat-region mass"]),
+        (0.0, 0.03125, ["flat-region mass", "barrier comparison failed"]),
+    ], ids=["one", "zero"])
+    def test_diagnose_constant_field_fails_flat_check(self, value, h, failures,
+                                                      tmp_path, capsys):
+        # A constant field is one flat region.  At h = 1/32 the barrier
+        # tolerance 10 h^2 is below the tangent-ball barrier's height, so the
+        # zero field fails the barrier comparison too.
+        grid = build_ball((0.0, 0.0), 1.0, h)
+        const = zero_data_field(grid, np.full(grid.n_interior, value))
         (tmp_path / "const.txt").write_text(format_field(const))
-        cfg = MINIMAL_BALL + f"diagnose.field = {tmp_path}/const.txt\n"
+        cfg = MINIMAL_BALL.replace("grid.h = 0.125", f"grid.h = {h}") \
+            + f"diagnose.field = {tmp_path}/const.txt\n"
         rc = main(["diagnose", write_config(tmp_path, cfg)])
         assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(failures)
+        assert all(line.startswith(f"diagnose: FAIL: {failure}")
+                   for line, failure in zip(err, failures))
 
-    def test_diagnose_solved_field_passes(self, tmp_path):
+    @pytest.mark.parametrize("a, flat", [
+        ("-1", "flat.ok = True\n"),
+        ("1", "flat.ok = not-applicable (profile not negative)\n")],
+        ids=["negative", "positive"])
+    def test_diagnose_solved_field_passes(self, a, flat, tmp_path):
+        # The flat-region exclusion holds only for a negative profile; with
+        # g(t) = t diagnose reports it as not applicable, and no threshold.
         cfg_text = MINIMAL_BALL + f"output.field = {tmp_path}/u.txt\n"
         path = write_config(tmp_path, cfg_text)
         assert main(["solve", path]) == 0
-        cfg2 = MINIMAL_BALL + f"""
+        cfg2 = MINIMAL_BALL.replace("profile.a = -1", f"profile.a = {a}") + f"""
 diagnose.field = {tmp_path}/u.txt
 output.report = {tmp_path}/diag.txt
 """
         rc = main(["diagnose", write_config(tmp_path, cfg2, "d.cfg")])
         assert rc == 0
         text = (tmp_path / "diag.txt").read_text()
-        assert "flat.ok = True" in text
+        assert flat in text
+        assert ("flat.threshold" in text) == (a == "-1")
         assert "barrier.empty_probes = 0" in text
         assert "barrier.passed = True" in text
 
@@ -368,6 +390,19 @@ output.report = {tmp_path}/diag.txt
         assert "diagnose: flat.ok = True\n" in out
         assert "diagnose: barrier.eps0 = 0.15\n" in out
         assert "diagnose: barrier.passed = True\n" in out
+
+    def test_diagnose_eps0_past_the_tangent_ball_exit_1(self, tmp_path, capsys):
+        # The shell (0.4, 1) fits tangent balls of radius up to 0.3.
+        text = MINIMAL_BALL.replace(
+            "domain.type = ball\ndomain.radius = 1",
+            "domain.type = annulus\ndomain.r_inner = 0.4\ndomain.r_outer = 1")
+        grid = build_annulus((0.0, 0.0), 0.4, 1.0, 0.125)
+        (tmp_path / "u.txt").write_text(
+            format_field(zero_data_field(grid, np.zeros(grid.n_interior))))
+        text += f"diagnose.field = {tmp_path}/u.txt\ndiagnose.eps0 = 0.35\n"
+        assert main(["diagnose", write_config(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == (
+            "error: tangent ball of radius 0.35 does not fit inside the domain\n")
 
     def test_rearrangement_dump(self, tmp_path):
         cfg = MINIMAL_BALL + f"output.rearrangement = {tmp_path}/star.txt\n"
@@ -542,7 +577,8 @@ output.table = {tmp_path}/study.txt
         cfg = MINIMAL_BALL + f"diagnose.field = {tmp_path}/u.txt\n"
         rc = main(["diagnose", write_config(tmp_path, cfg)])
         assert rc == 1
-        assert "not a text field dump" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path}/u.txt: not a text field dump")
 
     def test_diagnose_other_node_classes_exit_1(self, tmp_path, capsys):
         # Same lattice, but one Interior node relabelled Boundary.
@@ -555,7 +591,8 @@ output.table = {tmp_path}/study.txt
         cfg = MINIMAL_BALL + f"diagnose.field = {tmp_path}/u.txt\n"
         rc = main(["diagnose", write_config(tmp_path, cfg)])
         assert rc == 1
-        assert "dump node classes do not match" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path}/u.txt:{k + 1}: expected node 8,8 Interior\n")
 
     @pytest.mark.parametrize("command, key", [
         ("study", "study.h_list"), ("diagnose", "diagnose.field")])
@@ -569,23 +606,33 @@ output.table = {tmp_path}/study.txt
         assert rc == 1
         assert "verify-ball needs a ball domain" in capsys.readouterr().err
 
-    def test_diagnose_mismatched_grid_exit_1(self, tmp_path):
+    def test_diagnose_mismatched_grid_exit_1(self, tmp_path, capsys):
         grid = build_ball((0.0, 0.0), 1.0, 0.25)
         u = zero_data_field(grid, np.zeros(grid.n_interior))
         (tmp_path / "u.txt").write_text(format_field(u))
         cfg = MINIMAL_BALL + f"diagnose.field = {tmp_path}/u.txt\n"  # h mismatch
         rc = main(["diagnose", write_config(tmp_path, cfg)])
         assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path}/u.txt:1: expected the configured grid's header "
+            "'# n=2 shape=17,17 h=0.125 origin=-1.0,-1.0'\n")
 
-    @pytest.mark.parametrize("header, damage", [
-        (True, lambda ln: ln.replace(" h=", " step=")),
-        (False, lambda ln: ln + " 0.0"),
-        (False, lambda ln: ln.replace("Interior", "Inside")),
-        (False, lambda ln: ln.rsplit(" ", 1)[0] + " nan"),
-    ], ids=["header-without-h", "four-fields", "unknown-class", "nan-interior"])
-    def test_diagnose_malformed_dump_exit_1(self, header, damage, tmp_path, capsys):
+    @pytest.mark.parametrize("header, damage, where", [
+        (True, lambda ln: ln.replace(" h=", " step="), ":1:"),
+        (True, lambda ln: ln.replace(" h=0.125", " h=0.1250"), ":1:"),
+        (False, lambda ln: "", ": expected 289 node lines, found 288"),
+        (False, lambda ln: ln + " 0.0", ":146:"),
+        (False, lambda ln: ln.replace("8,8", "8,08"), ":146:"),
+        (False, lambda ln: ln.replace("Interior", "Inside"), ":146:"),
+        (False, lambda ln: ln.rsplit(" ", 1)[0] + " x", ":146:"),
+        (False, lambda ln: ln.rsplit(" ", 1)[0] + " nan", ":146:"),
+    ], ids=["header-without-h", "header-text", "blank-node-line", "four-fields",
+            "index-text", "unknown-class", "not-a-number", "nan-interior"])
+    def test_diagnose_malformed_dump_exit_1(self, header, damage, where, tmp_path,
+                                            capsys):
         # One line of a dump that diagnose passes is damaged: the header, or
-        # the centre node's line.
+        # the centre node's line (line 146).  The error names the file, and
+        # the line where there is one.
         grid = build_ball((0.0, 0.0), 1.0, 0.125)
         exact = exact_ball_solution((0.0, 0.0), 1.0, 2,
                                     EllipticOperator.laplacian())
@@ -597,7 +644,8 @@ output.table = {tmp_path}/study.txt
         rc = main(["diagnose", write_config(tmp_path, cfg)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err.startswith(f"error: {tmp_path}/u.txt{where}")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("band", ["nan", "-1", "0.01"])
     def test_diagnose_band_below_2h_exit_1(self, band, tmp_path, capsys):

@@ -229,6 +229,8 @@ class TestApplyOperator:
             EllipticOperator.pucci_minus(2.0, 1.0)
         with pytest.raises(InvalidParameterError):
             EllipticOperator("laplacian", 1.0, 2.0)
+        with pytest.raises(InvalidParameterError, match="unknown operator kind"):
+            EllipticOperator("biharmonic")
 
     @pytest.mark.parametrize("lam, Lam", [(1.0, math.inf), (math.inf, math.inf),
                                           (1.0, math.nan), (math.nan, 2.0)])
@@ -378,6 +380,21 @@ def count_lu_solves(monkeypatch) -> list:
 
 
 class TestSolveDirichlet:
+    def test_initial_guess_on_a_rebuilt_grid(self):
+        # Grid.matches compares lattices, not objects: a start on an equal,
+        # rebuilt grid gives the same solve as on the grid itself, and one on
+        # another grid raises.
+        op, zero = EllipticOperator.pucci_minus(1.0, 2.0), BoundaryData.zero()
+        grid, twin = (build_ball((0.0, 0.0), 1.0, 1 / 8) for _ in range(2))
+        start = solve_dirichlet(LAP, twin, -1.0, zero)
+        u = solve_dirichlet(op, grid, -1.0, zero, initial=start)
+        same = ScalarField(start.interior, build_trace(grid, zero))
+        assert np.array_equal(u.interior,
+                              solve_dirichlet(op, grid, -1.0, zero, initial=same).interior)
+        other = solve_dirichlet(LAP, build_ball((0.0, 0.0), 1.0, 1 / 4), -1.0, zero)
+        with pytest.raises(InvalidParameterError, match="different grid"):
+            solve_dirichlet(op, grid, -1.0, zero, initial=other)
+
     def test_laplacian_factorized_once_per_grid(self, monkeypatch):
         from levelpde import elliptic
 

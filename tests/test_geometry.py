@@ -64,6 +64,15 @@ class TestBox:
         with pytest.raises(InvalidGridError):
             build_box(bounds, h)
 
+    @pytest.mark.parametrize("bounds, h, message", [
+        ([], 0.25, "at least one axis"), ([(0, 1)] * 4, 0.25, "capped at 3"),
+        ([(0, 1)], 1.0, "grid has no interior nodes")],
+        ids=["no-axis", "four-axes", "one-cell"])
+    def test_box_without_interior_or_of_unsupported_dimension_rejected(
+            self, bounds, h, message):
+        with pytest.raises(InvalidGridError, match=message):
+            build_box(bounds, h)
+
     def test_spacing_below_the_side_over_float_max_rejected(self):
         # side / h overflows to inf; the lattice count must not.
         with pytest.raises(InvalidGridError):

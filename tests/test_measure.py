@@ -499,6 +499,22 @@ class TestProfileFunction:
         g = ProfileFunction.from_table([0.0, 1.0], [0.5, -3.0], domain_max=1.0)
         assert g.abs_bound() == 3.0
 
+    @pytest.mark.parametrize("knots, values, negative, bound, slope", [
+        ([0.0, 1.0, 10.0], [-1.0, -1.0, 5.0], True, 1.0, 2 / 3),
+        ([0.0, 2.0, 3.0], [-1.0, -1.0, 100.0], True, 1.0, 0.0),
+        ([-1.0, 0.5, 2.0], [5.0, -1.0, -1.0], False, 1.0, 4.0),
+    ], ids=["past-the-end", "knot-at-the-end", "before-zero"])
+    def test_table_is_read_on_its_domain_only(self, knots, values, negative, bound,
+                                               slope):
+        # Knots outside [0, 2] shape g only through its values at 0 and 2,
+        # and g itself is the interpolant of the table as given.
+        g = ProfileFunction.from_table(knots, values, domain_max=2.0)
+        assert g.negative_on_range() is negative
+        assert g.abs_bound() == bound
+        assert g.max_slope() == pytest.approx(slope, rel=1e-15)
+        t = np.linspace(0.0, 2.0, 101)
+        assert np.array_equal(g(t), np.interp(t, knots, values))
+
 
 class TestRearrangement:
     def test_hand_counted_example(self):

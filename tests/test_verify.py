@@ -68,6 +68,14 @@ class TestBallSolution:
         with pytest.raises(InvalidParameterError, match="positive and finite"):
             exact_ball_solution((0.0, 0.0), r, 2, LAP)
 
+    @pytest.mark.parametrize("center, n, message", [
+        ((0.0, 0.0), 3, "center dimension does not match n"),
+        ((0.0,) * 4, 4, "dimension")], ids=["center-of-another-n", "n-4"])
+    def test_center_and_dimension_must_agree_and_be_supported(self, center, n,
+                                                             message):
+        with pytest.raises(InvalidParameterError, match=message):
+            exact_ball_solution(center, 1.0, n, LAP)
+
     def test_1d_profile(self):
         sol = exact_ball_solution((0.0,), 1.0, 1, LAP)
         x = np.array([[0.0], [0.5], [1.0]])
@@ -120,6 +128,13 @@ class TestBarrierConstant:
             c1 = barrier_gradient_constant(0.3, n, 1.5)
             c2 = barrier_gradient_constant(0.6, n, 1.5)
             assert c2 / c1 == pytest.approx(2.0 ** (n + 1), rel=1e-12)
+
+    @pytest.mark.parametrize("eps0, Lam, message", [
+        (0.0, 1.0, "eps0 must be positive"), (math.nan, 1.0, "eps0 must be positive"),
+        (0.5, -1.0, "Lam must be positive"), (0.5, math.nan, "Lam must be positive")])
+    def test_arguments_must_be_positive(self, eps0, Lam, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            barrier_gradient_constant(eps0, 2, Lam)
 
     def test_monotonicity(self):
         assert barrier_gradient_constant(0.4, 2, 1.0) > \
