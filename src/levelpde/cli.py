@@ -497,16 +497,18 @@ def cmd_diagnose(cfg: RunConfig, timings: bool = False) -> int:
     for i, (level, mass) in enumerate(flat.top(5)):
         lines.append(f"flat.top.{i}.level = {_fmt(level)}")
         lines.append(f"flat.top.{i}.mass = {_fmt(mass)}")
-    if g.negative_on_range():
-        threshold = _flat_threshold(cfg, grid, op, delta)
+    if not g.negative_on_range():
+        lines.append("flat.ok = not-applicable (profile not negative)")
+    elif not isinstance(grid.descriptor, BallDescriptor):
+        lines.append("flat.ok = not-applicable (no closed form off the ball)")
+    else:
+        threshold = _flat_threshold(grid, op, delta)
         lines.append(f"flat.threshold = {_fmt(threshold)}")
         ok = flat.max_mass <= threshold
         lines.append(f"flat.ok = {ok}")
         if not ok:
             failures.append(
                 f"flat-region mass {flat.max_mass:.6g} exceeds {threshold:.6g}")
-    else:
-        lines.append("flat.ok = not-applicable (profile not negative)")
 
     band = cfg.get("diagnose.band")
     if band is None:
@@ -552,16 +554,13 @@ def cmd_diagnose(cfg: RunConfig, timings: bool = False) -> int:
     return 0
 
 
-def _flat_threshold(cfg: RunConfig, grid: Grid, op: EllipticOperator,
-                    delta: float) -> float:
-    """Vanishing threshold for near-flat mass, calibrated on the closed form
-    where one exists (ball), with a coarse fallback elsewhere."""
-    if isinstance(grid.descriptor, BallDescriptor):
-        exact = exact_ball_solution(grid.descriptor.center,
-                                    grid.descriptor.radius, grid.n, op)
-        ref = flat_region_detector(exact.sample(grid), delta)
-        return 1.5 * ref.max_mass + grid.cell
-    return 0.05 * domain_measure(grid)
+def _flat_threshold(grid: Grid, op: EllipticOperator, delta: float) -> float:
+    """Vanishing threshold for near-flat mass on a ball, calibrated on the
+    closed-form solution's own flat mass at the same delta."""
+    exact = exact_ball_solution(grid.descriptor.center, grid.descriptor.radius,
+                                grid.n, op)
+    ref = flat_region_detector(exact.sample(grid), delta)
+    return 1.5 * ref.max_mass + grid.cell
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ gathers and only the quadrant band by a bincount, with the bits of one
 bincount over all of them.
 The same table gives the sparse matrix of tr(W D^2 u) for any weight field,
 and the Laplacian matrix, factorized once per grid; that LU is the only
-factorization a solve normally builds.  It is ordered by minimum degree on
+factorization a solve builds.  It is ordered by minimum degree on
 A + A^T and keeps its diagonal pivots: -A is a nonsingular M-matrix, so
 elimination needs no pivoting to stay stable.  On an n-D grid, n >= 2, the
 LU factors the 2^n mirror-symmetry sectors of A instead (every grid
@@ -39,10 +39,10 @@ one inner solver, and neither falls back to another:
                    eigenvectors only at the mixed-sign nodes) and solve the
                    linear problem, repeat.  Where W = w I on every row the
                    step is the Laplacian LU solve of L u = f / w - tr H(0);
-                   otherwise it is GMRES preconditioned with that LU (a
-                   direct LU if it misses its budget).  A stall (four steps
-                   without a smaller residual) or _POLICY_MAX_ITER steps end
-                   the solve with NonConvergenceError.
+                   otherwise it is at most _KRYLOV_BUDGET steps of GMRES
+                   preconditioned with that LU.  A stall (four steps without
+                   a smaller residual) or _POLICY_MAX_ITER steps end the
+                   solve with NonConvergenceError.
 
 All per-node work is vectorized and deterministic.
 """
@@ -76,7 +76,7 @@ _DEFAULT_TOL = {"laplacian": 1e-8, "pucci_minus": 1e-6, "pucci_plus": 1e-6}
 # Linear solves stop once their algebraic residual is this fraction of the
 # inner tolerance, so the certificate is not spent on linear algebra.
 _ALGEBRAIC_FRACTION = 0.01
-# GMRES steps per policy solve before it factorizes its matrix instead.
+# GMRES steps per policy step.
 _KRYLOV_BUDGET = 50
 # Howard steps per inner solve.
 _POLICY_MAX_ITER = 60
@@ -497,27 +497,23 @@ def _solve_frozen(prob: DirichletProblem, W, f, u0):
     Hessian had eigenvalues of both signs); where W = w I on every row the
     step is a Laplacian solve instead.  The preconditioner is
     M^-1 r = L^-1 (r / s), with L the grid's Laplacian LU and s = tr(W) / n
-    per row, so A M^-1 is the identity on the rows where W = w I.  A solve
-    whose algebraic residual is still above the target after _KRYLOV_BUDGET
-    steps factorizes A instead.
+    per row, so A M^-1 is the identity on the rows where W = w I.  GMRES
+    stops once the algebraic residual is _ALGEBRAIC_FRACTION of the
+    tolerance or after _KRYLOV_BUDGET steps; either way its iterate goes
+    back to Howard's loop, which re-freezes the weights and certifies.
     """
     grid = prob.grid
     A = _matrix(grid, W)
     b = f - np.einsum("nij,nij->n", W, prob.H0)
     _, lu = _laplacian(grid)
     s = np.einsum("nii->n", W) / grid.n
-    target = _ALGEBRAIC_FRACTION * prob.tol
     # Preconditioned on the right, GMRES minimizes the true residual of the
-    # correction; its 2-norm bounds the max norm the target is set in.
+    # correction; its 2-norm bounds the max norm the tolerance is set in.
     AM = LinearOperator(A.shape, matvec=lambda y: A @ lu.solve(y / s),
                         dtype=np.float64)
-    y, _ = gmres(AM, b - A @ u0, rtol=0.0, atol=target,
+    y, _ = gmres(AM, b - A @ u0, rtol=0.0, atol=_ALGEBRAIC_FRACTION * prob.tol,
                  restart=_KRYLOV_BUDGET, maxiter=1)
-    u = u0 + lu.solve(y / s)
-    if np.max(np.abs(b - A @ u)) <= target:
-        return u
-    # Mixed couplings make A no M-matrix, so this LU keeps partial pivoting.
-    return splu(A).solve(b)
+    return u0 + lu.solve(y / s)
 
 
 def _solve_policy(prob: DirichletProblem, f, u, H):

@@ -28,7 +28,6 @@ BOUNDARY = 1
 EXTERIOR = 2
 
 _CLASS_NAMES = {INTERIOR: "Interior", BOUNDARY: "Boundary", EXTERIOR: "Exterior"}
-_CLASS_CODES = {v: k for k, v in _CLASS_NAMES.items()}
 
 # Relative slack when checking that h divides a box side and that the lattice
 # coordinates step by h.

@@ -220,6 +220,9 @@ class TestFieldDump:
 BALL3D = MINIMAL_BALL.replace("grid.h = 0.125", "domain.center = 0,0,0\ngrid.h = 0.1")
 BOX2D = MINIMAL_BALL.replace("domain.type = ball\ndomain.radius = 1",
                              "domain.type = box\ndomain.bounds = -1:1,-1:1")
+ANNULUS = MINIMAL_BALL.replace(
+    "domain.type = ball\ndomain.radius = 1",
+    "domain.type = annulus\ndomain.r_inner = 0.4\ndomain.r_outer = 1")
 
 
 def math_pi_ish():
@@ -362,40 +365,51 @@ output.report = {tmp_path}/diag.txt
         assert "no barrier probe's tangent ball holds a node" in out.err
 
     def test_diagnose_box_skips_the_barrier(self, tmp_path, capsys):
-        # Off the ball the flat threshold falls back to 0.05 |Omega|_h, 0.197
-        # here, against a flat mass of 0.152.
-        text = BOX2D.replace("grid.h = 0.125", "grid.h = 0.015625")
-        text += f"output.field = {tmp_path}/u.txt\ndiagnose.field = {tmp_path}/u.txt\n"
+        # Off the ball there is no closed form to calibrate a flat threshold
+        # on, so the flat check is not applicable either.
+        text = BOX2D + f"output.field = {tmp_path}/u.txt\ndiagnose.field = {tmp_path}/u.txt\n"
         path = write_config(tmp_path, text)
         assert main(["solve", path]) == 0
         assert main(["diagnose", path]) == 0
         out = capsys.readouterr().out
-        assert "diagnose: flat.threshold = 0.19688720703125\n" in out
-        assert "diagnose: flat.ok = True\n" in out
+        assert "flat.threshold" not in out
+        assert ("diagnose: flat.ok = not-applicable (no closed form off the "
+                "ball)\n") in out
         assert ("diagnose: barrier.skipped = box domains have no inner ball "
                 "condition\n") in out
 
     def test_diagnose_annulus_default_eps0(self, tmp_path, capsys):
         # eps0 defaults to a quarter of the shell's width, (1 - 0.4) / 4.
-        text = MINIMAL_BALL.replace(
-            "domain.type = ball\ndomain.radius = 1",
-            "domain.type = annulus\ndomain.r_inner = 0.4\ndomain.r_outer = 1")
-        text = text.replace("grid.h = 0.125", "grid.h = 0.0625")
-        text += (f"output.field = {tmp_path}/u.txt\ndiagnose.field = {tmp_path}/u.txt\n"
-                 "diagnose.delta = 1e-9\n")
+        text = ANNULUS.replace("grid.h = 0.125", "grid.h = 0.0625")
+        text += f"output.field = {tmp_path}/u.txt\ndiagnose.field = {tmp_path}/u.txt\n"
         path = write_config(tmp_path, text)
         assert main(["solve", path]) == 0
         assert main(["diagnose", path]) == 0
         out = capsys.readouterr().out
-        assert "diagnose: flat.ok = True\n" in out
+        assert ("diagnose: flat.ok = not-applicable (no closed form off the "
+                "ball)\n") in out
         assert "diagnose: barrier.eps0 = 0.15\n" in out
         assert "diagnose: barrier.passed = True\n" in out
 
+    @pytest.mark.parametrize("domain, mass", [(ANNULUS, 1.453125), (BOX2D, 0.58203125)],
+                             ids=["annulus", "box"])
+    def test_diagnose_off_the_ball_passes_converged_fields(self, domain, mass, tmp_path):
+        # At h = 1/16 and the default delta = h^2 these converged g = -t
+        # solves hold flat masses of 1.45 (annulus) and 0.58 (box); with no
+        # closed form off the ball there is no threshold to hold them to.
+        text = domain.replace("grid.h = 0.125", "grid.h = 0.0625") + (
+            f"output.field = {tmp_path}/u.txt\ndiagnose.field = {tmp_path}/u.txt\n"
+            f"output.report = {tmp_path}/diag.txt\n")
+        path = write_config(tmp_path, text)
+        assert main(["solve", path]) == 0
+        assert main(["diagnose", path]) == 0
+        report = (tmp_path / "diag.txt").read_text()
+        assert f"flat.max_mass = {mass!r}\n" in report
+        assert "flat.ok = not-applicable (no closed form off the ball)\n" in report
+
     def test_diagnose_eps0_past_the_tangent_ball_exit_1(self, tmp_path, capsys):
         # The shell (0.4, 1) fits tangent balls of radius up to 0.3.
-        text = MINIMAL_BALL.replace(
-            "domain.type = ball\ndomain.radius = 1",
-            "domain.type = annulus\ndomain.r_inner = 0.4\ndomain.r_outer = 1")
+        text = ANNULUS
         grid = build_annulus((0.0, 0.0), 0.4, 1.0, 0.125)
         (tmp_path / "u.txt").write_text(
             format_field(zero_data_field(grid, np.zeros(grid.n_interior))))

@@ -707,36 +707,57 @@ class TestPolicySolve:
         rows = _laplacian(grid)[1].blocks[0][1]
         assert calls == [(rows, rows)]
 
-    def test_krylov_miss_factorizes_the_policy_matrix(self, monkeypatch):
+    @staticmethod
+    def laplacian_blocks(grid):
+        """The shapes of the Laplacian's sector blocks factored so far."""
+        lu = _laplacian(grid)[1]
+        return sorted((hi - lo, hi - lo) for (lo, hi), block in zip(lu.blocks, lu.lus)
+                      if block is not None)
+
+    def test_krylov_miss_keeps_the_gmres_iterate(self, monkeypatch):
+        # Three GMRES steps per policy step miss the algebraic target every
+        # time.  Howard's loop re-freezes the weights at each missed iterate
+        # and still certifies, and the only LUs are the Laplacian's blocks.
         from levelpde import elliptic
 
         grid = build_box([(-1, 1), (-1, 1)], 1 / 8)
         psi = BoundaryData.from_callable(lambda p: np.exp(p[:, 0]) * np.sin(2 * p[:, 1]))
-        ref = solve_dirichlet(self.OP, grid, 1.0, psi)
+        # The reference runs on a twin grid, so grid's LU is built under the count.
+        ref = solve_dirichlet(self.OP, build_box([(-1, 1), (-1, 1)], 1 / 8), 1.0, psi)
         calls = self.count_factorizations(monkeypatch)
-        misses = []
-        monkeypatch.setattr(elliptic, "gmres",
-                            lambda A, b, **kw: misses.append(1) or (0.0 * b, 1))
+        infos = []
+        real = elliptic.gmres
+
+        def short_gmres(A, b, **kw):
+            y, info = real(A, b, **{**kw, "restart": 3})
+            infos.append(info)
+            return y, info
+
+        monkeypatch.setattr(elliptic, "gmres", short_gmres)
         u = solve_dirichlet(self.OP, grid, 1.0, psi)
-        assert len(misses) >= 2 and len(calls) == len(misses)
+        assert len(infos) >= 2 and all(info > 0 for info in infos)
+        assert sorted(calls) == self.laplacian_blocks(grid)
+        assert len(calls) == 2 ** grid.n
         assert defect(self.OP, u, 1.0) <= _DEFAULT_TOL[self.OP.kind]
         assert np.allclose(u.interior, ref.interior, atol=1e-7)
 
-    def test_krylov_miss_factorizes_with_partial_pivoting(self, monkeypatch):
-        # The frozen Pucci matrix with mixed couplings is no M-matrix, so
-        # its direct LU keeps splu's defaults.
+    def test_stuck_gmres_stalls_without_a_factorization(self, monkeypatch):
+        # A GMRES that never moves leaves every policy step where it began:
+        # the residual never falls, and Howard's stall ends the solve after
+        # four steps.  No LU is built: a zero correction needs no block.
         from levelpde import elliptic
 
         grid = build_box([(-1, 1), (-1, 1)], 1 / 8)
-        _laplacian(grid)
         psi = BoundaryData.from_callable(lambda p: np.exp(p[:, 0]) * np.sin(2 * p[:, 1]))
-        options = []
-        real = elliptic.splu
-        monkeypatch.setattr(elliptic, "splu",
-                            lambda A, **kw: options.append(kw) or real(A, **kw))
-        monkeypatch.setattr(elliptic, "gmres", lambda A, b, **kw: (0.0 * b, 1))
-        solve_dirichlet(self.OP, grid, 1.0, psi)
-        assert len(options) >= 2 and all(kw == {} for kw in options)
+        calls = self.count_factorizations(monkeypatch)
+        steps = []
+        monkeypatch.setattr(elliptic, "gmres",
+                            lambda A, b, **kw: steps.append(1) or (0.0 * b, 1))
+        with pytest.raises(NonConvergenceError) as err:
+            solve_dirichlet(self.OP, grid, 1.0, psi)
+        history = err.value.history
+        assert len(history) == 5 and len(set(history)) == 1
+        assert len(steps) == 4 and calls == []
 
     def test_mixed_signs_keep_the_preconditioned_gmres(self, monkeypatch):
         # e^x sin 2y gives Hessians with eigenvalues of both signs, so no
@@ -769,12 +790,16 @@ class TestPolicySolve:
         u = solve_dirichlet(op, grid, 1.0, psi)
         assert defect(op, u, 1.0) <= _DEFAULT_TOL[op.kind]
 
-    def test_small_ellipticity_ratio_certifies(self):
+    def test_small_ellipticity_ratio_certifies(self, monkeypatch):
+        # GMRES misses its budget on some policy steps here; Howard's loop
+        # certifies from its iterates with no LU beyond the Laplacian's.
+        calls = self.count_factorizations(monkeypatch)
         grid = build_box([(-1, 1), (-1, 1)], 1 / 32)
         op = EllipticOperator.pucci_minus(0.05, 1.0)
         psi = BoundaryData.from_callable(lambda p: np.exp(p[:, 0]) * np.sin(2 * p[:, 1]))
         u = solve_dirichlet(op, grid, 1.0, psi)
         assert defect(op, u, 1.0) <= _DEFAULT_TOL[op.kind]
+        assert sorted(calls) == self.laplacian_blocks(grid)
 
     def test_stall_raises_with_the_howard_history(self):
         # An unreachable tolerance: Howard reaches rounding in one step,
