@@ -341,11 +341,11 @@ def load_field(path: str | Path, trace: BoundaryTrace) -> ScalarField:
     return ScalarField(interior, trace)
 
 
-def format_report(report: SolveReport, timings: bool = False) -> str:
+def format_report(report: SolveReport) -> str:
     """Deterministic nested key-value text mirroring the report fields.
 
-    Wall-clock data is excluded unless explicitly requested, so identical
-    runs serialize to identical bytes.
+    Wall-clock data is excluded, so identical runs serialize to identical
+    bytes.
     """
     lines = [
         f"status = {report.status}",
@@ -369,9 +369,6 @@ def format_report(report: SolveReport, timings: bool = False) -> str:
         lines.append(f"{p}.step_gap = {_fmt(rec.step_gap)}")
         lines.append(f"{p}.inner_residual = {_fmt(rec.inner_residual)}")
         lines.append(f"{p}.plain_residual = {_fmt(rec.plain_residual)}")
-    if timings:
-        for i, (_, sec) in enumerate(report.stage_seconds):
-            lines.append(f"timing.stage.{i}.seconds = {_fmt(sec)}")
     return "\n".join(lines) + "\n"
 
 
@@ -394,7 +391,7 @@ def _write_outputs(cfg: RunConfig, field: ScalarField | None,
         atomic_write(cfg["output.rearrangement"], "\n".join(lines) + "\n")
 
 
-def cmd_solve(cfg: RunConfig, timings: bool = False) -> int:
+def cmd_solve(cfg: RunConfig) -> int:
     grid = cfg.build_grid()
     op = cfg.build_operator()
     g = cfg.build_profile(grid)
@@ -405,7 +402,7 @@ def cmd_solve(cfg: RunConfig, timings: bool = False) -> int:
     print(f"solve: status={report.status} iterations={report.total_iterations} "
           f"plain_residual={report.final_plain_residual:.6e} "
           f"wall={elapsed:.2f}s")
-    _write_outputs(cfg, u, format_report(report, timings), None)
+    _write_outputs(cfg, u, format_report(report), None)
     return 0 if report.converged else 2
 
 
@@ -420,7 +417,7 @@ def _require_closed_form(cfg: RunConfig, command: str) -> None:
                             "boundary data (the closed form's setting)")])
 
 
-def cmd_verify_ball(cfg: RunConfig, timings: bool = False) -> int:
+def cmd_verify_ball(cfg: RunConfig) -> int:
     _require_closed_form(cfg, "verify-ball")
     grid = cfg.build_grid()
     op = cfg.build_operator()
@@ -444,11 +441,11 @@ def cmd_verify_ball(cfg: RunConfig, timings: bool = False) -> int:
     ]) + "\n"
     print(f"verify-ball: h={grid.h:g} status={report.status} "
           f"linf_error={err:.6e} wall={elapsed:.2f}s")
-    _write_outputs(cfg, u, format_report(report, timings), table)
+    _write_outputs(cfg, u, format_report(report), table)
     return 0 if report.converged else 2
 
 
-def cmd_study(cfg: RunConfig, timings: bool = False) -> int:
+def cmd_study(cfg: RunConfig) -> int:
     _require_closed_form(cfg, "study")
     if not cfg.get("study.h_list"):
         raise ConfigError([(None, "study.h_list", "missing required key")])
@@ -476,7 +473,7 @@ def cmd_study(cfg: RunConfig, timings: bool = False) -> int:
     return 0 if all(r.status == "Converged" for r in rows) else 2
 
 
-def cmd_diagnose(cfg: RunConfig, timings: bool = False) -> int:
+def cmd_diagnose(cfg: RunConfig) -> int:
     if not cfg.get("diagnose.field"):
         raise ConfigError([(None, "diagnose.field", "missing required key")])
     grid = cfg.build_grid()
@@ -576,8 +573,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     for name in ("solve", "verify-ball", "study", "diagnose"):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a section.key = value config file")
-        p.add_argument("--timings", action="store_true",
-                       help="include wall-clock data in the report artifact")
     args = parser.parse_args(argv)
 
     try:
@@ -594,7 +589,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         cfg = parse_config(text)
-        return dispatch[args.command](cfg, timings=args.timings)
+        return dispatch[args.command](cfg)
     except ConfigError as err:
         print(f"error: invalid configuration:\n{err}", file=sys.stderr)
         return 1

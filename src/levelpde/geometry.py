@@ -554,13 +554,12 @@ class BoundaryData:
     arbitrary function of position for programmatic use.
     """
 
-    def __init__(self, kind: str, fn: Callable[[NDArray[np.float64]], NDArray[np.float64]]):
-        self.kind = kind
+    def __init__(self, fn: Callable[[NDArray[np.float64]], NDArray[np.float64]]):
         self._fn = fn
 
     @classmethod
     def zero(cls) -> "BoundaryData":
-        return cls("zero", lambda pts: np.zeros(pts.shape[0], dtype=np.float64))
+        return cls(lambda pts: np.zeros(pts.shape[0], dtype=np.float64))
 
     @classmethod
     def radial_poly(cls, coeffs: Sequence[float],
@@ -577,7 +576,7 @@ class BoundaryData:
                 out = out * s + c[k]
             return out
 
-        return cls("radial_poly", fn)
+        return cls(fn)
 
     @classmethod
     def table(cls, knots: Sequence[float], values: Sequence[float],
@@ -593,7 +592,7 @@ class BoundaryData:
         def fn(pts: NDArray[np.float64]) -> NDArray[np.float64]:
             return np.interp(_distance(pts, ctr), kn, va)
 
-        return cls("table", fn)
+        return cls(fn)
 
     @classmethod
     def from_callable(cls, fn: Callable[..., object]) -> "BoundaryData":
@@ -603,7 +602,7 @@ class BoundaryData:
                 out = np.array([fn(p) for p in pts], dtype=np.float64)
             return out
 
-        return cls("callable", wrapped)
+        return cls(wrapped)
 
     def evaluate(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))

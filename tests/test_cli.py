@@ -687,8 +687,10 @@ class TestReportFormat:
         assert "timing" not in text
         assert "status = Converged" in text
         assert "record.0000.step_gap" in text and "epsilon" not in text
-        timed = format_report(rep, timings=True)
-        assert "timing.stage.0.seconds" in timed
+        # No option embeds wall-clock data in the report.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", write_config(tmp_path, MINIMAL_BALL), "--timings"])
+        assert exc.value.code == 2
         # A two-step budget adds a note; between them the reports hold every
         # kind of key, and no other.
         _, short = solve_nonlocal(cfg.build_operator(), grid,

@@ -21,8 +21,10 @@ from levelpde.elliptic import (
     solve_dirichlet,
 )
 from levelpde.errors import InvalidParameterError, NonConvergenceError
-from levelpde.geometry import BoundaryData, build_annulus, build_ball, build_box, build_trace
-from levelpde.measure import ScalarField
+from levelpde.geometry import (BoundaryData, build_annulus, build_ball, build_box,
+                               build_trace, domain_measure)
+from levelpde.measure import ProfileFunction, ScalarField
+from levelpde.outerloop import solve_nonlocal
 
 LAP = EllipticOperator.laplacian()
 
@@ -439,12 +441,15 @@ class TestSolveDirichlet:
         assert sum(x.L.nnz + x.U.nnz for x in lu.lus) <= bound
 
     @pytest.mark.parametrize("center", [(0.0, 0.0), (0.0, 0.0, 0.0)], ids=["2d", "3d"])
-    def test_diagonal_pivots_on_a_clipped_theta(self, center):
+    def test_diagonal_pivots_on_a_clipped_theta(self, center, monkeypatch):
         # At radius 1 + 1e-13 a lattice node sits on the sphere, its theta
         # hits the clip and the diagonal spans 2.6e2 ... 1.4e14: the
-        # unpivoted LU still certifies and matches a partially pivoted one.
+        # unpivoted LU still certifies in one triangular solve, of the even
+        # sector's block (psi = 0 is mirror-symmetric), and matches a
+        # partially pivoted LU.
         from scipy.sparse.linalg import splu
 
+        solves = count_lu_solves(monkeypatch)
         grid = build_ball(center, 1.0 + 1e-13, 1 / 8)
         A = _laplacian(grid)[0]
         diag = -A.diagonal()
@@ -452,16 +457,17 @@ class TestSolveDirichlet:
         prob = DirichletProblem(LAP, grid, BoundaryData.zero())
         u, res = prob.solve(-1.0)
         assert res <= prob.tol
+        assert solves == [_laplacian(grid)[1].blocks[0][1]]
         ref = splu(A).solve(np.full(grid.n_interior, -1.0) - prob.lap0)
         assert np.max(np.abs(u.interior - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_refinement_stops_at_the_rounding_floor(self, monkeypatch):
-        # At h = 1/4096 the residual of rhs - A @ u cannot fall below about
-        # eps max|A| max|u| = 7e-9, above the 1e-10 refinement target.
+    def test_laplacian_inner_solve_is_one_triangular_solve(self, monkeypatch):
+        # At h = 1/4096 one solve with the tridiagonal LU meets the
+        # stencil-residual certificate; the inner solve does not refine.
         solves = count_lu_solves(monkeypatch)
         grid = build_box([(-1, 1)], 1 / 4096)
         u = solve_dirichlet(LAP, grid, -2.0, BoundaryData.zero())
-        assert len(solves) <= 2
+        assert solves == [grid.n_interior]
         assert np.allclose(u.interior, 1.0 - grid.interior_coords[:, 0] ** 2, atol=1e-8)
 
     def test_harmonic_linear_boundary(self):
@@ -671,6 +677,17 @@ class TestMirrorSectors:
         assert {0, 1} <= set(factored(lu)) and not {2, 4, 6} & set(factored(lu))
         ref = splu(A).solve(np.full(grid.n_interior, -1.0) - prob.lap0)
         assert np.max(np.abs(u.interior - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_nonlocal_data_odd_in_x_factor_two_sectors_on_the_disk(self):
+        # psi = x is even in y, so every outer step's right side sums to
+        # exactly 0.0 in sectors 2 and 3 (y odd) and their blocks stay
+        # unfactored.  A correction solve of the rounding residue rhs - A u
+        # would put parts of 1e-12 there and factor both.
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 64)
+        g = ProfileFunction.linear(-1.0, 0.0, domain_measure(grid))
+        _, rep = solve_nonlocal(LAP, grid, g, BoundaryData.from_callable(lambda p: p[:, 0]))
+        assert rep.status == "Converged"
+        assert factored(_laplacian(grid)[1]) == [0, 1]
 
     @pytest.mark.parametrize("grid", [
         lambda: build_box([(-1.0, 1.0)], 1 / 64),
