@@ -256,10 +256,9 @@ def parse_config(text: str) -> RunConfig:
 # Serialization
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _fmt(x: float) -> str:
+    """The shortest text that reads back as the same double."""
+    return repr(float(x))
 
 
 def atomic_write(path: str | Path, text: str) -> None:
@@ -514,16 +513,12 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     lines.append(f"gradient.min = {_fmt(boundary_gradient_min(u, band))}")
 
     if isinstance(grid.descriptor, (BallDescriptor, AnnulusDescriptor)):
-        eps0 = cfg.get("diagnose.eps0")
-        if eps0 is None:
-            if isinstance(grid.descriptor, BallDescriptor):
-                eps0 = grid.descriptor.radius / 2
-            else:
-                eps0 = (grid.descriptor.r_outer - grid.descriptor.r_inner) / 4
-        barrier = barrier_comparison_check(u, eps0, op)
+        barrier = barrier_comparison_check(u, cfg.get("diagnose.eps0"), op)
         lines.append(f"barrier.eps0 = {_fmt(barrier.eps0)}")
         lines.append(f"barrier.c0 = {_fmt(barrier.c0)}")
         lines.append(f"barrier.tol = {_fmt(barrier.tol)}")
+        lines.append(f"barrier.height = {_fmt(barrier.height)}")
+        lines.append(f"barrier.vacuous = {barrier.vacuous}")
         lines.append(f"barrier.min_grad_band = {_fmt(barrier.min_grad_band)}")
         lines.append(f"barrier.points = {len(barrier.points)}")
         lines.append(f"barrier.empty_probes = {barrier.empty_probes}")

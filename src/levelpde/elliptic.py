@@ -371,7 +371,7 @@ def _sectors(grid: Grid, A):
     diagonal block of B = S A T.
 
     Every grid classifies its own nodes mirror-symmetrically (see
-    ``geometry._classify``), so the reflection i_a -> shape_a - 1 - i_a of
+    ``geometry._lattice``), so the reflection i_a -> shape_a - 1 - i_a of
     each axis a maps the interior onto itself, by a map m of ordinals, and
     A[m][:, m] == A bit for bit.  The reflections g fold each node onto one
     representative r below every mirror plane.  Sector s, a set of axes,

@@ -82,9 +82,9 @@ class Grid:
     ----------
     n : spatial dimension (1, 2 or 3)
     h : lattice spacing, identical along every axis
-    axis_coords : node coordinates along each axis, as the builder computed
-                  them; a ball or annulus has 2m + 1 nodes per axis, node m
-                  at its center
+    axis_coords : node coordinates along each axis, derived from the
+                  descriptor and h (``_lattice``); a ball or annulus has
+                  2m + 1 nodes per axis, node m at its center
     origin : coordinate of node index (0, ..., 0)
     shape : node counts per axis
     node_class : int8 array over the full lattice (INTERIOR/BOUNDARY/EXTERIOR),
@@ -92,14 +92,16 @@ class Grid:
     descriptor : the continuum domain this lattice discretizes
     """
 
-    def __init__(self, descriptor: Descriptor, h: float,
-                 axis_coords: Sequence[NDArray[np.float64]]):
+    def __init__(self, descriptor: Descriptor, h: float):
         self.descriptor = descriptor
         self.n = descriptor.n
         self.h = float(h)
-        self.axis_coords = list(axis_coords)
+        if not 0 < self.h < math.inf:
+            raise InvalidGridError("spacing h must be positive and finite")
+        self.axis_coords, self.node_class = _lattice(descriptor, self.h)
+        self.node_class.setflags(write=False)
         self.origin = tuple(float(ax[0]) for ax in self.axis_coords)
-        self.shape = tuple(ax.size for ax in self.axis_coords)
+        self.shape = self.node_class.shape
 
         # Far from the origin of the coordinates, the axes round onto a
         # coarser lattice, or onto a single point.
@@ -107,14 +109,8 @@ class Grid:
             if not np.all(np.abs(np.diff(ax) - self.h) <= _DIVIDE_RTOL * self.h):
                 raise InvalidGridError(
                     f"coordinates near {ax[0]} cannot resolve the spacing h = {self.h}")
-        if not isinstance(descriptor, BoxDescriptor) and any(
-                ax.size % 2 == 0 or ax[ax.size // 2] != c
-                for ax, c in zip(self.axis_coords, descriptor.center)):
-            raise InvalidGridError("the center must be the middle node of every axis")
-        self.node_class = node_class = _classify(descriptor, self.h, self.shape)
-        node_class.setflags(write=False)
 
-        self.interior_mask = node_class == INTERIOR
+        self.interior_mask = self.node_class == INTERIOR
         self.interior_flat = np.flatnonzero(self.interior_mask.ravel())
         self.n_interior = int(self.interior_flat.size)
         if self.n_interior == 0:
@@ -140,16 +136,9 @@ class Grid:
         return self.h ** self.n
 
     def matches(self, other: "Grid") -> bool:
-        return (
-            self is other
-            or (
-                self.descriptor == other.descriptor
-                and self.n == other.n
-                and self.h == other.h
-                and self.shape == other.shape
-                and self.origin == other.origin
-            )
-        )
+        """The same lattice: a domain and its spacing fix every node."""
+        return self is other or (self.descriptor == other.descriptor
+                                 and self.h == other.h)
 
     def ordinal(self, index: Sequence[int]) -> int:
         """Interior ordinal of a multi-index of integers, or -1."""
@@ -194,31 +183,67 @@ class Grid:
         )
 
 
-def _classify(descriptor: Descriptor, h: float,
-              shape: tuple[int, ...]) -> NDArray[np.int8]:
-    """Node classes: a box's faces are Boundary nodes; a ball's or annulus's
-    come from the offsets h (k - m) to the center node m, which mirrored
-    nodes get with opposite sign, bit for bit, wherever the center lies.
-    Every arm of an Interior node must end on the lattice, so no lattice
-    face may hold one."""
+def _lattice(descriptor: Descriptor,
+             h: float) -> tuple[list[NDArray[np.float64]], NDArray[np.int8]]:
+    """The axes of the lattice of spacing h on a domain, and its node classes.
+
+    A box's axes are lo + h k up to hi, and its faces are Boundary nodes.  A
+    ball's or annulus's are 2m + 1 nodes c + h (k - m), node m past the
+    outer sphere: m h >= r_max keeps every Interior node off the lattice
+    faces, so every arm of one ends on the lattice.  Its nodes are classified
+    from their offsets h (k - m) to the center node m, which mirrored nodes
+    get with opposite sign, bit for bit, wherever the center lies.
+    """
+    d = descriptor
     try:
-        if isinstance(descriptor, BoxDescriptor):
-            node_class = np.full(shape, BOUNDARY, dtype=np.int8)
-            node_class[tuple(slice(1, k - 1) for k in shape)] = INTERIOR
-            return node_class
-        mesh = np.meshgrid(*[h * (np.arange(k, dtype=np.float64) - k // 2) for k in shape],
-                           indexing="ij")
-    except (ValueError, MemoryError):
+        if isinstance(d, BoxDescriptor):
+            if not d.bounds:
+                raise InvalidGridError("box needs at least one axis")
+            if len(d.bounds) > 3:
+                raise InvalidGridError("dimension capped at 3")
+            counts = []
+            for lo, hi in d.bounds:
+                if not -math.inf < lo < hi < math.inf:
+                    raise InvalidGridError(f"degenerate or unbounded interval [{lo}, {hi}]")
+                if h > (hi - lo) * (1 + _DIVIDE_RTOL):
+                    raise InvalidGridError("h larger than the shortest side")
+                side = hi - lo
+                m = round(min(side / h, 2.0 ** 62))  # finite even when side / h is not
+                if m < 1 or abs(side - m * h) > _DIVIDE_RTOL * max(1.0, side):
+                    raise InvalidGridError(f"h={h} does not divide side [{lo}, {hi}]")
+                counts.append(m + 1)
+            axes = [lo + h * np.arange(k, dtype=np.float64)
+                    for (lo, _), k in zip(d.bounds, counts)]
+            node_class = np.full(counts, BOUNDARY, dtype=np.int8)
+            node_class[tuple(slice(1, -1) for _ in axes)] = INTERIOR
+            return axes, node_class
+        if isinstance(d, BallDescriptor):
+            if not 2 * h < d.radius < math.inf:
+                raise InvalidGridError(
+                    f"radius {d.radius} must be finite and exceed 2h = {2 * h}")
+            r_max = d.radius
+        else:
+            if not 0 < d.r_inner < d.r_outer < math.inf:
+                raise InvalidGridError("need 0 < r_inner < r_outer < inf")
+            if not (d.r_outer - d.r_inner) > 2 * h:
+                raise InvalidGridError("annular gap must exceed 2h")
+            r_max = d.r_outer
+        if not 1 <= d.n <= 3:
+            raise InvalidGridError(f"center {d.center} needs 1 to 3 coordinates")
+        if not all(map(math.isfinite, d.center)):
+            raise InvalidGridError(f"center {d.center} must be finite")
+        m = int(math.ceil(r_max / h))
+        m += h * m < r_max  # r_max / h rounded down: put node m past r_max
+        offsets = h * (np.arange(2 * m + 1, dtype=np.float64) - m)
+        s = np.sqrt(sum(g ** 2 for g in np.meshgrid(*[offsets] * d.n, indexing="ij")))
+    except (ValueError, MemoryError, OverflowError):
         raise InvalidGridError(f"h = {h} gives a lattice too large to allocate") from None
-    s = np.sqrt(sum(g ** 2 for g in mesh))
-    if isinstance(descriptor, BallDescriptor):
-        inside = s < descriptor.radius
+    if isinstance(d, BallDescriptor):
+        inside = s < d.radius
     else:
-        inside = (s > descriptor.r_inner) & (s < descriptor.r_outer)
-    if any(np.take(inside, [0, -1], axis=a).any() for a in range(len(shape))):
-        raise InvalidGridError("the axes must reach past the sphere: an Interior "
-                               "node lies on a face of the lattice")
-    return np.where(inside, INTERIOR, EXTERIOR).astype(np.int8)
+        inside = (s > d.r_inner) & (s < d.r_outer)
+    return ([c + offsets for c in d.center],
+            np.where(inside, INTERIOR, EXTERIOR).astype(np.int8))
 
 
 def _crossing_fraction(grid: Grid, cut: NDArray[np.intp], axis: int,
@@ -236,7 +261,7 @@ def _crossing_fraction(grid: Grid, cut: NDArray[np.intp], axis: int,
     else:
         # Annulus: the arm leaves through whichever sphere the neighbor is
         # beyond.  Its offset d + s h can round to the other side of a
-        # sphere than _classify's h (k + s - m), so it is compared with the
+        # sphere than _lattice's h (k + s - m), so it is compared with the
         # middle radius instead, far from both spheres.
         nbr = d.copy()
         nbr[:, axis] += sign * h
@@ -320,7 +345,7 @@ class StencilPlan:
                           ends on a lattice node
 
     An end is the node's flat lattice index plus the key's offset in the
-    C-order strides; ``_classify`` keeps every Interior node off the lattice
+    C-order strides; ``_lattice`` keeps every Interior node off the lattice
     faces, so no end wraps onto another row.  Only the ends that are
     sampled are unravelled to their coordinates.
 
@@ -439,47 +464,7 @@ def build_box(bounds: Iterable[tuple[float, float]], h: float) -> Grid:
     ``h`` must divide every side length to within rounding; a spacing larger
     than the shortest side is rejected.
     """
-    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    if not bounds:
-        raise InvalidGridError("box needs at least one axis")
-    if len(bounds) > 3:
-        raise InvalidGridError("dimension capped at 3")
-    if not 0 < h < math.inf:
-        raise InvalidGridError("spacing h must be positive and finite")
-    for lo, hi in bounds:
-        if not -math.inf < lo < hi < math.inf:
-            raise InvalidGridError(f"degenerate or unbounded interval [{lo}, {hi}]")
-        if h > (hi - lo) * (1 + _DIVIDE_RTOL):
-            raise InvalidGridError("h larger than the shortest side")
-    counts = []
-    for lo, hi in bounds:
-        side = hi - lo
-        m = round(min(side / h, 2.0 ** 62))  # finite even when side / h is not
-        if m < 1 or abs(side - m * h) > _DIVIDE_RTOL * max(1.0, side):
-            raise InvalidGridError(f"h={h} does not divide side [{lo}, {hi}]")
-        counts.append(m + 1)
-
-    try:
-        axes = [lo + h * np.arange(m, dtype=np.float64) for (lo, _), m in zip(bounds, counts)]
-    except (ValueError, MemoryError):
-        raise InvalidGridError(f"h = {h} gives a lattice too large to allocate") from None
-    return Grid(BoxDescriptor(bounds), h, axes)
-
-
-def _radial_grid(descriptor: BallDescriptor | AnnulusDescriptor, h: float,
-                 r_max: float) -> Grid:
-    center = np.asarray(descriptor.center, dtype=np.float64)
-    if not 1 <= descriptor.n <= 3:
-        raise InvalidGridError(f"center {descriptor.center} needs 1 to 3 coordinates")
-    if not np.all(np.isfinite(center)):
-        raise InvalidGridError(f"center {descriptor.center} must be finite")
-    try:
-        m = int(math.ceil(r_max / h))
-        m += h * m < r_max  # r_max / h rounded down: put node m past r_max
-        offsets = h * (np.arange(2 * m + 1, dtype=np.float64) - m)
-    except (ValueError, MemoryError, OverflowError):
-        raise InvalidGridError(f"h = {h} gives a lattice too large to allocate") from None
-    return Grid(descriptor, h, [c + offsets for c in center])
+    return Grid(BoxDescriptor(tuple((float(lo), float(hi)) for lo, hi in bounds)), h)
 
 
 def build_ball(center: Sequence[float], radius: float, h: float) -> Grid:
@@ -488,27 +473,14 @@ def build_ball(center: Sequence[float], radius: float, h: float) -> Grid:
     Stencil arms that cross the sphere record the fractional crossing
     distance; requires radius > 2h so that the stencil can resolve the domain.
     """
-    center = tuple(float(c) for c in center)
-    if not 0 < h < math.inf:
-        raise InvalidGridError("spacing h must be positive and finite")
-    if not 2 * h < radius < math.inf:
-        raise InvalidGridError(f"radius {radius} must be finite and exceed 2h = {2 * h}")
-    return _radial_grid(BallDescriptor(center, float(radius)), h, float(radius))
+    return Grid(BallDescriptor(tuple(float(c) for c in center), float(radius)), h)
 
 
 def build_annulus(center: Sequence[float], r_inner: float, r_outer: float,
                   h: float) -> Grid:
     """Concentric annulus grid; the gap must exceed 2h."""
-    center = tuple(float(c) for c in center)
-    if not 0 < h < math.inf:
-        raise InvalidGridError("spacing h must be positive and finite")
-    if not 0 < r_inner < r_outer < math.inf:
-        raise InvalidGridError("need 0 < r_inner < r_outer < inf")
-    if not (r_outer - r_inner) > 2 * h:
-        raise InvalidGridError("annular gap must exceed 2h")
-    return _radial_grid(
-        AnnulusDescriptor(center, float(r_inner), float(r_outer)), h, float(r_outer)
-    )
+    return Grid(AnnulusDescriptor(tuple(float(c) for c in center), float(r_inner),
+                                  float(r_outer)), h)
 
 
 def domain_measure(grid: Grid) -> float:
@@ -534,6 +506,21 @@ def domain_measure(grid: Grid) -> float:
 
 # ---------------------------------------------------------------------------
 # Dirichlet boundary data
+
+
+def _checked_table(knots: Sequence[float], values: Sequence[float]
+                   ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The knots and values of a piecewise-linear table: matching lengths of
+    at least 2, all finite, the knots strictly increasing."""
+    kn = np.asarray(list(knots), dtype=np.float64)
+    va = np.asarray(list(values), dtype=np.float64)
+    if kn.size < 2 or kn.size != va.size:
+        raise InvalidParameterError("table needs matching knots/values, >= 2 each")
+    if not (np.all(np.isfinite(kn)) and np.all(np.isfinite(va))):
+        raise InvalidParameterError("table knots and values must be finite")
+    if not np.all(np.diff(kn) > 0):
+        raise InvalidParameterError("table knots must be strictly increasing")
+    return kn, va
 
 
 def _distance(pts: NDArray[np.float64],
@@ -581,12 +568,7 @@ class BoundaryData:
     @classmethod
     def table(cls, knots: Sequence[float], values: Sequence[float],
               center: Sequence[float]) -> "BoundaryData":
-        kn = np.asarray(list(knots), dtype=np.float64)
-        va = np.asarray(list(values), dtype=np.float64)
-        if kn.size < 2 or kn.size != va.size:
-            raise InvalidParameterError("table needs matching knots/values, >= 2 each")
-        if not np.all(np.diff(kn) > 0):
-            raise InvalidParameterError("table knots must be strictly increasing")
+        kn, va = _checked_table(knots, values)
         ctr = np.asarray(list(center), dtype=np.float64)
 
         def fn(pts: NDArray[np.float64]) -> NDArray[np.float64]:

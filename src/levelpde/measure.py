@@ -27,7 +27,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidParameterError
-from .geometry import BOUNDARY, BoundaryData, BoundaryTrace, Grid, build_trace
+from .geometry import (BOUNDARY, BoundaryData, BoundaryTrace, Grid, _checked_table,
+                       build_trace)
 
 __all__ = [
     "ScalarField",
@@ -133,14 +134,7 @@ class ProfileFunction:
     @classmethod
     def from_table(cls, knots: Sequence[float], values: Sequence[float],
                    domain_max: float) -> "ProfileFunction":
-        kn = np.asarray(list(knots), dtype=np.float64)
-        va = np.asarray(list(values), dtype=np.float64)
-        if kn.size < 2 or kn.size != va.size:
-            raise InvalidParameterError("table needs matching knots/values, >= 2 each")
-        if not (np.all(np.isfinite(kn)) and np.all(np.isfinite(va))):
-            raise InvalidParameterError("table knots and values must be finite")
-        if not np.all(np.diff(kn) > 0):
-            raise InvalidParameterError("table knots must be strictly increasing")
+        kn, va = _checked_table(knots, values)
         if kn[0] > 0 or kn[-1] < domain_max * (1 - 1e-12):
             raise InvalidParameterError(
                 f"table knots must span [0, {domain_max}]"

@@ -235,6 +235,7 @@ class BarrierReport:
     eps0: float
     c0: float
     tol: float
+    height: float           # the barrier's value at its tangent ball's center
     band: float
     min_grad_band: float
     points: list[BarrierPoint] = dc_field(default_factory=list)
@@ -253,8 +254,13 @@ class BarrierReport:
     def hypothesis_ok(self) -> bool:
         return all(p.measure_ok for p in self.points)
 
+    @property
+    def vacuous(self) -> bool:
+        """tol reaches the barrier's height, so an all-zero field passes."""
+        return self.tol >= self.height
 
-def barrier_comparison_check(u: ScalarField, eps0: float,
+
+def barrier_comparison_check(u: ScalarField, eps0: float | None = None,
                              op: EllipticOperator | None = None,
                              tol: float | None = None) -> BarrierReport:
     """Compare the solution against the tangent-ball barrier at boundary
@@ -263,8 +269,10 @@ def barrier_comparison_check(u: ScalarField, eps0: float,
     A probe is a direction from ``_sample_directions`` on each bounding
     sphere.  It reports the nodes in its tangent ball of radius eps0, their
     least slack u - barrier (+inf in a ball that holds no node) and whether
-    each has superlevel measure at least |Omega|/2.  The report counts the
-    empty balls, and does not pass when every ball is empty.
+    each has superlevel measure at least |Omega|/2.  eps0 defaults to half
+    the largest tangent ball: R/2 on a ball, (r_out - r_in)/4 on an
+    annulus.  The report counts the empty balls, and does not pass when
+    every ball is empty.
     ``_PROBES_PER_PASS`` probes share one pass over their (probe, node)
     distances, which are summed axis by axis as ``np.linalg.norm`` sums
     them.
@@ -276,11 +284,19 @@ def barrier_comparison_check(u: ScalarField, eps0: float,
     """
     grid = u.grid
     d = grid.descriptor
-    if not isinstance(d, (BallDescriptor, AnnulusDescriptor)):
+    if isinstance(d, BallDescriptor):
+        spheres = [(d.radius, -1.0)]
+        max_fit = d.radius
+    elif isinstance(d, AnnulusDescriptor):
+        spheres = [(d.r_outer, -1.0), (d.r_inner, +1.0)]
+        max_fit = 0.5 * (d.r_outer - d.r_inner)
+    else:
         raise PreconditionError(
             "barrier comparison needs a uniform inner ball condition "
             "(ball or annulus grid)"
         )
+    if eps0 is None:
+        eps0 = max_fit / 2
     if not eps0 > 0:
         raise InvalidParameterError("eps0 must be positive")
     op = op or EllipticOperator.laplacian()
@@ -293,12 +309,6 @@ def barrier_comparison_check(u: ScalarField, eps0: float,
             f"measure {half:.6g}"
         )
     center = np.asarray(d.center, dtype=np.float64)
-    if isinstance(d, BallDescriptor):
-        spheres = [(d.radius, -1.0)]
-        max_fit = d.radius
-    else:
-        spheres = [(d.r_outer, -1.0), (d.r_inner, +1.0)]
-        max_fit = 0.5 * (d.r_outer - d.r_inner)
     if eps0 > max_fit:
         raise PreconditionError(
             f"tangent ball of radius {eps0} does not fit inside the domain"
@@ -346,6 +356,7 @@ def barrier_comparison_check(u: ScalarField, eps0: float,
         eps0=float(eps0),
         c0=c0,
         tol=float(tol),
+        height=float(barrier.radial_value(0.0)),
         band=float(band),
         min_grad_band=boundary_gradient_min(u, band),
         points=points,

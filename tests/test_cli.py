@@ -317,7 +317,7 @@ output.table = {tmp_path}/table.txt
                                                       tmp_path, capsys):
         # A constant field is one flat region.  At h = 1/32 the barrier
         # tolerance 10 h^2 is below the tangent-ball barrier's height, so the
-        # zero field fails the barrier comparison too.
+        # check is not vacuous and the zero field fails it too.
         grid = build_ball((0.0, 0.0), 1.0, h)
         const = zero_data_field(grid, np.full(grid.n_interior, value))
         (tmp_path / "const.txt").write_text(format_field(const))
@@ -325,7 +325,9 @@ output.table = {tmp_path}/table.txt
             + f"diagnose.field = {tmp_path}/const.txt\n"
         rc = main(["diagnose", write_config(tmp_path, cfg)])
         assert rc == 3
-        err = capsys.readouterr().err.splitlines()
+        out, err = capsys.readouterr()
+        assert f"diagnose: barrier.vacuous = {h > 1 / 32}\n" in out
+        err = err.splitlines()
         assert len(err) == len(failures)
         assert all(line.startswith(f"diagnose: FAIL: {failure}")
                    for line, failure in zip(err, failures))
@@ -351,6 +353,8 @@ output.report = {tmp_path}/diag.txt
         assert ("flat.threshold" in text) == (a == "-1")
         assert "barrier.empty_probes = 0" in text
         assert "barrier.passed = True" in text
+        # At h = 1/8 the tolerance 10 h^2 reaches the barrier's height.
+        assert "barrier.height = 0.01227184630308513\nbarrier.vacuous = True\n" in text
 
     def test_diagnose_fails_when_no_probe_holds_a_node(self, tmp_path, capsys):
         # With eps0 = 0.02 all 8 tangent balls fall between the nodes.
@@ -475,6 +479,24 @@ output.table = {tmp_path}/study.txt
         assert rc == 1 and out == ""
         line = text.splitlines().index(given) + 1
         assert f"line {line}: {given.split(' = ')[0]}: " in err and message in err
+
+    @pytest.mark.parametrize("knots, values", [("0,inf", "1,2"), ("0,2", "1,nan")],
+                             ids=["inf-knot", "nan-value"])
+    def test_non_finite_boundary_table_exit_1_at_parse_time(self, knots, values,
+                                                             tmp_path, capsys):
+        # An infinite knot used to solve with psi = 1; a NaN value failed
+        # only at the solve, with an error that named no config line.
+        text = MINIMAL_BALL.replace(
+            "boundary.kind = zero", "boundary.kind = table\n"
+            f"boundary.knots = {knots}\nboundary.values = {values}")
+        rc = main(["solve", write_config(tmp_path, text)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        lines = text.splitlines()
+        for key in ("boundary.knots", "boundary.values"):
+            line = next(i for i, ln in enumerate(lines, 1) if ln.startswith(key))
+            assert (f"line {line}: {key}: table knots and values must be finite"
+                    in err)
 
     @pytest.mark.parametrize("h_list", ["nan", "0.25,-1"])
     def test_study_spacing_the_grid_builder_rejects_exit_1(self, h_list, tmp_path,
@@ -676,6 +698,17 @@ output.table = {tmp_path}/study.txt
 
 
 class TestReportFormat:
+    def test_a_tie_snap_at_its_floor_prints_as_a_float(self, tmp_path):
+        # h = 0.0833333333333333 puts node (12, 0) on the circle to rounding,
+        # so the tie snap is its floor, a NumPy scalar.
+        text = MINIMAL_BALL.replace("grid.h = 0.125", "grid.h = 0.0833333333333333")
+        text += f"output.report = {tmp_path}/r.txt\n"
+        assert main(["solve", write_config(tmp_path, text)]) == 0
+        report = (tmp_path / "r.txt").read_text()
+        assert "np.float64(" not in report
+        snap = re.search(r"^tie_snap = (.*)$", report, re.M).group(1)
+        assert snap == repr(float(snap)) and float(snap) < 1e-15
+
     def test_report_text_has_no_timings_by_default(self, tmp_path):
         cfg = parse_config(MINIMAL_BALL)
         from levelpde.outerloop import solve_nonlocal

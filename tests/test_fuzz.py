@@ -318,7 +318,7 @@ def test_crossing_arms_end_on_the_sphere_beyond_their_neighbour(
         n, r_outer, inner, m, scaled, data):
     # Spacings r_outer / m and 1 / m put lattice nodes on a sphere or a
     # rounding away from it.  The neighbour of a crossing arm is Exterior
-    # by _classify's offsets h (k + s - m); the middle radius tells which
+    # by _lattice's offsets h (k + s - m); the middle radius tells which
     # sphere it is beyond, and the arm's end must lie on that sphere.
     center = (0.0,) * n if data is None else tuple(
         data.draw(st.lists(COORD, min_size=n, max_size=n)))

@@ -11,7 +11,10 @@ from levelpde.geometry import (
     BOUNDARY,
     EXTERIOR,
     INTERIOR,
+    AnnulusDescriptor,
+    BallDescriptor,
     BoundaryData,
+    BoxDescriptor,
     Grid,
     build_annulus,
     build_ball,
@@ -19,6 +22,7 @@ from levelpde.geometry import (
     build_trace,
     domain_measure,
 )
+from levelpde.measure import ProfileFunction
 
 
 def interior_points(grid):
@@ -88,6 +92,37 @@ class TestBox:
         assert domain_measure(grid) == 2.0
 
 
+class TestDirectGrid:
+    @pytest.mark.parametrize("grid", [
+        lambda: build_ball((0.1, 0.2, 0.3), 1.0, 0.25),
+        lambda: build_annulus((0.0, -3.0), 0.4, 1.0, 1 / 8),
+        lambda: build_box([(0.0, 1.0), (0.1, 0.6), (-1.0, 1.0)], 0.25),
+    ], ids=["ball", "annulus", "box"])
+    def test_domain_and_spacing_give_the_builders_grid(self, grid):
+        # A grid derives its lattice from its domain and spacing alone.
+        grid = grid()
+        direct = Grid(grid.descriptor, grid.h)
+        assert direct.matches(grid) and direct.shape == grid.shape
+        for ax, built in zip(direct.axis_coords, grid.axis_coords):
+            assert ax.tobytes() == built.tobytes()
+        assert direct.node_class.tobytes() == grid.node_class.tobytes()
+        assert not direct.node_class.flags.writeable
+        for key, theta in grid.plan.theta.items():
+            assert direct.plan.theta[key].tobytes() == theta.tobytes()
+
+    @pytest.mark.parametrize("descriptor, h", [
+        (BoxDescriptor(((0.0, 1.0), (0.0, 2.0))), 0.3),
+        (BoxDescriptor(((0.0, 1.0),)), 0.6),
+        *[(d, h) for d in (BoxDescriptor(((0.0, 1.0), (0.0, 2.0))),
+                           BallDescriptor((0.1, 0.2), 1.0),
+                           AnnulusDescriptor((0.0, 0.0, 0.0), 0.4, 1.0))
+          for h in (math.nan, math.inf, 0.0, -0.25)],
+    ])
+    def test_non_dividing_or_non_finite_spacing_rejected(self, descriptor, h):
+        with pytest.raises(InvalidGridError):
+            Grid(descriptor, h)
+
+
 class TestBall:
     @pytest.mark.parametrize("build", [
         lambda: build_ball((0.0, 0.0, 0.0), 1.0, 0.1),
@@ -114,36 +149,6 @@ class TestBall:
         assert np.array_equal(moved.node_class, centred.node_class)
         for key, theta in centred.plan.theta.items():
             assert np.array_equal(moved.plan.theta[key], theta)
-
-    def test_hand_built_axes_must_centre_the_ball(self):
-        grid = build_ball((0.1, 0.2, 0.3), 1.0, 0.25)
-        shifted = [ax + 0.5 * grid.h for ax in grid.axis_coords]
-        even = [ax[1:] for ax in grid.axis_coords]
-        for axes in (shifted, even):
-            with pytest.raises(InvalidGridError, match="middle node"):
-                Grid(grid.descriptor, grid.h, axes)
-
-    @pytest.mark.parametrize("grid", [
-        lambda: build_ball((0.1, 0.2, 0.3), 1.0, 0.25),
-        lambda: build_annulus((0.0, -3.0), 0.4, 1.0, 1 / 8),
-        lambda: build_box([(0.0, 1.0), (0.1, 0.6), (-1.0, 1.0)], 0.25),
-    ], ids=["ball", "annulus", "box"])
-    def test_hand_built_grid_classifies_its_own_nodes(self, grid):
-        grid = grid()
-        hand = Grid(grid.descriptor, grid.h, grid.axis_coords)
-        assert np.array_equal(hand.node_class, grid.node_class)
-        assert not hand.node_class.flags.writeable
-
-    @pytest.mark.parametrize("grid, cut", [
-        (lambda: build_ball((0.0, 0.0, 0.0), 1.0, 0.25), 2),
-        (lambda: build_annulus((0.0, -3.0), 0.4, 1.0, 1 / 8), 1),
-    ], ids=["ball", "annulus"])
-    def test_hand_built_axes_must_reach_past_the_sphere(self, grid, cut):
-        # Cut axes leave Interior nodes on the lattice faces, where an arm
-        # would end off the lattice.
-        grid = grid()
-        with pytest.raises(InvalidGridError, match="face of the lattice"):
-            Grid(grid.descriptor, grid.h, [ax[cut:-cut] for ax in grid.axis_coords])
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_lattice_reaches_beyond_the_sphere(self, n):
@@ -287,6 +292,18 @@ class TestBoundaryData:
     def test_table(self):
         psi = BoundaryData.table([0.0, 1.0], [0.0, 2.0], center=(0.0,))
         assert psi.evaluate(np.array([[0.5]]))[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("knots, values, message", [
+        ([0.0, math.inf], [1.0, 2.0], "finite"), ([0.0, 1.0], [1.0, math.nan], "finite"),
+        ([math.nan, 1.0], [1.0, 2.0], "finite"), ([0.0, 1.0, 1.0], [1, 2, 3], "increasing"),
+        ([0.0], [1.0], ">= 2 each"), ([0.0, 1.0], [1.0], ">= 2 each"),
+    ], ids=["inf-knot", "nan-value", "nan-knot", "repeated-knot", "one-knot", "lengths"])
+    def test_table_checked_as_a_profile_table_is(self, knots, values, message):
+        # A boundary table is checked by the profile table's own check.
+        for make in (lambda: BoundaryData.table(knots, values, center=(0.0, 0.0)),
+                     lambda: ProfileFunction.from_table(knots, values, 1.0)):
+            with pytest.raises(InvalidParameterError, match=message):
+                make()
 
     @pytest.mark.parametrize("make", [
         lambda: BoundaryData.radial_poly([1.0, 0.0, 1.0], center=(0.0, 0.0, 0.0)),

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -683,6 +685,47 @@ class TestAndersonMixingMultiD:
                     if "damping ->" in note]
         assert len(halvings) == len(rep.notes) >= 1
         assert halvings == [f"{0.5 / 2 ** i:g}" for i in range(1, len(halvings) + 1)]
+
+
+def radial_reference(n, a, b, cells=2000, steps=3000, weight=0.2):
+    """The radial solution (r, u) on the centred annulus a < |x| < b of
+    Lap u = -mu(u) with zero data, where mu(t) = omega_n (r+(t)^n - r-(t)^n)
+    comes from the two monotone branches of a unimodal u, each inverted by
+    linear interpolation.  The Laplacian is in flux form, (r^(n-1) u')' /
+    r^(n-1) on ``cells`` equal cells; damped Picard steps of ``weight``
+    reach the fixed point, since the map is not Lipschitz at the ridge."""
+    omega = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}[n]
+    r = np.linspace(a, b, cells + 1)
+    flux = (0.5 * (r[1:] + r[:-1])) ** (n - 1)  # r^(n-1) at the cell midpoints
+    scale = r[1:-1] ** (n - 1) * ((b - a) / cells) ** 2
+    lu = splu(sp.diags([flux[1:-1] / scale[1:], -(flux[:-1] + flux[1:]) / scale,
+                        flux[1:-1] / scale[:-1]], [-1, 0, 1], format="csc"))
+    u = np.zeros(cells + 1)
+    u[1:-1] = lu.solve(-np.ones(cells - 1))  # the torsion function: unimodal
+    for _ in range(steps):
+        p = int(np.argmax(u))
+        inner = np.interp(u, u[:p + 1], r[:p + 1])
+        outer = np.interp(u, u[p:][::-1], r[p:][::-1])
+        u[1:-1] += weight * (lu.solve(-omega * (outer ** n - inner ** n)[1:-1]) - u[1:-1])
+    return r, u
+
+
+@pytest.fixture(scope="module")
+def annulus_reference():
+    return radial_reference(2, 0.4, 1.0)
+
+
+class TestAnnulusRadialReference:
+    @pytest.mark.parametrize("m", [14, 24, 28, 32])
+    def test_laplacian_error(self, annulus_reference, m):
+        # An arm that crosses the inner circle must end on it: ending it on
+        # the outer one gives errors of 4-9 h^2 at h = 1/14, 1/24 and 1/28.
+        r, ref = annulus_reference
+        grid = build_annulus((0.0, 0.0), 0.4, 1.0, 1 / m)
+        u, rep = solve_nonlocal(LAP, grid, linear_profile(grid), BoundaryData.zero())
+        assert rep.converged
+        s = np.linalg.norm(grid.interior_coords, axis=1)
+        assert np.max(np.abs(u.interior - np.interp(s, r, ref))) <= 0.2 * grid.h ** 2
 
 
 def test_import_does_not_load_scipy_optimize():

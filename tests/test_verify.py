@@ -329,6 +329,32 @@ class TestBarrierComparison:
         # A check in which no probe holds a node tested nothing.
         assert rep.passed == (empty < len(rep.points))
 
+    @pytest.mark.parametrize("n, h, vacuous", [
+        (2, 1 / 8, True), (2, 1 / 16, True), (2, 1 / 32, False), (3, 0.1, True)])
+    def test_names_a_tolerance_that_reaches_the_barrier(self, n, h, vacuous):
+        # The barrier of radius eps0 = 1/2 rises to omega_n 0.5^(n+2) /
+        # (2n(n+2)): pi/256 = 1.23e-2 on the disk, 4.36e-3 on the 3-D ball.
+        # The default tol 1e-9 + 10 h^2 reaches it for h >= 1/16 on the
+        # disk, and an all-zero field then passes.
+        grid = build_ball((0.0,) * n, 1.0, h)
+        rep = barrier_comparison_check(zero_data_field(grid, np.zeros(grid.n_interior)))
+        height = unit_ball_volume(n) * 0.5 ** (n + 2) / (2 * n * (n + 2))
+        assert rep.eps0 == 0.5 and rep.height == pytest.approx(height, rel=1e-15)
+        assert rep.vacuous is vacuous
+        assert rep.passed is vacuous
+
+    @pytest.mark.parametrize("make_grid, eps0", [
+        (lambda: build_ball((0.1, -0.2), 1.007, 1 / 16), 1.007 / 2),
+        (lambda: build_annulus((0.0, 0.0), 0.4, 1.0, 1 / 16), (1.0 - 0.4) / 4),
+        (lambda: build_annulus((0.0, 0.0, 0.0), 0.35, 0.992, 1 / 8), (0.992 - 0.35) / 4),
+    ], ids=["ball", "annulus", "annulus-3d"])
+    def test_default_eps0_is_half_the_largest_tangent_ball(self, make_grid, eps0):
+        grid = make_grid()
+        u = zero_data_field(grid, np.random.default_rng(0).random(grid.n_interior))
+        rep = barrier_comparison_check(u)
+        assert rep.eps0 == eps0
+        assert rep.points == barrier_comparison_check(u, eps0).points
+
     def test_gate_on_large_eps0(self):
         grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
         u = ScalarField.sample(grid, lambda p: np.zeros(p.shape[0]))
