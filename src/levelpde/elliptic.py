@@ -17,13 +17,14 @@ factorization a solve builds.  It is ordered by minimum degree on
 A + A^T and keeps its diagonal pivots: -A is a nonsingular M-matrix, so
 elimination needs no pivoting to stay stable.  On an n-D grid, n >= 2, the
 LU factors the 2^n mirror-symmetry sectors of A instead (every grid
-classifies its nodes mirror-symmetrically in each axis), each
-sector's block assembled and factored on the first right side with a part
-in it, so a mirror-symmetric problem factors the even block alone; every
-block stays row-diagonally dominant, because |sum +-a| <= sum |a|, and the
-even one is again an M-matrix.  The Laplacian is evaluated as the trace of
-the discrete Hessian (its diagonal terms only), the Pucci operators through
-its eigenvalues (closed form in 1-D and 2-D).
+classifies its nodes mirror-symmetrically in each axis), folding a right
+side into them one axis at a time by each mirror pair's sum and difference;
+a sector's block is assembled and factored on the first right side with a
+part in it, so a mirror-symmetric problem factors the even block alone.
+Every block stays row-diagonally dominant, because |sum +-a| <= sum |a|,
+and the even one is again an M-matrix.  The Laplacian is evaluated as the
+trace of the discrete Hessian (its diagonal terms only), the Pucci
+operators through its eigenvalues (closed form in 1-D and 2-D).
 
 Operator values come back as interior vectors; a forcing is a scalar or an
 interior vector.  A ``DirichletProblem`` holds what one (grid, psi,
@@ -54,7 +55,7 @@ from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import InvalidGridError, InvalidParameterError, NonConvergenceError
@@ -322,15 +323,6 @@ class DirichletProblem:
         return ScalarField(u, self.trace), res
 
 
-# Reflections g and sectors s are bitmasks over the axes, and
-# _CHI[s, g] = chi_s(g) = (-1)^|s & g|, read from the parity of each mask.
-_CHI = 1.0 - 2.0 * np.array([0, 1, 1, 0, 1, 0, 0, 1])[np.arange(8)[:, None] & np.arange(8)]
-# _PAIRED[s]: the reflections in mirror pairs (g, g ^ the lowest bit of s),
-# so data even in that bit's axis sum to exactly 0.0 in S's rows of sector s.
-# The first 2^n entries of rows s < 2^n are the reflections of n axes.
-_PAIRED = np.array([sorted(range(8), key=lambda g: (g & ~(s & -s), g)) for s in range(8)])
-
-
 def _lu(M, panel_size=None, relax=None):
     """SuperLU of the M-matrix -M (or of a sector block of one), ordered by
     minimum degree on M + M^T with its diagonal pivots (see _laplacian);
@@ -345,93 +337,86 @@ def _lu(M, panel_size=None, relax=None):
 
 
 class _SectorLU:
-    """A^-1 b = T B^-1 S b for the block-diagonal B = S A T.  Each sector's
-    block of B, ``block(s)``, is assembled and factored when a right side
-    first has a nonzero part in that sector; a zero part solves to zeros."""
+    """A^-1 b for the Laplacian A of an n-D grid, n >= 2, by mirror sectors.
 
-    def __init__(self, S, T, block, sizes):
-        self.S, self.T, self.block = S, T, block
-        ends = np.cumsum(sizes)
-        self.blocks, self.lus = list(zip(ends - sizes, ends)), [None] * len(sizes)
+    Every grid is mirror-symmetric in each axis (``geometry._lattice``), and
+    A with it bit for bit.  A node's sector is the bitmask of the axes whose
+    plane it lies above, its representative r the node of its orbit below
+    every plane; sector s holds the fields with u(g r) = chi_s(g) u(r) for
+    each reflection g, chi_s(g) = (-1)^|s & g|.  ``solve`` folds b one axis
+    at a time, each mirror pair's sum onto its lower node and its difference
+    onto the upper one: exact in either order, so a part that exact
+    arithmetic zeroes is 0.0.  Scaled by 2^-k on an orbit of 2^k nodes, the
+    folded b is the blocks' right side, in block order; the same matrices
+    unfold the solutions in reverse order.  ``block(s)``, with rows in
+    representative order, holds sum_g chi_s(g) A[r, g q] over the distinct
+    nodes g q at (r, q).  It is assembled and factored when a right side
+    first has a nonzero part in sector s; a zero part solves to zeros.
+    """
+
+    def __init__(self, grid: Grid, A):
+        N, index, shape = grid.n_interior, grid.interior_index, grid.shape
+        # Ordinals in A's index dtype spare the sparse constructors a copy.
+        ordinal = grid._ordinal_flat.astype(A.indices.dtype)
+        ids = np.arange(N, dtype=ordinal.dtype)
+        offs = [2 * i - (m - 1) for i, m in zip(index, shape)]
+        # Per node: its sector, the axes whose plane holds it, and the rank
+        # of its representative among the nodes below every plane.
+        flip = sum((off > 0) << a for a, off in enumerate(offs))
+        plane = sum((off == 0) << a for a, off in enumerate(offs))
+        low = [np.minimum(i, m - 1 - i) for i, m in zip(index, shape)]
+        rep = (np.cumsum(flip == 0) - 1)[ordinal[np.ravel_multi_index(low, shape)]]
+        # col[s, j]: the row of representative j in block s, or -1 where s
+        # reflects an axis whose plane holds it.
+        fits = (np.arange(2 ** grid.n)[:, None] & plane[flip == 0]) == 0
+        col = np.where(fits, np.cumsum(fits, axis=1, dtype=ordinal.dtype) - 1, -1)
+        self.sizes = np.count_nonzero(fits, axis=1)
+        ends = np.cumsum(self.sizes)
+        self.blocks, self.lus = list(zip(ends - self.sizes, ends)), [None] * len(ends)
+        # order[p]: the node whose sector value is row p of the stacked blocks.
+        order = np.empty_like(ids)
+        order[(ends - self.sizes)[flip] + col[flip, rep]] = ids
+        self.scale = 0.5 ** sum(off != 0 for off in offs)[order]
+        self.folds = []
+        for a, off in enumerate(offs):
+            # Row i: +1 at the lower node of its mirror pair and +1 (i below
+            # the plane) or -1 (i above) at the upper one; one +1 on the
+            # plane.  The last fold's rows are in block order.
+            rows = order if a == grid.n - 1 else ids
+            image = [shape[b] - 1 - i if b == a else i for b, i in enumerate(index)]
+            m, off = ordinal[np.ravel_multi_index(image, shape)][rows], off[rows]
+            pair = off != 0
+            keep = np.column_stack((np.ones(N, bool), pair)).ravel()
+            self.folds.append(csr_matrix(
+                (np.column_stack((np.ones(N), -np.sign(off))).ravel()[keep],
+                 np.column_stack((np.minimum(rows, m), np.maximum(rows, m))).ravel()[keep],
+                 np.append(0, np.cumsum(1 + pair))), shape=(N, N)))
+        # Every fold but the last is symmetric: it undoes itself up to 2^-1.
+        self.unfolds = [self.folds[-1].T] + self.folds[-2::-1]
+        on = flip[A.indices] == 0  # the entries A[r, c] of representative rows
+        c = np.repeat(ids, np.diff(A.indptr))[on]
+        self.entries, self.col = (rep[A.indices[on]], rep[c], flip[c], A.data[on]), col
+
+    def block(self, s):
+        r, c, g, v = self.entries
+        brow, bcol = self.col[s, r], self.col[s, c]
+        keep, g = (brow >= 0) & (bcol >= 0), g & s
+        chi = 1.0 - 2.0 * ((g ^ g >> 1 ^ g >> 2) & 1)  # the parity of |s & g|
+        return coo_matrix(((chi * v)[keep], (brow[keep], bcol[keep])),
+                          shape=(self.sizes[s], self.sizes[s])).tocsc()
 
     def solve(self, b):
-        c = self.S @ b
-        y = np.zeros_like(c)
+        for F in self.folds:
+            b = F @ b
+        y = np.zeros_like(b)
         for s, (lo, hi) in enumerate(self.blocks):
-            if c[lo:hi].any():
+            if b[lo:hi].any():
                 if self.lus[s] is None:
                     self.lus[s] = _lu(self.block(s))
-                y[lo:hi] = self.lus[s].solve(c[lo:hi])
-        return self.T @ y
-
-
-def _sectors(grid: Grid, A):
-    """(S, T, block, sizes) splitting the Laplacian A of an n-D grid into
-    its 2^n mirror-symmetry sectors; ``block(s)`` assembles sector s's
-    diagonal block of B = S A T.
-
-    Every grid classifies its own nodes mirror-symmetrically (see
-    ``geometry._lattice``), so the reflection i_a -> shape_a - 1 - i_a of
-    each axis a maps the interior onto itself, by a map m of ordinals, and
-    A[m][:, m] == A bit for bit.  The reflections g fold each node onto one
-    representative r below every mirror plane.  Sector s, a set of axes,
-    holds the fields with u(g r) = chi_s(g) u(r); a node on the mirror
-    plane of axis a has no sector with bit a set.  T (entries +-1) maps
-    sector values to nodes and S = T^-1 (+-2^-k on an orbit of 2^k nodes)
-    maps them back, each row of S listing its orbit in mirror pairs.  A
-    commutes with every g, so B = S A T is block diagonal, with sizes[s]
-    rows in block s, its entry ((s, r), (s, q)) the sum of chi_s(g)
-    A[r, g q] over the distinct nodes g q.  That doubles the coupling of a
-    node on a mirror plane to its neighbour below, and where an even node
-    count puts the plane between two nodes, adds chi_s(g_a) times a node's
-    coupling to its image to its diagonal.
-    """
-    N, index, shape = grid.n_interior, grid.interior_index, grid.shape
-    n_sectors = 2 ** grid.n
-    paired = _PAIRED[:n_sectors, :n_sectors]
-    # Ordinals in A's index dtype spare the sparse constructors a copy.
-    ordinal = grid._ordinal_flat.astype(A.indices.dtype)
-    below, plane, mirror = True, 0, []
-    for a in range(grid.n):
-        image = [shape[b] - 1 - i if b == a else i for b, i in enumerate(index)]
-        mirror.append(ordinal[np.ravel_multi_index(image, shape)])
-        off = 2 * index[a] - (shape[a] - 1)
-        below, plane = below & (off <= 0), plane | (off == 0) << a
-    reps = np.flatnonzero(below).astype(ordinal.dtype)
-    # fits[g, j]: g reflects no axis whose plane holds r_j, so g r_j is a
-    # new node of its orbit and r_j has a column in sector g.
-    fits = (np.arange(n_sectors)[:, None] & plane[reps]) == 0
-    sizes = np.count_nonzero(fits, axis=1)
-    orbit = reps[None]  # orbit[g, j] = g r_j
-    for m in mirror:
-        orbit = np.concatenate((orbit, m[orbit]))
-    # Node i = g r_j for exactly one (g, j) that fits: flip(i) = g, rep(i) = j.
-    flip, rep = np.empty((2, N), dtype=np.int64)
-    flip[orbit[fits]], rep[orbit[fits]] = np.nonzero(fits)
-    # col[s, j]: the column of r_j in sector s's block, or -1.
-    col = np.where(fits, np.cumsum(fits, axis=1, dtype=ordinal.dtype) - 1, -1)
-    on = flip[A.indices] == 0  # the entries A[r, c] of representative rows
-    r, c, v = A.indices[on], np.repeat(np.arange(N), np.diff(A.indptr))[on], A.data[on]
-    r, c, flip_c = rep[r], rep[c], flip[c]
-
-    def block(s):
-        brow, bcol = col[s, r], col[s, c]
-        keep = (brow >= 0) & (bcol >= 0)
-        return coo_matrix(((_CHI[s, flip_c] * v)[keep], (brow[keep], bcol[keep])),
-                          shape=(sizes[s], sizes[s])).tocsc()
-
-    # Row col[s, j] of S holds chi_s(g) / 2^k at each node g r_j of the
-    # orbit, in _PAIRED[s] order; T is its transpose with chi_s(g) itself.
-    paired_fits, paired_orbit = (x[paired].transpose(0, 2, 1) for x in (fits, orbit))
-    where = fits[:, :, None] & paired_fits
-    chi, nodes = (np.broadcast_to(x, where.shape)[where]
-                  for x in (np.take_along_axis(_CHI[:n_sectors], paired, 1)[:, None],
-                            paired_orbit))
-    size = np.count_nonzero(where, axis=2)[fits]
-    indptr = np.append(0, np.cumsum(size))
-    T = csc_matrix((chi, nodes, indptr), shape=(N, N))
-    S = csr_matrix((chi / np.repeat(size, size), nodes, indptr), shape=(N, N))
-    return S, T, block, sizes
+                y[lo:hi] = self.lus[s].solve(self.scale[lo:hi] * b[lo:hi])
+        for F in self.unfolds:
+            y = F @ y
+        return y
 
 
 def _laplacian(grid: Grid) -> tuple:
@@ -446,10 +431,10 @@ def _laplacian(grid: Grid) -> tuple:
     ordering).  Its fill is about half of COLAMD's: 6.4 M against 13.7 M
     nonzeros in L + U on the 3-D ball at h = 1/16.
 
-    On every 2-D and 3-D grid the LU factors the diagonal blocks of
-    B = S A T, one per mirror-symmetry sector of A in every axis
-    (``_sectors``), each assembled and factored on first use
-    (``_SectorLU``): a mirror-symmetric problem builds the even one alone.
+    On every 2-D and 3-D grid the LU factors A folded into its
+    mirror-symmetry sectors, one fold per axis (``_SectorLU``): one diagonal
+    block per sector, each assembled and factored on first use, so a
+    mirror-symmetric problem builds the even one alone.
     All eight hold 1.47 M nonzeros on the 3-D ball at h = 1/16, and all
     four 65 k on the disk at h = 1/32 (103 k unsplit).
     Each entry of a block is a sum of entries of one row of A
@@ -465,7 +450,7 @@ def _laplacian(grid: Grid) -> tuple:
     if plan.laplacian is None:
         A = _matrix(grid, np.broadcast_to(np.eye(grid.n),
                                           (grid.n_interior, grid.n, grid.n)))
-        plan.laplacian = (A, _SectorLU(*_sectors(grid, A)) if grid.n > 1
+        plan.laplacian = (A, _SectorLU(grid, A) if grid.n > 1
                           else _lu(A, panel_size=1, relax=1))
     return plan.laplacian
 

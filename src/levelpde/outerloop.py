@@ -17,10 +17,10 @@ nearly smooth.
 
 Two implementation details matter for reproducibility.  First, stopping is
 measured on the full fixed-point gap ||T(v) - v||_inf, and the accepted
-final iterate is the inner solve output itself, so the returned field
-carries the inner solver's own residual certificate.  Second, iterate values
-closer together than a tiny snap width are consolidated to their cluster
-minimum before T reads them, the starting iterate included: solver roundoff
+final iterate is the last inner output, ties snapped, whose residual against
+the last forcing meets the inner tolerance.  Second, iterate values closer
+together than a tiny snap width are consolidated to their cluster minimum
+before T reads them, the starting iterate included: solver roundoff
 otherwise splits the exact value ties that symmetric domains and constant
 data produce, and the counting measure would order that noise.  The snap
 width is a tiny fraction of the a-priori oscillation bound, capped so the
@@ -282,8 +282,8 @@ def solve_nonlocal(op: EllipticOperator, grid: Grid, g: ProfileFunction,
         gap_vec = y - x
         step_gap = float(np.max(np.abs(gap_vec)))
         done = step_gap <= outer_tol
-        # Accept the undamped solve output at the end, so the final field is
-        # an inner-solve output with its certificate.
+        # Accept the undamped solve output at the end; the final field is
+        # that output with its ties snapped.
         if not done:
             if k:
                 dX.append(x - x_prev)

@@ -652,29 +652,44 @@ class TestMirrorSectors:
     @pytest.mark.parametrize("name", SYMMETRIC)
     def test_symmetric_right_sides_factor_the_even_sector_only(self, name):
         # A right side that is a function of each axis's distance from the
-        # middle sums to exactly 0.0 in every odd sector, since S lists each
-        # orbit in mirror pairs, and u is its own mirror image bit for bit.
+        # middle folds to exactly 0.0 in every odd sector, and u is its own
+        # mirror image bit for bit.
         grid = SYMMETRIC[name]()
         offsets = [np.abs(2 * i - (s - 1)) for i, s in zip(grid.interior_index, grid.shape)]
         b = np.cos(sum((a + 1.0) * off for a, off in enumerate(offsets)))
         lu = _laplacian(grid)[1]
-        c = lu.S @ b
-        assert all(not c[lo:hi].any() for lo, hi in lu.blocks[1:])
         u = lu.solve(b)
         assert factored(lu) == [0]
         assert all(np.array_equal(u[m], u) for m in mirrors(grid))
 
+    @pytest.mark.parametrize("name, s", [(name, s) for name, make in SYMMETRIC.items()
+                                         for s in range(2 ** make().n)])
+    def test_each_sector_factors_its_own_block_only(self, name, s):
+        # The symmetric right side above, times sign(off_a) for each axis a
+        # of sector s, is odd in those axes and even in the others: it folds
+        # to exactly 0.0 outside sector s, and u has its parity bit for bit.
+        grid = SYMMETRIC[name]()
+        offsets = [2 * i - (m - 1) for i, m in zip(grid.interior_index, grid.shape)]
+        b = np.cos(sum((a + 1.0) * np.abs(off) for a, off in enumerate(offsets)))
+        for a, off in enumerate(offsets):
+            if s >> a & 1:
+                b = b * np.sign(off)
+        lu = _laplacian(grid)[1]
+        u = lu.solve(b)
+        assert factored(lu) == [s]
+        assert all(np.array_equal(u[m], -u if s >> a & 1 else u)
+                   for a, m in enumerate(mirrors(grid)))
+
     def test_data_odd_in_x_factors_the_x_odd_sector(self):
-        # psi = x is odd in x and even in y and z, so the right side sums to
-        # exactly 0.0 in sectors 2, 4 and 6, whose rows pair on y or z.  In
-        # the sectors paired on x the exact zero does not cancel in order.
+        # psi = x is odd in x and even in y and z, so the right side folds
+        # to exactly 0.0 in every sector but 0 and 1.
         from scipy.sparse.linalg import splu
 
         grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 8)
         prob = DirichletProblem(LAP, grid, BoundaryData.from_callable(lambda p: p[:, 0]))
         u, _ = prob.solve(-1.0)
         A, lu = _laplacian(grid)
-        assert {0, 1} <= set(factored(lu)) and not {2, 4, 6} & set(factored(lu))
+        assert factored(lu) == [0, 1]
         ref = splu(A).solve(np.full(grid.n_interior, -1.0) - prob.lap0)
         assert np.max(np.abs(u.interior - ref)) <= 1e-12 * np.max(np.abs(ref))
 

@@ -18,7 +18,8 @@ from hypothesis.extra import numpy as hnp
 
 from levelpde import outerloop
 from levelpde.cli import format_report
-from levelpde.elliptic import _DEFAULT_TOL, EllipticOperator, solve_dirichlet
+from levelpde.elliptic import (_DEFAULT_TOL, DirichletProblem, EllipticOperator,
+                               apply_operator, solve_dirichlet)
 from levelpde.errors import InvalidParameterError, NonConvergenceError
 from levelpde.geometry import (BoundaryData, build_annulus, build_ball, build_box,
                                build_trace, domain_measure)
@@ -188,6 +189,24 @@ class TestSolveNonlocal:
         s2 = np.sum(grid.interior_coords ** 2, axis=1)
         exact = (math.pi / 16.0 / 0.1) * (1.0 - s2 ** 2)
         assert float(np.max(np.abs(u.interior - exact))) < 0.02 * np.max(exact)
+
+    @pytest.mark.parametrize("center, h, op", [
+        ((0.0, 0.0), 1 / 32, LAP),
+        ((0.0, 0.0), 1 / 32, PUCCI_MINUS),
+        ((0.0, 0.0, 0.0), 0.1, LAP),
+    ], ids=["disk", "disk-pucci-minus", "ball3d"])
+    def test_returned_field_meets_the_inner_tolerance(self, center, h, op, monkeypatch):
+        # The returned field is the last inner output with its ties snapped,
+        # which moves F(D^2 u) by far less than the inner tolerance: its own
+        # residual against the last forcing meets that tolerance too.
+        forcings = []
+        real = DirichletProblem.solve
+        monkeypatch.setattr(DirichletProblem, "solve",
+                            lambda self, f, *a: forcings.append(f) or real(self, f, *a))
+        grid = build_ball(center, 1.0, h)
+        u, rep = solve_nonlocal(op, grid, linear_profile(grid), BoundaryData.zero())
+        assert rep.converged
+        assert np.max(np.abs(apply_operator(op, u) - forcings[-1])) <= _DEFAULT_TOL[op.kind]
 
     def test_annulus_solve_and_positivity(self):
         from levelpde.geometry import build_annulus
