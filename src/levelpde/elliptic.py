@@ -12,19 +12,18 @@ four centred-cross terms at each node that has them) are summed by
 gathers and only the quadrant band by a bincount, with the bits of one
 bincount over all of them.
 The same table gives the sparse matrix of tr(W D^2 u) for any weight field,
-and the Laplacian matrix, factorized once per grid; that LU is the only
-factorization a solve builds.  It is ordered by minimum degree on
-A + A^T and keeps its diagonal pivots: -A is a nonsingular M-matrix, so
-elimination needs no pivoting to stay stable.  On an n-D grid, n >= 2, the
-LU factors the 2^n mirror-symmetry sectors of A instead (every grid
+and the Laplacian LU, built once per grid: the only factorization a solve
+builds.  It factors the 2^n mirror-symmetry sectors of A (every grid
 classifies its nodes mirror-symmetrically in each axis), folding a right
 side into them one axis at a time by each mirror pair's sum and difference;
-a sector's block is assembled and factored on the first right side with a
-part in it, so a mirror-symmetric problem factors the even block alone.
-Every block stays row-diagonally dominant, because |sum +-a| <= sum |a|,
-and the even one is again an M-matrix.  The Laplacian is evaluated as the
-trace of the discrete Hessian (its diagonal terms only), the Pucci
-operators through its eigenvalues (closed form in 1-D and 2-D).
+a sector's block is factored on the first right side with a part in it, so
+a mirror-symmetric problem factors the even block alone.  For n >= 2 the
+blocks are SuperLU's with their diagonal pivots, each row-diagonally
+dominant and the even one an M-matrix (see ``_laplacian``); a 1-D grid's
+two halves are tridiagonal, built from the stencil terms and factored by
+LAPACK.  The Laplacian is evaluated as the trace of the discrete Hessian
+(its diagonal terms only), the Pucci operators through its eigenvalues
+(closed form in 1-D and 2-D).
 
 Operator values come back as interior vectors; a forcing is a scalar or an
 interior vector.  A ``DirichletProblem`` holds what one (grid, psi,
@@ -55,6 +54,7 @@ from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
@@ -323,17 +323,69 @@ class DirichletProblem:
         return ScalarField(u, self.trace), res
 
 
-def _lu(M, panel_size=None, relax=None):
+def _lu(M):
     """SuperLU of the M-matrix -M (or of a sector block of one), ordered by
-    minimum degree on M + M^T with its diagonal pivots (see _laplacian);
-    ``panel_size`` and ``relax`` go to ``splu``."""
+    minimum degree on M + M^T with its diagonal pivots (see _laplacian)."""
     try:
         return splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    relax=relax, panel_size=panel_size,
                     options={"SymmetricMode": True})
     except MemoryError:
         raise InvalidGridError(
             f"the LU of {M.shape[0]} Laplacian rows does not fit in memory") from None
+
+
+class _IntervalLU:
+    """A^-1 b for the tridiagonal Laplacian A of a 1-D grid by its mirror
+    halves, with no sparse matrix.  Node i mirrors N - 1 - i, and A with it
+    bit for bit.  ``solve`` folds b into each mirror pair's halved sum and
+    difference (exact); with the centre of an odd N they are the right
+    sides of the even block, rows 0 ... N - m - 1 (m = N // 2), and the odd
+    one, rows 0 ... m - 1.  Both are tridiagonal, from the (0, 0) stencil
+    terms: the diagonal has ``_matrix``'s bits, an arm couples only to an
+    interior end, the centre row's two arms land on node m - 1, and with
+    even N the middle pair's coupling is added to the even diagonal and
+    subtracted from the odd one.  A block is factored by LAPACK's dgttrf on
+    the first right side with a nonzero part in it; a zero part solves to
+    zeros, so a mirror-symmetric b gives a mirror-symmetric u bit for bit.
+    """
+
+    def __init__(self, grid: Grid):
+        N, t = grid.n_interior, grid.plan.terms[(0, 0)]
+        self.m = m = N // 2
+        # A[i, i + 1] and A[i, i - 1], from the + and - arm terms.
+        up, lo = (np.where(t.src[k:k + N] < N, t.kappa[k:k + N], 0.0) for k in (0, N))
+        diag = -t.node_sums(t.kappa, N)
+        self.bands = [[lo[1:size].copy(), diag[:size].copy(), up[:size][:-1]]
+                      for size in (N - m, m)]
+        if N % 2 == 0:
+            self.bands[0][1][-1] += up[m - 1]
+            self.bands[1][1][-1] -= up[m - 1]
+        elif m:
+            self.bands[0][0][-1] = lo[m] + up[m]
+        self.lus = [None, None]
+
+    def _solve(self, s, b):
+        if not b.any():
+            return np.zeros_like(b)
+        if self.lus[s] is None:
+            # SciPy's dgttrf takes three rows or more: pad with identity rows.
+            (dl, d, du), pad = self.bands[s], np.zeros(max(0, 3 - b.size))
+            *lu, info = dgttrf(np.append(dl, pad), np.append(d, pad + 1.0),
+                               np.append(du, pad))
+            if info:
+                raise InvalidGridError(
+                    f"the Laplacian's mirror block of {b.size} rows is singular")
+            self.lus[s] = lu
+        lu = self.lus[s]
+        return dgttrs(*lu, np.append(b, np.zeros(lu[1].size - b.size)))[0][:b.size]
+
+    def solve(self, b):
+        N, m, r = b.size, self.m, b[::-1]
+        even = self._solve(0, np.append(0.5 * (b[:m] + r[:m]), b[m:N - m]))
+        odd = self._solve(1, 0.5 * (b[:m] - r[:m]))
+        u = np.empty_like(b)
+        u[:m], u[m:N - m], u[N - m:] = even[:m] + odd, even[m:], (even[:m] - odd)[::-1]
+        return u
 
 
 class _SectorLU:
@@ -419,46 +471,37 @@ class _SectorLU:
         return y
 
 
-def _laplacian(grid: Grid) -> tuple:
-    """The Laplacian matrix and its LU, built once and kept with the stencil,
-    so repeated frozen-RHS solves cost triangular solves only.
+def _laplacian(grid: Grid):
+    """The Laplacian LU, built once and kept with the stencil, so repeated
+    frozen-RHS solves cost triangular solves only.
 
-    -A is a nonsingular M-matrix: positive diagonal, nonpositive couplings,
-    every row diagonally dominant and strictly so where a stencil end is a
-    boundary point.  Gaussian elimination needs no pivoting to stay stable
-    on it, so the LU keeps the diagonal pivots of SuperLU's minimum-degree
+    A 1-D grid factors its two tridiagonal mirror halves with LAPACK
+    (``_IntervalLU``).  Every 2-D and 3-D grid factors A folded into its
+    mirror-symmetry sectors, one fold per axis (``_SectorLU``), each block
+    assembled and factored on first use.  -A is a nonsingular M-matrix:
+    positive diagonal, nonpositive couplings, every row diagonally dominant
+    and strictly so where a stencil end is a boundary point.  Each entry of
+    a block is a sum of entries of one row of A with signs, so every block
+    stays row-diagonally dominant (|sum +-a| <= sum |a|) and the even one is
+    again an M-matrix.  Gaussian elimination needs no pivoting to stay
+    stable, so SuperLU keeps the diagonal pivots of its minimum-degree
     ordering of A + A^T (partial pivoting would undo that symmetric
-    ordering).  Its fill is about half of COLAMD's: 6.4 M against 13.7 M
-    nonzeros in L + U on the 3-D ball at h = 1/16.
-
-    On every 2-D and 3-D grid the LU factors A folded into its
-    mirror-symmetry sectors, one fold per axis (``_SectorLU``): one diagonal
-    block per sector, each assembled and factored on first use, so a
-    mirror-symmetric problem builds the even one alone.
-    All eight hold 1.47 M nonzeros on the 3-D ball at h = 1/16, and all
-    four 65 k on the disk at h = 1/32 (103 k unsplit).
-    Each entry of a block is a sum of entries of one row of A
-    with signs, so every block stays row-diagonally dominant
-    (|sum +-a| <= sum |a|) and the even one is again an M-matrix: the
-    diagonal pivots stay stable.  1-D grids keep the plain LU: a
-    tridiagonal matrix has no fill to save.  Its supernodes are single
-    columns, so it is factored with panels and relaxed supernodes of one
-    column (``panel_size=1, relax=1``): wider ones only cost workspace and
-    its page faults, and the solves keep their bits.
+    ordering).  Unsplit, that fill is about half of COLAMD's: 6.4 M against
+    13.7 M nonzeros in L + U on the 3-D ball at h = 1/16; the eight sector
+    blocks hold 1.47 M.  On the disk at h = 1/32 the four hold 65 k (103 k
+    unsplit).
     """
-    plan = grid.plan
+    plan, n = grid.plan, grid.n
     if plan.laplacian is None:
-        A = _matrix(grid, np.broadcast_to(np.eye(grid.n),
-                                          (grid.n_interior, grid.n, grid.n)))
-        plan.laplacian = (A, _SectorLU(grid, A) if grid.n > 1
-                          else _lu(A, panel_size=1, relax=1))
+        plan.laplacian = _IntervalLU(grid) if n == 1 else _SectorLU(
+            grid, _matrix(grid, np.broadcast_to(np.eye(n), (grid.n_interior, n, n))))
     return plan.laplacian
 
 
 def _solve_linear(prob: DirichletProblem, f):
     """Solve L u + tr H(0) = f by one triangular solve with the grid's
     Laplacian LU; the caller's stencil residual certifies the result."""
-    return _laplacian(prob.grid)[1].solve(f - prob.lap0)
+    return _laplacian(prob.grid).solve(f - prob.lap0)
 
 
 def _solve_frozen(prob: DirichletProblem, W, f, u0):
@@ -476,7 +519,7 @@ def _solve_frozen(prob: DirichletProblem, W, f, u0):
     grid = prob.grid
     A = _matrix(grid, W)
     b = f - np.einsum("nij,nij->n", W, prob.H0)
-    _, lu = _laplacian(grid)
+    lu = _laplacian(grid)
     s = np.einsum("nii->n", W) / grid.n
     # Preconditioned on the right, GMRES minimizes the true residual of the
     # correction; its 2-norm bounds the max norm the tolerance is set in.

@@ -367,10 +367,9 @@ class StencilPlan:
     first lookup, since the Laplacian reads none of them.  ``pairs`` lists
     the keys, (a, a) first, in the order every sum over keys follows.
     ``stiffness`` is D = sum_a 2 / (h^2 theta_+ theta_-), the weight of a
-    Laplacian row on its own node; ``laplacian`` caches the Laplacian matrix
-    and its LU for the linear solver.  For n >= 2 that LU maps into and out
-    of the matrix's 2^n mirror-symmetry sectors, one parity per axis, and
-    assembles and factors each sector's block on first use.  ``interval``
+    Laplacian row on its own node; ``laplacian`` caches the linear solver's
+    Laplacian LU (``elliptic._laplacian``), in the 2^n mirror-symmetry
+    sectors of the matrix, each factored on first use.  ``interval``
     keeps what the 1-D cell measure reads of the grid alone
     (``measure._interval_pieces``), built on its first call.
     """
@@ -450,7 +449,7 @@ class StencilPlan:
                 np.concatenate((2.0 / (h ** 2 * tp * (tp + tm)),
                                 2.0 / (h ** 2 * tm * (tp + tm)))),
                 2, N)
-        self.laplacian: tuple | None = None
+        self.laplacian: object | None = None
         self.interval: tuple | None = None
 
 

@@ -287,7 +287,7 @@ output.table = {tmp_path}/table.txt
         assert main(["diagnose", write_config(tmp_path, cfg, "d.cfg")]) == 0
         assert len(grids) == 2
         assert all(set(grid.plan.terms) == {(0, 0), (1, 1), (2, 2)} for grid in grids)
-        lus = [grid.plan.laplacian[1].lus for grid in grids if grid.plan.laplacian]
+        lus = [grid.plan.laplacian.lus for grid in grids if grid.plan.laplacian]
         assert [[s for s, lu in enumerate(one) if lu is not None] for one in lus] == [[0]]
 
     def test_lu_out_of_memory_exit_1(self, tmp_path, monkeypatch, capsys):

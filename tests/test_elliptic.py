@@ -40,6 +40,11 @@ def defect(op, u, f):
     return np.max(np.abs(apply_operator(op, u) - f))
 
 
+def laplacian_matrix(grid):
+    """The sparse Laplacian matrix of the grid, as ``_matrix`` assembles it."""
+    return _matrix(grid, np.broadcast_to(np.eye(grid.n), (grid.n_interior, grid.n, grid.n)))
+
+
 def full_stencil_ordinals(grid):
     """Interior nodes whose entire 3^n neighborhood is interior."""
     N = grid.n_interior
@@ -353,7 +358,7 @@ class TestAssembler:
 
     def test_laplacian_has_only_axis_couplings(self):
         grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 5)
-        A = _laplacian(grid)[0].tocoo()  # stored entries, zeros included
+        A = laplacian_matrix(grid).tocoo()  # stored entries, zeros included
         rows, cols = A.row, A.col
         off = rows != cols
         steps = grid.interior_coords[rows[off]] - grid.interior_coords[cols[off]]
@@ -410,7 +415,7 @@ class TestSolveDirichlet:
         for f, psi in ((-1.0, BoundaryData.zero()),
                        (2.0, BoundaryData.from_callable(lambda p: p[:, 0] ** 2))):
             solve_dirichlet(LAP, grid, f, psi)
-        rows = _laplacian(grid)[1].blocks[0][1]
+        rows = _laplacian(grid).blocks[0][1]
         assert calls == [(rows, rows)]
 
     def test_laplacian_solve_needs_one_lu_solve(self, monkeypatch):
@@ -421,7 +426,7 @@ class TestSolveDirichlet:
                      build_ball((0.0, 0.0), 1.0, 1 / 16)):
             solves.clear()
             u = solve_dirichlet(LAP, grid, -1.0, BoundaryData.zero())
-            assert solves == [_laplacian(grid)[1].blocks[0][1]]
+            assert solves == [_laplacian(grid).blocks[0][1]]
             assert defect(LAP, u, -1.0) <= _DEFAULT_TOL[LAP.kind]
 
     @pytest.mark.parametrize("center, h, bound", [
@@ -435,7 +440,7 @@ class TestSolveDirichlet:
         # COLAMD, to partial pivoting or to one block for the whole ball or
         # disk overshoots the bound.
         grid = build_ball(center, 1.0, h)
-        lu = _laplacian(grid)[1]
+        lu = _laplacian(grid)
         lu.solve(random_rhs(grid))
         assert None not in lu.lus
         assert sum(x.L.nnz + x.U.nnz for x in lu.lus) <= bound
@@ -451,23 +456,29 @@ class TestSolveDirichlet:
 
         solves = count_lu_solves(monkeypatch)
         grid = build_ball(center, 1.0 + 1e-13, 1 / 8)
-        A = _laplacian(grid)[0]
+        A = laplacian_matrix(grid)
         diag = -A.diagonal()
         assert diag.min() < 1e3 and diag.max() > 1e14
         prob = DirichletProblem(LAP, grid, BoundaryData.zero())
         u, res = prob.solve(-1.0)
         assert res <= prob.tol
-        assert solves == [_laplacian(grid)[1].blocks[0][1]]
+        assert solves == [_laplacian(grid).blocks[0][1]]
         ref = splu(A).solve(np.full(grid.n_interior, -1.0) - prob.lap0)
         assert np.max(np.abs(u.interior - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_laplacian_inner_solve_is_one_triangular_solve(self, monkeypatch):
         # At h = 1/4096 one solve with the tridiagonal LU meets the
         # stencil-residual certificate; the inner solve does not refine.
-        solves = count_lu_solves(monkeypatch)
+        # The problem is mirror-symmetric: one solve, in the even half.
+        from levelpde import elliptic
+
+        solves = []
+        real = elliptic.dgttrs
+        monkeypatch.setattr(elliptic, "dgttrs",
+                            lambda *a: solves.append(len(a[-1])) or real(*a))
         grid = build_box([(-1, 1)], 1 / 4096)
         u = solve_dirichlet(LAP, grid, -2.0, BoundaryData.zero())
-        assert solves == [grid.n_interior]
+        assert solves == [(grid.n_interior + 1) // 2]
         assert np.allclose(u.interior, 1.0 - grid.interior_coords[:, 0] ** 2, atol=1e-8)
 
     def test_harmonic_linear_boundary(self):
@@ -595,7 +606,7 @@ def factorized(grid, monkeypatch):
     real = elliptic.splu
     monkeypatch.setattr(elliptic, "splu",
                         lambda M, **kw: seen.append(M) or real(M, **kw))
-    lu = _laplacian(grid)[1]
+    lu = _laplacian(grid)
     lu.solve(random_rhs(grid))
     return block_diag(seen, format="csc"), lu
 
@@ -629,7 +640,7 @@ class TestMirrorSectors:
     @pytest.mark.parametrize("name", SYMMETRIC)
     def test_laplacian_is_mirror_invariant(self, name):
         grid = SYMMETRIC[name]()
-        A = _laplacian(grid)[0].tocsr()
+        A = laplacian_matrix(grid).tocsr()
         for p in mirrors(grid):
             assert np.all(p >= 0)
             assert (A[p][:, p] != A).nnz == 0
@@ -641,7 +652,7 @@ class TestMirrorSectors:
 
         grid = SYMMETRIC[name]()
         B, lu = factorized(grid, monkeypatch)
-        A = _laplacian(grid)[0]
+        A = laplacian_matrix(grid)
         # 2^n sector blocks, all factored, no coupling between them.
         assert factored(lu) == list(range(2 ** grid.n))
         assert B.shape == A.shape and connected_components(B)[0] >= 2 ** grid.n
@@ -657,7 +668,7 @@ class TestMirrorSectors:
         grid = SYMMETRIC[name]()
         offsets = [np.abs(2 * i - (s - 1)) for i, s in zip(grid.interior_index, grid.shape)]
         b = np.cos(sum((a + 1.0) * off for a, off in enumerate(offsets)))
-        lu = _laplacian(grid)[1]
+        lu = _laplacian(grid)
         u = lu.solve(b)
         assert factored(lu) == [0]
         assert all(np.array_equal(u[m], u) for m in mirrors(grid))
@@ -674,7 +685,7 @@ class TestMirrorSectors:
         for a, off in enumerate(offsets):
             if s >> a & 1:
                 b = b * np.sign(off)
-        lu = _laplacian(grid)[1]
+        lu = _laplacian(grid)
         u = lu.solve(b)
         assert factored(lu) == [s]
         assert all(np.array_equal(u[m], -u if s >> a & 1 else u)
@@ -688,7 +699,7 @@ class TestMirrorSectors:
         grid = build_ball((0.0, 0.0, 0.0), 1.0, 1 / 8)
         prob = DirichletProblem(LAP, grid, BoundaryData.from_callable(lambda p: p[:, 0]))
         u, _ = prob.solve(-1.0)
-        A, lu = _laplacian(grid)
+        A, lu = laplacian_matrix(grid), _laplacian(grid)
         assert factored(lu) == [0, 1]
         ref = splu(A).solve(np.full(grid.n_interior, -1.0) - prob.lap0)
         assert np.max(np.abs(u.interior - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -702,15 +713,26 @@ class TestMirrorSectors:
         g = ProfileFunction.linear(-1.0, 0.0, domain_measure(grid))
         _, rep = solve_nonlocal(LAP, grid, g, BoundaryData.from_callable(lambda p: p[:, 0]))
         assert rep.status == "Converged"
-        assert factored(_laplacian(grid)[1]) == [0, 1]
+        assert factored(_laplacian(grid)) == [0, 1]
 
-    @pytest.mark.parametrize("grid", [
-        lambda: build_box([(-1.0, 1.0)], 1 / 64),
-    ], ids=["interval"])
-    def test_other_grids_factor_the_laplacian_itself(self, grid, monkeypatch):
-        grid = grid()
-        M, _ = factorized(grid, monkeypatch)
-        assert (M != _laplacian(grid)[0]).nnz == 0
+    def test_interval_factors_its_two_halves(self, monkeypatch):
+        # A 1-D grid's LU calls neither SuperLU nor the sparse assembly: a
+        # right side with parts of both parities factors the even half
+        # (64 of 127 rows) and the odd one (63) with LAPACK's dgttrf.
+        from levelpde import elliptic
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 1-D LU reached SuperLU or the sparse assembly")
+
+        grid = build_box([(-1.0, 1.0)], 1 / 64)
+        rows = []
+        real = elliptic.dgttrf
+        monkeypatch.setattr(elliptic, "dgttrf", lambda *a: rows.append(len(a[1])) or real(*a))
+        monkeypatch.setattr(elliptic, "splu", refuse)
+        monkeypatch.setattr(elliptic, "_matrix", refuse)
+        lu = _laplacian(grid)
+        lu.solve(random_rhs(grid))
+        assert factored(lu) == [0, 1] and rows == [64, 63]
 
 
 class TestPolicySolve:
@@ -736,13 +758,13 @@ class TestPolicySolve:
         for f in (-1.0, -2.0):
             u = solve_dirichlet(self.OP, grid, f, BoundaryData.zero())
             assert defect(self.OP, u, f) <= tol
-        rows = _laplacian(grid)[1].blocks[0][1]
+        rows = _laplacian(grid).blocks[0][1]
         assert calls == [(rows, rows)]
 
     @staticmethod
     def laplacian_blocks(grid):
         """The shapes of the Laplacian's sector blocks factored so far."""
-        lu = _laplacian(grid)[1]
+        lu = _laplacian(grid)
         return sorted((hi - lo, hi - lo) for (lo, hi), block in zip(lu.blocks, lu.lus)
                       if block is not None)
 

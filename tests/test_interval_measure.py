@@ -1,21 +1,26 @@
-"""The 1-D cell measure and the 1-D Laplacian LU against reference copies.
+"""The 1-D cell measure against a reference copy, and the 1-D Laplacian LU.
 
 ``reference_cell_measures`` and ``reference_window_means`` are the 1-D
 superlevel measure as first written, before its grid-fixed data moved onto
 the stencil plan; the measure must keep its bits, signed zeros included.
-The 1-D Laplacian is factored without SuperLU's panel workspace, and must
-solve bit for bit like a factor with the default panel options.
+The 1-D Laplacian is factored in its two mirror halves by LAPACK's
+tridiagonal LU, without SuperLU or a sparse matrix, and must solve like the
+sparse matrix that ``_matrix`` assembles.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spsolve
 
-from levelpde.elliptic import _laplacian
-from levelpde.geometry import BoundaryData, build_ball, build_box, build_trace
+from levelpde.elliptic import (EllipticOperator, _IntervalLU, _laplacian, _matrix,
+                               _SectorLU, solve_dirichlet)
+from levelpde.errors import InvalidGridError
+from levelpde.geometry import (BoundaryData, build_annulus, build_ball, build_box,
+                               build_trace)
 from levelpde.measure import ScalarField, _interval_cell_measures, _prefix_sums
+from levelpde.verify import StudyProblem, convergence_order_study
 
 
 def reference_cell_measures(v, order):
@@ -211,16 +216,98 @@ def test_cell_measures_keep_their_bits_on_a_second_call():
         reference_cell_measures(v, order))
 
 
-@pytest.mark.parametrize("grid", [
-    build_box([(-1.0, 1.0)], 1 / 64),
-    build_ball((0.3,), 0.77, 1 / 256),
-    build_ball((0.0,), 1.0, 1 / 2048),
-    build_ball((0.0,), 1.0, 1 / 4096),
-], ids=["box-127", "ball-off-centre-395", "ball-4095", "ball-8191"])
-def test_1d_laplacian_solves_like_the_default_panel_options(grid):
-    A, lu = _laplacian(grid)
-    default = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+def laplacian_matrix(grid):
+    return _matrix(grid, np.ones((grid.n_interior, 1, 1)))
+
+
+GRIDS = {
+    "box-1": lambda: build_box([(0.0, 0.5)], 1 / 4),
+    "box-2": lambda: build_box([(0.0, 0.75)], 1 / 4),
+    "box-3": lambda: build_box([(0.0, 1.0)], 1 / 4),
+    "annulus-4": lambda: build_annulus((0.0,), 0.5, 0.5 + 2.05 / 16, 1 / 16),
+    "box-127": lambda: build_box([(-1.0, 1.0)], 1 / 64),
+    "box-even-10": lambda: build_box([(0.0, 1.1)], 1 / 10),
+    "ball-off-centre-395": lambda: build_ball((0.3,), 0.77, 1 / 256),
+    "annulus-off-centre": lambda: build_annulus((0.1,), 0.3, 1.0, 1 / 32),
+    "ball-4095": lambda: build_ball((0.0,), 1.0, 1 / 2048),
+    "ball-8191": lambda: build_ball((0.0,), 1.0, 1 / 4096),
+}
+
+
+def mirror_parts(grid):
+    """A right side even under the mirror i -> N - 1 - i, and one odd."""
+    off = np.abs(2.0 * np.arange(grid.n_interior) - (grid.n_interior - 1))
+    even = np.cos(off + 1.0)
+    return even, even * np.sign(np.arange(grid.n_interior) - (grid.n_interior - 1) / 2)
+
+
+def factored(lu):
+    return [s for s, block in enumerate(lu.lus) if block is not None]
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_1d_laplacian_solves_like_the_sparse_matrix(name):
+    # At N = 8,191 the sparse solve itself is off by about 1e-12 (A's
+    # condition number is 2.7e7): on the ones vector SuperLU's unpivoted
+    # minimum-degree factor of the same matrix is 9.69e-13 from it, and the
+    # mirror halves' LU 9.68e-13.
+    grid = GRIDS[name]()
+    A, lu = laplacian_matrix(grid).tocsc(), _laplacian(grid)
     rng = np.random.default_rng(grid.n_interior)
     for b in (np.ones(grid.n_interior), rng.normal(size=grid.n_interior)):
-        assert hex_bits(lu.solve(b)) == hex_bits(default.solve(b))
+        ref = np.atleast_1d(spsolve(A, b))
+        assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_1d_halves_are_the_mirror_sectors_of_the_matrix(name):
+    # The tridiagonal blocks, built from the stencil terms alone, hold the
+    # entries of the sparse matrix folded into its even and odd sectors.
+    grid = GRIDS[name]()
+    sectors, lu = _SectorLU(grid, laplacian_matrix(grid)), _laplacian(grid)
+    for s, (dl, d, du) in enumerate(lu.bands):
+        block = sectors.block(s).toarray()
+        assert np.array_equal(np.diag(block), d)
+        assert np.array_equal(np.diag(block, -1), dl) and np.array_equal(np.diag(block, 1), du)
+        assert np.count_nonzero(block) == np.count_nonzero(np.concatenate((dl, d, du)))
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_1d_mirror_parts_factor_their_own_half_only(name):
+    # A mirror-symmetric right side folds to exactly 0.0 in the odd half and
+    # an antisymmetric one to 0.0 in the even half: the other half stays
+    # unfactored, and u has the right side's parity bit for bit.
+    grid = GRIDS[name]()
+    even, odd = mirror_parts(grid)
+    lu = _laplacian(grid)
+    u = lu.solve(even)
+    assert factored(lu) == [0] and hex_bits(u) == hex_bits(u[::-1])
+    lu = _IntervalLU(grid)
+    u = lu.solve(odd)
+    assert factored(lu) == ([1] if grid.n_interior > 1 else [])
+    assert np.array_equal(u, -u[::-1])  # +0.0 at the centre of an odd N
+
+
+def test_1d_study_needs_no_superlu_and_no_sparse_matrix(monkeypatch):
+    from levelpde import elliptic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 1-D solve reached SuperLU or the sparse assembly")
+
+    monkeypatch.setattr(elliptic, "splu", refuse)
+    monkeypatch.setattr(elliptic, "_matrix", refuse)
+    rows = convergence_order_study(StudyProblem((0.0,), 1.0, EllipticOperator.laplacian()),
+                                   [1 / 128, 1 / 256, 1 / 512])
+    assert [row.status for row in rows] == ["Converged"] * 3
+    assert all(abs(row.order - 2.0) <= 0.01 for row in rows[1:])
+
+
+def test_singular_half_is_a_grid_error(monkeypatch):
+    # dgttrf reports an exactly zero pivot by info > 0.
+    from levelpde import elliptic
+
+    real = elliptic.dgttrf
+    monkeypatch.setattr(elliptic, "dgttrf", lambda *a: (*real(*a)[:-1], 2))
+    grid = build_box([(-1.0, 1.0)], 1 / 8)
+    with pytest.raises(InvalidGridError, match="mirror block of 8 rows is singular"):
+        solve_dirichlet(EllipticOperator.laplacian(), grid, -1.0, BoundaryData.zero())

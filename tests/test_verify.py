@@ -1,6 +1,10 @@
 """Closed forms, barrier constants, gradient floors, flat-region scans."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,18 @@ from levelpde.verify import (
 )
 
 LAP = EllipticOperator.laplacian()
+
+# The 1-D study at three spacings, printed as one digest of its rows.
+STUDY_DIGEST = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from levelpde import EllipticOperator
+from levelpde.verify import StudyProblem, convergence_order_study
+
+rows = convergence_order_study(StudyProblem((0.0,), 1.007, EllipticOperator.laplacian()),
+                               [1 / 128, 1 / 256, 1 / 512])
+print(hashlib.sha256(repr(rows).encode()).hexdigest())
+"""
 
 
 def zero_data_field(grid, interior):
@@ -387,3 +403,27 @@ class TestConvergenceStudy:
         for row in rows:
             assert row.error == pytest.approx(row.h ** 2 / 12, rel=1e-3)
         assert rows[-1].order == pytest.approx(2.0, abs=0.2)
+
+    def test_1d_study_rows_are_the_same_on_three_blas_kernels(self):
+        # OpenBLAS picks its kernel for the host (SkylakeX on an AVX-512
+        # Xeon); OPENBLAS_CORETYPE forces Haswell or Prescott (which loads
+        # Katmai).  OPENBLAS_VERBOSE=2 names the
+        # kernel on a "Core:" line.  The rows keep every digit.
+        runs = []
+        for core in (None, "Haswell", "Prescott"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OPENBLAS_VERBOSE="2",
+                       PYTHONDONTWRITEBYTECODE="1")
+            env.pop("OPENBLAS_CORETYPE", None)
+            if core:
+                env["OPENBLAS_CORETYPE"] = core
+            done = subprocess.run(
+                [sys.executable, "-c", STUDY_DIGEST, str(Path(__file__).parents[1] / "src")],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            lines = (done.stdout + done.stderr).splitlines()
+            runs.append((frozenset(x for x in lines if x.startswith("Core:")),
+                         done.stdout.split()[-1]))
+        if not any(cores for cores, _ in runs):
+            pytest.skip("no Core: line: NumPy and SciPy do not use OpenBLAS")
+        assert len({cores for cores, _ in runs}) == 3
+        assert len({digest for _, digest in runs}) == 1
