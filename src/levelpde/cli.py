@@ -74,7 +74,9 @@ from .verify import (
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+    """Comma-separated numbers; an empty value is the empty list, and an
+    empty item of a non-empty one (``0,,0`` or ``1,2,``) does not parse."""
+    return tuple(float(tok) for tok in text.split(",")) if text else ()
 
 
 def _parse_bounds(text: str) -> tuple[tuple[float, float], ...]:
@@ -306,6 +308,10 @@ def load_field(path: str | Path, trace: BoundaryTrace) -> ScalarField:
     The header, and the index and class of each node line, must be the text
     format_field writes for that grid; anything else raises
     InvalidParameterError naming the file and the line.
+
+    Nothing made for one node line outlives it but its value, a float, and
+    its file line number, an int.  The cyclic garbage collector tracks
+    neither, so a load of any size adds only a few objects to its count.
     """
     grid = trace.grid
     try:
@@ -316,26 +322,26 @@ def load_field(path: str | Path, trace: BoundaryTrace) -> ScalarField:
     if not lines or lines[0] != header:
         raise InvalidParameterError(
             f"{path}:1: expected the configured grid's header {header!r}")
-    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    if len(body) != grid.node_class.size:
+    linenos = [lineno for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    if len(linenos) != grid.node_class.size:
         raise InvalidParameterError(
-            f"{path}: expected {grid.node_class.size} node lines, found {len(body)}")
+            f"{path}: expected {grid.node_class.size} node lines, found {len(linenos)}")
     values = []
-    for (lineno, ln), label, cls in zip(body, _node_labels(grid.shape),
-                                        grid.node_class.ravel().tolist()):
+    for lineno, label, cls in zip(linenos, _node_labels(grid.shape),
+                                  grid.node_class.ravel().tolist()):
         try:
-            index, name, value = ln.split()
+            index, name, value = lines[lineno - 1].split()
             values.append(float(value))
         except ValueError as err:
             raise InvalidParameterError(
                 f"{path}:{lineno}: malformed node line ({err})") from None
-        if (index, name) != (label, _CLASS_NAMES[cls]):
+        if index != label or name != _CLASS_NAMES[cls]:
             raise InvalidParameterError(
                 f"{path}:{lineno}: expected node {label} {_CLASS_NAMES[cls]}")
     interior = np.array(values)[grid.interior_flat]
     bad = np.flatnonzero(~np.isfinite(interior))
     if bad.size:
-        raise InvalidParameterError(f"{path}:{body[grid.interior_flat[bad[0]]][0]}: "
+        raise InvalidParameterError(f"{path}:{linenos[grid.interior_flat[bad[0]]]}: "
                                     "non-finite value at an Interior node")
     return ScalarField(interior, trace)
 

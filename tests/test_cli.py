@@ -1,5 +1,8 @@
 """Config parsing, field dump round trips, subcommands and exit codes."""
 
+import gc
+import itertools
+import platform
 import re
 
 import numpy as np
@@ -155,6 +158,10 @@ class TestFieldDump:
     @pytest.mark.parametrize("make_grid", [
         lambda: build_box([(0, 1), (0, 1)], 0.25),
         lambda: build_ball((0.0, 0.0), 1.0, 0.25),
+        # The benchmark's 3-D balls.
+        lambda: build_ball((0.0, 0.0, 0.0), 1.0, 0.1),
+        lambda: build_ball((0.0, 0.0, 0.0), 1.007, 0.1),
+        lambda: build_ball((0.0, 0.0, 0.0), 0.992, 0.1),
     ])
     def test_round_trip_byte_identical(self, make_grid, tmp_path):
         grid = make_grid()
@@ -214,6 +221,113 @@ class TestFieldDump:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidParameterError,
                            match=f"^{re.escape(str(p))}:8: expected node 0,6 Exterior$"):
+            load_field(p, u.trace)
+
+    @pytest.mark.skipif(platform.python_implementation() != "CPython",
+                        reason="counts the collections of CPython's cyclic GC")
+    def test_dump_and_load_start_no_collection(self, tmp_path):
+        # A gen-0 collection starts once the GC-tracked objects made and not
+        # yet freed outnumber the threshold, here one per 100 nodes.  One
+        # object kept per node line (a tuple, say) starts dozens on this
+        # 9,261-node lattice; floats, ints and strs are not tracked.  (The
+        # count's net change over a call does not show them: freeing such
+        # objects on return takes back all but what the tuple free list
+        # keeps.)
+        grid = build_ball((0.0, 0.0, 0.0), 1.0, 0.1)
+        u = zero_data_field(grid, np.random.default_rng(5).normal(size=grid.n_interior))
+        p = tmp_path / "u.txt"
+        p.write_text(format_field(u))
+
+        def collections(call, *args):
+            starts = []
+
+            def on_gc(phase, info):
+                if phase == "start":
+                    starts.append(info["generation"])
+
+            gc.collect()
+            gc.callbacks.append(on_gc)
+            try:
+                call(*args)
+            finally:
+                gc.callbacks.remove(on_gc)
+            return starts
+
+        enabled, threshold = gc.isenabled(), gc.get_threshold()
+        gc.enable()
+        gc.set_threshold(grid.node_class.size // 100)
+        try:
+            assert collections(format_field, u) == []
+            assert collections(load_field, p, u.trace) == []
+        finally:
+            gc.set_threshold(*threshold)
+            if not enabled:
+                gc.disable()
+
+
+def ball_dump():
+    """A field on the disk at h = 0.25, its dump's lines, the index in them
+    of the centre node's line, and that node's label."""
+    grid = build_ball((0.0, 0.0), 1.0, 0.25)
+    u = zero_data_field(grid, np.arange(grid.n_interior, dtype=np.float64))
+    centre = tuple(s // 2 for s in grid.shape)
+    k = 1 + int(np.ravel_multi_index(centre, grid.shape))
+    return u, format_field(u).splitlines(), k, ",".join(map(str, centre))
+
+
+class TestFieldDumpTolerance:
+    """What load_field accepts besides format_field's exact text, and the
+    file lines its errors name."""
+
+    def test_blank_lines_keep_later_lines_at_their_file_line(self, tmp_path):
+        u, lines, k, label = ball_dump()
+        lines[3:3] = ["", "   ", "\t"]
+        lines.append("")
+        p = tmp_path / "u.txt"
+        p.write_text("\n".join(lines) + "\n")
+        assert np.array_equal(load_field(p, u.trace).interior, u.interior)
+        lines[k + 3] = lines[k + 3].replace("Interior", "Boundary")
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameterError, match=(
+                f"^{re.escape(str(p))}:{k + 4}: expected node {label} Interior$")):
+            load_field(p, u.trace)
+
+    def test_crlf_line_ends(self, tmp_path):
+        u, lines, _, _ = ball_dump()
+        p = tmp_path / "u.txt"
+        p.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        loaded = load_field(p, u.trace)
+        assert np.array_equal(loaded.interior, u.interior)
+        assert format_field(loaded) == "\n".join(lines) + "\n"
+
+    def test_tabs_and_repeated_spaces_between_tokens(self, tmp_path):
+        u, lines, _, _ = ball_dump()
+        seps = itertools.cycle(["\t", "   ", " \t ", "\t\t"])
+        lines[1:] = [next(seps).join(ln.split()) + " " for ln in lines[1:]]
+        p = tmp_path / "u.txt"
+        p.write_text("\n".join(lines) + "\n")
+        assert np.array_equal(load_field(p, u.trace).interior, u.interior)
+
+    def test_four_tokens_on_an_exterior_line(self, tmp_path):
+        u, lines, _, _ = ball_dump()
+        assert lines[1].split()[1] == "Exterior"
+        lines[1] += " 0.0"
+        p = tmp_path / "u.txt"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameterError, match=(
+                f"^{re.escape(str(p))}:2: malformed node line "
+                r"\(too many values to unpack")):
+            load_field(p, u.trace)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_interior_value_after_a_blank_line(self, value, tmp_path):
+        u, lines, k, _ = ball_dump()
+        lines[k] = lines[k].rsplit(" ", 1)[0] + " " + value
+        lines[2:2] = ["", ""]
+        p = tmp_path / "u.txt"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameterError, match=(
+                f"^{re.escape(str(p))}:{k + 3}: non-finite value at an Interior node$")):
             load_field(p, u.trace)
 
 
@@ -467,11 +581,22 @@ output.table = {tmp_path}/study.txt
         ("profile.a = -1", "profile.a = nan", "must be finite"),
         ("domain.radius = 1", "domain.radius = 1\ndomain.center = ",
          "needs 1 to 3 coordinates"),
-    ], ids=["inf-Lambda", "nan-profile", "empty-center"])
+        ("domain.radius = 1", "domain.radius = 1\ndomain.center = 0,,0",
+         "cannot parse '0,,0': "),
+        ("domain.radius = 1", "domain.radius = 1\ndomain.center = 0, ,0,0",
+         "cannot parse '0, ,0,0': "),
+        ("boundary.kind = zero", "boundary.kind = table\nboundary.values = 0,8\n"
+         "boundary.knots = 0,,8", "cannot parse '0,,8': "),
+        ("boundary.kind = zero", "boundary.kind = zero\nstudy.h_list = 0.25,0.125,",
+         "cannot parse '0.25,0.125,': "),
+    ], ids=["inf-Lambda", "nan-profile", "empty-center", "empty-item-2d-center",
+            "empty-item-3d-center", "empty-item-table-knot", "trailing-comma-h-list"])
     def test_unusable_data_exit_1_at_parse_time(self, old, new, message, tmp_path,
                                                capsys):
         # Each used to reach the solver: Lambda = inf ended with a NaN
-        # residual and exit 2, profile.a = nan failed after two solves.
+        # residual and exit 2, profile.a = nan failed after two solves, and
+        # an empty list item was dropped (0,,0 made a 2-D centre, 0, ,0,0 a
+        # 3-D one).
         text = MINIMAL_BALL.replace(old, new)
         given = new.splitlines()[-1]
         rc = main(["solve", write_config(tmp_path, text)])
