@@ -608,7 +608,6 @@ class MaxPrincipleReport:
     inf_psi: float
     f_min: float
     f_max: float
-    f_inf_norm: float
     tol: float
     upper_applicable: bool
     lower_applicable: bool
@@ -642,7 +641,6 @@ def maximum_principle_check(u: ScalarField, f,
         inf_psi=inf_psi,
         f_min=f_min,
         f_max=f_max,
-        f_inf_norm=float(np.max(np.abs(fvec))),
         tol=tol,
         upper_applicable=upper_app,
         lower_applicable=lower_app,

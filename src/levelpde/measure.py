@@ -5,6 +5,8 @@ is the regularization of the existence proof, kept as ``rhs_smoothed``.
 A ``ScalarField`` carries an iterate or a sampled field as its interior
 values and the boundary trace of its grid; the measures and right-hand
 sides of a field are node data and come back as (n_interior,) vectors.
+A profile g carries its piecewise-linear table on [0, |Omega|_h], whose
+knots give its bound, slope and sign with no branch on its form.
 
 Everything here is exact: no quadrature, no tolerance knobs.  On grids with
 n >= 2 the superlevel measure of a node is the cell measure times the number
@@ -102,22 +104,22 @@ class ScalarField:
 
 
 class ProfileFunction:
-    """The continuous profile g on [0, |Omega|_h].
+    """The continuous profile g on [0, |Omega|_h] as its piecewise-linear
+    table there: ``knots`` from 0 to ``domain_max`` and g's ``values`` at
+    them, a linear g being the two knots [0, D] -> [b, a D + b].  The table
+    gives the bound, the slope and the sign exactly.
 
-    Arguments are clamped into the domain before evaluation, so discretization
-    overshoot can never query g outside its range.
+    g itself is a t + b for a linear profile and the interpolant of the table
+    as given otherwise.  Arguments are clamped into the domain before
+    evaluation, so discretization overshoot never queries g outside it.
     """
 
-    def __init__(self, kind: str, domain_max: float,
-                 fn: Callable[[NDArray[np.float64]], NDArray[np.float64]],
-                 abs_bound: float, params: dict):
-        if not 0 < domain_max < np.inf:
+    def __init__(self, knots: NDArray[np.float64], values: NDArray[np.float64],
+                 fn: Callable[[NDArray[np.float64]], NDArray[np.float64]]):
+        self.domain_max = float(knots[-1])
+        if not 0 < self.domain_max < np.inf:
             raise InvalidParameterError("profile domain_max must be positive and finite")
-        self.kind = kind
-        self.domain_max = float(domain_max)
-        self._fn = fn
-        self._abs_bound = float(abs_bound)
-        self.params = params
+        self.knots, self.values, self._fn = knots, values, fn
 
     @classmethod
     def linear(cls, a: float, b: float, domain_max: float) -> "ProfileFunction":
@@ -127,52 +129,38 @@ class ProfileFunction:
         if not np.all(np.isfinite((a, b, end))):
             raise InvalidParameterError(
                 f"linear profile {a!r} t + {b!r} must be finite on [0, {domain_max!r}]")
-        bound = max(abs(b), abs(end))
-        return cls("linear", domain_max, lambda t: a * t + b, bound,
-                   {"a": a, "b": b})
+        return cls(np.array([0.0, domain_max]), np.array([b, end]),
+                   lambda t: a * t + b)
 
     @classmethod
     def from_table(cls, knots: Sequence[float], values: Sequence[float],
                    domain_max: float) -> "ProfileFunction":
         kn, va = _checked_table(knots, values)
         if kn[0] > 0 or kn[-1] < domain_max * (1 - 1e-12):
-            raise InvalidParameterError(
-                f"table knots must span [0, {domain_max}]"
-            )
-        # The params hold the table of g on [0, domain_max] alone, the knots
-        # inside it and the two ends as np.interp evaluates them, for the
-        # bound, the slope and the sign; g itself interpolates the table given.
+            raise InvalidParameterError(f"table knots must span [0, {domain_max}]")
+        # The table on [0, domain_max] alone: the knots inside it and the two
+        # ends as np.interp evaluates them.
         inside = (kn > 0) & (kn < domain_max)
         ends = np.interp([0.0, domain_max], kn, va)
-        on_domain = np.concatenate((ends[:1], va[inside], ends[1:]))
-        return cls("table", domain_max,
-                   lambda t: np.interp(t, kn, va), float(np.max(np.abs(on_domain))),
-                   {"knots": np.concatenate(([0.0], kn[inside], [domain_max])),
-                    "values": on_domain})
+        return cls(np.concatenate(([0.0], kn[inside], [domain_max])),
+                   np.concatenate((ends[:1], va[inside], ends[1:])),
+                   lambda t: np.interp(t, kn, va))
 
     def __call__(self, t) -> NDArray[np.float64]:
-        arr = np.asarray(t, dtype=np.float64)
-        clamped = np.clip(arr, 0.0, self.domain_max)
-        return self._fn(clamped)
+        return self._fn(np.clip(np.asarray(t, dtype=np.float64), 0.0, self.domain_max))
 
     def abs_bound(self) -> float:
-        """max |g| over [0, domain_max]; exact for the built-in kinds."""
-        return self._abs_bound
+        """max |g| over [0, domain_max]: the largest |value| of the table."""
+        return float(np.max(np.abs(self.values)))
 
     def max_slope(self) -> float:
-        """Lipschitz constant of g on its domain; exact for the built-in kinds."""
-        if self.kind == "linear":
-            return abs(self.params["a"])
-        kn, va = self.params["knots"], self.params["values"]
-        return float(np.max(np.abs(np.diff(va) / np.diff(kn))))
+        """Lipschitz constant of g on its domain: its steepest table piece."""
+        return float(np.max(np.abs(np.diff(self.values) / np.diff(self.knots))))
 
     def negative_on_range(self) -> bool:
         """True when g < 0 on (0, |Omega|]; gates the flat-region exclusion."""
-        if self.kind == "linear":
-            a, b = self.params["a"], self.params["b"]
-            return b <= 0 and a * self.domain_max + b < 0
-        va = self.params["values"]
-        return bool(np.all(va[1:] < 0) and va[0] <= 0)
+        va = self.values
+        return bool(va[0] <= 0 and np.all(va[1:] < 0))
 
 
 # ---------------------------------------------------------------------------

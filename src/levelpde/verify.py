@@ -5,7 +5,7 @@ zero-data problem on a ball for the Laplacian, and its 1/Lam (1/lam) rescaling
 solves it for the minimal (maximal) extremal operator.  These closed forms
 feed the benchmark comparisons, the boundary-barrier construction with its
 gradient constant omega_n eps0^(n+1) / (2 n Lam), the flat-region exclusion
-scan, and the refinement study.
+scan, and the refinement study, whose problem is the closed form itself.
 """
 
 from __future__ import annotations
@@ -60,18 +60,28 @@ def unit_ball_volume(n: int) -> float:
 
 @dataclass(frozen=True)
 class BallSolution:
-    """Radial solution of the zero-data, g(t) = -t problem on a ball.
+    """Radial solution of the zero-data, g(t) = -t problem on a ball: the
+    closed form that the ball benchmarks and the refinement study check.
 
     For the minimal extremal operator the Laplacian solution scaled by 1/Lam
     solves the same problem (1/lam for the maximal one): the Hessian is
     negative semidefinite, so the extremal operator degenerates to a multiple
-    of the trace.
+    of the trace.  The radius must be positive and finite and the center
+    must have 1 to 3 coordinates; the dimension n is its length.
     """
 
     center: tuple[float, ...]
     radius: float
-    n: int
     op: EllipticOperator
+
+    def __post_init__(self):
+        if not 0 < self.radius < math.inf:
+            raise InvalidParameterError("radius must be positive and finite")
+        unit_ball_volume(self.n)
+
+    @property
+    def n(self) -> int:
+        return len(self.center)
 
     @property
     def scale(self) -> float:
@@ -108,13 +118,10 @@ class BallSolution:
 
 def exact_ball_solution(center: Sequence[float], r: float, n: int,
                         op: EllipticOperator) -> BallSolution:
-    if not 0 < r < math.inf:
-        raise InvalidParameterError("radius must be positive and finite")
     center = tuple(float(c) for c in center)
     if len(center) != n:
         raise InvalidParameterError("center dimension does not match n")
-    unit_ball_volume(n)
-    return BallSolution(center, float(r), int(n), op)
+    return BallSolution(center, float(r), op)
 
 
 def barrier_gradient_constant(eps0: float, n: int, Lam: float) -> float:
@@ -261,8 +268,7 @@ class BarrierReport:
 
 
 def barrier_comparison_check(u: ScalarField, eps0: float | None = None,
-                             op: EllipticOperator | None = None,
-                             tol: float | None = None) -> BarrierReport:
+                             op: EllipticOperator | None = None) -> BarrierReport:
     """Compare the solution against the tangent-ball barrier at boundary
     probes and report the boundary-band gradient floor.
 
@@ -271,8 +277,9 @@ def barrier_comparison_check(u: ScalarField, eps0: float | None = None,
     least slack u - barrier (+inf in a ball that holds no node) and whether
     each has superlevel measure at least |Omega|/2.  eps0 defaults to half
     the largest tangent ball: R/2 on a ball, (r_out - r_in)/4 on an
-    annulus.  The report counts the empty balls, and does not pass when
-    every ball is empty.
+    annulus.  A probe passes when that slack is at least -tol, with
+    tol = 1e-9 + 10 h^2.  The report counts the empty balls, and does not
+    pass when every ball is empty.
     ``_PROBES_PER_PASS`` probes share one pass over their (probe, node)
     distances, which are summed axis by axis as ``np.linalg.norm`` sums
     them.
@@ -313,8 +320,7 @@ def barrier_comparison_check(u: ScalarField, eps0: float | None = None,
         raise PreconditionError(
             f"tangent ball of radius {eps0} does not fit inside the domain"
         )
-    if tol is None:
-        tol = 1e-9 + 10.0 * grid.h ** 2
+    tol = 1e-9 + 10.0 * grid.h ** 2
 
     # The comparison barrier is the minimal-operator solution scaled by
     # 1/Lam; for the Laplacian Lam = 1 it is the solution itself.
@@ -355,7 +361,7 @@ def barrier_comparison_check(u: ScalarField, eps0: float | None = None,
     return BarrierReport(
         eps0=float(eps0),
         c0=c0,
-        tol=float(tol),
+        tol=tol,
         height=float(barrier.radial_value(0.0)),
         band=float(band),
         min_grad_band=boundary_gradient_min(u, band),
@@ -367,17 +373,8 @@ def barrier_comparison_check(u: ScalarField, eps0: float | None = None,
 # Refinement study
 
 
-@dataclass(frozen=True)
-class StudyProblem:
-    """Ball benchmark with a closed-form reference: g(t) = -t, zero data."""
-
-    center: tuple[float, ...]
-    radius: float
-    op: EllipticOperator
-
-    @property
-    def n(self) -> int:
-        return len(self.center)
+# The refinement study's problem is the closed form it checks against.
+StudyProblem = BallSolution
 
 
 @dataclass
@@ -397,15 +394,13 @@ def convergence_order_study(problem: StudyProblem, h_list: Sequence[float],
     Solver failures are recorded in the row status (and surface as exit 2 at
     the command line).
     """
-    exact = exact_ball_solution(problem.center, problem.radius, problem.n,
-                                problem.op)
     rows: list[StudyRow] = []
     prev: tuple[float, float] | None = None
     for h in h_list:
         grid = build_ball(problem.center, problem.radius, h)
         g = ProfileFunction.linear(-1.0, 0.0, domain_measure(grid))
         u, rep = solve_nonlocal(problem.op, grid, g, BoundaryData.zero(), cfg)
-        err = float(np.max(np.abs(u.interior - exact.value(grid.interior_coords))))
+        err = float(np.max(np.abs(u.interior - problem.value(grid.interior_coords))))
         order = None
         if prev is not None and err > 0 and prev[1] > 0:
             order = math.log(prev[1] / err) / math.log(prev[0] / h)

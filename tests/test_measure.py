@@ -130,6 +130,26 @@ tied_values = hnp.arrays(np.float64, st.integers(min_value=1, max_value=60),
                          elements=st.integers(-3, 3).map(lambda k: 1e8 + k))
 
 
+@st.composite
+def profile_tables(draw):
+    """A table profile on [0, D]: its first knot is at most 0 and its last at
+    least D, the knots at least 1e-3 apart and the values in quarters."""
+    domain_max = draw(st.floats(0.5, 4.0))
+    knots = [-draw(st.floats(0.0, 1.0))]
+    for gap in draw(st.lists(st.floats(1e-3, 2.0), max_size=8)):
+        knots.append(knots[-1] + gap)
+    knots.append(max(knots[-1] + 1e-3, domain_max) + draw(st.floats(0.0, 1.0)))
+    values = draw(st.lists(st.integers(-40, 40), min_size=len(knots),
+                           max_size=len(knots)))
+    return ProfileFunction.from_table(knots, [v / 4 for v in values], domain_max)
+
+
+@st.composite
+def linear_profiles(draw):
+    finite = st.floats(-10.0, 10.0)
+    return ProfileFunction.linear(draw(finite), draw(finite), draw(st.floats(0.5, 4.0)))
+
+
 def bitwise_equal(a, b):
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -514,6 +534,55 @@ class TestProfileFunction:
         assert g.max_slope() == pytest.approx(slope, rel=1e-15)
         t = np.linspace(0.0, 2.0, 101)
         assert np.array_equal(g(t), np.interp(t, knots, values))
+
+    @given(st.one_of(profile_tables(), linear_profiles()))
+    @settings(max_examples=200, deadline=None)
+    def test_facts_agree_with_dense_samples(self, g):
+        # The table is g at its knots, from 0 to D, so the three facts it
+        # gives are those of g sampled on [0, D].
+        kn, va, top = g.knots, g.values, g.domain_max
+        assert kn[0] == 0.0 and kn[-1] == top and np.all(np.diff(kn) > 0)
+        assert g(kn).tobytes() == va.tobytes()
+        t = np.linspace(0.0, top, 2001)
+        gt = g(t)
+        samples = np.concatenate((gt, va))
+        assert g.abs_bound() == np.max(np.abs(va))
+        assert g.abs_bound() == pytest.approx(np.max(np.abs(samples)), rel=1e-12)
+        slope = g.max_slope()
+        assert np.max(np.abs(np.diff(gt) / np.diff(t))) <= slope * (1 + 1e-9) + 1e-9
+        # The slope is attained on one piece of the table, between two
+        # samples of g.
+        assert slope in np.abs(np.diff(g(kn)) / np.diff(kn))
+        assert g.negative_on_range() is bool(
+            gt[0] <= 0 and np.all(gt[1:] < 0) and np.all(va[1:] < 0))
+
+    @pytest.mark.parametrize("make_grid", [
+        lambda: build_ball((0.0, 0.0, 0.0), 1.007, 0.1),
+        lambda: build_ball((0.0, 0.0), 1.007, 1 / 32),
+        lambda: build_ball((0.0,), 1.007, 1 / 4096),
+    ], ids=["ball3d", "disk", "interval"])
+    def test_minus_t_on_the_benchmark_grids_is_bit_exact(self, make_grid):
+        # g = -t, the benchmark's profile: its bound is the domain measure
+        # and its slope 1, bit for bit, and g is -t clamped to [0, D].
+        grid = make_grid()
+        top = domain_measure(grid)
+        g = ProfileFunction.linear(-1.0, 0.0, top)
+        assert g.abs_bound() == top
+        assert g.max_slope() == 1.0
+        assert g.negative_on_range()
+        t = np.concatenate(([-1.0, -0.0, 0.0], grid.cell * np.arange(grid.n_interior + 1),
+                            [top, 2 * top]))
+        assert g(t).tobytes() == (-1.0 * np.clip(t, 0.0, top) + 0.0).tobytes()
+
+    @pytest.mark.parametrize("a, b, top", [
+        (-1.0, 0.0, 2.0), (0.3, -2.0, 1.7), (-2.5, 1.0, math.pi), (0.0, -3.0, 0.75)])
+    def test_linear_is_its_two_knot_table(self, a, b, top):
+        line = ProfileFunction.linear(a, b, top)
+        table = ProfileFunction.from_table([0.0, top], [b, a * top + b], top)
+        assert line.knots.tobytes() == table.knots.tobytes()
+        assert line.values.tobytes() == table.values.tobytes()
+        for fact in ("abs_bound", "max_slope", "negative_on_range"):
+            assert getattr(line, fact)() == getattr(table, fact)()
 
 
 class TestRearrangement:

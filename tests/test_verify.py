@@ -16,6 +16,7 @@ from levelpde.geometry import (BoundaryData, build_annulus, build_ball, build_bo
 from levelpde.measure import ProfileFunction, ScalarField, superlevel_measures
 from levelpde.outerloop import solve_nonlocal
 from levelpde.verify import (
+    BallSolution,
     BarrierPoint,
     StudyProblem,
     barrier_comparison_check,
@@ -91,6 +92,26 @@ class TestBallSolution:
                                                              message):
         with pytest.raises(InvalidParameterError, match=message):
             exact_ball_solution(center, 1.0, n, LAP)
+
+    def test_study_problem_is_the_ball_solution(self):
+        assert StudyProblem is BallSolution
+
+    @pytest.mark.parametrize("center, radius, message", [
+        ((0.0,) * 4, 1.0, "dimension"), ((), 1.0, "dimension"),
+        ((0.0, 0.0), 0.0, "positive and finite"),
+        ((0.0,), math.nan, "positive and finite")],
+        ids=["n-4", "n-0", "zero-radius", "nan-radius"])
+    def test_study_problem_is_checked_when_built(self, center, radius, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            StudyProblem(center, radius, LAP)
+
+    @pytest.mark.parametrize("center, radius, op", [
+        ((0.0,), 1.007, LAP), ((0.3, -0.2), 0.7, EllipticOperator.pucci_minus(1.0, 2.0)),
+        ((0.0, 0.0, 0.0), 0.992, EllipticOperator.pucci_plus(0.5, 2.0))])
+    def test_study_problem_equals_the_exact_solution(self, center, radius, op):
+        problem = StudyProblem(center=center, radius=radius, op=op)
+        assert problem == exact_ball_solution(center, radius, len(center), op)
+        assert problem.n == len(problem.center)
 
     def test_1d_profile(self):
         sol = exact_ball_solution((0.0,), 1.0, 1, LAP)
