@@ -47,7 +47,6 @@ from .errors import (
 from .geometry import (
     _CLASS_NAMES,
     BallDescriptor,
-    AnnulusDescriptor,
     BoundaryData,
     BoundaryTrace,
     Grid,
@@ -112,7 +111,6 @@ _KEYS = {
     "output.field": str, "output.report": str, "output.table": str,
     "output.rearrangement": str,
 }
-_KNOWN_KEYS = frozenset(_KEYS)
 
 # Each kind key (all are required), its choices, and the keys each choice
 # needs.
@@ -150,10 +148,9 @@ class RunConfig(dict):
         return self._grid
 
     def build_operator(self) -> EllipticOperator:
-        kind = self["operator.kind"]
-        if kind == "laplacian":
-            return EllipticOperator.laplacian()
-        return EllipticOperator(kind, self["operator.lambda"], self["operator.Lambda"])
+        """The configured operator; the Laplacian's lam = Lam = 1 are not keys."""
+        return EllipticOperator(self["operator.kind"], self.get("operator.lambda", 1.0),
+                                self.get("operator.Lambda", 1.0))
 
     def build_profile(self, grid: Grid) -> ProfileFunction:
         if self["profile.kind"] == "linear":
@@ -194,7 +191,7 @@ def parse_config(text: str) -> RunConfig:
             problems.append((lineno, stripped, "expected 'section.key = value'"))
             continue
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             problems.append((lineno, key, "unknown key"))
         elif key in lines:
             problems.append((lineno, key, "duplicate key"))
@@ -225,7 +222,7 @@ def parse_config(text: str) -> RunConfig:
     # the sections it reads parsed and the keys it needs are given, so a
     # problem in one section does not hide another's; its error is reported
     # against each of those keys given, the kind keys aside.
-    bad = {key.split(".")[0] for _, key, _ in problems if key in _KNOWN_KEYS}
+    bad = {key.split(".")[0] for _, key, _ in problems if key in _KEYS}
 
     def check(sections: tuple[str, ...], build, *args):
         if not bad.isdisjoint(sections):
@@ -518,7 +515,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     lines.append(f"gradient.band = {_fmt(band)}")
     lines.append(f"gradient.min = {_fmt(boundary_gradient_min(u, band))}")
 
-    if isinstance(grid.descriptor, (BallDescriptor, AnnulusDescriptor)):
+    if grid.descriptor.spheres:
         barrier = barrier_comparison_check(u, cfg.get("diagnose.eps0"), op)
         lines.append(f"barrier.eps0 = {_fmt(barrier.eps0)}")
         lines.append(f"barrier.c0 = {_fmt(barrier.c0)}")
@@ -566,12 +563,18 @@ def _flat_threshold(grid: Grid, op: EllipticOperator, delta: float) -> float:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    dispatch = {
+        "solve": cmd_solve,
+        "verify-ball": cmd_verify_ball,
+        "study": cmd_study,
+        "diagnose": cmd_diagnose,
+    }
     parser = argparse.ArgumentParser(
         prog="levelpde",
         description="Nonlocal superlevel-measure Dirichlet solver",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "verify-ball", "study", "diagnose"):
+    for name in dispatch:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a section.key = value config file")
     args = parser.parse_args(argv)
@@ -582,12 +585,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 4
 
-    dispatch = {
-        "solve": cmd_solve,
-        "verify-ball": cmd_verify_ball,
-        "study": cmd_study,
-        "diagnose": cmd_diagnose,
-    }
     try:
         cfg = parse_config(text)
         return dispatch[args.command](cfg)

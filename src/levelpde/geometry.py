@@ -1,8 +1,15 @@
 """Masked uniform grids over boxes, balls and annuli with Dirichlet data.
 
+A descriptor lists its curved boundary as ``spheres``: (radius, side) pairs
+about its center, outermost first, the domain being the points x with
+side (|x - center| - radius) > 0 for every pair.  A ball is ((R, -1),), an
+annulus ((r_outer, -1), (r_inner, +1)), and a box has none.  Distances,
+node classes, crossings and the 1-D length of a ball or annulus are read
+from that list alone.
+
 The domain is represented node-centered: every lattice node is classified
 Interior, Boundary or Exterior.  Boxes carry genuine Boundary lattice nodes on
-their faces; balls and annuli have no on-lattice boundary, so each stencil arm
+their faces; the spheres have no on-lattice boundary, so each stencil arm
 that leaves the domain records the fractional distance theta in (0, 1] to the
 true boundary (Shortley-Weller offsets).  Each grid also holds, built on
 first use, its one stencil object (``grid.plan``): the arm and diagonal
@@ -19,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from numpy.typing import NDArray
 
 from .errors import InvalidGridError, InvalidParameterError
@@ -48,6 +56,10 @@ class BoxDescriptor:
     def center(self) -> tuple[float, ...]:
         return tuple(0.5 * (lo + hi) for lo, hi in self.bounds)
 
+    @property
+    def spheres(self) -> tuple[tuple[float, float], ...]:
+        return ()
+
 
 @dataclass(frozen=True)
 class BallDescriptor:
@@ -57,6 +69,10 @@ class BallDescriptor:
     @property
     def n(self) -> int:
         return len(self.center)
+
+    @property
+    def spheres(self) -> tuple[tuple[float, float], ...]:
+        return ((self.radius, -1.0),)
 
 
 @dataclass(frozen=True)
@@ -70,6 +86,10 @@ class AnnulusDescriptor:
     @property
     def n(self) -> int:
         return len(self.center)
+
+    @property
+    def spheres(self) -> tuple[tuple[float, float], ...]:
+        return ((self.r_outer, -1.0), (self.r_inner, +1.0))
 
 
 Descriptor = BoxDescriptor | BallDescriptor | AnnulusDescriptor
@@ -163,11 +183,8 @@ class Grid:
                 for k, (lo, hi) in enumerate(d.bounds)
             ]
             return np.min(per_axis, axis=0)
-        center = np.asarray(d.center, dtype=np.float64)
-        s = np.linalg.norm(pts - center, axis=1)
-        if isinstance(d, BallDescriptor):
-            return d.radius - s
-        return np.minimum(d.r_outer - s, s - d.r_inner)
+        s = np.linalg.norm(pts - np.asarray(d.center, dtype=np.float64), axis=1)
+        return np.min([side * (s - r) for r, side in d.spheres], axis=0)
 
     @property
     def plan(self) -> "StencilPlan":
@@ -221,27 +238,22 @@ def _lattice(descriptor: Descriptor,
             if not 2 * h < d.radius < math.inf:
                 raise InvalidGridError(
                     f"radius {d.radius} must be finite and exceed 2h = {2 * h}")
-            r_max = d.radius
-        else:
-            if not 0 < d.r_inner < d.r_outer < math.inf:
-                raise InvalidGridError("need 0 < r_inner < r_outer < inf")
-            if not (d.r_outer - d.r_inner) > 2 * h:
-                raise InvalidGridError("annular gap must exceed 2h")
-            r_max = d.r_outer
+        elif not 0 < d.r_inner < d.r_outer < math.inf:
+            raise InvalidGridError("need 0 < r_inner < r_outer < inf")
+        elif not (d.r_outer - d.r_inner) > 2 * h:
+            raise InvalidGridError("annular gap must exceed 2h")
         if not 1 <= d.n <= 3:
             raise InvalidGridError(f"center {d.center} needs 1 to 3 coordinates")
         if not all(map(math.isfinite, d.center)):
             raise InvalidGridError(f"center {d.center} must be finite")
+        r_max = d.spheres[0][0]
         m = int(math.ceil(r_max / h))
         m += h * m < r_max  # r_max / h rounded down: put node m past r_max
         offsets = h * (np.arange(2 * m + 1, dtype=np.float64) - m)
         s = np.sqrt(sum(g ** 2 for g in np.meshgrid(*[offsets] * d.n, indexing="ij")))
     except (ValueError, MemoryError, OverflowError):
         raise InvalidGridError(f"h = {h} gives a lattice too large to allocate") from None
-    if isinstance(d, BallDescriptor):
-        inside = s < d.radius
-    else:
-        inside = (s > d.r_inner) & (s < d.r_outer)
+    inside = np.logical_and.reduce([side * (s - r) > 0 for r, side in d.spheres])
     return ([c + offsets for c in d.center],
             np.where(inside, INTERIOR, EXTERIOR).astype(np.int8))
 
@@ -252,24 +264,21 @@ def _crossing_fraction(grid: Grid, cut: NDArray[np.intp], axis: int,
     interior nodes with ordinals ``cut`` along (axis, sign) crosses before
     its neighbor, from their offsets h (i - m) to the center node m: exact
     on both sides."""
-    descriptor, h = grid.descriptor, grid.h
+    h = grid.h
     d = h * np.stack([i[cut] - k // 2 for i, k in zip(grid.interior_index, grid.shape)], 1)
     rho2 = np.sum(d * d, axis=1) - d[:, axis] ** 2
-    if isinstance(descriptor, BallDescriptor):
-        r = descriptor.radius
-        t = np.sqrt(np.maximum(r * r - rho2, 0.0)) - sign * d[:, axis]
-    else:
-        # Annulus: the arm leaves through whichever sphere the neighbor is
-        # beyond.  Its offset d + s h can round to the other side of a
-        # sphere than _lattice's h (k + s - m), so it is compared with the
-        # middle radius instead, far from both spheres.
-        nbr = d.copy()
-        nbr[:, axis] += sign * h
-        r_in, r_out = descriptor.r_inner, descriptor.r_outer
-        outer = 2 * np.linalg.norm(nbr, axis=1) >= r_in + r_out
-        t_out = np.sqrt(np.maximum(r_out * r_out - rho2, 0.0)) - sign * d[:, axis]
-        t_in = -sign * d[:, axis] - np.sqrt(np.maximum(r_in * r_in - rho2, 0.0))
-        t = np.where(outer, t_out, t_in)
+    radius, side = np.array(grid.descriptor.spheres).T
+    # The arm leaves through the sphere nearest its neighbor, the k-th when
+    # the neighbor lies inside k of the middle radii of consecutive spheres.
+    # Its offset d + s h can round to the other side of a sphere than
+    # _lattice's h (k + s - m), so it is compared with those middle radii,
+    # far from every sphere.
+    nbr = d.copy()
+    nbr[:, axis] += sign * h
+    inside = 2 * np.linalg.norm(nbr, axis=1)[:, None] < radius[:-1] + radius[1:]
+    k = np.count_nonzero(inside, axis=1)
+    r, side = radius[k], side[k]
+    t = -side * np.sqrt(np.maximum(r * r - rho2, 0.0)) - sign * d[:, axis]
     return np.clip(t / h, 1e-12, 1.0)
 
 
@@ -487,7 +496,8 @@ def domain_measure(grid: Grid) -> float:
 
     For n >= 2 that is h**n times the Interior node count.  In 1-D the
     superlevel sets are measured on the interpolant, which covers the whole
-    length: hi - lo on a box, 2r on a ball, 2(r_out - r_in) on an annulus.
+    length: hi - lo on a box, and the sum of -2 side r over the spheres
+    otherwise (2r on a ball, 2(r_out - r_in) on an annulus).
     This value, not the continuum volume, is the upper end of the profile
     function's domain, so superlevel measures never leave the profile's
     range.
@@ -498,9 +508,7 @@ def domain_measure(grid: Grid) -> float:
     if isinstance(d, BoxDescriptor):
         (lo, hi), = d.bounds
         return hi - lo
-    if isinstance(d, BallDescriptor):
-        return 2.0 * d.radius
-    return 2.0 * (d.r_outer - d.r_inner)
+    return sum(-2.0 * side * r for r, side in d.spheres)
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +530,6 @@ def _checked_table(knots: Sequence[float], values: Sequence[float]
     return kn, va
 
 
-def _distance(pts: NDArray[np.float64],
-              center: NDArray[np.float64]) -> NDArray[np.float64]:
-    """|x - center| per point; the point and center dimensions must agree."""
-    if pts.shape[1] != center.size:
-        raise InvalidParameterError(
-            f"boundary data centred in {center.size} dimensions evaluated at "
-            f"points in {pts.shape[1]}")
-    return np.linalg.norm(pts - center, axis=1)
-
-
 class BoundaryData:
     """Dirichlet data evaluated on demand at boundary intersection points.
 
@@ -548,32 +546,34 @@ class BoundaryData:
         return cls(lambda pts: np.zeros(pts.shape[0], dtype=np.float64))
 
     @classmethod
+    def _radial(cls, profile: Callable[[NDArray[np.float64]], NDArray[np.float64]],
+                center: Sequence[float]) -> "BoundaryData":
+        """psi(x) = profile(|x - center|); the point and center dimensions
+        must agree."""
+        ctr = np.asarray(list(center), dtype=np.float64)
+
+        def fn(pts: NDArray[np.float64]) -> NDArray[np.float64]:
+            if pts.shape[1] != ctr.size:
+                raise InvalidParameterError(
+                    f"boundary data centred in {ctr.size} dimensions evaluated at "
+                    f"points in {pts.shape[1]}")
+            return profile(np.linalg.norm(pts - ctr, axis=1))
+
+        return cls(fn)
+
+    @classmethod
     def radial_poly(cls, coeffs: Sequence[float],
                     center: Sequence[float]) -> "BoundaryData":
         c = np.asarray(list(coeffs), dtype=np.float64)
-        ctr = np.asarray(list(center), dtype=np.float64)
         if c.size == 0:
             raise InvalidParameterError("radial_poly needs at least one coefficient")
-
-        def fn(pts: NDArray[np.float64]) -> NDArray[np.float64]:
-            s = _distance(pts, ctr)
-            out = np.zeros_like(s)
-            for k in range(c.size - 1, -1, -1):
-                out = out * s + c[k]
-            return out
-
-        return cls(fn)
+        return cls._radial(lambda s: polyval(s, c), center)
 
     @classmethod
     def table(cls, knots: Sequence[float], values: Sequence[float],
               center: Sequence[float]) -> "BoundaryData":
         kn, va = _checked_table(knots, values)
-        ctr = np.asarray(list(center), dtype=np.float64)
-
-        def fn(pts: NDArray[np.float64]) -> NDArray[np.float64]:
-            return np.interp(_distance(pts, ctr), kn, va)
-
-        return cls(fn)
+        return cls._radial(lambda s: np.interp(s, kn, va), center)
 
     @classmethod
     def from_callable(cls, fn: Callable[..., object]) -> "BoundaryData":

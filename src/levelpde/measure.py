@@ -125,12 +125,12 @@ class ProfileFunction:
     def linear(cls, a: float, b: float, domain_max: float) -> "ProfileFunction":
         """g(t) = a*t + b."""
         a, b = float(a), float(b)
-        end = a * domain_max + b
-        if not np.all(np.isfinite((a, b, end))):
+        knots = np.array([0.0, domain_max])
+        values = a * knots + b  # g's own bits at 0, also when b is -0.0
+        if not np.all(np.isfinite((a, b, values[1]))):
             raise InvalidParameterError(
                 f"linear profile {a!r} t + {b!r} must be finite on [0, {domain_max!r}]")
-        return cls(np.array([0.0, domain_max]), np.array([b, end]),
-                   lambda t: a * t + b)
+        return cls(knots, values, lambda t: a * t + b)
 
     @classmethod
     def from_table(cls, knots: Sequence[float], values: Sequence[float],

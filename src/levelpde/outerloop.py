@@ -49,7 +49,7 @@ from .elliptic import (
     solve_dirichlet,
 )
 from .errors import InvalidParameterError, NonConvergenceError
-from .geometry import BoundaryData, BoxDescriptor, Grid
+from .geometry import BoundaryData, Grid
 # Unused here; bench/spans.py traces the smoothed measure as outerloop.rhs_smoothed.
 from .measure import ProfileFunction, ScalarField, rhs_plain, rhs_smoothed
 
@@ -178,7 +178,7 @@ def plain_residual_parts(u: ScalarField, op: EllipticOperator,
 
 def _split_defect(r: NDArray[np.float64], grid: Grid) -> tuple[float, float, float]:
     total = float(np.max(r))
-    if isinstance(grid.descriptor, BoxDescriptor):
+    if not grid.descriptor.spheres:
         return total, total, 0.0
     band = grid.distance_to_boundary(grid.interior_coords) <= 2 * grid.h
     band_res = float(np.max(r[band])) if np.any(band) else 0.0

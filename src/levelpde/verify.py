@@ -6,6 +6,8 @@ solves it for the minimal (maximal) extremal operator.  These closed forms
 feed the benchmark comparisons, the boundary-barrier construction with its
 gradient constant omega_n eps0^(n+1) / (2 n Lam), the flat-region exclusion
 scan, and the refinement study, whose problem is the closed form itself.
+The barrier is placed in tangent balls along each of the domain's spheres
+(``descriptor.spheres``), so it runs on balls and annuli alike.
 """
 
 from __future__ import annotations
@@ -20,14 +22,7 @@ from numpy.typing import NDArray
 
 from .elliptic import EllipticOperator
 from .errors import InvalidParameterError, PreconditionError
-from .geometry import (
-    AnnulusDescriptor,
-    BallDescriptor,
-    BoundaryData,
-    Grid,
-    build_ball,
-    domain_measure,
-)
+from .geometry import BoundaryData, Grid, build_ball, domain_measure
 from .measure import ProfileFunction, ScalarField, superlevel_measures
 from .outerloop import OuterConfig, solve_nonlocal
 
@@ -272,36 +267,33 @@ def barrier_comparison_check(u: ScalarField, eps0: float | None = None,
     """Compare the solution against the tangent-ball barrier at boundary
     probes and report the boundary-band gradient floor.
 
-    A probe is a direction from ``_sample_directions`` on each bounding
-    sphere.  It reports the nodes in its tangent ball of radius eps0, their
-    least slack u - barrier (+inf in a ball that holds no node) and whether
-    each has superlevel measure at least |Omega|/2.  eps0 defaults to half
-    the largest tangent ball: R/2 on a ball, (r_out - r_in)/4 on an
-    annulus.  A probe passes when that slack is at least -tol, with
-    tol = 1e-9 + 10 h^2.  The report counts the empty balls, and does not
-    pass when every ball is empty.
+    A probe is a direction from ``_sample_directions`` on each of the
+    domain's spheres (``descriptor.spheres``), radius r and side +-1, and
+    its tangent ball of radius eps0 is centred at radius r + side eps0.  It
+    reports the nodes in that ball, their least slack u - barrier (+inf in
+    a ball that holds no node) and whether each has superlevel measure at
+    least |Omega|/2.  The largest tangent ball has radius sum(-side r) over
+    the spheres divided by their number: R on a ball, (r_out - r_in)/2 on
+    an annulus.  eps0 defaults to half that, and a probe passes when its
+    slack is at least -tol, with tol = 1e-9 + 10 h^2.  The report counts
+    the empty balls, and does not pass when every ball is empty.
     ``_PROBES_PER_PASS`` probes share one pass over their (probe, node)
     distances, which are summed axis by axis as ``np.linalg.norm`` sums
     them.
 
-    Preconditions (PreconditionError, not a failed comparison): the grid is a
-    ball or annulus (uniform inner ball condition), the tangent ball fits,
+    Preconditions (PreconditionError, not a failed comparison): the domain
+    has spheres (a uniform inner ball condition), the tangent ball fits,
     and its volume is at most half the discrete domain measure.  The caller
     asserts that u solves the zero-data problem with g(t) = -t.
     """
     grid = u.grid
-    d = grid.descriptor
-    if isinstance(d, BallDescriptor):
-        spheres = [(d.radius, -1.0)]
-        max_fit = d.radius
-    elif isinstance(d, AnnulusDescriptor):
-        spheres = [(d.r_outer, -1.0), (d.r_inner, +1.0)]
-        max_fit = 0.5 * (d.r_outer - d.r_inner)
-    else:
+    spheres = grid.descriptor.spheres
+    if not spheres:
         raise PreconditionError(
             "barrier comparison needs a uniform inner ball condition "
             "(ball or annulus grid)"
         )
+    max_fit = sum(-side * r for r, side in spheres) / len(spheres)
     if eps0 is None:
         eps0 = max_fit / 2
     if not eps0 > 0:
@@ -315,7 +307,7 @@ def barrier_comparison_check(u: ScalarField, eps0: float | None = None,
             f"|B_eps0| = {omega * eps0 ** n:.6g} exceeds half the domain "
             f"measure {half:.6g}"
         )
-    center = np.asarray(d.center, dtype=np.float64)
+    center = np.asarray(grid.descriptor.center, dtype=np.float64)
     if eps0 > max_fit:
         raise PreconditionError(
             f"tangent ball of radius {eps0} does not fit inside the domain"

@@ -536,6 +536,22 @@ output.report = {tmp_path}/diag.txt
         assert capsys.readouterr().err == (
             "error: tangent ball of radius 0.35 does not fit inside the domain\n")
 
+    def test_diagnose_zero_eps0_exit_1(self, tmp_path, capsys):
+        grid = build_ball((0.0, 0.0), 1.0, 0.125)
+        (tmp_path / "u.txt").write_text(
+            format_field(zero_data_field(grid, np.zeros(grid.n_interior))))
+        text = MINIMAL_BALL + f"diagnose.field = {tmp_path}/u.txt\ndiagnose.eps0 = 0\n"
+        assert main(["diagnose", write_config(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == "error: eps0 must be positive\n"
+
+    def test_empty_radial_poly_coefficients_exit_1(self, tmp_path, capsys):
+        text = MINIMAL_BALL.replace("boundary.kind = zero",
+                                    "boundary.kind = radial_poly\nboundary.coeffs =")
+        assert main(["solve", write_config(tmp_path, text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration:\n")
+        assert "boundary.coeffs" in err and "at least one coefficient" in err
+
     def test_rearrangement_dump(self, tmp_path):
         cfg = MINIMAL_BALL + f"output.rearrangement = {tmp_path}/star.txt\n"
         assert main(["solve", write_config(tmp_path, cfg)]) == 0

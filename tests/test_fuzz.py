@@ -21,10 +21,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from levelpde.cli import _KNOWN_KEYS, RunConfig, format_field, load_field, parse_config
+from levelpde.cli import _KEYS, RunConfig, format_field, load_field, parse_config
 from levelpde.elliptic import EllipticOperator, _matrix
 from levelpde.errors import ConfigError, InvalidParameterError, LevelPDEError
-from levelpde.geometry import (BOUNDARY, EXTERIOR, BoundaryData, Grid, _crossing_fraction,
+from levelpde.geometry import (BOUNDARY, EXTERIOR, INTERIOR, AnnulusDescriptor,
+                               BallDescriptor, BoundaryData, Grid, _crossing_fraction,
                                build_annulus, build_ball, build_box, build_trace,
                                domain_measure)
 from levelpde.measure import ProfileFunction, ScalarField
@@ -47,7 +48,7 @@ VALUE = st.one_of(
 
 @st.composite
 def config_lines(draw):
-    key = draw(st.one_of(st.sampled_from(sorted(_KNOWN_KEYS)),
+    key = draw(st.one_of(st.sampled_from(sorted(_KEYS)),
                          st.sampled_from(["grid.step", "solver", "= 1"])))
     value = draw(SPACING if key == "grid.h" else VALUE)
     return draw(st.sampled_from([f"{key} = {value}", f"{key} {value}", f"# {key}"]))
@@ -98,7 +99,7 @@ def test_every_problem_carries_the_line_of_its_key(text):
             if key in written:
                 assert line in written[key]
             else:
-                assert line is None and key in _KNOWN_KEYS
+                assert line is None and key in _KEYS
 
 
 TRACE = build_trace(build_ball((0.0, 0.0), 1.0, 0.4), BoundaryData.zero())
@@ -338,6 +339,95 @@ def test_crossing_arms_end_on_the_sphere_beyond_their_neighbour(
             end = plan.points[plan.src[(a, s)][cut] - N]
             radius = np.linalg.norm(end - np.array(center), axis=1)
             assert np.all(np.abs(radius - np.where(outer, r_outer, r_inner)) <= 1e-9)
+
+
+def _per_type_geometry(grid):
+    """The node classes, each arm's theta (1.0 unless it crosses), each
+    crossing's sample point, the distances at the interior nodes and the
+    sample points, and the 1-D length of a ball or annulus grid, written
+    out per domain type with no use of ``descriptor.spheres``."""
+    d, h, n = grid.descriptor, grid.h, grid.n
+    ball = isinstance(d, BallDescriptor)
+    m = grid.shape[0] // 2
+    offsets = h * (np.arange(2 * m + 1, dtype=np.float64) - m)
+    s = np.sqrt(sum(g ** 2 for g in np.meshgrid(*[offsets] * n, indexing="ij")))
+    inside = s < d.radius if ball else (s > d.r_inner) & (s < d.r_outer)
+    node_class = np.where(inside, INTERIOR, EXTERIOR).astype(np.int8)
+
+    theta, points = {}, []
+    for a in range(n):
+        for sign in (+1, -1):
+            nbr = list(grid.interior_index)
+            nbr[a] = nbr[a] + sign
+            cut = np.flatnonzero(node_class[tuple(nbr)] != INTERIOR)
+            off = h * np.stack([i[cut] - k // 2
+                                for i, k in zip(grid.interior_index, grid.shape)], 1)
+            rho2 = np.sum(off * off, axis=1) - off[:, a] ** 2
+            if ball:
+                r = d.radius
+                t = np.sqrt(np.maximum(r * r - rho2, 0.0)) - sign * off[:, a]
+            else:
+                r_in, r_out = d.r_inner, d.r_outer
+                beyond = off.copy()
+                beyond[:, a] += sign * h
+                outer = 2 * np.linalg.norm(beyond, axis=1) >= r_in + r_out
+                t_out = np.sqrt(np.maximum(r_out * r_out - rho2, 0.0)) - sign * off[:, a]
+                t_in = -sign * off[:, a] - np.sqrt(np.maximum(r_in * r_in - rho2, 0.0))
+                t = np.where(outer, t_out, t_in)
+            theta[(a, sign)] = np.ones(grid.n_interior)
+            theta[(a, sign)][cut] = np.clip(t / h, 1e-12, 1.0)
+            point = grid.interior_coords[cut]
+            point[:, a] += sign * theta[(a, sign)][cut] * h
+            points.append(point)
+
+    def distance(pts):
+        s = np.linalg.norm(pts - np.asarray(d.center), axis=1)
+        return d.radius - s if ball else np.minimum(d.r_outer - s, s - d.r_inner)
+
+    points = np.concatenate(points)
+    length = 2.0 * d.radius if ball else 2.0 * (d.r_outer - d.r_inner)
+    return (node_class, theta, points, distance(grid.interior_coords),
+            distance(points), length)
+
+
+@st.composite
+def round_domains(draw):
+    """A ball or annulus in 1 to 3 dimensions, centred at 0, near it or up
+    to 1e3 away, with a spacing it admits."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    h = draw(st.floats(1 / 16 if n < 3 else 1 / 8, 1 / 2))
+    center = tuple(draw(st.lists(COORD, min_size=n, max_size=n)))
+    gap = draw(st.floats(2 * h + 1e-12, 2 * h + 1))  # a radius or a gap
+    if draw(st.booleans()):
+        return BallDescriptor(center, gap), h
+    r_inner = draw(st.floats(0.05, 1))
+    return AnnulusDescriptor(center, r_inner, r_inner + gap), h
+
+
+@settings(max_examples=80, deadline=None)
+@given(round_domains())
+@example((BallDescriptor((0.0, 0.0), 1.0), 0.0833333333333333))
+@example((AnnulusDescriptor((0.0, 0.0), 0.4, 1.0), 0.0833333333333333))
+@example((BallDescriptor((0.0, 0.0), 1.0 + 1e-13), 1 / 8))
+@example((BallDescriptor((0.0, 0.0, 0.0), 1.0 + 1e-13), 1 / 8))
+@example((AnnulusDescriptor((0.0, 0.0, 0.0), 0.4, 1.0), 1 / 14))
+@example((AnnulusDescriptor((0.3, -0.2), 0.4, 1.0), 1 / 24))
+@example((AnnulusDescriptor((0.25,), 0.4, 1.0), 1 / 40))
+@example((AnnulusDescriptor((0.0, 0.0), 0.0625, 0.187500000001), 0.0625))  # theta 1.6e-11
+def test_spheres_give_the_per_type_geometry_bit_for_bit(domain):
+    grid = Grid(*domain)
+    node_class, theta, points, dist_in, dist_pts, length = _per_type_geometry(grid)
+    plan, N = grid.plan, grid.n_interior
+    assert _same_bits(grid.node_class, node_class)
+    assert all(_same_bits(plan.theta[key], theta[key]) for key in theta)
+    ends = np.concatenate([plan.points[plan.src[key][plan.src[key] >= N] - N]
+                           for key in theta])
+    assert _same_bits(ends, points)
+    # A point on the sphere may give -0.0 where the per-type formula gives 0.0.
+    assert _same_bits(grid.distance_to_boundary(grid.interior_coords) + 0.0, dist_in + 0.0)
+    assert _same_bits(grid.distance_to_boundary(points) + 0.0, dist_pts + 0.0)
+    if grid.n == 1:
+        assert _same_bits(domain_measure(grid), length)
 
 
 OUTPUTS = {

@@ -289,6 +289,10 @@ class TestBoundaryData:
         out = psi.evaluate(np.array([[1.0, 0.0], [0.0, 0.5]]))
         assert out == pytest.approx([3.0, 1.5])
 
+    def test_radial_poly_without_coefficients_rejected(self):
+        with pytest.raises(InvalidParameterError, match="at least one coefficient"):
+            BoundaryData.radial_poly([], center=(0.0, 0.0))
+
     def test_table(self):
         psi = BoundaryData.table([0.0, 1.0], [0.0, 2.0], center=(0.0,))
         assert psi.evaluate(np.array([[0.5]]))[0] == pytest.approx(1.0)

@@ -4,7 +4,7 @@ README names every config key."""
 import re
 from pathlib import Path
 
-from levelpde.cli import _KNOWN_KEYS
+from levelpde.cli import _KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,4 +19,4 @@ def test_library_example_runs(capsys):
 
 def test_every_config_key_is_written_out():
     text = README.read_text()
-    assert [key for key in sorted(_KNOWN_KEYS) if f"`{key}`" not in text] == []
+    assert [key for key in sorted(_KEYS) if f"`{key}`" not in text] == []

@@ -398,6 +398,13 @@ class TestBarrierComparison:
         with pytest.raises(PreconditionError):
             barrier_comparison_check(u, 0.9, LAP)
 
+    @pytest.mark.parametrize("eps0", [0.0, -1.0, math.nan])
+    def test_non_positive_eps0_rejected(self, eps0):
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 8)
+        u = exact_ball_solution((0.0, 0.0), 1.0, 2, LAP).sample(grid)
+        with pytest.raises(InvalidParameterError, match="eps0 must be positive"):
+            barrier_comparison_check(u, eps0, LAP)
+
     def test_gate_on_box(self):
         grid = build_box([(0, 1), (0, 1)], 1 / 8)
         u = ScalarField.sample(grid, lambda p: np.zeros(p.shape[0]))
