@@ -11,19 +11,21 @@ eps |u| / h^2; a key's fixed-arity blocks (two arm terms at every node,
 four centred-cross terms at each node that has them) are summed by
 gathers and only the quadrant band by a bincount, with the bits of one
 bincount over all of them.
-The same table gives the sparse matrix of tr(W D^2 u) for any weight field,
-and the Laplacian LU, built once per grid: the only factorization a solve
-builds.  It factors the 2^n mirror-symmetry sectors of A (every grid
-classifies its nodes mirror-symmetrically in each axis), folding a right
-side into them one axis at a time by each mirror pair's sum and difference;
-a sector's block is factored on the first right side with a part in it, so
-a mirror-symmetric problem factors the even block alone.  For n >= 2 the
-blocks are SuperLU's with their diagonal pivots, each row-diagonally
-dominant and the even one an M-matrix (see ``_laplacian``); a 1-D grid's
-two halves are tridiagonal, built from the stencil terms and factored by
-LAPACK.  The Laplacian is evaluated as the trace of the discrete Hessian
-(its diagonal terms only), the Pucci operators through its eigenvalues
-(closed form in 1-D and 2-D).
+The same table gives the sparse matrix of tr(W D^2 u) for the frozen
+weights of a GMRES policy step, and from its (a, a) terms alone the
+Laplacian LU, built once per grid: the only factorization a solve builds.
+No grid assembles its whole Laplacian.  The LU factors the 2^n
+mirror-symmetry sectors of A (every grid classifies its nodes
+mirror-symmetrically in each axis), folding a right side into them one axis
+at a time by each mirror pair's sum and difference; a sector's block is
+factored on the first right side with a part in it, so a mirror-symmetric
+problem factors the even block alone.  For n >= 2 the blocks are SuperLU's
+with their diagonal pivots, each row-diagonally dominant and the even one an
+M-matrix (see ``_laplacian``), their entries read from the terms of the
+representative rows; a 1-D grid's two halves are tridiagonal, built from the
+same terms and factored by LAPACK.  The Laplacian is evaluated as the trace
+of the discrete Hessian (its diagonal terms only), the Pucci operators
+through its eigenvalues (closed form in 1-D and 2-D).
 
 Operator values come back as interior vectors; a forcing is a scalar or an
 interior vector.  A ``DirichletProblem`` holds what one (grid, psi,
@@ -217,16 +219,14 @@ def apply_operator(op: EllipticOperator, u: ScalarField) -> NDArray[np.float64]:
 
 
 def _matrix(grid: Grid, W: NDArray[np.float64]):
-    """Sparse A with A @ u_int == tr(W H(u)) - tr(W H(0)) nodewise.
+    """Sparse A with A @ u_int == tr(W H(u)) - tr(W H(0)) nodewise, for the
+    frozen weights W of a GMRES policy step (``_solve_frozen``).
 
     Each term contributes w * kappa to its source's column when the source is
     interior, and -w * kappa to the diagonal; exactly zero couplings are
     dropped.  A key whose weights are all zero is skipped before its terms
-    are looked up, so the Laplacian neither builds nor carries mixed ones.
-    The diagonal sums each key's terms first (``StencilTerms.node_sums``),
-    the keys in ``plan.pairs`` order: a mirror swaps the two arms of an axis
-    but keeps the keys, so on a mirror-symmetric stencil the diagonal is
-    mirror-symmetric bit for bit.
+    are looked up.  The diagonal sums each key's terms first
+    (``StencilTerms.node_sums``), the keys in ``plan.pairs`` order.
     """
     N, plan = grid.n_interior, grid.plan
     rows, cols, vals = [], [], []
@@ -404,13 +404,20 @@ class _SectorLU:
     representative order, holds sum_g chi_s(g) A[r, g q] over the distinct
     nodes g q at (r, q).  It is assembled and factored when a right side
     first has a nonzero part in sector s; a zero part solves to zeros.
+
+    The rows A[r] come from the plan's (a, a) terms, as ``_matrix`` would
+    assemble them with W = I: kappa at each interior source and the
+    diagonal 0 - the node sums of each axis in turn.  A mirror swaps the two
+    arms of an axis but keeps the axes, so that diagonal is mirror-symmetric
+    bit for bit.  A node just below k mirror planes has its k + arms in its
+    own orbit, so a block's diagonal can add k + 1 entries; they are added
+    in A's CSC order, which sets those bits as a fold of the assembled
+    matrix would.
     """
 
-    def __init__(self, grid: Grid, A):
+    def __init__(self, grid: Grid):
         N, index, shape = grid.n_interior, grid.interior_index, grid.shape
-        # Ordinals in A's index dtype spare the sparse constructors a copy.
-        ordinal = grid._ordinal_flat.astype(A.indices.dtype)
-        ids = np.arange(N, dtype=ordinal.dtype)
+        ordinal, ids = grid._ordinal_flat, np.arange(N)
         offs = [2 * i - (m - 1) for i, m in zip(index, shape)]
         # Per node: its sector, the axes whose plane holds it, and the rank
         # of its representative among the nodes below every plane.
@@ -421,7 +428,7 @@ class _SectorLU:
         # col[s, j]: the row of representative j in block s, or -1 where s
         # reflects an axis whose plane holds it.
         fits = (np.arange(2 ** grid.n)[:, None] & plane[flip == 0]) == 0
-        col = np.where(fits, np.cumsum(fits, axis=1, dtype=ordinal.dtype) - 1, -1)
+        col = np.where(fits, np.cumsum(fits, axis=1) - 1, -1)
         self.sizes = np.count_nonzero(fits, axis=1)
         ends = np.cumsum(self.sizes)
         self.blocks, self.lus = list(zip(ends - self.sizes, ends)), [None] * len(ends)
@@ -445,9 +452,21 @@ class _SectorLU:
                  np.append(0, np.cumsum(1 + pair))), shape=(N, N)))
         # Every fold but the last is symmetric: it undoes itself up to 2^-1.
         self.unfolds = [self.folds[-1].T] + self.folds[-2::-1]
-        on = flip[A.indices] == 0  # the entries A[r, c] of representative rows
-        c = np.repeat(ids, np.diff(A.indptr))[on]
-        self.entries, self.col = (rep[A.indices[on]], rep[c], flip[c], A.data[on]), col
+        # The entries A[r, c] of the representative rows, in A's CSC order:
+        # column, then row.
+        on = flip == 0
+        rows, cols, vals, diag = [ids[on]], [ids[on]], [], np.zeros(N)
+        for a in range(grid.n):
+            t = grid.plan.terms[(a, a)]
+            keep = on[t.node] & (t.src < N) & (t.kappa != 0.0)
+            rows.append(t.node[keep])
+            cols.append(t.src[keep])
+            vals.append(t.kappa[keep])
+            diag -= t.node_sums(t.kappa, N)
+        r, c = np.concatenate(rows), np.concatenate(cols)
+        csc = np.argsort(c * N + r)
+        r, c, v = r[csc], c[csc], np.concatenate([diag[on]] + vals)[csc]
+        self.entries, self.col = (rep[r], rep[c], flip[c], v), col
 
     def block(self, s):
         r, c, g, v = self.entries
@@ -473,17 +492,18 @@ class _SectorLU:
 
 def _laplacian(grid: Grid):
     """The Laplacian LU, built once and kept with the stencil, so repeated
-    frozen-RHS solves cost triangular solves only.
+    frozen-RHS solves cost triangular solves only.  Both kinds read A from
+    the plan's (a, a) terms; neither assembles the whole matrix.
 
     A 1-D grid factors its two tridiagonal mirror halves with LAPACK
     (``_IntervalLU``).  Every 2-D and 3-D grid factors A folded into its
     mirror-symmetry sectors, one fold per axis (``_SectorLU``), each block
-    assembled and factored on first use.  -A is a nonsingular M-matrix:
-    positive diagonal, nonpositive couplings, every row diagonally dominant
-    and strictly so where a stencil end is a boundary point.  Each entry of
-    a block is a sum of entries of one row of A with signs, so every block
-    stays row-diagonally dominant (|sum +-a| <= sum |a|) and the even one is
-    again an M-matrix.  Gaussian elimination needs no pivoting to stay
+    assembled from the representative rows and factored on first use.  -A
+    is a nonsingular M-matrix: positive diagonal, nonpositive couplings,
+    every row diagonally dominant and strictly so where a stencil end is a
+    boundary point.  Each entry of a block is a sum of entries of one row of
+    A with signs, so every block stays row-diagonally dominant (|sum +-a| <=
+    sum |a|) and the even one is again an M-matrix.  Gaussian elimination needs no pivoting to stay
     stable, so SuperLU keeps the diagonal pivots of its minimum-degree
     ordering of A + A^T (partial pivoting would undo that symmetric
     ordering).  Unsplit, that fill is about half of COLAMD's: 6.4 M against
@@ -491,10 +511,9 @@ def _laplacian(grid: Grid):
     blocks hold 1.47 M.  On the disk at h = 1/32 the four hold 65 k (103 k
     unsplit).
     """
-    plan, n = grid.plan, grid.n
+    plan = grid.plan
     if plan.laplacian is None:
-        plan.laplacian = _IntervalLU(grid) if n == 1 else _SectorLU(
-            grid, _matrix(grid, np.broadcast_to(np.eye(n), (grid.n_interior, n, n))))
+        plan.laplacian = (_IntervalLU if grid.n == 1 else _SectorLU)(grid)
     return plan.laplacian
 
 

@@ -137,8 +137,8 @@ class Grid:
             raise InvalidGridError("grid has no interior nodes")
 
         # Ordinal of each lattice node in the interior numbering; -1 elsewhere.
-        pos = np.full(int(np.prod(self.shape)), -1, dtype=np.int64)
-        pos[self.interior_flat] = np.arange(self.n_interior, dtype=np.int64)
+        pos = np.full(int(np.prod(self.shape)), -1, dtype=np.intp)
+        pos[self.interior_flat] = np.arange(self.n_interior, dtype=np.intp)
         self._ordinal_flat = pos
 
         idx = np.unravel_index(self.interior_flat, self.shape)
@@ -291,11 +291,12 @@ class StencilTerms(NamedTuple):
     a Dirichlet sample.  The first ``arity * width`` terms, the head, are
     ``arity`` blocks of one term at each of the ``width`` ascending nodes
     ``node[:width]``; the rest, the band, belong to other nodes, any number
-    each.
+    each.  ``node`` and ``src`` are intp, NumPy's own index type: a gather
+    or a bincount copies any other integer type to it on every call.
     """
 
-    node: NDArray[np.int32]
-    src: NDArray[np.int32]
+    node: NDArray[np.intp]
+    src: NDArray[np.intp]
     kappa: NDArray[np.float64]
     arity: int
     width: int
@@ -386,7 +387,7 @@ class StencilPlan:
     def __init__(self, grid: Grid):
         n, N, h = grid.n, grid.n_interior, grid.h
         cls_flat = grid.node_class.ravel()
-        self.src: dict[tuple[int, ...], NDArray[np.int64]] = {}
+        self.src: dict[tuple[int, ...], NDArray[np.intp]] = {}
         self.theta: dict[tuple[int, int], NDArray[np.float64]] = {}
         whole: dict[tuple[int, int], NDArray[np.bool_]] = {}  # arm ends on a node
         points: list[NDArray[np.float64]] = []
@@ -439,8 +440,8 @@ class StencilPlan:
                 parts += [(q, src[(a, b, sa, sb)], k), (q, src[(a, sa)], -k),
                           (q, src[(b, sb)], -k)]
             return StencilTerms(
-                np.concatenate([np.flatnonzero(m) for m, _, _ in parts]).astype(np.int32),
-                np.concatenate([s[m] for m, s, _ in parts]).astype(np.int32),
+                np.concatenate([np.flatnonzero(m) for m, _, _ in parts]),
+                np.concatenate([s[m] for m, s, _ in parts]),
                 np.concatenate([np.broadcast_to(k, m.shape)[m] for m, _, k in parts]),
                 4, int(np.count_nonzero(centred)))
 
@@ -448,13 +449,13 @@ class StencilPlan:
             (a, b) for a in range(n) for b in range(a + 1, n)]
         self.terms = _Terms(cross)
         self.stiffness = np.zeros(N, dtype=np.float64)
-        nodes = np.arange(N, dtype=np.int32)
+        nodes = np.arange(N, dtype=np.intp)
         for a in range(n):
             tp, tm = self.theta[(a, +1)], self.theta[(a, -1)]
             self.stiffness += 2.0 / (h ** 2 * tp * tm)
             self.terms[(a, a)] = StencilTerms(
                 np.concatenate((nodes, nodes)),
-                np.concatenate((src[(a, +1)], src[(a, -1)])).astype(np.int32),
+                np.concatenate((src[(a, +1)], src[(a, -1)])),
                 np.concatenate((2.0 / (h ** 2 * tp * (tp + tm)),
                                 2.0 / (h ** 2 * tm * (tp + tm)))),
                 2, N)

@@ -153,6 +153,8 @@ def boundary_gradient_min(u: ScalarField, band: float) -> float:
     grid = u.grid
     if not band >= 2 * grid.h:
         raise InvalidParameterError("band must be at least 2h")
+    if band == math.inf:
+        raise InvalidParameterError("band must be finite")
     mag = _gradient_magnitude(u)
     dist = grid.distance_to_boundary(grid.interior_coords)
     return float(np.min(mag[dist <= band]))
@@ -185,8 +187,8 @@ def flat_region_detector(u: ScalarField, delta: float) -> FlatRegionReport:
     and h do; the acceptance threshold is calibrated on the sampled closed
     form.
     """
-    if not delta > 0:
-        raise InvalidParameterError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise InvalidParameterError("delta must be positive and finite")
     asc = np.sort(u.interior)
     levels = np.unique(asc)
     lo = np.searchsorted(asc, levels - delta, side="left")
@@ -384,8 +386,12 @@ def convergence_order_study(problem: StudyProblem, h_list: Sequence[float],
 
     The observed order between consecutive rows is log(e_prev/e) / log(h_prev/h).
     Solver failures are recorded in the row status (and surface as exit 2 at
-    the command line).
+    the command line).  A spacing listed twice is rejected before any
+    solve: two equal consecutive spacings have no order.
     """
+    repeated = [h for k, h in enumerate(h_list) if h in h_list[:k]]
+    if repeated:
+        raise InvalidParameterError(f"spacing {repeated[0]} is listed twice")
     rows: list[StudyRow] = []
     prev: tuple[float, float] | None = None
     for h in h_list:

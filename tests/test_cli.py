@@ -648,6 +648,11 @@ output.table = {tmp_path}/study.txt
         assert rc == 1
         assert capsys.readouterr().err == "error: spacing h must be positive and finite\n"
 
+    def test_study_repeated_spacing_exit_1(self, tmp_path, capsys):
+        text = MINIMAL_BALL + "study.h_list = 0.25,0.25\n"
+        assert main(["study", write_config(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == "error: spacing 0.25 is listed twice\n"
+
     def test_invalid_config_exit_1(self, tmp_path):
         rc = main(["solve", write_config(tmp_path, "domain.type = cone\n")])
         assert rc == 1
@@ -836,6 +841,26 @@ output.table = {tmp_path}/study.txt
         err = capsys.readouterr().err
         assert rc == 1
         assert err == "error: band must be at least 2h\n"
+
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("diagnose.delta", "inf", "delta must be positive and finite"),
+        ("diagnose.delta", "nan", "delta must be positive and finite"),
+        ("diagnose.delta", "1e400", "delta must be positive and finite"),
+        ("diagnose.band", "inf", "band must be finite"),
+    ])
+    def test_diagnose_non_finite_window_exit_1(self, key, value, message, tmp_path,
+                                               capsys):
+        # An infinite delta put every node in every level's window, so the
+        # flat check compared the domain measure with 1.5 times itself and
+        # passed on any field.
+        grid = build_ball((0.0, 0.0), 1.0, 0.125)
+        (tmp_path / "u.txt").write_text(
+            format_field(zero_data_field(grid, np.full(grid.n_interior, 2.0))))
+        cfg = MINIMAL_BALL + f"diagnose.field = {tmp_path}/u.txt\n{key} = {value}\n"
+        rc = main(["diagnose", write_config(tmp_path, cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestReportFormat:

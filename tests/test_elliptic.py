@@ -735,6 +735,95 @@ class TestMirrorSectors:
         assert factored(lu) == [0, 1] and rows == [64, 63]
 
 
+# 1-D to 3-D boxes, balls and annuli, off-centre balls, a clipped theta, a
+# spacing just below 1/12, and boxes with an even node count on two and on
+# three axes: a node just below two mirror planes has both + neighbors in
+# its own orbit, so its block's diagonal adds three entries of A (four in
+# 3-D), and their order sets the bits.
+STENCIL_ZOO = {
+    "box-1d": lambda: build_box([(0.0, 1.0)], 1 / 8),
+    "box-2d": lambda: build_box([(0.0, 1.0), (0.0, 0.5)], 1 / 8),
+    "box-3d": lambda: build_box([(0.0, 1.0), (0.0, 0.5), (-1.0, 0.0)], 1 / 8),
+    "ball-1d": lambda: build_ball((0.0,), 1.0, 1 / 32),
+    "disk": lambda: build_ball((0.0, 0.0), 1.0, 1 / 32),
+    "ball-3d": lambda: build_ball((0.0, 0.0, 0.0), 1.0, 0.1),
+    "annulus-1d": lambda: build_annulus((0.1,), 0.3, 1.0, 1 / 32),
+    "annulus-2d": lambda: build_annulus((0.0, 0.0), 0.4, 1.0, 1 / 16),
+    "annulus-3d": lambda: build_annulus((0.0, 0.0, 0.0), 0.4, 1.0, 0.125),
+    "off-centre-disk": lambda: build_ball((0.3, -0.2), 0.9, 1 / 20),
+    "off-centre-ball": lambda: build_ball((0.1, 0.2, -0.3), 0.8, 1 / 8),
+    "clipped-theta": lambda: build_ball((0.0, 0.0), 1.0 + 1e-13, 1 / 16),
+    "h-0.0833333333333333": lambda: build_ball((0.0, 0.0), 1.0, 0.0833333333333333),
+    "box-even-even": lambda: build_box([(0.0, 11 * 0.13)] * 2, 0.13),
+    "box-even-3d": lambda: build_box([(0.0, 1.1), (0.0, 0.7), (0.0, 0.5)], 0.1),
+}
+
+
+def matrix_sector_block(grid, s):
+    """Sector s of the sparse Laplacian that ``_matrix`` assembles, folded
+    as ``_SectorLU`` documents it: at (row of r, row of q), the sum over the
+    distinct nodes g q of chi_s(g) A[r, g q], adding the entries of A's
+    representative rows in A's CSC order."""
+    from scipy.sparse import coo_matrix
+
+    A = laplacian_matrix(grid)
+    index, shape, N = grid.interior_index, grid.shape, grid.n_interior
+    offs = [2 * i - (m - 1) for i, m in zip(index, shape)]
+    flip = sum((off > 0) << a for a, off in enumerate(offs))
+    plane = sum((off == 0) << a for a, off in enumerate(offs))
+    low = [np.minimum(i, m - 1 - i) for i, m in zip(index, shape)]
+    rep = grid._ordinal_flat[np.ravel_multi_index(low, shape)]
+    # The block's rows: the representatives not on a plane that s reflects.
+    rows = np.flatnonzero((flip == 0) & (plane & s == 0))
+    row = np.full(N, -1)
+    row[rows] = np.arange(rows.size)
+    r, c, v = A.indices, np.repeat(np.arange(N), np.diff(A.indptr)), A.data
+    on = flip[r] == 0
+    r, c, v = r[on], c[on], v[on]
+    br, bc = row[r], row[rep[c]]
+    keep = (br >= 0) & (bc >= 0)
+    chi = np.array([(-1.0) ** bin(g).count("1") for g in range(8)])[flip[c] & s]
+    return coo_matrix(((chi * v)[keep], (br[keep], bc[keep])),
+                      shape=(rows.size, rows.size)).tocsc()
+
+
+class TestSectorBlocksFromTheStencil:
+    @pytest.mark.parametrize("name", STENCIL_ZOO)
+    def test_blocks_are_the_folded_matrix_bit_for_bit(self, name):
+        from levelpde.elliptic import _SectorLU
+
+        grid = STENCIL_ZOO[name]()
+        lu = _SectorLU(grid)
+        for s in range(2 ** grid.n):
+            got, ref = lu.block(s), matrix_sector_block(grid, s)
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
+
+    @pytest.mark.parametrize("name", STENCIL_ZOO)
+    def test_stencil_index_arrays_are_intp(self, name):
+        # A gather or bincount with int32 indices copies them to intp first.
+        plan = STENCIL_ZOO[name]().plan
+        assert all(src.dtype == np.intp for src in plan.src.values())
+        for key in plan.pairs:
+            assert plan.terms[key].node.dtype == np.intp
+            assert plan.terms[key].src.dtype == np.intp
+
+    @pytest.mark.parametrize("name", [name for name, make in STENCIL_ZOO.items()
+                                      if make().n >= 2])
+    def test_laplacian_lu_assembles_no_matrix(self, name, monkeypatch):
+        from levelpde import elliptic
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Laplacian LU assembled a sparse matrix")
+
+        grid = STENCIL_ZOO[name]()
+        monkeypatch.setattr(elliptic, "_matrix", refuse)
+        lu = _laplacian(grid)
+        lu.solve(random_rhs(grid))
+        assert factored(lu) == list(range(2 ** grid.n))
+
+
 class TestPolicySolve:
     OP = EllipticOperator.pucci_minus(1.0, 2.0)
 

@@ -259,14 +259,37 @@ def test_1d_laplacian_solves_like_the_sparse_matrix(name):
         assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def mirror_folded(A, s, size):
+    """Rows and columns 0 ... size - 1 of sector s of the 1-D matrix A, as a
+    sorted CSC matrix: A[r, q] +- A[r, N - 1 - q] (+ for the even sector,
+    s = 0), the mirror term only where N - 1 - q is another node."""
+    from scipy.sparse import csc_matrix
+
+    q = np.arange(size)
+    image = A.shape[0] - 1 - q
+    other = image != q
+    fold = csc_matrix((np.append(np.ones(size), np.full(np.count_nonzero(other),
+                                                         -1.0 if s else 1.0)),
+                       (np.append(q, image[other]), np.append(q, q[other]))),
+                      shape=(A.shape[0], size))
+    block = (A.tocsr()[:size] @ fold).tocsc()
+    block.sort_indices()
+    return block
+
+
 @pytest.mark.parametrize("name", GRIDS)
 def test_1d_halves_are_the_mirror_sectors_of_the_matrix(name):
-    # The tridiagonal blocks, built from the stencil terms alone, hold the
-    # entries of the sparse matrix folded into its even and odd sectors.
+    # The tridiagonal blocks and the sector LU's blocks, both built from the
+    # stencil terms alone, hold the entries of the sparse matrix folded into
+    # its even and odd sectors.
     grid = GRIDS[name]()
-    sectors, lu = _SectorLU(grid, laplacian_matrix(grid)), _laplacian(grid)
+    A, sectors, lu = laplacian_matrix(grid), _SectorLU(grid), _laplacian(grid)
     for s, (dl, d, du) in enumerate(lu.bands):
-        block = sectors.block(s).toarray()
+        got, ref = sectors.block(s), mirror_folded(A, s, d.size)
+        got.eliminate_zeros()
+        assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
+        assert hex_bits(got.data) == hex_bits(ref.data)
+        block = got.toarray()
         assert np.array_equal(np.diag(block), d)
         assert np.array_equal(np.diag(block, -1), dl) and np.array_equal(np.diag(block, 1), du)
         assert np.count_nonzero(block) == np.count_nonzero(np.concatenate((dl, d, du)))

@@ -224,6 +224,13 @@ class TestBoundaryGradientMin:
         with pytest.raises(InvalidParameterError):
             boundary_gradient_min(u, grid.h)
 
+    @pytest.mark.parametrize("band", [math.inf, math.nan])
+    def test_band_must_be_finite(self, band):
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
+        u = ScalarField.sample(grid, lambda p: p[:, 0])
+        with pytest.raises(InvalidParameterError):
+            boundary_gradient_min(u, band)
+
 
 class TestFlatRegionDetector:
     def test_constant_field_carries_whole_measure(self):
@@ -255,6 +262,15 @@ class TestFlatRegionDetector:
         u = zero_data_field(grid, np.zeros(grid.n_interior))
         with pytest.raises(InvalidParameterError):
             flat_region_detector(u, 0.0)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_delta_finite_required(self, delta):
+        # An infinite window holds every node at every level: the flat mass
+        # is the whole domain on any field, and no threshold can fail it.
+        grid = build_ball((0.0, 0.0), 1.0, 1 / 16)
+        u = zero_data_field(grid, np.zeros(grid.n_interior))
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            flat_region_detector(u, delta)
 
 
 def _bits(p):
@@ -413,6 +429,19 @@ class TestBarrierComparison:
 
 
 class TestConvergenceStudy:
+    @pytest.mark.parametrize("h_list", [[0.25, 0.25], [0.25, 0.125, 0.25]])
+    def test_repeated_spacing_rejected_before_any_solve(self, h_list, monkeypatch):
+        # Two equal consecutive spacings divided by log(1) = 0.
+        from levelpde import verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the study solved before checking its spacings")
+
+        monkeypatch.setattr(verify, "solve_nonlocal", refuse)
+        problem = StudyProblem(center=(0.0, 0.0), radius=1.0, op=LAP)
+        with pytest.raises(InvalidParameterError, match="spacing 0.25 is listed twice"):
+            convergence_order_study(problem, h_list)
+
     def test_2d_laplacian_orders(self):
         problem = StudyProblem(center=(0.0, 0.0), radius=1.0, op=LAP)
         rows = convergence_order_study(problem, [1 / 8, 1 / 16])
