@@ -5,8 +5,8 @@ is the regularization of the existence proof, kept as ``rhs_smoothed``.
 A ``ScalarField`` carries an iterate or a sampled field as its interior
 values and the boundary trace of its grid; the measures and right-hand
 sides of a field are node data and come back as (n_interior,) vectors.
-A profile g carries its piecewise-linear table on [0, |Omega|_h], whose
-knots give its bound, slope and sign with no branch on its form.
+A profile g is the interpolant of its piecewise-linear table on [0, |Omega|_h],
+whose knots give its bound, slope and sign with no branch on its form.
 
 Everything here is exact: no quadrature, no tolerance knobs.  On grids with
 n >= 2 the superlevel measure of a node is the cell measure times the number
@@ -109,28 +109,27 @@ class ProfileFunction:
     them, a linear g being the two knots [0, D] -> [b, a D + b].  The table
     gives the bound, the slope and the sign exactly.
 
-    g itself is a t + b for a linear profile and the interpolant of the table
-    as given otherwise.  Arguments are clamped into the domain before
-    evaluation, so discretization overshoot never queries g outside it.
+    g is the interpolant of that table, held at its end values outside
+    [0, domain_max], so discretization overshoot never reads g off it.
     """
 
-    def __init__(self, knots: NDArray[np.float64], values: NDArray[np.float64],
-                 fn: Callable[[NDArray[np.float64]], NDArray[np.float64]]):
+    def __init__(self, knots: NDArray[np.float64], values: NDArray[np.float64]):
         self.domain_max = float(knots[-1])
         if not 0 < self.domain_max < np.inf:
             raise InvalidParameterError("profile domain_max must be positive and finite")
-        self.knots, self.values, self._fn = knots, values, fn
+        self.knots, self.values = knots, values
 
     @classmethod
     def linear(cls, a: float, b: float, domain_max: float) -> "ProfileFunction":
         """g(t) = a*t + b."""
         a, b = float(a), float(b)
         knots = np.array([0.0, domain_max])
-        values = a * knots + b  # g's own bits at 0, also when b is -0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = a * knots + b  # g's own bits at 0, also when b is -0.0
         if not np.all(np.isfinite((a, b, values[1]))):
             raise InvalidParameterError(
                 f"linear profile {a!r} t + {b!r} must be finite on [0, {domain_max!r}]")
-        return cls(knots, values, lambda t: a * t + b)
+        return cls(knots, values)
 
     @classmethod
     def from_table(cls, knots: Sequence[float], values: Sequence[float],
@@ -143,11 +142,10 @@ class ProfileFunction:
         inside = (kn > 0) & (kn < domain_max)
         ends = np.interp([0.0, domain_max], kn, va)
         return cls(np.concatenate(([0.0], kn[inside], [domain_max])),
-                   np.concatenate((ends[:1], va[inside], ends[1:])),
-                   lambda t: np.interp(t, kn, va))
+                   np.concatenate((ends[:1], va[inside], ends[1:])))
 
     def __call__(self, t) -> NDArray[np.float64]:
-        return self._fn(np.clip(np.asarray(t, dtype=np.float64), 0.0, self.domain_max))
+        return np.interp(t, self.knots, self.values)
 
     def abs_bound(self) -> float:
         """max |g| over [0, domain_max]: the largest |value| of the table."""

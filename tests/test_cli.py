@@ -2,12 +2,17 @@
 
 import gc
 import itertools
+import os
 import platform
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from levelpde import cli
 from levelpde.cli import (
     RunConfig,
     format_field,
@@ -416,6 +421,30 @@ output.table = {tmp_path}/table.txt
         assert rc == 1
         assert err == "error: the LU of 639 Laplacian rows does not fit in memory\n"
 
+    def test_solve_and_verify_ball_write_the_same_solve(self, tmp_path):
+        # Both commands run the configured solve through one step.
+        for command in ("solve", "verify-ball"):
+            cfg = MINIMAL_BALL + f"output.field = {tmp_path}/{command}.u\n" \
+                + f"output.report = {tmp_path}/{command}.r\n"
+            assert main([command, write_config(tmp_path, cfg, f"{command}.cfg")]) == 0
+        for suffix in ("u", "r"):
+            assert (tmp_path / f"solve.{suffix}").read_bytes() \
+                == (tmp_path / f"verify-ball.{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("a", ["1e308", "inf"])
+    def test_non_finite_linear_profile_exit_1_without_a_warning(self, a, tmp_path):
+        # A separate interpreter: its stderr is what a user sees, with
+        # Python's default warning filters.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = write_config(tmp_path, MINIMAL_BALL.replace("profile.a = -1",
+                                                           f"profile.a = {a}"))
+        done = subprocess.run([sys.executable, "-m", "levelpde.cli", "solve", path],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 1
+        assert "must be finite" in done.stderr
+        assert "Warning" not in done.stderr
+
     def test_solve_max_iterations_exit_2(self, tmp_path):
         cfg = MINIMAL_BALL + "solver.max_outer_iterations = 1\n" \
             + f"output.report = {tmp_path}/r.txt\n"
@@ -445,6 +474,26 @@ output.table = {tmp_path}/table.txt
         assert len(err) == len(failures)
         assert all(line.startswith(f"diagnose: FAIL: {failure}")
                    for line, failure in zip(err, failures))
+
+    @pytest.mark.parametrize("delta, vacuous, rc", [
+        (None, False, 3), ("0.3", True, 0), ("10", True, 0), ("1e308", True, 0)],
+        ids=["default", "0.3", "10", "1e308"])
+    def test_diagnose_says_when_no_field_can_fail_the_flat_check(
+            self, delta, vacuous, rc, tmp_path):
+        # A field of 2.0 at every node of the h = 1/8 disk has the largest
+        # flat mass there is, cell * N = 3.016.  From delta = 0.3 on, the
+        # threshold 1.5 mass + cell of the closed form is 4.539, above it.
+        grid = build_ball((0.0, 0.0), 1.0, 0.125)
+        (tmp_path / "two.txt").write_text(
+            format_field(zero_data_field(grid, np.full(grid.n_interior, 2.0))))
+        cfg = MINIMAL_BALL + f"diagnose.field = {tmp_path}/two.txt\n" \
+            + f"output.report = {tmp_path}/diag.txt\n" \
+            + ("" if delta is None else f"diagnose.delta = {delta}\n")
+        assert main(["diagnose", write_config(tmp_path, cfg)]) == rc
+        text = (tmp_path / "diag.txt").read_text()
+        threshold = float(re.search(r"flat\.threshold = (\S+)\n", text)[1])
+        assert (threshold >= grid.cell * grid.n_interior) is vacuous
+        assert f"\nflat.vacuous = {vacuous}\nflat.ok = {vacuous}\n" in text
 
     @pytest.mark.parametrize("a, flat", [
         ("-1", "flat.ok = True\n"),

@@ -6,6 +6,7 @@ the smoothing window.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -526,14 +527,36 @@ class TestProfileFunction:
     ], ids=["past-the-end", "knot-at-the-end", "before-zero"])
     def test_table_is_read_on_its_domain_only(self, knots, values, negative, bound,
                                                slope):
-        # Knots outside [0, 2] shape g only through its values at 0 and 2,
-        # and g itself is the interpolant of the table as given.
+        # Knots outside [0, 2] shape g only through its values at 0 and 2.
+        # g is the interpolant of its table on [0, 2], which leaves the
+        # interpolant of the table as given by a few ulps at most.
         g = ProfileFunction.from_table(knots, values, domain_max=2.0)
         assert g.negative_on_range() is negative
         assert g.abs_bound() == bound
         assert g.max_slope() == pytest.approx(slope, rel=1e-15)
         t = np.linspace(0.0, 2.0, 101)
-        assert np.array_equal(g(t), np.interp(t, knots, values))
+        assert g(t).tobytes() == np.interp(t, g.knots, g.values).tobytes()
+        ulp = np.spacing(np.max(np.abs(values)))
+        assert np.max(np.abs(g(t) - np.interp(t, knots, values))) <= 4 * ulp
+
+    @given(st.one_of(profile_tables(), linear_profiles()),
+           hnp.arrays(np.float64, st.integers(0, 40),
+                      elements=st.floats(-10.0, 10.0, allow_subnormal=False)))
+    @settings(max_examples=200, deadline=None)
+    def test_g_is_the_interpolant_of_its_table(self, g, t):
+        # On the domain and off it, at the knots and between them: g holds
+        # no other path to its values than its table.
+        t = np.concatenate((t, g.knots, [-0.0, 2 * g.domain_max]))
+        assert g(t).tobytes() == np.interp(t, g.knots, g.values).tobytes()
+        assert not any(callable(value) for value in vars(g).values())
+
+    @pytest.mark.parametrize("a, b", [(math.inf, 0.0), (1e308, 1e308), (1e308, 0.0),
+                                      (-math.inf, 1.0), (math.nan, 0.0)])
+    def test_non_finite_linear_profile_raises_without_a_warning(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="must be finite"):
+                ProfileFunction.linear(a, b, 2.0)
 
     @given(st.one_of(profile_tables(), linear_profiles()))
     @settings(max_examples=200, deadline=None)
