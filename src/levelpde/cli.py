@@ -4,9 +4,10 @@ Config files are flat ``section.key = value`` text with ``#`` comments.
 ``_KEYS`` maps each key to the parser of its value, and ``_KINDS`` maps each
 kind key to its choices and the keys each choice needs.  The values are
 checked by the library constructors that take them (the grid builders,
-``EllipticOperator``, ``ProfileFunction``, ``BoundaryData`` and
-``OuterConfig``): ``parse_config`` runs each one and reports its error
-against the lines of the keys it read.
+``EllipticOperator``, ``ProfileFunction``, ``OuterConfig`` and
+``BoundaryData``, evaluated on the configured grid's trace):
+``parse_config`` runs each one and reports its error against the lines of
+the keys it read.
 
 The subcommands are ``solve`` (full nonlocal solve plus dumps),
 ``verify-ball`` (solve and compare against the closed ball form), ``study``
@@ -239,12 +240,7 @@ def parse_config(text: str) -> RunConfig:
     check(("solver",), cfg.build_outer)
     if grid is not None:
         check(("profile",), cfg.build_profile, grid)
-        center = cfg.get("boundary.center")
-        if center is not None and len(center) != grid.n:
-            problems.append((lines["boundary.center"], "boundary.center",
-                             f"needs {grid.n} coordinates, one per axis"))
-        else:
-            check(("boundary",), cfg.build_boundary)
+        check(("boundary",), lambda: build_trace(grid, cfg.build_boundary()))
 
     if problems:
         raise ConfigError(problems)

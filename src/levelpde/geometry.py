@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -40,6 +41,9 @@ _CLASS_NAMES = {INTERIOR: "Interior", BOUNDARY: "Boundary", EXTERIOR: "Exterior"
 # Relative slack when checking that h divides a box side and that the lattice
 # coordinates step by h.
 _DIVIDE_RTOL = 1e-9
+
+# The shortest arm a crossing records, as a fraction of h.
+_THETA_MIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,16 @@ class Grid:
         self.h = float(h)
         if not 0 < self.h < math.inf:
             raise InvalidGridError("spacing h must be positive and finite")
+        # A stencil weight divides by a product of two arm lengths, from
+        # (_THETA_MIN h)^2 up to the cross's (2h)^2, and a measure adds cells
+        # of h^n: each must be a normal double, or a weight or a cell is lost.
+        try:
+            scales = ((_THETA_MIN * self.h) ** 2, (2 * self.h) ** 2, self.cell)
+        except OverflowError:
+            scales = (math.inf,)
+        if not all(sys.float_info.min <= x < math.inf for x in scales):
+            raise InvalidGridError(f"spacing h = {self.h} leaves the double range: "
+                                   f"({_THETA_MIN:g} h)^2, (2h)^2 and h^n must be normal")
         self.axis_coords, self.node_class = _lattice(descriptor, self.h)
         self.node_class.setflags(write=False)
         self.origin = tuple(float(ax[0]) for ax in self.axis_coords)
@@ -135,6 +149,8 @@ class Grid:
         self.n_interior = int(self.interior_flat.size)
         if self.n_interior == 0:
             raise InvalidGridError("grid has no interior nodes")
+        if not self.cell * self.n_interior < math.inf:
+            raise InvalidGridError(f"|Omega|_h = h^n N overflows at h = {self.h}")
 
         # Ordinal of each lattice node in the interior numbering; -1 elsewhere.
         pos = np.full(int(np.prod(self.shape)), -1, dtype=np.intp)
@@ -249,6 +265,9 @@ def _lattice(descriptor: Descriptor,
         r_max = d.spheres[0][0]
         m = int(math.ceil(r_max / h))
         m += h * m < r_max  # r_max / h rounded down: put node m past r_max
+        if not d.n * (h * m) * (h * m) < math.inf:  # s^2 at a lattice corner
+            raise InvalidGridError(f"radius {r_max} gives squared offsets past the "
+                                   "double range")
         offsets = h * (np.arange(2 * m + 1, dtype=np.float64) - m)
         s = np.sqrt(sum(g ** 2 for g in np.meshgrid(*[offsets] * d.n, indexing="ij")))
     except (ValueError, MemoryError, OverflowError):
@@ -279,7 +298,7 @@ def _crossing_fraction(grid: Grid, cut: NDArray[np.intp], axis: int,
     k = np.count_nonzero(inside, axis=1)
     r, side = radius[k], side[k]
     t = -side * np.sqrt(np.maximum(r * r - rho2, 0.0)) - sign * d[:, axis]
-    return np.clip(t / h, 1e-12, 1.0)
+    return np.clip(t / h, _THETA_MIN, 1.0)
 
 
 class StencilTerms(NamedTuple):
@@ -588,7 +607,8 @@ class BoundaryData:
 
     def evaluate(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.asarray(self._fn(pts), dtype=np.float64)
+        with np.errstate(all="ignore"):  # an overflow fails the check below
+            out = np.asarray(self._fn(pts), dtype=np.float64)
         if out.shape != (pts.shape[0],) or not np.all(np.isfinite(out)):
             raise InvalidParameterError("boundary data must evaluate to one finite "
                                         f"value per point (shape {out.shape})")

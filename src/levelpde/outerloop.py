@@ -120,7 +120,12 @@ class IterationRecord:
 
 @dataclass
 class SolveReport:
-    """Append-only history plus final diagnostics of one nonlocal solve."""
+    """Append-only history plus final diagnostics of one nonlocal solve.
+
+    ``final_increment`` (the report key ``final.increment``) is the last
+    record's ``step_gap``, ||T(v) - v||_inf, the number that ``Converged``
+    compares with ``outer_tol``; it is not that record's ``increment``.
+    """
 
     status: str = "MaxIterations"
     records: list[IterationRecord] = dc_field(default_factory=list)

@@ -749,6 +749,44 @@ output.table = {tmp_path}/study.txt
         assert err.startswith("error:") and "boundary.center" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("data", [
+        "boundary.coeffs = 1e308,1e308",
+        "boundary.coeffs = 1,1\nboundary.center = 1e308,1e308"],
+        ids=["coeffs", "center"])
+    def test_overflowing_boundary_data_exit_1_without_a_warning(self, data, tmp_path):
+        # psi is evaluated on the configured grid's trace when the config is
+        # read; a separate interpreter shows that NumPy prints nothing.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = write_config(tmp_path, MINIMAL_BALL.replace(
+            "boundary.kind = zero", f"boundary.kind = radial_poly\n{data}"))
+        done = subprocess.run([sys.executable, "-m", "levelpde.cli", "solve", path],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 1
+        assert re.search(r"line \d+: boundary\.coeffs: boundary data must evaluate "
+                         r"to one finite value per point", done.stderr)
+        assert "Warning" not in done.stderr
+
+    @pytest.mark.parametrize("domain, h", [
+        ("ball\ndomain.center = 0\ndomain.radius = 1e-300", "1e-301"),
+        ("ball\ndomain.radius = 1e-159", "1e-160"),
+        ("box\ndomain.bounds = 0:1e156,0:1e156", "1e155"),
+        ("box\ndomain.bounds = 0:1e-200", "1e-201"),
+        ("ball\ndomain.center = 0,0,0\ndomain.radius = 2e-150", "1e-151"),
+    ], ids=["ball1d", "ball2d", "box2d", "box1d", "ball3d"])
+    def test_spacing_out_of_the_double_range_exit_1(self, domain, h, tmp_path,
+                                                    capsys):
+        # Each crashed or blamed another key: an IndexError, an
+        # OverflowError, a NaN residual (exit 2), a profile error.
+        text = MINIMAL_BALL.replace("ball\ndomain.radius = 1", domain)
+        text = text.replace("grid.h = 0.125", f"grid.h = {h}")
+        rc = main(["solve", write_config(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert re.search(r"line \d+: grid\.h: spacing h = \S+ leaves the double "
+                         r"range", err)
+        assert "profile" not in err
+
     @pytest.mark.parametrize("key", ["inner_tol", "outer_tol"])
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
     def test_non_finite_tolerance_exit_1(self, key, value, tmp_path, capsys):

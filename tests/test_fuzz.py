@@ -9,11 +9,13 @@ down to the last bit of its Laplacian, which the sector LU relies on.
 Numbers are drawn small (|x| <= 2, h >= 1/16 for configs; extents <= 4,
 h >= 1/64, h >= 1/4 in 3-D, for builders) or absurd (non-finite, negative,
 1e300, 1e-300, tiny gaps), so every lattice built is either small or one
-that numpy refuses outright, never one it would allocate.
+that numpy refuses outright, never one it would allocate.  Spacings across
+the whole double range come with domains a few spacings across.
 """
 
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,8 @@ from hypothesis import strategies as st
 
 from levelpde.cli import _KEYS, RunConfig, format_field, load_field, parse_config
 from levelpde.elliptic import EllipticOperator, _matrix
-from levelpde.errors import ConfigError, InvalidParameterError, LevelPDEError
+from levelpde.errors import (ConfigError, InvalidGridError, InvalidParameterError,
+                             LevelPDEError)
 from levelpde.geometry import (BOUNDARY, EXTERIOR, INTERIOR, AnnulusDescriptor,
                                BallDescriptor, BoundaryData, Grid, _crossing_fraction,
                                build_annulus, build_ball, build_box, build_trace,
@@ -179,6 +182,47 @@ def test_builders_give_a_grid_or_a_package_error(call):
     assert isinstance(grid, Grid) and grid.n_interior > 0
     for ax in grid.axis_coords:
         assert np.allclose(np.diff(ax), grid.h, rtol=1e-9, atol=0)
+
+
+@st.composite
+def scaled_domains(draw):
+    """(builder, args): a ball, annulus or box a few spacings across, with
+    h = 10^x for x in [-330, 308], subnormal and out-of-range spacings
+    included; every lattice has at most 13 nodes per axis."""
+    n = draw(st.integers(1, 3))
+    h = 10.0 ** draw(st.floats(-330, 308))
+    kind = draw(st.sampled_from(["box", "ball", "annulus"]))
+    radius = draw(st.floats(2.2, 4.5)) * h
+    if kind == "box":
+        return build_box, ([(0.0, draw(st.integers(2, 4)) * h)] * n, h)
+    if kind == "ball":
+        return build_ball, ((0.0,) * n, radius, h)
+    r_inner = draw(st.floats(0.1, 1)) * h
+    return build_annulus, ((0.0,) * n, r_inner, r_inner + radius, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_domains())
+@example((build_ball, ((0.0,), 1e-300, 1e-301)))
+@example((build_box, ([(0.0, 1e156)] * 2, 1e155)))
+@example((build_box, ([(0.0, 3 * 1.2e154)], 1.2e154)))  # 2 h^2 overflows
+@example((build_ball, ((0.0, 0.0), 2.25e154, 5e153)))  # 2 (m h)^2 overflows
+def test_spacings_across_the_double_range_give_a_grid_or_a_grid_error(call):
+    # Each square, weight and measure the grid, its trace and |Omega|_h form
+    # is a finite double, or the builder refuses the spacing: no IndexError,
+    # OverflowError or NumPy warning (each one an error in this test).
+    build, args = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid = build(*args)
+        except InvalidGridError:
+            return
+        build_trace(grid, BoundaryData.zero())
+        assert all(np.all(np.isfinite(grid.plan.terms[key].kappa))
+                   for key in grid.plan.pairs)
+        assert np.all(np.isfinite(grid.plan.stiffness))
+        assert 0 < domain_measure(grid) < math.inf
 
 
 COORD = st.one_of(st.just(0.0), st.floats(-2, 2), st.floats(-1e3, 1e3))

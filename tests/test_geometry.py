@@ -122,6 +122,39 @@ class TestDirectGrid:
         with pytest.raises(InvalidGridError):
             Grid(descriptor, h)
 
+    @pytest.mark.parametrize("build, message", [
+        # h^2 underflows, so every node is classed Interior, faces included.
+        (lambda: build_ball((0.0,), 1e-300, 1e-301), "double range"),
+        (lambda: build_ball((0.0, 0.0), 1e-159, 1e-160), "double range"),
+        # h^2 overflows: Grid.cell raised OverflowError.
+        (lambda: build_box([(0.0, 1e156)] * 2, 1e155), "double range"),
+        # h^2 underflows to 0, so 2 / h^2 is inf and the stencil held NaN.
+        (lambda: build_box([(0.0, 1e-200)], 1e-201), "double range"),
+        # h^3 underflows: |Omega|_h was 0.
+        (lambda: build_ball((0.0, 0.0, 0.0), 2e-150, 1e-151), "double range"),
+        # (1e-12 h)^2, the shortest arms' product, is subnormal.
+        (lambda: build_box([(0.0, 3 * 1.4e-142)], 1.4e-142), "double range"),
+        # h^2 theta_+ (theta_+ + theta_-) = 2 h^2 overflows.
+        (lambda: build_box([(0.0, 3 * 6.71e153)], 6.71e153), "double range"),
+        # |Omega|_h = h^3 N, and on the disk the corner's s^2, overflow.
+        (lambda: build_box([(0.0, 8e102)] * 3, 1e102), "overflows"),
+        (lambda: build_ball((0.0, 0.0), 2.25e154, 5e153), "squared offsets"),
+    ], ids=["ball1d-1e-301", "ball2d-1e-160", "box2d-1e155", "box1d-1e-201",
+            "ball3d-1e-151", "box1d-1.4e-142", "box1d-6.71e153", "cube-measure",
+            "disk-offsets"])
+    def test_spacing_out_of_the_double_range_rejected(self, build, message):
+        with pytest.raises(InvalidGridError, match=message):
+            build()
+
+    @pytest.mark.parametrize("n, h", [(1, 1.5e-142), (1, 6.7e153), (2, 1.5e-142),
+                                      (3, 2.9e-103), (3, 2.8e102)])
+    def test_spacing_at_the_ends_of_the_double_range_accepted(self, n, h):
+        grid = build_box([(0.0, 3 * h)] * n, h)
+        trace = build_trace(grid, BoundaryData.zero())
+        assert trace.values.size == grid.plan.points.shape[0]
+        assert np.all(np.isfinite(grid.plan.stiffness))
+        assert 0 < domain_measure(grid) < math.inf
+
 
 class TestBall:
     @pytest.mark.parametrize("build", [
@@ -308,6 +341,16 @@ class TestBoundaryData:
                      lambda: ProfileFunction.from_table(knots, values, 1.0)):
             with pytest.raises(InvalidParameterError, match=message):
                 make()
+
+    @pytest.mark.parametrize("coeffs, center", [
+        ([1e308, 1e308], (0.0, 0.0)), ([1.0, 1.0], (1e308, 1e308))],
+        ids=["coeffs", "center"])
+    def test_overflowing_data_rejected_without_a_warning(self, coeffs, center):
+        psi = BoundaryData.radial_poly(coeffs, center)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="one finite value"):
+                psi.evaluate(np.array([[1.0, 0.0], [-1e308, 0.0]]))
 
     @pytest.mark.parametrize("make", [
         lambda: BoundaryData.radial_poly([1.0, 0.0, 1.0], center=(0.0, 0.0, 0.0)),
